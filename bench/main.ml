@@ -5,20 +5,16 @@
    paper's "evaluation cost at the granularity of seconds" claim).
 
    Usage: dune exec bench/main.exe
-     [-- section ... [-j N] [--no-tape] [--tape-store DIR]]
+     [-- section ... [-j N] [--tape-store DIR]]
    where section is one of: tables fig4 fig5 fig6 fig7 sweep tape ablation
    sparse component inject chaos aspen speed serve.
    With no sections every section runs.  [-j N] (or [--jobs N]) sets the
    domain count for the parallel sections (fig4, fig6, sweep, inject,
-   chaos); the default
-   is Domain.recommended_domain_count, and [-j 1] forces the serial
-   path.  [--no-tape] disables capture-once/replay-many tape reuse in
-   fig4 and sweep (per-geometry retrace, the performance baseline); the
-   [tape] section measures both side by side.  [--tape-store DIR] routes
-   every capture in fig4, sweep and serve through a persistent
-   content-addressed tape store, so a warm store benchmarks the
-   replay-from-disk path and the snapshot records store hit/miss/byte
-   counters.
+   chaos); the default is Domain.recommended_domain_count, and [-j 1]
+   forces the serial path.  [--tape-store DIR] routes every capture in
+   fig4, sweep and serve through a persistent content-addressed tape
+   store, so a warm store benchmarks the replay-from-disk path and the
+   snapshot records store hit/miss/byte counters.
 
    Every run also writes BENCH_dvf.json — a machine-readable performance
    snapshot (command, cache geometry, job count, wall-clock, trace-replay
@@ -40,15 +36,9 @@ let run_tables () =
 
 (* --- Fig. 4: model verification --- *)
 
-let run_fig4 ~jobs ~telemetry ~tape ~store () =
+let run_fig4 ~jobs ~telemetry ~store () =
   section_header "Fig. 4 - Model verification (trace-driven simulation vs CGPMAC)";
-  let strategy =
-    if tape then Core.Verify.Replay else Core.Verify.Retrace
-  in
-  (* The store only makes sense on a tape-reusing strategy: retrace never
-     captures a tape, so it has nothing to persist or load. *)
-  let store = if tape then store else None in
-  let rows = Core.Verify.run_all ~jobs ~telemetry ?store ~strategy () in
+  let rows = Core.Verify.run_all ~jobs ~telemetry ?store () in
   Dvf_util.Table.print (Core.Verify.to_table rows);
   let summary =
     Dvf_util.Table.create ~title:"Aggregate (total-traffic) error per kernel"
@@ -282,16 +272,16 @@ let run_ablation () =
 
 (* --- Cache-capacity sweep (Fig. 5's x-axis at full resolution) --- *)
 
-let run_sweep ~jobs ~telemetry ~tape ~store () =
+let run_sweep ~jobs ~telemetry ~store () =
   section_header "Cache-capacity sweep (DVF_a, 4KB..16MB, 8-way, 64B lines)";
-  (* With tape reuse on, the sweep also runs the trace-driven simulator
-     over every geometry — one captured tape per workload, all geometries
-     driven by fused chunk walks — next to the analytic model. *)
+  (* The sweep also runs the trace-driven simulator over every geometry —
+     one captured tape per workload, all geometries driven by one engine
+     walk — next to the analytic model. *)
   List.iter
     (fun workload ->
       let instance = Core.Workloads.profiling_instance workload in
       let rows =
-        Core.Experiments.cache_sweep ~jobs ~telemetry ?store ~simulate:tape
+        Core.Experiments.cache_sweep ~jobs ~telemetry ?store ~simulate:true
           instance
       in
       Dvf_util.Table.print
@@ -299,112 +289,47 @@ let run_sweep ~jobs ~telemetry ~tape ~store () =
            ~label:instance.Core.Workload.label rows))
     [ Core.Workloads.vm; Core.Workloads.ft; Core.Workloads.mc ]
 
-(* --- Tape reuse: capture-once/replay-many vs per-geometry retrace --- *)
+(* --- Tape replay engine: domain scaling, hierarchy and residency --- *)
 
 let run_tape ~jobs ~telemetry () =
-  section_header
-    "Tape reuse - capture-once/replay-many vs per-geometry retrace (Fig. 4 \
-     sweep)";
+  section_header "Tape replay engine - set-sharded scaling (Fig. 4 sweep)";
   let module T = Dvf_util.Telemetry in
-  (* Each strategy runs against a forked collector so its counters and
-     accumulators don't mix with the other strategies'; rates are read
-     off the fork, then everything merges into the session collector for
-     the BENCH_dvf.json snapshot. *)
-  let run ?(jobs = jobs) ?shards strategy =
+  (* Each run goes against a forked collector so its counters and
+     accumulators don't mix with the other runs'; rates are read off the
+     fork, then everything merges into the session collector for the
+     BENCH_dvf.json snapshot. *)
+  let run ~jobs =
     let fork = T.fork telemetry in
     let t0 = Unix.gettimeofday () in
-    let rows = Core.Verify.run_all ~jobs ~telemetry:fork ~strategy ?shards () in
+    let rows = Core.Verify.run_all ~jobs ~telemetry:fork () in
     let seconds = Unix.gettimeofday () -. t0 in
-    let rate counter span =
-      let ns = T.span_ns fork span in
+    let rate counter =
+      let ns = T.span_ns fork "verify/replay_total" in
       if Int64.compare ns 0L > 0 then
         float_of_int (T.counter_value fork counter)
         /. (Int64.to_float ns /. 1e9)
       else 0.0
     in
-    let sim_rate =
-      match strategy with
-      | Core.Verify.Retrace -> rate "recorder/events" "verify/trace_total"
-      | Core.Verify.Replay | Core.Verify.Fused | Core.Verify.Sharded ->
-          rate "tape/replay_events" "verify/replay_total"
-    in
-    (* Engine-side throughput summed over shard domains (each shard task
-       walks the full stream for every cache it owns sets of); zero for
-       the unsharded strategies, and equal to [sim_rate] at one shard. *)
-    let walked_rate = rate "shard/walked_events" "verify/replay_total" in
     T.merge ~into:telemetry fork;
-    (rows, seconds, sim_rate, walked_rate)
+    (rows, seconds, rate "tape/replay_events", rate "shard/walked_events")
   in
-  let retrace_rows, retrace_s, retrace_rate, _ = run Core.Verify.Retrace in
-  let replay_rows, replay_s, replay_rate, _ = run Core.Verify.Replay in
-  let fused_rows, fused_s, fused_rate, _ = run Core.Verify.Fused in
-  let sharded_rows, sharded_s, sharded_rate, _ = run Core.Verify.Sharded in
-  let t =
-    Dvf_util.Table.create
-      ~title:
-        "Verification sweep, four strategies (identical rows, -j \
-         honoured)"
-      [
-        ("strategy", Dvf_util.Table.Left);
-        ("wall s", Dvf_util.Table.Right);
-        ("sim events/sec", Dvf_util.Table.Right);
-        ("vs retrace", Dvf_util.Table.Right);
-      ]
-  in
-  List.iter
-    (fun (name, seconds, r) ->
-      Dvf_util.Table.add_row t
-        [
-          name;
-          Printf.sprintf "%.3f" seconds;
-          Printf.sprintf "%.3g" r;
-          Printf.sprintf "%.2fx"
-            (if retrace_rate > 0.0 then r /. retrace_rate else 0.0);
-        ])
-    [
-      ("retrace (baseline)", retrace_s, retrace_rate);
-      ("replay", replay_s, replay_rate);
-      ("fused", fused_s, fused_rate);
-      ("sharded", sharded_s, sharded_rate);
-    ];
-  Dvf_util.Table.print t;
-  Printf.printf "rows bit-identical across strategies: %s\n"
-    (if
-       retrace_rows = replay_rows
-       && replay_rows = fused_rows
-       && fused_rows = sharded_rows
-     then "yes"
-     else "NO");
-  (* Surface the comparison in the snapshot regardless of which sections
-     ran before or after. *)
-  if T.enabled telemetry then begin
-    T.set_gauge telemetry "bench/retrace_events_per_sec" retrace_rate;
-    T.set_gauge telemetry "bench/replay_events_per_sec" replay_rate;
-    T.set_gauge telemetry "bench/fused_events_per_sec" fused_rate;
-    T.set_gauge telemetry "bench/sharded_events_per_sec" sharded_rate
-  end;
-  (* Sharded scaling: the single-domain legacy fused walk is the baseline
-     the ROADMAP's events/sec target is measured against; the sharded
-     engine combines set-partitioned domain parallelism with its
-     specialized early-exit kernel, and is measured here on >= 4 domains
-     (each shard task is a domain's unit of work). *)
-  let shard_domains = max 4 jobs in
-  let fused1_rows, fused1_s, fused1_rate, _ = run ~jobs:1 Core.Verify.Fused in
-  let shardn_rows, shardn_s, shardn_rate, shardn_walked =
-    run ~jobs:shard_domains ~shards:shard_domains Core.Verify.Sharded
-  in
-  (* Two rates per walk: "logical" divides the stream each cache consumed
+  (* Two rates per run: "logical" divides the stream each cache consumed
      once by replay wall-clock; "aggregate" divides the event-walks the
      engine performed across all its shard domains by the same wall-clock
-     (a 1-domain fused walk performs exactly one walk, so both rates
-     coincide for the baseline).  On a box with >= shard_domains cores
-     the logical rate converges to the aggregate; the aggregate is the
+     (a 1-domain run performs exactly one walk, so both rates coincide
+     for the baseline).  On a box with >= shard_domains cores the logical
+     rate converges to the aggregate; the aggregate is the
      machine-independent engine throughput. *)
+  let shard_domains = max 4 jobs in
+  let one_rows, one_s, one_rate, _ = run ~jobs:1 in
+  let shardn_rows, shardn_s, shardn_rate, shardn_walked =
+    run ~jobs:shard_domains
+  in
   let t =
     Dvf_util.Table.create
       ~title:
         (Printf.sprintf
-           "Sharded fused scaling (set-partitioned, %d shards on %d domains)"
+           "Sharded replay scaling (set-partitioned, %d shards on %d domains)"
            shard_domains shard_domains)
       [
         ("walk", Dvf_util.Table.Left);
@@ -423,24 +348,21 @@ let run_tape ~jobs ~telemetry () =
           Printf.sprintf "%.3g" logical;
           Printf.sprintf "%.3g" aggregate;
           Printf.sprintf "%.2fx"
-            (if fused1_rate > 0.0 then aggregate /. fused1_rate else 0.0);
+            (if one_rate > 0.0 then aggregate /. one_rate else 0.0);
         ])
     [
-      ("fused, 1 domain (baseline)", fused1_s, fused1_rate, fused1_rate);
+      ("1 domain (baseline)", one_s, one_rate, one_rate);
       ( Printf.sprintf "sharded, %d domains" shard_domains,
         shardn_s,
         shardn_rate,
         shardn_walked );
     ];
   Dvf_util.Table.print t;
-  Printf.printf "sharded rows bit-identical to serial fused: %s\n"
-    (if fused1_rows = shardn_rows then "yes" else "NO");
+  Printf.printf "sharded rows bit-identical to serial: %s\n"
+    (if one_rows = shardn_rows then "yes" else "NO");
   if T.enabled telemetry then begin
-    T.set_gauge telemetry "bench/fused_1dom_events_per_sec" fused1_rate;
+    T.set_gauge telemetry "bench/fused_1dom_events_per_sec" one_rate;
     T.set_gauge telemetry "bench/sharded_scaling_events_per_sec" shardn_walked;
-    (* The sharded engine walks pre-partitioned chunk views since the
-       partition-index work; this gauge names the partitioned rate
-       explicitly so snapshots before and after that change compare. *)
     T.set_gauge telemetry "bench/sharded_partitioned_events_per_sec"
       shardn_walked;
     T.set_gauge telemetry "bench/shard_domains" (float_of_int shard_domains)
@@ -451,8 +373,7 @@ let run_tape ~jobs ~telemetry () =
   let fork = T.fork telemetry in
   let t0 = Unix.gettimeofday () in
   let (_ : Core.Verify.level_row list) =
-    Core.Verify.run_all_levels ~jobs ~telemetry:fork
-      ~strategy:Core.Verify.Fused ~levels ()
+    Core.Verify.run_all_levels ~jobs ~telemetry:fork ~levels ()
   in
   let hier_s = Unix.gettimeofday () -. t0 in
   let level_counter fmt level = T.counter_value fork (Printf.sprintf fmt level) in
@@ -499,9 +420,8 @@ let run_tape ~jobs ~telemetry () =
   T.merge ~into:telemetry fork;
   if T.enabled telemetry then
     T.set_gauge telemetry "bench/hierarchy_levels" (float_of_int levels);
-  (* Timed replay: residency tracking swaps the specialized unsafe loops
-     for a per-event logical clock; measure what that costs against the
-     untimed replay rate above. *)
+  (* Timed replay: residency tracking swaps the specialized unsafe loop
+     for a per-event logical clock. *)
   let fork = T.fork telemetry in
   let t0 = Unix.gettimeofday () in
   let (_ : Core.Verify.time_row list) =
@@ -517,10 +437,8 @@ let run_tape ~jobs ~telemetry () =
   in
   T.merge ~into:telemetry fork;
   Printf.printf
-    "timed replay (per-line residency): %.3f s wall, %.3g events/sec \
-     (%.2fx of untimed replay)\n"
-    timed_s timed_rate
-    (if replay_rate > 0.0 then timed_rate /. replay_rate else 0.0);
+    "timed replay (per-line residency): %.3f s wall, %.3g events/sec\n"
+    timed_s timed_rate;
   if T.enabled telemetry then
     T.set_gauge telemetry "bench/timed_replay_events_per_sec" timed_rate;
   (* On-disk load: eager per-chunk decode vs the default lazy mmap
@@ -847,8 +765,8 @@ let run_serve ~jobs ~telemetry ~store () =
       Printf.printf "warmed %d workloads in %.3f s%s\n"
         (Core.Serve.warm_count srv) warm_s
         (match store with Some _ -> " (tape store on)" | None -> "");
-      (* One batch mixes a replay-heavy op (verify: full fused tape walk
-         over the verification set) and a model op (dvf: analytic
+      (* One batch mixes a replay-heavy op (verify: full tape walk over
+         the verification set) and a model op (dvf: analytic
          profile) over every served workload — the shape a monitoring
          client would send — spread over the pool by handle_batch. *)
       let names = Core.Serve.workload_names srv in
@@ -955,32 +873,32 @@ let run_speed () =
 
 let sections =
   [
-    ("tables", fun ~jobs:_ ~telemetry:_ ~tape:_ ~store:_ () -> run_tables ());
+    ("tables", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_tables ());
     ("fig4", run_fig4);
-    ("fig5", fun ~jobs:_ ~telemetry:_ ~tape:_ ~store:_ () -> run_fig5 ());
+    ("fig5", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_fig5 ());
     ( "fig6",
-      fun ~jobs ~telemetry ~tape:_ ~store:_ () -> run_fig6 ~jobs ~telemetry ()
+      fun ~jobs ~telemetry ~store:_ () -> run_fig6 ~jobs ~telemetry ()
     );
-    ("fig7", fun ~jobs:_ ~telemetry:_ ~tape:_ ~store:_ () -> run_fig7 ());
+    ("fig7", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_fig7 ());
     ("sweep", run_sweep);
     ( "tape",
-      fun ~jobs ~telemetry ~tape:_ ~store:_ () -> run_tape ~jobs ~telemetry ()
+      fun ~jobs ~telemetry ~store:_ () -> run_tape ~jobs ~telemetry ()
     );
     ( "ablation",
-      fun ~jobs:_ ~telemetry:_ ~tape:_ ~store:_ () -> run_ablation () );
-    ("sparse", fun ~jobs:_ ~telemetry:_ ~tape:_ ~store:_ () -> run_sparse ());
+      fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_ablation () );
+    ("sparse", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_sparse ());
     ( "component",
-      fun ~jobs:_ ~telemetry:_ ~tape:_ ~store:_ () -> run_component () );
+      fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_component () );
     ( "inject",
-      fun ~jobs ~telemetry ~tape:_ ~store:_ () -> run_inject ~jobs ~telemetry ()
+      fun ~jobs ~telemetry ~store:_ () -> run_inject ~jobs ~telemetry ()
     );
     ( "chaos",
-      fun ~jobs ~telemetry ~tape:_ ~store:_ () -> run_chaos ~jobs ~telemetry ()
+      fun ~jobs ~telemetry ~store:_ () -> run_chaos ~jobs ~telemetry ()
     );
-    ("aspen", fun ~jobs:_ ~telemetry:_ ~tape:_ ~store:_ () -> run_aspen ());
-    ("speed", fun ~jobs:_ ~telemetry:_ ~tape:_ ~store:_ () -> run_speed ());
+    ("aspen", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_aspen ());
+    ("speed", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_speed ());
     ( "serve",
-      fun ~jobs ~telemetry ~tape:_ ~store () -> run_serve ~jobs ~telemetry ~store ()
+      fun ~jobs ~telemetry ~store () -> run_serve ~jobs ~telemetry ~store ()
     );
   ]
 
@@ -988,7 +906,7 @@ let sections =
    One flat header (command, cache geometry, jobs, wall-clock, trace
    events/sec) plus the whole telemetry document, so downstream tooling
    never parses the pretty-printed output. *)
-let write_bench_snapshot ~command ~jobs ~tape ~store_dir ~wall_clock_sec
+let write_bench_snapshot ~command ~jobs ~store_dir ~wall_clock_sec
     telemetry =
   let module J = Dvf_util.Json in
   let module T = Dvf_util.Telemetry in
@@ -1000,13 +918,7 @@ let write_bench_snapshot ~command ~jobs ~tape ~store_dir ~wall_clock_sec
         /. (Int64.to_float ns /. 1e9))
     else J.Null
   in
-  (* Simulation throughput of whichever path ran: tape replay when tape
-     reuse is on, the combined kernel+simulation rate otherwise.  The
-     per-phase fields below carry both so two snapshots (with and without
-     [--no-tape]) are directly comparable. *)
-  let retrace_rate = rate "recorder/events" "verify/trace_total" in
   let replay_rate = rate "tape/replay_events" "verify/replay_total" in
-  let events_per_sec = if tape then replay_rate else retrace_rate in
   let gauge name =
     match T.gauge_value telemetry name with
     | Some v -> J.Float v
@@ -1039,17 +951,15 @@ let write_bench_snapshot ~command ~jobs ~tape ~store_dir ~wall_clock_sec
         ("command", J.Str command);
         ("geometry", geometry);
         ("jobs", J.Int jobs);
-        ("tape_reuse", J.Bool tape);
         ("wall_clock_sec", J.Float wall_clock_sec);
-        ("events_per_sec", events_per_sec);
-        ("retrace_events_per_sec", retrace_rate);
+        ("events_per_sec", replay_rate);
         ("replay_events_per_sec", replay_rate);
         ("capture_events_per_sec", rate "tape/capture_events" "verify/capture_total");
         (* Sharded scaling and per-level hierarchy rates, measured by the
            tape section (gauges are absent — Null here — when that
            section did not run).  [sharded_events_per_sec] is the
            aggregate engine rate over all shard domains; the 1-domain
-           fused baseline's aggregate and logical rates coincide. *)
+           baseline's aggregate and logical rates coincide. *)
         ("fused_events_per_sec", gauge "bench/fused_1dom_events_per_sec");
         ("sharded_events_per_sec", gauge "bench/sharded_scaling_events_per_sec");
         (* Partition-index era fields: the sharded engine's aggregate rate
@@ -1106,7 +1016,6 @@ let () =
      names.  Validate every section up front so a typo exits non-zero
      before anything runs, instead of failing halfway through a sweep. *)
   let jobs = ref (Dvf_util.Parallel.recommended_jobs ()) in
-  let tape = ref true in
   let store_dir = ref None in
   let rec parse acc = function
     | [] -> List.rev acc
@@ -1117,11 +1026,6 @@ let () =
             parse acc rest
         | _ -> usage_error (Printf.sprintf "bad job count %S" value))
     | [ ("-j" | "--jobs") ] -> usage_error "-j expects a positive integer"
-    | "--no-tape" :: rest ->
-        (* Per-geometry retrace everywhere a tape would be reused — the
-           measurable baseline for the capture-once/replay-many path. *)
-        tape := false;
-        parse acc rest
     | "--tape-store" :: dir :: rest ->
         store_dir := Some dir;
         parse acc rest
@@ -1148,9 +1052,9 @@ let () =
       !store_dir
   in
   let start = Unix.gettimeofday () in
-  List.iter (fun run -> run ~jobs:!jobs ~telemetry ~tape:!tape ~store ()) runs;
+  List.iter (fun run -> run ~jobs:!jobs ~telemetry ~store ()) runs;
   write_bench_snapshot
     ~command:(String.concat " " (Array.to_list Sys.argv))
-    ~jobs:!jobs ~tape:!tape ~store_dir:!store_dir
+    ~jobs:!jobs ~store_dir:!store_dir
     ~wall_clock_sec:(Unix.gettimeofday () -. start)
     telemetry

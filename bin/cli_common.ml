@@ -109,23 +109,6 @@ let check_levels levels =
   end;
   levels
 
-let shards =
-  let doc =
-    "Set-index partitions for the sharded replay strategy (positive \
-     power of two; default: the largest power of two <= --jobs).  \
-     Results are bit-identical at any shard count."
-  in
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
-
-let check_shards shards =
-  match shards with
-  | None -> None
-  | Some s when s > 0 && s land (s - 1) = 0 -> Some s
-  | Some s ->
-      Printf.eprintf
-        "error: --shards expects a positive power of two (got %d)\n" s;
-      exit 1
-
 (* --- time windows --- *)
 
 let bins =

@@ -222,27 +222,7 @@ let validate_times ~times ~pos ~len =
       (Printf.sprintf "Cache: bad times range pos=%d len=%d (times %d)" pos len
          (Array.length times))
 
-let access_batch t ~addrs ~metas ~pos ~len =
-  validate_batch ~addrs ~metas ~pos ~len;
-  let shift = t.line_shift in
-  let timed = t.res <> None in
-  let now0 = t.now in
-  for i = pos to pos + len - 1 do
-    if timed then t.now <- now0 + (i - pos);
-    let addr = addrs.(i) in
-    let meta = metas.(i) in
-    let owner = meta lsr meta_owner_shift in
-    let write = meta land 1 = 1 in
-    let size = (meta lsr 1) land max_size in
-    let first = addr lsr shift in
-    let last = (addr + size - 1) lsr shift in
-    for line = first to last do
-      ignore (touch t ~owner ~write ~line)
-    done
-  done;
-  t.now <- now0 + len
-
-(* --- set-sharded walks ---
+(* --- the packed walk ---
 
    Every set's LRU state is independent of every other set's, so a batch
    can be partitioned by set index across domains with zero locking: a
@@ -252,18 +232,21 @@ let access_batch t ~addrs ~metas ~pos ~len =
    shards).  Each shard walks the whole batch and touches only its own
    lines; per-set decision sequences are exactly the serial ones, so
    [Stats.merge] over the shard caches reproduces the serial statistics
-   bit for bit.
+   bit for bit.  [~shards:1 ~shard:0] is the full walk.
 
-   This is the throughput path (the ROADMAP's >= 100M events/sec
-   target), so the walk is specialized: addresses were validated up
-   front (unsafe indexing is safe), and the way scan exits on the first
-   tag match instead of tracking the LRU victim on hits — the victim
-   scan runs only on a miss.  Decisions are identical to [touch]'s.
+   This is the throughput path, so the walk is specialized: addresses
+   were validated up front (unsafe indexing is safe), and the way scan
+   exits on the first tag match instead of tracking the LRU victim on
+   hits — the victim scan runs only on a miss.  Decisions are identical
+   to [touch_feed]'s, and so is the feed: the victim's [spill] fires
+   before the missing line's [fill].
 
    With a residency accumulator attached the walk drops to the generic
-   [touch] path with the event clock set per event — every shard sees
-   every event ordinal, so per-line phase timestamps are identical to
-   the serial walk's and the merged accumulators are bit-identical. *)
+   [touch_feed] path with the event clock set per event — every shard
+   sees every event ordinal, so per-line phase timestamps are identical
+   to the serial walk's and the merged accumulators are bit-identical.
+   The same generic walk serves [access_batch_timed], whose clock comes
+   from a caller-supplied [times] column instead. *)
 
 let check_shards ~shards ~shard =
   if shards <= 0 || shards land (shards - 1) <> 0 then
@@ -281,14 +264,16 @@ let effective_shards t ~shards =
          "Cache: shards must be a positive power of two (got %d)" shards);
   min shards t.config.Config.sets
 
-(* The shared residency-enabled walk: [touch_feed] per line of the
-   shard, event clock set per event.  [fill]/[spill] are [nofeed] for
-   the plain sharded walk. *)
-let res_walk t ~addrs ~metas ~pos ~len ~mask ~shard ~fill ~spill =
+(* [touch_feed] per line of the shard; the clock is [times.(i)] when
+   given, the implicit [now0 + (i - pos)] otherwise. *)
+let generic_walk t ~addrs ~metas ~times ~pos ~len ~mask ~shard ~fill ~spill =
   let shift = t.line_shift in
   let now0 = t.now in
   for i = pos to pos + len - 1 do
-    t.now <- now0 + (i - pos);
+    t.now <-
+      (match times with
+      | Some times -> Array.unsafe_get times i
+      | None -> now0 + (i - pos));
     let addr = Array.unsafe_get addrs i in
     let meta = Array.unsafe_get metas i in
     let owner = meta lsr meta_owner_shift in
@@ -301,7 +286,7 @@ let res_walk t ~addrs ~metas ~pos ~len ~mask ~shard ~fill ~spill =
     done
   done
 
-let access_batch_sharded t ~addrs ~metas ~pos ~len ~shards ~shard =
+let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard ~fill ~spill =
   check_shards ~shards ~shard;
   validate_batch ~addrs ~metas ~pos ~len;
   let eff = min shards t.config.Config.sets in
@@ -312,77 +297,8 @@ let access_batch_sharded t ~addrs ~metas ~pos ~len ~shards ~shard =
   (if shard < eff then
      match t.res with
      | Some _ ->
-         res_walk t ~addrs ~metas ~pos ~len ~mask:(eff - 1) ~shard
-           ~fill:nofeed ~spill:nofeed
-     | None ->
-         let mask = eff - 1 in
-         let shift = t.line_shift in
-         let set_mask = t.set_mask in
-         let ca = t.config.Config.associativity in
-         let tags = t.tags
-         and owners = t.owners
-         and dirty = t.dirty
-         and stamps = t.stamps in
-         for i = pos to pos + len - 1 do
-           let addr = Array.unsafe_get addrs i in
-           let meta = Array.unsafe_get metas i in
-           let owner = meta lsr meta_owner_shift in
-           let write = meta land 1 = 1 in
-           let first = addr lsr shift in
-           let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
-           for line = first to last do
-             if line land mask = shard then begin
-               let base = (line land set_mask) * ca in
-               let limit = base + ca in
-               t.clock <- t.clock + 1;
-               let w = ref base in
-               while !w < limit && Array.unsafe_get tags !w <> line do
-                 incr w
-               done;
-               if !w < limit then begin
-                 let w = !w in
-                 Stats.record_access t.stats ~owner ~write ~hit:true;
-                 Array.unsafe_set stamps w t.clock;
-                 if write then Array.unsafe_set dirty w true
-               end
-               else begin
-                 Stats.record_access t.stats ~owner ~write ~hit:false;
-                 let victim = ref base and victim_stamp = ref max_int in
-                 for w = base to limit - 1 do
-                   if Array.unsafe_get stamps w < !victim_stamp then begin
-                     victim_stamp := Array.unsafe_get stamps w;
-                     victim := w
-                   end
-                 done;
-                 let w = !victim in
-                 if Array.unsafe_get tags w >= 0 && Array.unsafe_get dirty w
-                 then
-                   Stats.record_writeback t.stats
-                     ~owner:(Array.unsafe_get owners w);
-                 Array.unsafe_set tags w line;
-                 Array.unsafe_set owners w owner;
-                 Array.unsafe_set dirty w write;
-                 Array.unsafe_set stamps w t.clock
-               end
-             end
-           done
-         done);
-  t.now <- now0 + len
-
-(* Same walk, but reporting the traffic a next cache level would see:
-   [fill] for every line miss (the demand fetch) and [spill] for every
-   dirty eviction (the write-back), both with the line *number*.  The
-   victim's spill fires before the missing line's fill, matching the
-   order [touch_feed] records statistics in. *)
-let access_batch_feed t ~addrs ~metas ~pos ~len ~shards ~shard ~fill ~spill =
-  check_shards ~shards ~shard;
-  validate_batch ~addrs ~metas ~pos ~len;
-  let eff = min shards t.config.Config.sets in
-  let now0 = t.now in
-  (if shard < eff then
-     match t.res with
-     | Some _ ->
-         res_walk t ~addrs ~metas ~pos ~len ~mask:(eff - 1) ~shard ~fill ~spill
+         generic_walk t ~addrs ~metas ~times:None ~pos ~len ~mask:(eff - 1)
+           ~shard ~fill ~spill
      | None ->
          let mask = eff - 1 in
          let shift = t.line_shift in
@@ -443,47 +359,17 @@ let access_batch_feed t ~addrs ~metas ~pos ~len ~shards ~shard ~fill ~spill =
          done);
   t.now <- now0 + len
 
-(* --- explicitly timed walks ---
-
-   A deeper hierarchy level's input events are fills and spills, whose
+(* A deeper hierarchy level's input events are fills and spills, whose
    logical times are the *originating* program-event ordinals, not this
    cache's own event count — so the caller supplies a parallel [times]
    array (non-decreasing) instead of the implicit [now0 + i] clock.
    Used only by [Hierarchy] in timed mode; the final [now] is the last
    event's time. *)
-let access_batch_timed t ~addrs ~metas ~times ~pos ~len =
+let access_batch_timed t ~addrs ~metas ~times ~pos ~len ~fill ~spill =
   validate_batch ~addrs ~metas ~pos ~len;
   validate_times ~times ~pos ~len;
-  let shift = t.line_shift in
-  for i = pos to pos + len - 1 do
-    t.now <- times.(i);
-    let addr = Array.unsafe_get addrs i in
-    let meta = Array.unsafe_get metas i in
-    let owner = meta lsr meta_owner_shift in
-    let write = meta land 1 = 1 in
-    let first = addr lsr shift in
-    let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
-    for line = first to last do
-      ignore (touch t ~owner ~write ~line)
-    done
-  done
-
-let access_batch_feed_timed t ~addrs ~metas ~times ~pos ~len ~fill ~spill =
-  validate_batch ~addrs ~metas ~pos ~len;
-  validate_times ~times ~pos ~len;
-  let shift = t.line_shift in
-  for i = pos to pos + len - 1 do
-    t.now <- times.(i);
-    let addr = Array.unsafe_get addrs i in
-    let meta = Array.unsafe_get metas i in
-    let owner = meta lsr meta_owner_shift in
-    let write = meta land 1 = 1 in
-    let first = addr lsr shift in
-    let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
-    for line = first to last do
-      ignore (touch_feed t ~owner ~write ~line ~fill ~spill)
-    done
-  done
+  generic_walk t ~addrs ~metas ~times:(Some times) ~pos ~len ~mask:0 ~shard:0
+    ~fill ~spill
 
 let set_of_addr t addr =
   if addr < 0 then invalid_arg "Cache.set_of_addr: negative address";

@@ -27,9 +27,9 @@ val stats : t -> Stats.t
     every resident line carries the start time of its current clean or
     dirty phase, and fills, first dirtying writes, evictions and
     flushes close the open phase into the accumulator.  With no
-    residency attached the specialized sharded walks are byte-for-byte
-    the ones the throughput benchmarks measure; with one attached they
-    fall back to the generic per-line path (slower, still exact). *)
+    residency attached {!access_batch} runs its specialized kernel; with
+    one attached it falls back to the generic per-line path (slower,
+    still exact). *)
 
 val now : t -> int
 
@@ -80,15 +80,7 @@ val pack_access : owner:int -> write:bool -> size:int -> int
 val unpack_access : int -> int * bool * int
 (** [(owner, write, size)] of a word built by {!pack_access}. *)
 
-val access_batch :
-  t -> addrs:int array -> metas:int array -> pos:int -> len:int -> unit
-(** Simulate [addrs.(pos .. pos+len-1)] (with matching {!pack_access}
-    metadata in [metas]) as if each were passed to {!access} in order:
-    same line splitting, same statistics, one bounds check and one call
-    for the whole block.  Raises [Invalid_argument] on a range outside
-    either array or on a negative address. *)
-
-(** {2 Set-sharded walks}
+(** {2 The packed walk}
 
     Each set's LRU state is independent of every other set's, so a batch
     can be partitioned by set index with zero locking: a line belongs to
@@ -104,22 +96,11 @@ val effective_shards : t -> shards:int -> int
     this cache.  Shards [>= effective_shards] are no-ops for it.  Raises
     [Invalid_argument] if [shards] is not a positive power of two. *)
 
-val access_batch_sharded :
-  t ->
-  addrs:int array ->
-  metas:int array ->
-  pos:int ->
-  len:int ->
-  shards:int ->
-  shard:int ->
-  unit
-(** Like {!access_batch} but touching only the lines owned by [shard] of
-    [shards].  [~shards:1 ~shard:0] is the full walk.  Raises
-    [Invalid_argument] on a bad range, a negative address, a [shards]
-    that is not a positive power of two, or [shard] outside
-    [0 .. shards-1]. *)
+val nofeed : owner:int -> line:int -> unit
+(** The feed callback that ignores its traffic: pass it as [fill] and
+    [spill] when no next cache level listens. *)
 
-val access_batch_feed :
+val access_batch :
   t ->
   addrs:int array ->
   metas:int array ->
@@ -130,13 +111,24 @@ val access_batch_feed :
   fill:(owner:int -> line:int -> unit) ->
   spill:(owner:int -> line:int -> unit) ->
   unit
-(** {!access_batch_sharded} that also reports the traffic a next cache
-    level would see: [fill ~owner ~line] for every line miss (the demand
-    fetch) and [spill ~owner ~line] for every dirty eviction (the
-    write-back), with [line] the line {e number}.  A victim's spill is
-    reported before the missing line's fill. *)
+(** Simulate [addrs.(pos .. pos+len-1)] (with matching {!pack_access}
+    metadata in [metas]) as if each were passed to {!access} in order,
+    touching only the lines owned by [shard] of [shards] —
+    [~shards:1 ~shard:0] is the full walk.  Same line splitting, same
+    statistics, one bounds check and one call for the whole block.
 
-(** {2 Explicitly timed walks}
+    The walk also reports the traffic a next cache level would see:
+    [fill ~owner ~line] for every line miss (the demand fetch) and
+    [spill ~owner ~line] for every dirty eviction (the write-back), with
+    [line] the line {e number}; a victim's spill is reported before the
+    missing line's fill.  Pass {!nofeed} for both when nothing listens.
+
+    Raises [Invalid_argument] on a range outside either array, a
+    negative address, a [shards] that is not a positive power of two, or
+    [shard] outside [0 .. shards-1]; a rejected batch leaves the cache
+    untouched. *)
+
+(** {2 Explicitly timed walk}
 
     A deeper hierarchy level's input events (fills and spills) carry the
     {e originating} program-event times, not this cache's own traffic
@@ -152,22 +144,12 @@ val access_batch_timed :
   times:int array ->
   pos:int ->
   len:int ->
-  unit
-(** {!access_batch} with the clock set to [times.(i)] before event [i].
-    Raises [Invalid_argument] on a bad range in any of the three
-    arrays. *)
-
-val access_batch_feed_timed :
-  t ->
-  addrs:int array ->
-  metas:int array ->
-  times:int array ->
-  pos:int ->
-  len:int ->
   fill:(owner:int -> line:int -> unit) ->
   spill:(owner:int -> line:int -> unit) ->
   unit
-(** Timed unsharded {!access_batch_feed}. *)
+(** Unsharded {!access_batch} with the clock set to [times.(i)] before
+    event [i].  Raises [Invalid_argument] on a bad range in any of the
+    three arrays. *)
 
 val set_of_addr : t -> int -> int
 (** Set index of a byte address — the sharding key.  Raises

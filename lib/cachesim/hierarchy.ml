@@ -115,47 +115,32 @@ let max_shards t =
     (fun acc c -> min acc (Cache.config c).Config.sets)
     max_int t.caches
 
-(* [feed_entry] drives level 1 over a packed program batch; misses and
-   dirty evictions are pushed (as full-line read fills / write spills)
-   into the queue toward level 2, which is drained whenever it fills and
-   recursively fed onward through [feed_inner].  Inner levels always run
-   unsharded: the entry-level filter already restricted the stream to
-   one shard's lines, and fills/spills stay on those same lines, so
-   re-filtering would be redundant — and wrong if a deeper level had
-   fewer sets than the effective shard count.  In timed mode the inner
-   walks take the queue's stamp column so deeper levels advance on the
-   program's event axis. *)
-let rec feed_entry t ~addrs ~metas ~pos ~len ~shards ~shard =
-  let cache = t.caches.(0) in
-  if Array.length t.caches = 1 then
-    Cache.access_batch_sharded cache ~addrs ~metas ~pos ~len ~shards ~shard
-  else begin
-    let fill ~owner ~line = push t ~level:0 ~owner ~line ~write:false in
-    let spill ~owner ~line = push t ~level:0 ~owner ~line ~write:true in
-    Cache.access_batch_feed cache ~addrs ~metas ~pos ~len ~shards ~shard ~fill
-      ~spill;
-    flush_queue t ~level:0
-  end
-
-and feed_inner t ~level ~addrs ~metas ~times ~pos ~len =
+(* [feed] drives one level over a packed batch; misses and dirty
+   evictions are pushed (as full-line read fills / write spills) into the
+   queue toward the next level, which is drained whenever it fills and
+   recursively fed onward.  Only level 1 is sharded: its filter already
+   restricted the stream to one shard's lines, and fills/spills stay on
+   those same lines, so re-filtering would be redundant — and wrong if a
+   deeper level had fewer sets than the effective shard count.  In timed
+   mode the inner levels take the queue's stamp column ([times]) so they
+   advance on the program's event axis. *)
+let rec feed t ~level ~addrs ~metas ~times ~pos ~len ~shards ~shard =
   let cache = t.caches.(level) in
-  if level = Array.length t.caches - 1 then begin
-    if t.timed then Cache.access_batch_timed cache ~addrs ~metas ~times ~pos ~len
+  let last = level = Array.length t.caches - 1 in
+  let fill, spill =
+    if last then (Cache.nofeed, Cache.nofeed)
     else
-      Cache.access_batch_sharded cache ~addrs ~metas ~pos ~len ~shards:1
-        ~shard:0
-  end
-  else begin
-    let fill ~owner ~line = push t ~level ~owner ~line ~write:false in
-    let spill ~owner ~line = push t ~level ~owner ~line ~write:true in
-    if t.timed then
-      Cache.access_batch_feed_timed cache ~addrs ~metas ~times ~pos ~len ~fill
+      ( (fun ~owner ~line -> push t ~level ~owner ~line ~write:false),
+        fun ~owner ~line -> push t ~level ~owner ~line ~write:true )
+  in
+  (match times with
+  | Some times ->
+      Cache.access_batch_timed cache ~addrs ~metas ~times ~pos ~len ~fill
         ~spill
-    else
-      Cache.access_batch_feed cache ~addrs ~metas ~pos ~len ~shards:1 ~shard:0
-        ~fill ~spill;
-    flush_queue t ~level
-  end
+  | None ->
+      Cache.access_batch cache ~addrs ~metas ~pos ~len ~shards ~shard ~fill
+        ~spill);
+  if not last then flush_queue t ~level
 
 and push t ~level ~owner ~line ~write =
   let q = t.queues.(level) in
@@ -172,11 +157,12 @@ and flush_queue t ~level =
     (* Reset before feeding: the next level's own spills may re-enter
        [push] for this queue while we are still walking it. *)
     q.q_len <- 0;
-    feed_inner t ~level:(level + 1) ~addrs:q.q_addrs ~metas:q.q_metas
-      ~times:q.q_times ~pos:0 ~len
+    feed t ~level:(level + 1) ~addrs:q.q_addrs ~metas:q.q_metas
+      ~times:(if t.timed then Some q.q_times else None)
+      ~pos:0 ~len ~shards:1 ~shard:0
   end
 
-let access_batch_sharded t ~addrs ~metas ~pos ~len ~shards ~shard =
+let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
   if shards <= 0 || shards land (shards - 1) <> 0 then
     invalid_arg
       (Printf.sprintf
@@ -187,15 +173,14 @@ let access_batch_sharded t ~addrs ~metas ~pos ~len ~shards ~shard =
          (shards - 1));
   let eff = min shards (max_shards t) in
   (* Shards beyond the effective count own no sets at any level. *)
-  if shard < eff then feed_entry t ~addrs ~metas ~pos ~len ~shards:eff ~shard
-
-let access_batch t ~addrs ~metas ~pos ~len =
-  access_batch_sharded t ~addrs ~metas ~pos ~len ~shards:1 ~shard:0
+  if shard < eff then
+    feed t ~level:0 ~addrs ~metas ~times:None ~pos ~len ~shards:eff ~shard
 
 let access t ~owner ~write ~addr ~size =
   t.scratch_addr.(0) <- addr;
   t.scratch_meta.(0) <- Cache.pack_access ~owner ~write ~size;
   access_batch t ~addrs:t.scratch_addr ~metas:t.scratch_meta ~pos:0 ~len:1
+    ~shards:1 ~shard:0
 
 (* Drain level by level: level i's flush spills feed level i+1 before
    level i+1 itself flushes, so end-of-run dirty lines cascade down the

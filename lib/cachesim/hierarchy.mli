@@ -50,16 +50,12 @@ val set_now : t -> int -> unit
 
 val max_shards : t -> int
 (** Largest usable shard count: the minimum set count over all levels.
-    {!access_batch_sharded} clamps its [shards] argument to this. *)
+    {!access_batch} clamps its [shards] argument to this. *)
 
 val access : t -> owner:int -> write:bool -> addr:int -> size:int -> unit
 (** Single-reference entry point (mirrors {!Cache.access}). *)
 
 val access_batch :
-  t -> addrs:int array -> metas:int array -> pos:int -> len:int -> unit
-(** Packed-batch entry point (mirrors {!Cache.access_batch}). *)
-
-val access_batch_sharded :
   t ->
   addrs:int array ->
   metas:int array ->
@@ -68,10 +64,12 @@ val access_batch_sharded :
   shards:int ->
   shard:int ->
   unit
-(** Walk only the lines owned by [shard] of [shards] — the partition key
-    is the line number, shared by every level, so per-set independence
-    holds hierarchy-wide and running all shards over the same batch
-    reproduces the serial statistics at every level bit for bit.
+(** Packed-batch entry point (mirrors {!Cache.access_batch}; the full
+    walk is [~shards:1 ~shard:0]).  Walks only the lines owned by
+    [shard] of [shards] — the partition key is the line number, shared
+    by every level, so per-set independence holds hierarchy-wide and
+    running all shards over the same batch reproduces the serial
+    statistics at every level bit for bit.
     [shards] is clamped to {!max_shards}; shards beyond the clamp are
     no-ops.  The filter applies at level 1 only: deeper levels see only
     fills/spills of already-filtered lines. *)

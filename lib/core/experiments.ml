@@ -161,64 +161,23 @@ type sweep_row = {
   sim_n_ha : float option;
 }
 
-let pow2_floor n =
-  if n < 1 then 1
-  else begin
-    let p = ref 1 in
-    while !p * 2 <= n do p := !p * 2 done;
-    !p
-  end
-
-(* Trace-driven half of a simulated sweep: capture the workload's tape
-   once, then drive every sweep geometry from set-sharded fused chunk
-   walks — one task per shard, each owning a private replica of every
-   cache, statistics merged in shard order afterwards
-   ({!Memtrace.Tape.replay_fused_sharded}).  Each cache clamps the shard
-   count to its own set count, so the heterogeneous sweep geometries
-   (8 sets up to 32K sets) all partition correctly; totals are
-   bit-identical at any [jobs].  Returns each cache's simulated total
-   main-memory accesses (misses + writebacks), in [caches] order. *)
+(* Trace-driven half of a simulated sweep: the capture's tape replayed
+   into every sweep geometry through the verification replay engine
+   (set-sharded walks, each cache clamping the shard count to its own set
+   count, statistics merged in shard order) — totals are bit-identical
+   at any [jobs].  Returns each cache's simulated total main-memory
+   accesses (misses + writebacks), in [caches] order. *)
 let simulate_totals ~jobs ~telemetry ~caches cap =
-  let instance = cap.Verify.instance in
-  let shards = pow2_floor (max 1 jobs) in
   Telemetry.span telemetry
-    (Printf.sprintf "cache_sweep/%s/replay" instance.Workload.workload)
+    (Printf.sprintf "cache_sweep/%s/replay"
+       cap.Verify.instance.Workload.workload)
     (fun () ->
-      let t0 = Telemetry.now_ns telemetry in
-      let run_shard shard =
-        let sims = Array.of_list (List.map Cachesim.Cache.create caches) in
-        Memtrace.Tape.replay_fused_sharded cap.Verify.tape sims ~shards ~shard;
-        Array.iter Cachesim.Cache.flush sims;
-        Array.map Cachesim.Cache.stats sims
-      in
-      let shard_ids = List.init shards (fun s -> s) in
-      let per_shard =
-        if jobs <= 1 then List.map run_shard shard_ids
-        else Dvf_util.Parallel.map_list ~telemetry ~jobs run_shard shard_ids
-      in
-      if Telemetry.enabled telemetry then begin
-        Telemetry.add telemetry
-          ~n:(List.length caches * Memtrace.Tape.length cap.Verify.tape)
-          "tape/replay_events";
-        Telemetry.add telemetry ~n:shards "shard/tasks";
-        Telemetry.set_gauge telemetry "shard/count" (float_of_int shards);
-        Telemetry.time_ns telemetry "verify/replay_total"
-          (Int64.sub (Telemetry.now_ns telemetry) t0)
-      end;
-      List.mapi
-        (fun i _ ->
-          let merged =
-            Cachesim.Stats.sum (List.map (fun stats -> stats.(i)) per_shard)
-          in
-          let snapshot = Cachesim.Stats.snapshot merged in
-          if Telemetry.enabled telemetry then
-            Telemetry.add telemetry
-              ~n:
-                (Cachesim.Stats.Snapshot.accesses
-                   snapshot.Cachesim.Stats.totals)
-              "cache/accesses";
-          float_of_int (Cachesim.Stats.Snapshot.total_main_memory snapshot))
-        caches)
+      List.map
+        (fun stats ->
+          float_of_int
+            (Cachesim.Stats.Snapshot.total_main_memory
+               (Cachesim.Stats.snapshot stats)))
+        (Verify.capture_stats ~telemetry ~jobs ~caches cap))
 
 let cache_sweep ?jobs ?(telemetry = Telemetry.null)
     ?(machine = Perf.default_machine) ?(fit = Ecc.fit Ecc.No_ecc) ?(line = 64)

@@ -80,13 +80,13 @@ val cache_sweep :
     [simulate] (default [false]) additionally runs the trace-driven
     simulator over every sweep geometry: the workload's trace is captured
     {e once} into a {!Memtrace.Tape} ({!Verify.capture}) and all
-    geometries are driven by fused chunk walks
-    ({!Memtrace.Tape.replay_fused}) — one walk for the whole sweep at
-    [jobs = 1], one per job group otherwise; results are independent of
-    the grouping.  Each row's [sim_n_ha] then holds the simulated total
-    main-memory accesses next to the analytic [n_ha].  Telemetry adds
+    geometries are driven by the verification replay engine
+    ({!Verify.capture_stats}) — one set-sharded walk per shard of the
+    [jobs]-wide pool; results are independent of the width.  Each row's
+    [sim_n_ha] then holds the simulated total main-memory accesses next
+    to the analytic [n_ha].  Telemetry adds
     ["cache_sweep/<workload>/replay"] spans plus the shared
-    ["tape/*"]/["cache/accesses"] counters and
+    ["tape/*"]/["shard/*"] counters and
     ["verify/capture_total"]/["verify/replay_total"] accumulators.
 
     [store] (only meaningful with [simulate]) routes the capture through

@@ -537,12 +537,9 @@ let rows_result to_row rows =
   Json.Obj [ ("rows", Json.List (List.map to_row rows)) ]
 
 let op_verify t req =
-  let caches = Cachesim.Config.verification_set in
   rows_result verify_row_to_json
     (List.concat_map
-       (fun w ->
-         Verify.replay_capture_fused ~telemetry:t.telemetry ~caches
-           (capture_for t w))
+       (fun w -> Verify.capture_rows ~telemetry:t.telemetry (capture_for t w))
        (requested_workloads t req))
 
 let op_levels t req =

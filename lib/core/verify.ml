@@ -12,47 +12,7 @@ let error row =
   Dvf_util.Maths.rel_error ~expected:row.simulated ~actual:row.modeled
 
 module Telemetry = Dvf_util.Telemetry
-
-type strategy = Retrace | Replay | Fused | Sharded
-
-let strategies =
-  [
-    ("retrace", Retrace); ("replay", Replay); ("fused", Fused);
-    ("sharded", Sharded);
-  ]
-
-let strategy_name s = fst (List.find (fun (_, v) -> v = s) strategies)
-
-(* Largest power of two <= n; the set-sharded walks require a
-   power-of-two shard count so the shard bits nest inside the set
-   index bits. *)
-let pow2_floor n =
-  if n < 1 then 1
-  else begin
-    let p = ref 1 in
-    while !p * 2 <= n do p := !p * 2 done;
-    !p
-  end
-
-let check_shard_count shards =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Verify: shards must be a positive power of two (got %d)" shards)
-
-(* Central shard-count clamp.  The engine clamps per call
-   ([access_batch_sharded] lowers its effective width to the cache's set
-   count), but a width above the smallest consumer's set count would
-   still spawn tasks that own no line of that consumer — and would leave
-   the partition view and the walk disagreeing about how many tasks
-   exist.  Clamping once, where the width is chosen, keeps task fan-out,
-   partition views and telemetry on the same number.  Set counts are
-   powers of two, so the clamped width still is; rows never depend on
-   the width, so the clamp is invisible in the output. *)
-let clamp_shards ~configs shards =
-  List.fold_left
-    (fun acc (c : Cachesim.Config.t) -> min acc c.Cachesim.Config.sets)
-    shards configs
+module Pool = Dvf_util.Parallel.Pool
 
 (* Turn one simulated cache's final state into Fig. 4 rows: run the
    analytical model (under a ["model"] span) and pair each structure's
@@ -76,42 +36,18 @@ let rows_of_snapshot ~telemetry ~cache ~registry (instance : Workload.instance)
         modeled = model_value })
     modeled
 
-let verify_instance ?(telemetry = Telemetry.null) ~cache
-    (instance : Workload.instance) =
-  Telemetry.span telemetry
-    (Printf.sprintf "verify/%s/%s" instance.Workload.workload
-       cache.Cachesim.Config.name)
-  @@ fun () ->
+let verify_instance ~cache (instance : Workload.instance) =
   let registry = Memtrace.Region.create () in
   let recorder = Memtrace.Recorder.buffered () in
   let sim_cache = Cachesim.Cache.create cache in
   ignore
     (Memtrace.Recorder.add_batch_sink recorder
        (Memtrace.Recorder.cache_batch_sink sim_cache));
-  let trace_ns = ref 0L in
-  Telemetry.span telemetry "trace" (fun () ->
-      let t0 = Telemetry.now_ns telemetry in
-      instance.Workload.trace registry recorder;
-      Memtrace.Recorder.flush recorder;
-      Cachesim.Cache.flush sim_cache;
-      trace_ns := Int64.sub (Telemetry.now_ns telemetry) t0);
-  let snapshot =
-    Cachesim.Stats.snapshot (Cachesim.Cache.stats sim_cache)
-  in
-  if Telemetry.enabled telemetry then begin
-    (* Global accumulators the throughput gauges divide at the end of the
-       sweep; counters are deterministic, the [trace_total] span is not. *)
-    Telemetry.add telemetry ~n:(Memtrace.Recorder.events_emitted recorder)
-      "recorder/events";
-    Telemetry.add telemetry
-      ~n:(Memtrace.Recorder.batches_dispatched recorder)
-      "recorder/batches";
-    Telemetry.add telemetry
-      ~n:(Cachesim.Stats.Snapshot.accesses snapshot.Cachesim.Stats.totals)
-      "cache/accesses";
-    Telemetry.time_ns telemetry "verify/trace_total" !trace_ns
-  end;
-  rows_of_snapshot ~telemetry ~cache ~registry instance snapshot
+  instance.Workload.trace registry recorder;
+  Memtrace.Recorder.flush recorder;
+  Cachesim.Cache.flush sim_cache;
+  rows_of_snapshot ~telemetry:Telemetry.null ~cache ~registry instance
+    (Cachesim.Stats.snapshot (Cachesim.Cache.stats sim_cache))
 
 (* --- capture once, replay many --- *)
 
@@ -175,174 +111,213 @@ let capture ?(telemetry = Telemetry.null) ?store
   in
   { instance; registry; tape }
 
-let replay_capture ?(telemetry = Telemetry.null) ~cache cap =
+(* --- the replay engine ---
+
+   Every tape reaches a cache through [engine].  Consumers are hierarchy
+   geometries (a plain verification cache is a depth-1 hierarchy), the
+   same list for every capture.  The schedule has two phases, each one
+   [Pool.map_list]:
+
+   1. Walk: one task per (capture x shard), all captures in one map with
+      no per-capture barrier.  Tasks are listed shard-major, so tasks
+      running at the same time mostly walk different captures and rarely
+      race to decode the same deferred chunk.  A task takes a private
+      replica of every consumer (with one residency accumulator per
+      level when [bins] is given), walks its shard's
+      [Tape.partition_hierarchies] view, pins the clock to the horizon
+      (the tape length) and flushes.  Replicas share nothing, so tasks
+      need no locking; each cache's statistics (and residency) are
+      merged per capture in shard order ([Stats.sum], [Residency.sum]:
+      commutative additions), which reproduces the serial walk bit for
+      bit.
+   2. Rows: one task per (capture x consumer), running [rows] — for the
+      Fig. 4 rows that includes the CGPMAC model, so the model never runs
+      serially on the orchestrating domain.
+
+   The width is the largest power of two <= the pool size (the set
+   partition needs a power of two so the shard bits nest inside the set
+   index bits), clamped to the smallest consumer level's set count: a
+   wider width would spawn tasks that own no line of that consumer.  Set
+   counts are powers of two, so the clamped width still is; rows never
+   depend on it.  With a residency accumulator attached the partition
+   selects every chunk, since the logical clock must advance over every
+   event. *)
+
+let pow2_floor n =
+  let p = ref 1 in
+  while !p * 2 <= n do p := !p * 2 done;
+  !p
+
+let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
+  if Option.fold ~none:false ~some:(fun b -> b <= 0) bins then
+    invalid_arg "Verify: bins must be positive";
+  let width =
+    List.fold_left
+      (fun acc (c : Cachesim.Config.t) -> min acc c.Cachesim.Config.sets)
+      (pow2_floor (Pool.size pool))
+      (List.concat consumers)
+  in
+  (* Replica sets are recycled across tasks, so only about one per
+     concurrently running task is ever built, not one per (capture x
+     shard): large hierarchies would otherwise pile up as garbage and
+     raise the peak heap.  A flushed hierarchy is empty, so resetting
+     its statistics, clock and residency makes it as good as new. *)
+  let spare = ref [] and lock = Mutex.create () in
+  let replicas cap =
+    let hs =
+      match
+        Mutex.protect lock (fun () ->
+            match !spare with
+            | hs :: rest ->
+                spare := rest;
+                Some hs
+            | [] -> None)
+      with
+      | Some hs -> hs
+      | None -> Array.of_list (List.map Cachesim.Hierarchy.create consumers)
+    in
+    let horizon = Memtrace.Tape.length cap.tape in
+    Array.iter
+      (fun h ->
+        let depth = Cachesim.Hierarchy.depth h in
+        for li = 0 to depth - 1 do
+          Cachesim.Stats.reset
+            (Cachesim.Cache.stats (Cachesim.Hierarchy.level_cache h li))
+        done;
+        Cachesim.Hierarchy.set_now h 0;
+        Option.iter
+          (fun bins ->
+            Cachesim.Hierarchy.attach_residency h
+              (Array.init depth (fun _ ->
+                   Cachesim.Residency.create ~bins ~horizon ())))
+          bins)
+      hs;
+    hs
+  in
+  let walk (cap, shard) =
+    let hs = replicas cap in
+    let view =
+      (Memtrace.Tape.partition_hierarchies cap.tape hs ~shards:width).(shard)
+    in
+    Memtrace.Tape.replay_view_hierarchies view hs;
+    let levels h =
+      Cachesim.Hierarchy.set_now h (Memtrace.Tape.length cap.tape);
+      Cachesim.Hierarchy.flush h;
+      Array.init (Cachesim.Hierarchy.depth h) (fun li ->
+          let c = Cachesim.Hierarchy.level_cache h li in
+          ( Cachesim.Stats.sum [ Cachesim.Cache.stats c ],
+            Cachesim.Cache.residency c ))
+    in
+    let result = Array.map levels hs in
+    Mutex.protect lock (fun () -> spare := hs :: !spare);
+    (result, view)
+  in
+  let t0 = Telemetry.now_ns telemetry in
+  let walked =
+    Pool.map_list pool walk
+      (List.concat
+         (List.init width (fun s -> List.map (fun cap -> (cap, s)) captures)))
+  in
+  let walk_ns = Int64.sub (Telemetry.now_ns telemetry) t0 in
+  spare := [];
+  let n_consumers = List.length consumers in
+  if Telemetry.enabled telemetry then begin
+    let events =
+      n_consumers
+      * List.fold_left
+          (fun acc c -> acc + Memtrace.Tape.length c.tape)
+          0 captures
+    in
+    let sum f = List.fold_left (fun acc (_, v) -> acc + f v) 0 walked in
+    (if bins = None then begin
+       Telemetry.add telemetry ~n:events "tape/replay_events";
+       Telemetry.time_ns telemetry "verify/replay_total" walk_ns
+     end
+     else begin
+       Telemetry.add telemetry ~n:events "tape/timed_replay_events";
+       Telemetry.time_ns telemetry "verify/timed_total" walk_ns
+     end);
+    Telemetry.add telemetry ~n:(List.length walked) "shard/tasks";
+    (* Engine-side work: consumers x the events in the chunks the views
+       actually walk — the basis of the all-domains throughput figure. *)
+    Telemetry.add telemetry
+      ~n:(n_consumers * sum Memtrace.Tape.view_events)
+      "shard/walked_events";
+    Telemetry.add telemetry
+      ~n:(sum Memtrace.Tape.view_chunks_skipped)
+      "tape/chunks_skipped";
+    Telemetry.set_gauge telemetry "shard/count" (float_of_int width)
+  end;
+  (* Task [s * n_captures + i] walked shard [s] of capture [i]; merge
+     each consumer's levels across the capture's shards, in shard
+     order. *)
+  let walked = Array.of_list (List.map fst walked) in
+  let n_captures = List.length captures in
+  let merged =
+    List.concat
+      (List.mapi
+         (fun i cap ->
+           List.mapi
+             (fun ci configs ->
+               let per_shard =
+                 List.init width (fun s -> walked.((s * n_captures) + i).(ci))
+               in
+               let levels =
+                 List.mapi
+                   (fun li _ ->
+                     let at_level = List.map (fun ls -> ls.(li)) per_shard in
+                     ( Cachesim.Stats.sum (List.map fst at_level),
+                       Option.map
+                         (fun _ ->
+                           Cachesim.Residency.sum
+                             (List.map (fun (_, r) -> Option.get r) at_level))
+                         bins ))
+                   configs
+               in
+               (cap, configs, levels))
+             consumers)
+         captures)
+  in
+  List.concat
+    (Pool.map_list pool
+       (fun (cap, configs, levels) -> rows cap configs levels)
+       merged)
+
+(* Serve handlers and single-capture callers run with [jobs = 1]: a
+   one-worker pool runs every task serially in the calling domain. *)
+let serially f = Dvf_util.Parallel.with_pool ~jobs:1 f
+
+(* Fig. 4 rows of one single-level consumer. *)
+let cache_rows ~telemetry cap configs levels =
+  let cache = List.hd configs and stats, _ = List.hd levels in
   Telemetry.span telemetry
     (Printf.sprintf "verify/%s/%s" cap.instance.Workload.workload
        cache.Cachesim.Config.name)
   @@ fun () ->
-  let sim_cache = Cachesim.Cache.create cache in
-  let replay_ns = ref 0L in
-  Telemetry.span telemetry "replay" (fun () ->
-      let t0 = Telemetry.now_ns telemetry in
-      Memtrace.Tape.replay cap.tape sim_cache;
-      Cachesim.Cache.flush sim_cache;
-      replay_ns := Int64.sub (Telemetry.now_ns telemetry) t0);
-  let snapshot = Cachesim.Stats.snapshot (Cachesim.Cache.stats sim_cache) in
-  if Telemetry.enabled telemetry then begin
-    Telemetry.add telemetry ~n:(Memtrace.Tape.length cap.tape)
-      "tape/replay_events";
+  let snapshot = Cachesim.Stats.snapshot stats in
+  if Telemetry.enabled telemetry then
     Telemetry.add telemetry
       ~n:(Cachesim.Stats.Snapshot.accesses snapshot.Cachesim.Stats.totals)
       "cache/accesses";
-    Telemetry.time_ns telemetry "verify/replay_total" !replay_ns
-  end;
   rows_of_snapshot ~telemetry ~cache ~registry:cap.registry cap.instance
     snapshot
 
-let replay_capture_fused ?(telemetry = Telemetry.null) ~caches cap =
-  let sims =
-    Telemetry.span telemetry
-      (Printf.sprintf "verify/%s/fused" cap.instance.Workload.workload)
-      (fun () ->
-        let sims = Array.of_list (List.map Cachesim.Cache.create caches) in
-        let t0 = Telemetry.now_ns telemetry in
-        Memtrace.Tape.replay_fused cap.tape sims;
-        Array.iter Cachesim.Cache.flush sims;
-        let replay_ns = Int64.sub (Telemetry.now_ns telemetry) t0 in
-        if Telemetry.enabled telemetry then begin
-          Telemetry.add telemetry
-            ~n:(Array.length sims * Memtrace.Tape.length cap.tape)
-            "tape/replay_events";
-          Telemetry.time_ns telemetry "verify/replay_total" replay_ns
-        end;
-        sims)
-  in
-  List.concat
-    (List.mapi
-       (fun i cache ->
-         let snapshot =
-           Cachesim.Stats.snapshot (Cachesim.Cache.stats sims.(i))
-         in
-         if Telemetry.enabled telemetry then
-           Telemetry.add telemetry
-             ~n:
-               (Cachesim.Stats.Snapshot.accesses
-                  snapshot.Cachesim.Stats.totals)
-             "cache/accesses";
-         rows_of_snapshot ~telemetry ~cache ~registry:cap.registry
-           cap.instance snapshot)
-       caches)
+let single_level caches = List.map (fun c -> [ c ]) caches
 
-(* --- set-sharded fused replay ---
+let capture_rows ?(telemetry = Telemetry.null) cap =
+  serially (fun pool ->
+      engine ~telemetry ~pool
+        ~consumers:(single_level Cachesim.Config.verification_set)
+        ~rows:(cache_rows ~telemetry) [ cap ])
 
-   The shard task for shard [s] creates a private replica of every cache,
-   walks the whole tape once touching only [s]'s lines in each replica,
-   and flushes.  Replicas share nothing, so the tasks run on any domains
-   with zero locking; merging each cache's replica statistics in shard
-   order ([Stats.sum], commutative addition) reproduces the serial fused
-   statistics bit for bit.
+let capture_stats ?(telemetry = Telemetry.null) ~jobs ~caches cap =
+  Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
+      engine ~telemetry ~pool ~consumers:(single_level caches)
+        ~rows:(fun _ _ levels -> List.map fst levels)
+        [ cap ])
 
-   The tape is partitioned up front ([Tape.partition]): each shard task
-   walks only the chunks whose partition index intersects its shard,
-   instead of rescanning the whole tape and discarding.  Returns the
-   views alongside the merged statistics so the caller can report the
-   skip telemetry. *)
-let sharded_shard_stats ?pool ~caches ~shards cap =
-  let views =
-    Memtrace.Tape.partition cap.tape
-      (Array.of_list (List.map Cachesim.Cache.create caches))
-      ~shards
-  in
-  let run_shard shard =
-    let sims = Array.of_list (List.map Cachesim.Cache.create caches) in
-    Memtrace.Tape.replay_view views.(shard) sims;
-    Array.iter Cachesim.Cache.flush sims;
-    Array.map Cachesim.Cache.stats sims
-  in
-  let shard_ids = List.init shards (fun s -> s) in
-  let per_shard =
-    match pool with
-    | Some pool -> Dvf_util.Parallel.Pool.map_list pool run_shard shard_ids
-    | None -> List.map run_shard shard_ids
-  in
-  let merged =
-    List.mapi
-      (fun i _ ->
-        Cachesim.Stats.sum (List.map (fun stats -> stats.(i)) per_shard))
-      caches
-  in
-  (merged, views)
-
-let sum_over_views views f =
-  Array.fold_left (fun acc v -> acc + f v) 0 views
-
-let replay_capture_sharded ?(telemetry = Telemetry.null) ?pool ~caches ~shards
-    cap =
-  check_shard_count shards;
-  let shards = clamp_shards ~configs:caches shards in
-  Telemetry.span telemetry
-    (Printf.sprintf "verify/%s/sharded" cap.instance.Workload.workload)
-  @@ fun () ->
-  let t0 = Telemetry.now_ns telemetry in
-  let merged, views = sharded_shard_stats ?pool ~caches ~shards cap in
-  let replay_ns = Int64.sub (Telemetry.now_ns telemetry) t0 in
-  if Telemetry.enabled telemetry then begin
-    (* Logical event count, independent of the shard fan-out: every cache
-       consumed the full stream exactly once (each shard touched a
-       disjoint slice of it). *)
-    Telemetry.add telemetry
-      ~n:(List.length caches * Memtrace.Tape.length cap.tape)
-      "tape/replay_events";
-    Telemetry.add telemetry ~n:shards "shard/tasks";
-    (* Engine-side work: after the central clamp every cache owns lines
-       in every shard task, and each task walks only the chunks its
-       partition view selected — so the walked total is caches x sum
-       over shards of the view's event count.  The aggregate
-       walked-events rate is the sharded engine's throughput summed over
-       its domains — the figure wall-clock converges to when the shard
-       tasks really run in parallel. *)
-    Telemetry.add telemetry
-      ~n:
-        (List.length caches
-        * sum_over_views views Memtrace.Tape.view_events)
-      "shard/walked_events";
-    Telemetry.add telemetry
-      ~n:(sum_over_views views Memtrace.Tape.view_chunks_skipped)
-      "tape/chunks_skipped";
-    Telemetry.set_gauge telemetry "shard/count" (float_of_int shards);
-    Telemetry.time_ns telemetry "verify/replay_total" replay_ns
-  end;
-  List.concat
-    (List.map2
-       (fun cache stats ->
-         let snapshot = Cachesim.Stats.snapshot stats in
-         if Telemetry.enabled telemetry then
-           Telemetry.add telemetry
-             ~n:
-               (Cachesim.Stats.Snapshot.accesses snapshot.Cachesim.Stats.totals)
-             "cache/accesses";
-         rows_of_snapshot ~telemetry ~cache ~registry:cap.registry cap.instance
-           snapshot)
-       caches merged)
-
-(* Every job owns private mutable state (registry/recorder/cache for a
-   retrace job; the tape is append-only during capture and read-only
-   during replay), so jobs share nothing mutable and the parallel sweep is
-   bit-identical to the serial one.  [Parallel.map_list] preserves input
-   order; every path below enumerates workloads (outer) then caches
-   (inner) in the same order. *)
 let finalize_metrics telemetry =
   if Telemetry.enabled telemetry then begin
-    (* Retrace: whole-pipeline rates (kernel execution + simulation in one
-       denominator).  [gauge_rate] is a no-op for a span with no time, so
-       only the gauges of the strategy that actually ran appear. *)
-    Telemetry.gauge_rate telemetry ~name:"cache/accesses_per_sec"
-      ~counter:"cache/accesses" ~span:"verify/trace_total";
-    Telemetry.gauge_rate telemetry ~name:"recorder/events_per_sec"
-      ~counter:"recorder/events" ~span:"verify/trace_total";
-    (* Capture/replay: the two phases rated separately — the retrace-era
-       recorder rate divided by a span that lumped kernel execution in
-       with cache simulation and understated both. *)
     Telemetry.gauge_rate telemetry ~name:"recorder/events_per_sec"
       ~counter:"recorder/events" ~span:"verify/capture_total";
     Telemetry.gauge_rate telemetry ~name:"tape/capture_events_per_sec"
@@ -365,13 +340,14 @@ let finalize_metrics telemetry =
         /. float_of_int batches)
   end
 
-let run_all ?jobs ?(telemetry = Telemetry.null) ?(strategy = Replay) ?shards
-    ?store ?workloads () =
-  if strategy = Retrace && store <> None then
-    invalid_arg
-      "Verify.run_all: the retrace strategy re-executes the kernel per cache \
-       and never captures a tape, so a tape store cannot help it; use \
-       replay, fused or sharded";
+(* The shared driver of the [run_all*] sweeps: capture every workload's
+   tape on the pool (a warm [store] skips the kernel), run the engine
+   over all captures, and record the sweep-wide wall clock and gauges.
+   An absolute timer rather than an enclosing [span]: tasks run in worker
+   domains (fresh span stacks) under [-j N], so an enclosing span would
+   prefix their paths only in the serial case and the two metrics
+   documents would disagree on structure. *)
+let run_sweep ?jobs ~telemetry ?store ?workloads ?bins ~consumers ~rows () =
   let workloads =
     match workloads with Some ws -> ws | None -> Workloads.all ()
   in
@@ -380,109 +356,27 @@ let run_all ?jobs ?(telemetry = Telemetry.null) ?(strategy = Replay) ?shards
     | Some j -> j
     | None -> Dvf_util.Parallel.recommended_jobs ()
   in
-  let caches = Cachesim.Config.verification_set in
-  let shards =
-    clamp_shards ~configs:caches
-      (match shards with
-      | Some s ->
-          check_shard_count s;
-          s
-      | None -> pow2_floor (max 1 jobs))
-  in
-  (* Absolute timer rather than an enclosing [span]: instance spans run in
-     worker domains (fresh span stacks) under [-j N], so an enclosing span
-     would prefix their paths only in the serial case and the two metrics
-     documents would disagree on structure. *)
   let t0 = Telemetry.now_ns telemetry in
   let rows =
-    if jobs <= 1 then
-      List.concat_map
-        (fun workload ->
-          let instance = Workloads.verification_instance workload in
-          match strategy with
-          | Retrace ->
-              List.concat_map
-                (fun cache -> verify_instance ~telemetry ~cache instance)
-                caches
-          | Replay ->
-              let cap = capture ~telemetry ?store instance in
-              List.concat_map
-                (fun cache -> replay_capture ~telemetry ~cache cap)
-                caches
-          | Fused ->
-              replay_capture_fused ~telemetry ~caches
-                (capture ~telemetry ?store instance)
-          | Sharded ->
-              replay_capture_sharded ~telemetry ~caches ~shards
-                (capture ~telemetry ?store instance))
-        workloads
-    else
-      Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
-          (* Building an instance runs the kernel untraced (to learn its
-             iteration count); parallelize that too, then fan out over the
-             workload x cache cross product (or, for [Fused], over
-             workloads — each job walks its tape once for all caches). *)
-          let instances =
-            Dvf_util.Parallel.Pool.map_list pool Workloads.verification_instance
-              workloads
-          in
-          match strategy with
-          | Retrace ->
-              let pairs =
-                List.concat_map
-                  (fun instance ->
-                    List.map (fun cache -> (instance, cache)) caches)
-                  instances
-              in
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun (instance, cache) ->
-                     verify_instance ~telemetry ~cache instance)
-                   pairs)
-          | Replay ->
-              (* Capture each workload's tape once (in parallel), then fan
-                 the replays over the pool: tapes are immutable after
-                 capture, so concurrent replays of one tape are safe. *)
-              let captures =
-                Dvf_util.Parallel.Pool.map_list pool
-                  (fun instance -> capture ~telemetry ?store instance)
-                  instances
-              in
-              let pairs =
-                List.concat_map
-                  (fun cap -> List.map (fun cache -> (cap, cache)) caches)
-                  captures
-              in
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun (cap, cache) -> replay_capture ~telemetry ~cache cap)
-                   pairs)
-          | Fused ->
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun instance ->
-                     replay_capture_fused ~telemetry ~caches
-                       (capture ~telemetry ?store instance))
-                   instances)
-          | Sharded ->
-              (* Captures fan out over the pool first; then each capture's
-                 shard tasks do (the pool is handed down, and the shard
-                 fan-out runs from this orchestrating domain). *)
-              let captures =
-                Dvf_util.Parallel.Pool.map_list pool
-                  (fun instance -> capture ~telemetry ?store instance)
-                  instances
-              in
-              List.concat_map
-                (fun cap ->
-                  replay_capture_sharded ~telemetry ~pool ~caches ~shards cap)
-                captures)
+    Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
+        let captures =
+          Pool.map_list pool
+            (fun w ->
+              capture ~telemetry ?store (Workloads.verification_instance w))
+            workloads
+        in
+        engine ~telemetry ~pool ?bins ~consumers ~rows captures)
   in
   if Telemetry.enabled telemetry then
     Telemetry.time_ns telemetry "verify/total"
       (Int64.sub (Telemetry.now_ns telemetry) t0);
   finalize_metrics telemetry;
   rows
+
+let run_all ?jobs ?(telemetry = Telemetry.null) ?store ?workloads () =
+  run_sweep ?jobs ~telemetry ?store ?workloads
+    ~consumers:(single_level Cachesim.Config.verification_set)
+    ~rows:(cache_rows ~telemetry) ()
 
 (* --- per-level rows: DVF input per hardware level ---
 
@@ -528,10 +422,6 @@ let level_rows_of_stats ~registry (instance : Workload.instance) ~base ~configs
            (Memtrace.Region.regions registry))
        (List.combine configs stats_list))
 
-let hierarchy_level_stats h =
-  List.init (Cachesim.Hierarchy.depth h) (fun li ->
-      Cachesim.Cache.stats (Cachesim.Hierarchy.level_cache h li))
-
 let record_level_counters telemetry ~configs stats_list =
   if Telemetry.enabled telemetry then
     List.iteri
@@ -547,120 +437,30 @@ let record_level_counters telemetry ~configs stats_list =
           (name "hierarchy/l%d/writebacks"))
       (List.combine configs stats_list)
 
-(* One capture's per-level rows over every verification base geometry,
-   serially — the [Replay]/[Fused] unit of work in [run_all_levels] and
-   the whole job for a [Serve] levels request. *)
-let capture_level_rows ?(telemetry = Telemetry.null) ~levels cap =
-  List.concat_map
-    (fun base ->
-      let configs = Cachesim.Config.hierarchy_of ~levels base in
-      let h = Cachesim.Hierarchy.create configs in
-      Memtrace.Tape.replay_hierarchies cap.tape [| h |];
-      Cachesim.Hierarchy.flush h;
-      let stats_list = hierarchy_level_stats h in
-      record_level_counters telemetry ~configs stats_list;
-      level_rows_of_stats ~registry:cap.registry cap.instance ~base ~configs
-        stats_list)
+let hierarchies ~levels =
+  List.map
+    (Cachesim.Config.hierarchy_of ~levels)
     Cachesim.Config.verification_set
 
-let run_all_levels ?jobs ?(telemetry = Telemetry.null) ?(strategy = Replay)
-    ?shards ?store ?workloads ~levels () =
-  if strategy = Retrace then
-    invalid_arg
-      "Verify.run_all_levels: the retrace strategy re-executes the kernel \
-       straight into a single cache and cannot drive a hierarchy; use \
-       replay, fused or sharded";
-  let workloads =
-    match workloads with Some ws -> ws | None -> Workloads.all ()
-  in
-  let jobs =
-    match jobs with
-    | Some j -> j
-    | None -> Dvf_util.Parallel.recommended_jobs ()
-  in
-  let bases = Cachesim.Config.verification_set in
-  (* Deeper hierarchy levels only ever gain sets ([hierarchy_of]), so the
-     base geometries bound the hierarchy-wide effective width. *)
-  let shards =
-    clamp_shards ~configs:bases
-      (match shards with
-      | Some s ->
-          check_shard_count s;
-          s
-      | None -> pow2_floor (max 1 jobs))
-  in
-  let process ?pool cap =
-    match strategy with
-    | Retrace -> assert false (* rejected above *)
-    | Replay | Fused -> capture_level_rows ~telemetry ~levels cap
-    | Sharded ->
-        List.concat_map
-          (fun base ->
-            let configs = Cachesim.Config.hierarchy_of ~levels base in
-            let views =
-              Memtrace.Tape.partition_hierarchies cap.tape
-                [| Cachesim.Hierarchy.create configs |]
-                ~shards
-            in
-            let run_shard shard =
-              let h = Cachesim.Hierarchy.create configs in
-              Memtrace.Tape.replay_view_hierarchies views.(shard) [| h |];
-              Cachesim.Hierarchy.flush h;
-              hierarchy_level_stats h
-            in
-            let shard_ids = List.init shards (fun s -> s) in
-            let per_shard =
-              match pool with
-              | Some pool ->
-                  Dvf_util.Parallel.Pool.map_list pool run_shard shard_ids
-              | None -> List.map run_shard shard_ids
-            in
-            let stats_list =
-              List.init levels (fun li ->
-                  Cachesim.Stats.sum
-                    (List.map (fun stats -> List.nth stats li) per_shard))
-            in
-            if Telemetry.enabled telemetry then
-              Telemetry.add telemetry
-                ~n:(sum_over_views views Memtrace.Tape.view_chunks_skipped)
-                "tape/chunks_skipped";
-            record_level_counters telemetry ~configs stats_list;
-            level_rows_of_stats ~registry:cap.registry cap.instance ~base
-              ~configs stats_list)
-          bases
-  in
-  let t0 = Telemetry.now_ns telemetry in
+let level_rows ~telemetry cap configs levels =
+  let stats_list = List.map fst levels in
+  record_level_counters telemetry ~configs stats_list;
+  level_rows_of_stats ~registry:cap.registry cap.instance
+    ~base:(List.hd configs) ~configs stats_list
+
+let capture_level_rows ?(telemetry = Telemetry.null) ~levels cap =
+  serially (fun pool ->
+      engine ~telemetry ~pool ~consumers:(hierarchies ~levels)
+        ~rows:(level_rows ~telemetry) [ cap ])
+
+let run_all_levels ?jobs ?(telemetry = Telemetry.null) ?store ?workloads
+    ~levels () =
   let rows =
-    if jobs <= 1 then
-      List.concat_map
-        (fun workload ->
-          process (capture ~telemetry ?store (Workloads.verification_instance workload)))
-        workloads
-    else
-      Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
-          let captures =
-            Dvf_util.Parallel.Pool.map_list pool
-              (fun workload ->
-                capture ~telemetry ?store (Workloads.verification_instance workload))
-              workloads
-          in
-          match strategy with
-          | Sharded ->
-              (* Shard tasks are the parallel unit; captures process in
-                 order so telemetry counters accumulate deterministically. *)
-              List.concat_map (fun cap -> process ~pool cap) captures
-          | _ ->
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun cap -> process cap)
-                   captures))
+    run_sweep ?jobs ~telemetry ?store ?workloads
+      ~consumers:(hierarchies ~levels) ~rows:(level_rows ~telemetry) ()
   in
-  if Telemetry.enabled telemetry then begin
+  if Telemetry.enabled telemetry then
     Telemetry.set_gauge telemetry "hierarchy/levels" (float_of_int levels);
-    Telemetry.time_ns telemetry "verify/total"
-      (Int64.sub (Telemetry.now_ns telemetry) t0)
-  end;
-  finalize_metrics telemetry;
   rows
 
 let to_level_table rows =
@@ -695,8 +495,8 @@ let to_level_table rows =
    logical event clock (Jaulmes et al.'s delayed-error-reporting
    argument).  The replay attaches a [Cachesim.Residency.t] to every
    level, the clock is the tape's event ordinal, and the horizon is the
-   tape length, so every integral is an exact integer and the sharded
-   strategy merges to the serial result bit for bit. *)
+   tape length, so every integral is an exact integer and the shard
+   replicas merge to the serial result bit for bit. *)
 
 type time_row = {
   t_workload : string;
@@ -774,157 +574,41 @@ let record_residency_counters telemetry snaps =
           "residency/evictions")
       snaps
 
-(* One timed walk of a capture through one hierarchy geometry: create,
-   attach one accumulator per level, replay, pin the clock to the
-   horizon, flush (closing every surviving line's phase at the horizon),
-   snapshot. *)
-let timed_replay_once ~bins ~configs cap =
-  let horizon = Memtrace.Tape.length cap.tape in
-  let h = Cachesim.Hierarchy.create configs in
-  let res =
-    Array.init (List.length configs) (fun _ ->
-        Cachesim.Residency.create ~bins ~horizon ())
+let residency_snapshots ~telemetry levels =
+  let snaps =
+    List.map
+      (fun (_, res) -> Cachesim.Residency.snapshot (Option.get res))
+      levels
   in
-  Cachesim.Hierarchy.attach_residency h res;
-  Memtrace.Tape.replay_hierarchies cap.tape [| h |];
-  Cachesim.Hierarchy.set_now h horizon;
-  Cachesim.Hierarchy.flush h;
-  res
-
-let timed_level_snapshots ?(telemetry = Telemetry.null) ?pool
-    ?(strategy = Replay) ?(shards = 1) ?(bins = Cachesim.Residency.default_bins)
-    ~configs cap =
-  if strategy = Retrace then
-    invalid_arg
-      "Verify.timed_level_snapshots: the retrace strategy has no tape and \
-       therefore no logical clock; use replay, fused or sharded";
-  check_shard_count shards;
-  let shards = clamp_shards ~configs shards in
-  if bins <= 0 then
-    invalid_arg "Verify.timed_level_snapshots: bins must be positive";
-  let t0 = Telemetry.now_ns telemetry in
-  let residencies =
-    match strategy with
-    | Retrace -> assert false (* rejected above *)
-    | Replay | Fused ->
-        (* Fused gains nothing here (residency walks are generic), so
-           both strategies take the same single-walk path — which is
-           what makes cross-strategy bit-identity trivial to assert. *)
-        Array.to_list (timed_replay_once ~bins ~configs cap)
-    | Sharded ->
-        let horizon = Memtrace.Tape.length cap.tape in
-        let run_shard shard =
-          let h = Cachesim.Hierarchy.create configs in
-          let res =
-            Array.init (List.length configs) (fun _ ->
-                Cachesim.Residency.create ~bins ~horizon ())
-          in
-          Cachesim.Hierarchy.attach_residency h res;
-          Memtrace.Tape.replay_hierarchies_sharded cap.tape [| h |] ~shards
-            ~shard;
-          Cachesim.Hierarchy.set_now h horizon;
-          Cachesim.Hierarchy.flush h;
-          res
-        in
-        let shard_ids = List.init shards (fun s -> s) in
-        let per_shard =
-          match pool with
-          | Some pool -> Dvf_util.Parallel.Pool.map_list pool run_shard shard_ids
-          | None -> List.map run_shard shard_ids
-        in
-        List.init (List.length configs) (fun li ->
-            Cachesim.Residency.sum
-              (List.map (fun res -> res.(li)) per_shard))
-  in
-  let snaps = List.map Cachesim.Residency.snapshot residencies in
-  if Telemetry.enabled telemetry then begin
-    Telemetry.add telemetry ~n:(Memtrace.Tape.length cap.tape)
-      "tape/timed_replay_events";
-    Telemetry.time_ns telemetry "verify/timed_total"
-      (Int64.sub (Telemetry.now_ns telemetry) t0)
-  end;
   record_residency_counters telemetry snaps;
   snaps
 
-(* One capture's time-weighted rows over every verification base
-   geometry — the per-workload unit of work in [run_all_timed] and the
-   whole job for a [Serve] timed request. *)
-let capture_time_rows ?(telemetry = Telemetry.null) ?pool ?strategy ?shards
-    ?bins ~levels cap =
-  List.concat_map
-    (fun base ->
-      let configs = Cachesim.Config.hierarchy_of ~levels base in
-      let snaps =
-        timed_level_snapshots ~telemetry ?pool ?strategy ?shards ?bins ~configs
-          cap
-      in
-      time_rows_of_snaps ~registry:cap.registry cap.instance ~base ~configs
-        snaps)
-    Cachesim.Config.verification_set
+let time_rows ~telemetry cap configs levels =
+  time_rows_of_snaps ~registry:cap.registry cap.instance ~base:(List.hd configs)
+    ~configs
+    (residency_snapshots ~telemetry levels)
 
-let run_all_timed ?jobs ?(telemetry = Telemetry.null) ?(strategy = Replay)
-    ?shards ?store ?workloads ?(levels = 1)
-    ?(bins = Cachesim.Residency.default_bins) () =
-  if strategy = Retrace then
-    invalid_arg
-      "Verify.run_all_timed: the retrace strategy has no tape and therefore \
-       no logical clock; use replay, fused or sharded";
-  let workloads =
-    match workloads with Some ws -> ws | None -> Workloads.all ()
-  in
-  let jobs =
-    match jobs with
-    | Some j -> j
-    | None -> Dvf_util.Parallel.recommended_jobs ()
-  in
-  let shards =
-    match shards with
-    | Some s ->
-        check_shard_count s;
-        s
-    | None -> pow2_floor (max 1 jobs)
-  in
-  let shards = match strategy with Sharded -> shards | _ -> 1 in
-  let t0 = Telemetry.now_ns telemetry in
+let timed_level_snapshots ?(telemetry = Telemetry.null)
+    ?(bins = Cachesim.Residency.default_bins) ~configs cap =
+  serially (fun pool ->
+      engine ~telemetry ~pool ~bins ~consumers:[ configs ]
+        ~rows:(fun _ _ levels -> residency_snapshots ~telemetry levels)
+        [ cap ])
+
+let capture_time_rows ?(telemetry = Telemetry.null)
+    ?(bins = Cachesim.Residency.default_bins) ~levels cap =
+  serially (fun pool ->
+      engine ~telemetry ~pool ~bins ~consumers:(hierarchies ~levels)
+        ~rows:(time_rows ~telemetry) [ cap ])
+
+let run_all_timed ?jobs ?(telemetry = Telemetry.null) ?store ?workloads
+    ?(levels = 1) ?(bins = Cachesim.Residency.default_bins) () =
   let rows =
-    if jobs <= 1 then
-      List.concat_map
-        (fun workload ->
-          capture_time_rows ~telemetry ~strategy ~shards ~bins ~levels
-            (capture ~telemetry ?store (Workloads.verification_instance workload)))
-        workloads
-    else
-      Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
-          let captures =
-            Dvf_util.Parallel.Pool.map_list pool
-              (fun workload ->
-                capture ~telemetry ?store
-                  (Workloads.verification_instance workload))
-              workloads
-          in
-          match strategy with
-          | Sharded ->
-              (* Shard tasks are the parallel unit; captures process in
-                 order so telemetry counters accumulate deterministically. *)
-              List.concat_map
-                (fun cap ->
-                  capture_time_rows ~telemetry ~pool ~strategy ~shards ~bins
-                    ~levels cap)
-                captures
-          | _ ->
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun cap ->
-                     capture_time_rows ~telemetry ~strategy ~shards ~bins
-                       ~levels cap)
-                   captures))
+    run_sweep ?jobs ~telemetry ?store ?workloads ~bins
+      ~consumers:(hierarchies ~levels) ~rows:(time_rows ~telemetry) ()
   in
-  if Telemetry.enabled telemetry then begin
+  if Telemetry.enabled telemetry then
     Telemetry.set_gauge telemetry "residency/bins" (float_of_int bins);
-    Telemetry.time_ns telemetry "verify/total"
-      (Int64.sub (Telemetry.now_ns telemetry) t0)
-  end;
-  finalize_metrics telemetry;
   rows
 
 let to_time_table rows =

@@ -7,10 +7,14 @@
     estimation error within 15 % in all cases.
 
     Like the paper's methodology (one Pin trace per application, reused
-    for every cache configuration), the default {!strategy} captures each
-    workload's trace {e once} into a {!Memtrace.Tape} and replays it into
-    every verification cache, instead of re-executing the kernel per
-    geometry.  All strategies produce bit-identical rows. *)
+    for every cache configuration), each workload's trace is captured
+    {e once} into a {!Memtrace.Tape} and replayed into every verification
+    cache, instead of re-executing the kernel per geometry.  Every replay
+    goes through one engine: set-sharded walks of per-shard tape views
+    on private cache replicas, merged in shard order, so rows are
+    bit-identical at any job count.  {!verify_instance}, which traces the
+    kernel straight into a cache with no tape, is the independent
+    reference the tests compare the engine against. *)
 
 type row = {
   workload : string;   (** registry name, e.g. "CG" *)
@@ -23,36 +27,10 @@ type row = {
 val error : row -> float
 (** |modeled - simulated| / simulated. *)
 
-type strategy =
-  | Retrace  (** re-execute and re-trace the kernel for every cache —
-                 the historical path, kept as the measurable baseline *)
-  | Replay   (** capture one tape per workload, replay it per cache *)
-  | Fused    (** capture one tape per workload, drive all caches from a
-                 single chunk walk ({!Memtrace.Tape.replay_fused}) *)
-  | Sharded  (** fused walk partitioned by cache-set index: one
-                 independent task per shard over private cache replicas,
-                 statistics merged afterwards — bit-identical to
-                 {!Fused}.  The tape is pre-partitioned
-                 ({!Memtrace.Tape.partition}): each task walks only the
-                 chunks whose partition index intersects its shard. *)
-
-val strategies : (string * strategy) list
-(** CLI-friendly names, e.g. for [Cmdliner.Arg.enum]. *)
-
-val strategy_name : strategy -> string
-
-val verify_instance :
-  ?telemetry:Dvf_util.Telemetry.t ->
-  cache:Cachesim.Config.t -> Workload.instance -> row list
+val verify_instance : cache:Cachesim.Config.t -> Workload.instance -> row list
 (** One workload instance against one cache configuration, re-executing
-    the kernel ({!Retrace} unit of work).
-
-    [telemetry] (default {!Dvf_util.Telemetry.null}) receives a span
-    ["verify/<workload>/<cache>"] with nested ["trace"] (kernel execution,
-    recorder fan-out and cache simulation) and ["model"] (analytical
-    N_ha) phases, plus global ["recorder/events"], ["recorder/batches"]
-    and ["cache/accesses"] counters and the ["verify/trace_total"]
-    accumulator behind the throughput gauges. *)
+    the kernel and tracing it straight into the cache — no tape, no
+    sharding.  The test oracle for the replay engine. *)
 
 type capture = {
   instance : Workload.instance;
@@ -86,82 +64,51 @@ val capture :
     advance — while the ["store/*"] counters do), a cold store captures
     as usual and persists the tape for the next process. *)
 
-val replay_capture :
-  ?telemetry:Dvf_util.Telemetry.t ->
-  cache:Cachesim.Config.t -> capture -> row list
-(** Replay a captured tape into one cache configuration and model it —
-    no kernel re-execution.  Rows are bit-identical to
-    {!verify_instance} on the same workload/cache.  Telemetry: span
-    ["verify/<workload>/<cache>"] with nested ["replay"] and ["model"],
-    ["tape/replay_events"] and ["cache/accesses"] counters, and the
-    ["verify/replay_total"] accumulator. *)
+val capture_rows : ?telemetry:Dvf_util.Telemetry.t -> capture -> row list
+(** One capture's Fig. 4 rows over both verification caches, serially —
+    bit-identical to the corresponding slice of {!run_all}, and what a
+    [dvf serve] verify request runs against its warm capture. *)
 
-val replay_capture_fused :
+val capture_stats :
   ?telemetry:Dvf_util.Telemetry.t ->
-  caches:Cachesim.Config.t list -> capture -> row list
-(** Replay one tape into all [caches] in a single fused chunk walk; rows
-    are concatenated in [caches] order and bit-identical to sequential
-    {!replay_capture} calls.  Telemetry: span ["verify/<workload>/fused"]
-    and the same replay counters/accumulator ([tape/replay_events] grows
-    by events x caches — every cache consumed the full stream). *)
-
-val replay_capture_sharded :
-  ?telemetry:Dvf_util.Telemetry.t ->
-  ?pool:Dvf_util.Parallel.Pool.t ->
-  caches:Cachesim.Config.t list ->
-  shards:int -> capture -> row list
-(** Replay one tape into all [caches] as set-partitioned tasks: each
-    task owns a private replica of every cache and walks only the chunks
-    its pre-partitioned view ({!Memtrace.Tape.partition}) selected,
-    touching only its shard's lines; replica statistics are merged in
-    shard order afterwards.  Rows are bit-identical to
-    {!replay_capture_fused}.  [shards] is clamped centrally to the
-    smallest cache's set count (so the partition view, the task fan-out
-    and the walk agree on one effective width); tasks run on [pool]'s
-    domains when given, serially otherwise (same results either way).
-    Raises [Invalid_argument] unless [shards] is a positive power of
-    two.  Telemetry: span ["verify/<workload>/sharded"], the usual
-    replay counters (["tape/replay_events"] counts the logical stream —
-    events x caches — independent of the fan-out), plus ["shard/tasks"],
-    ["shard/walked_events"] (engine-side work: caches x the events in
-    the chunks the views actually walk — the basis of the aggregate
-    all-domains throughput figure), ["tape/chunks_skipped"] (chunks the
-    partition index excluded) and the ["shard/count"] gauge (the clamped
-    width). *)
+  jobs:int -> caches:Cachesim.Config.t list -> capture -> Cachesim.Stats.t list
+(** Replay one capture into every cache of [caches] through the engine
+    (width from [jobs], see {!run_all}) and return each cache's merged,
+    flushed statistics in [caches] order — the trace-driven half of a
+    simulated capacity sweep.  Bit-identical at any [jobs]. *)
 
 val run_all :
   ?jobs:int ->
   ?telemetry:Dvf_util.Telemetry.t ->
-  ?strategy:strategy ->
-  ?shards:int ->
   ?store:Memtrace.Tape_store.t ->
   ?workloads:Workload.t list -> unit -> row list
 (** Fig. 4: every workload (Table V sizes) against both verification cache
-    configurations.  [workloads] defaults to everything registered;
-    [strategy] defaults to {!Replay}.  [shards] (used by {!Sharded} only;
-    default: largest power of two <= [jobs], clamped to the smallest
-    verification cache's set count) is the set-partition width; rows do
-    not depend on it.  [store] routes every capture through a
-    persistent tape store (see {!capture}); rows are bit-identical with
-    or without it.  Raises [Invalid_argument] when [store] is combined
-    with {!Retrace}, which never captures.
+    configurations.  [workloads] defaults to everything registered.
+    [store] routes every capture through a persistent tape store (see
+    {!capture}); rows are bit-identical with or without it.
 
-    [jobs] (default [Domain.recommended_domain_count ()]) spreads the
-    independent jobs over that many domains; each job owns its private
-    mutable state, so the rows are identical to the serial run in value
-    and order — at any job count, with any strategy, with or without
-    telemetry.  [jobs = 1] takes the serial code path exactly.
+    [jobs] (default [Domain.recommended_domain_count ()]) sizes the
+    domain pool.  Captures run one task per workload; then every
+    (capture x shard) walk is one task, and every (capture x cache) row
+    build — including the CGPMAC model — is one task.  The shard width
+    is the largest power of two <= [jobs], clamped to the smallest
+    cache's set count.  Each task owns its private mutable state, so the
+    rows are identical to the serial run in value and order — at any job
+    count, with or without telemetry.
 
-    With an enabled [telemetry], each phase reports as described at
-    {!verify_instance}/{!capture}/{!replay_capture}; the sweep
-    additionally records ["verify/total"] wall-clock and, at the end,
-    derives the throughput gauges for whichever strategy ran:
+    With an enabled [telemetry], captures report as described at
+    {!capture}; rows record a ["verify/<workload>/<cache>"] span with a
+    nested ["model"] span and the ["cache/accesses"] counter; the walk
+    records ["tape/replay_events"] (events x caches), ["shard/tasks"],
+    ["shard/walked_events"], ["tape/chunks_skipped"], the ["shard/count"]
+    gauge and the ["verify/replay_total"] accumulator; the sweep records
+    ["verify/total"] wall-clock and, at the end, the throughput gauges
     ["recorder/events_per_sec"] and ["tape/capture_events_per_sec"] (over
     capture time), ["tape/replay_events_per_sec"] and
-    ["cache/accesses_per_sec"] (over replay time; over the combined
-    trace time under {!Retrace}), ["tape/bytes_per_event"] and
-    ["recorder/mean_batch_size"].  Counters and span paths are identical
-    at every job count; only the time fields differ. *)
+    ["cache/accesses_per_sec"] (over replay time),
+    ["tape/bytes_per_event"] and ["recorder/mean_batch_size"].  Counters
+    other than the shard ones are identical at every job count; only
+    the time fields differ. *)
 
 (** {2 Per-level rows}
 
@@ -185,32 +132,25 @@ type level_row = {
 val capture_level_rows :
   ?telemetry:Dvf_util.Telemetry.t -> levels:int -> capture -> level_row list
 (** One capture's per-level rows over every verification base geometry,
-    serially (the {!Replay} unit of work in {!run_all_levels}, and what a
-    [dvf serve] levels request runs against its warm capture).  Rows are
-    bit-identical to the corresponding slice of {!run_all_levels}. *)
+    serially (what a [dvf serve] levels request runs against its warm
+    capture).  Rows are bit-identical to the corresponding slice of
+    {!run_all_levels}. *)
 
 val run_all_levels :
   ?jobs:int ->
   ?telemetry:Dvf_util.Telemetry.t ->
-  ?strategy:strategy ->
-  ?shards:int ->
   ?store:Memtrace.Tape_store.t ->
   ?workloads:Workload.t list ->
   levels:int -> unit -> level_row list
 (** Every workload against both verification geometries extended to
-    [levels]-deep hierarchies ({!Cachesim.Config.hierarchy_of}).  Rows
-    are ordered workload-major, then base cache, then level, then
-    structure (registration order).  [levels = 1] reports exactly the
-    single-cache traffic the classic rows simulate.  Raises
-    [Invalid_argument] for {!Retrace} (a hierarchy can only be driven
-    from a captured tape) and outside [1 <= levels <= 3].  Under
-    {!Sharded} the tape is pre-partitioned per base geometry
-    ({!Memtrace.Tape.partition_hierarchies}, width clamped centrally to
-    the base set counts) and ["tape/chunks_skipped"] records the chunks
-    the partition index excluded.  Telemetry: per-level
+    [levels]-deep hierarchies ({!Cachesim.Config.hierarchy_of}), on the
+    engine and schedule of {!run_all}.  Rows are ordered workload-major,
+    then base cache, then level, then structure (registration order).
+    [levels = 1] reports exactly the single-cache traffic the classic
+    rows simulate.  Raises [Invalid_argument] outside
+    [1 <= levels <= 3].  Telemetry: per-level
     ["hierarchy/l<n>/accesses"|"misses"|"writebacks"] counters
-    (deterministic at any [jobs]/[shards]) and a ["hierarchy/levels"]
-    gauge. *)
+    (deterministic at any [jobs]) and a ["hierarchy/levels"] gauge. *)
 
 val to_level_table : level_row list -> Dvf_util.Table.t
 
@@ -222,7 +162,7 @@ val to_level_table : level_row list -> Dvf_util.Table.t
     event clock (the tape's event ordinal — Jaulmes et al.'s
     delayed-error-reporting axis).  All integrals are exact integers
     ({!Cachesim.Residency}), so rows are bit-identical at any job
-    count, with any shard width, across {!Replay}/{!Fused}/{!Sharded}. *)
+    count. *)
 
 type time_row = {
   t_workload : string;
@@ -250,42 +190,28 @@ val tw_dvf : time_row -> float
 
 val timed_level_snapshots :
   ?telemetry:Dvf_util.Telemetry.t ->
-  ?pool:Dvf_util.Parallel.Pool.t ->
-  ?strategy:strategy ->
-  ?shards:int ->
   ?bins:int ->
   configs:Cachesim.Config.t list ->
   capture -> Cachesim.Residency.snapshot list
-(** Replay one capture through one hierarchy geometry with a residency
-    accumulator attached per level; returns one snapshot per level.  The
-    horizon is the tape length.  {!Sharded} runs one replica per shard
-    (on [pool] when given) and merges with {!Cachesim.Residency.sum};
-    {!Replay} and {!Fused} take the same single-walk path — all three
-    produce bit-identical snapshots.  [shards] is clamped centrally to
-    the smallest level's set count; chunk skipping stays off here (a
-    residency accumulator needs the logical clock to advance over every
-    event), so every shard walks the full tape.  Raises
-    [Invalid_argument] for {!Retrace} (no tape, no logical clock), a bad
-    [shards], or [bins <= 0].  Telemetry: ["tape/timed_replay_events"],
+(** Replay one capture, serially, through one hierarchy geometry with a
+    residency accumulator attached per level; returns one snapshot per
+    level.  The horizon is the tape length.  Raises [Invalid_argument]
+    on [bins <= 0].  Telemetry: ["tape/timed_replay_events"],
     ["residency/clean_line_events"|"dirty_line_events"|"fills"|
     "evictions"] counters and the ["verify/timed_total"] accumulator. *)
 
 val capture_time_rows :
   ?telemetry:Dvf_util.Telemetry.t ->
-  ?pool:Dvf_util.Parallel.Pool.t ->
-  ?strategy:strategy ->
-  ?shards:int ->
   ?bins:int ->
   levels:int -> capture -> time_row list
 (** One capture's time-weighted rows over every verification base
-    geometry (the per-workload unit of work in {!run_all_timed}, and
-    what a [dvf serve] timed request runs against its warm capture). *)
+    geometry, serially (what a [dvf serve] timed request runs against
+    its warm capture); bit-identical to the corresponding slice of
+    {!run_all_timed}. *)
 
 val run_all_timed :
   ?jobs:int ->
   ?telemetry:Dvf_util.Telemetry.t ->
-  ?strategy:strategy ->
-  ?shards:int ->
   ?store:Memtrace.Tape_store.t ->
   ?workloads:Workload.t list ->
   ?levels:int ->
@@ -293,13 +219,13 @@ val run_all_timed :
 (** Every workload against both verification geometries extended to
     [levels]-deep hierarchies (default 1), with per-level residency
     tracking ([bins] time windows, default
-    {!Cachesim.Residency.default_bins}).  Rows are ordered
-    workload-major, then base cache, then level, then structure, and
-    are bit-identical at any [jobs], any [shards], across
-    {!Replay}/{!Fused}/{!Sharded}.  Raises [Invalid_argument] for
-    {!Retrace}.  Telemetry: the counters of
-    {!timed_level_snapshots} plus a ["residency/bins"] gauge and the
-    derived ["tape/timed_replay_events_per_sec"]. *)
+    {!Cachesim.Residency.default_bins}), on the engine and schedule of
+    {!run_all}.  Rows are ordered workload-major, then base cache, then
+    level, then structure, and are bit-identical at any [jobs].  Raises
+    [Invalid_argument] on [bins <= 0] or outside [1 <= levels <= 3].
+    Telemetry: the counters of {!timed_level_snapshots} plus a
+    ["residency/bins"] gauge and the derived
+    ["tape/timed_replay_events_per_sec"]. *)
 
 val to_time_table : time_row list -> Dvf_util.Table.t
 (** Per-structure clean/dirty line-event integrals, average resident

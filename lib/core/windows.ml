@@ -59,13 +59,9 @@ let rho_of_rows rows =
     (Array.of_list (List.map (fun r -> r.resident) hit))
     (Array.of_list (List.map bin_rate hit))
 
-let run ?jobs ?(telemetry = Telemetry.null) ?(strategy = Verify.Replay)
-    ?shards ?store ?(seed = Injection.default_seed) ?trials
+let run ?jobs ?(telemetry = Telemetry.null) ?store
+    ?(seed = Injection.default_seed) ?trials
     ?(bins = Cachesim.Residency.default_bins) ?workloads () =
-  if strategy = Verify.Retrace then
-    invalid_arg
-      "Windows.run: the retrace strategy has no tape and therefore no \
-       logical clock; use replay, fused or sharded";
   if bins <= 0 then invalid_arg "Windows.run: bins must be positive";
   let workloads =
     match workloads with Some ws -> ws | None -> Workloads.all ()
@@ -91,8 +87,8 @@ let run ?jobs ?(telemetry = Telemetry.null) ?(strategy = Verify.Replay)
             in
             let snap =
               List.hd
-                (Verify.timed_level_snapshots ~telemetry ~strategy ?shards
-                   ~bins ~configs:[ cache ] cap)
+                (Verify.timed_level_snapshots ~telemetry ~bins
+                   ~configs:[ cache ] cap)
             in
             let line_bits = float_of_int (8 * cache.Cachesim.Config.line) in
             let per_structure =

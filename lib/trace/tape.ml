@@ -222,25 +222,20 @@ let force t = function
 let materialize t = List.iter (fun e -> ignore (force t e)) t.filled
 
 (* Chunks in capture order: [filled] is most-recent-first, then the
-   partial head (skipped when empty, so replay never dispatches an empty
-   batch).  Every walk over the tape — replay in all its variants, raw
-   iteration, decoding, and [Tape_io.save] — goes through this one fold,
-   handing out the chunk arrays themselves (no copying, no decoding a
-   chunk more than once). *)
-let fold_chunks t ~init ~f =
-  let acc =
-    List.fold_left
-      (fun acc e ->
-        let c = force t e in
-        f acc ~addrs:c.addrs ~metas:c.metas ~len:c.len)
-      init (List.rev t.filled)
-  in
-  if t.head.len > 0 then
-    f acc ~addrs:t.head.addrs ~metas:t.head.metas ~len:t.head.len
-  else acc
+   partial head (skipped when empty, so no walk dispatches an empty
+   batch). *)
+let entries t =
+  List.rev (if t.head.len > 0 then Ready t.head :: t.filled else t.filled)
 
-let iter_raw t f =
-  fold_chunks t ~init:() ~f:(fun () ~addrs ~metas ~len -> f ~addrs ~metas ~len)
+(* Raw iteration, decoding and [Tape_io.save] go through this one fold,
+   handing out the chunk arrays themselves (no copying, no decoding a
+   chunk more than once); replays walk views ([iter_view]). *)
+let fold_chunks t ~init ~f =
+  List.fold_left
+    (fun acc e ->
+      let c = force t e in
+      f acc ~addrs:c.addrs ~metas:c.metas ~len:c.len)
+    init (entries t)
 
 type chunk_info = {
   ci_len : int;
@@ -262,7 +257,7 @@ let chunk_infos t =
   let infos = List.rev_map info t.filled in
   if t.head.len > 0 then infos @ [ info (Ready t.head) ] else infos
 
-(* {2 Chunk adoption (the [Tape_io] load paths)} *)
+(* {2 Chunk adoption (the [Tape_io] load path)} *)
 
 let check_adoptable t ~len =
   if len < 0 || len > t.chunk_capacity then
@@ -273,42 +268,6 @@ let check_adoptable t ~len =
     invalid_arg
       "Tape: tape ends in a partial chunk; adopted chunks can only follow \
        full ones"
-
-(* Size field of a packed meta word, without the tuple allocation of
-   [unpack_access]. *)
-let meta_size m = (m lsr 1) land Cachesim.Cache.max_size
-
-let index_of_words ~addrs ~metas ~len =
-  let idx = fresh_index () in
-  for i = 0 to len - 1 do
-    index_note idx ~addr:(Array.unsafe_get addrs i)
-      ~size:(meta_size (Array.unsafe_get metas i))
-  done;
-  idx
-
-(* Adopt a whole pre-built chunk (the [Tape_io] v1 streaming path: words
-   straight off disk, no per-event re-validation — the file's checksum
-   already vouches for them).  The partition index is recomputed here;
-   the v2 format stores it and adopts via [append_deferred_chunk]. *)
-let append_raw_chunk t ~addrs ~metas ~len =
-  if Array.length addrs <> t.chunk_capacity
-     || Array.length metas <> t.chunk_capacity then
-    invalid_arg
-      (Printf.sprintf
-         "Tape.append_raw_chunk: arrays must hold chunk_events=%d words \
-          (got %d/%d)"
-         t.chunk_capacity (Array.length addrs) (Array.length metas));
-  check_adoptable t ~len;
-  if len = 0 then ()
-  else begin
-    let c = { addrs; metas; len; index = index_of_words ~addrs ~metas ~len } in
-    if len = t.chunk_capacity then begin
-      t.filled <- Ready c :: t.filled;
-      t.filled_count <- t.filled_count + 1
-    end
-    else t.head <- c;
-    t.total <- t.total + len
-  end
 
 let check_index ~coverage ~min_line ~max_line ~len =
   if Array.length coverage <> coverage_words then
@@ -471,73 +430,13 @@ let selected sel idx =
   | Skip_all -> false
   | Buckets m -> index_intersects idx m
 
-(* Walk only the chunks [sel] cannot prove irrelevant, counting the
-   rest into [skipped]. *)
-let iter_selected t sel ?skipped f =
-  let skip () = match skipped with Some r -> incr r | None -> () in
-  List.iter
-    (fun e ->
-      if selected sel (entry_index e) then begin
-        let c = force t e in
-        f ~addrs:c.addrs ~metas:c.metas ~len:c.len
-      end
-      else skip ())
-    (List.rev t.filled);
-  if t.head.len > 0 then
-    if selected sel t.head.index then
-      f ~addrs:t.head.addrs ~metas:t.head.metas ~len:t.head.len
-    else skip ()
+(* {2 Views and replay}
 
-(* {2 Replay} *)
-
-let replay t cache =
-  iter_raw t (fun ~addrs ~metas ~len ->
-      Cachesim.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len)
-
-let replay_fused t caches =
-  iter_raw t (fun ~addrs ~metas ~len ->
-      Array.iter
-        (fun cache ->
-          Cachesim.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len)
-        caches)
-
-(* Set-sharded fused walk: one pass over the tape, each cache touched
-   only on [shard]'s lines.  Every cache clamps the shard count to its
-   own set count ([Cache.access_batch_sharded] skips shards beyond the
-   clamp), so heterogeneous sweep geometries neither drop nor duplicate
-   work.  Running all shards of [0 .. shards-1] — serially or on
-   separate domains over per-shard cache replicas — reproduces
-   [replay_fused]'s statistics bit for bit.  Chunks whose partition
-   index proves them disjoint from [shard]'s lines (for every cache) are
-   skipped without being walked — or, for deferred chunks, decoded. *)
-let replay_fused_sharded ?skipped t caches ~shards ~shard =
-  check_shards ~shards ~shard;
-  let sel = cache_selector caches ~shards ~shard in
-  iter_selected t sel ?skipped (fun ~addrs ~metas ~len ->
-      Array.iter
-        (fun cache ->
-          Cachesim.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len
-            ~shards ~shard)
-        caches)
-
-let replay_hierarchies t hierarchies =
-  iter_raw t (fun ~addrs ~metas ~len ->
-      Array.iter
-        (fun h ->
-          Cachesim.Hierarchy.access_batch h ~addrs ~metas ~pos:0 ~len)
-        hierarchies)
-
-let replay_hierarchies_sharded ?skipped t hierarchies ~shards ~shard =
-  check_shards ~shards ~shard;
-  let sel = hierarchy_selector hierarchies ~shards ~shard in
-  iter_selected t sel ?skipped (fun ~addrs ~metas ~len ->
-      Array.iter
-        (fun h ->
-          Cachesim.Hierarchy.access_batch_sharded h ~addrs ~metas ~pos:0 ~len
-            ~shards ~shard)
-        hierarchies)
-
-(* {2 Pre-partitioned views} *)
+   Every replay walks a view: one shard's chunk list, selected up front
+   from the partition index.  The cache-array replays below are thin
+   wrappers that build the view on the fly; [partition] builds every
+   shard's view at once so [N] shard domains each traverse only their
+   slice. *)
 
 type view = {
   v_tape : t;
@@ -555,35 +454,33 @@ let view_chunks v = List.length v.v_entries
 let view_events v = v.v_events
 let view_chunks_skipped v = v.v_skipped
 
+let make_view t all_entries ~shards ~shard sel =
+  let entries, events, skipped =
+    List.fold_left
+      (fun (es, ev, sk) e ->
+        if selected sel (entry_index e) then (e :: es, ev + entry_len e, sk)
+        else (es, ev, sk + 1))
+      ([], 0, 0) all_entries
+  in
+  {
+    v_tape = t;
+    v_shards = shards;
+    v_shard = shard;
+    v_selector = sel;
+    v_entries = List.rev entries;
+    v_events = events;
+    v_skipped = skipped;
+  }
+
 let partition_with t ~shards ~selector_of =
   if shards <= 0 || shards land (shards - 1) <> 0 then
     invalid_arg
       (Printf.sprintf
          "Tape.partition: shards must be a positive power of two (got %d)"
          shards);
-  let all_entries =
-    List.rev
-      (if t.head.len > 0 then Ready t.head :: t.filled else t.filled)
-  in
+  let all_entries = entries t in
   Array.init shards (fun shard ->
-      let sel = selector_of ~shard in
-      let entries, events, skipped =
-        List.fold_left
-          (fun (es, ev, sk) e ->
-            if selected sel (entry_index e) then
-              (e :: es, ev + entry_len e, sk)
-            else (es, ev, sk + 1))
-          ([], 0, 0) all_entries
-      in
-      {
-        v_tape = t;
-        v_shards = shards;
-        v_shard = shard;
-        v_selector = sel;
-        v_entries = List.rev entries;
-        v_events = events;
-        v_skipped = skipped;
-      })
+      make_view t all_entries ~shards ~shard (selector_of ~shard))
 
 let partition t caches ~shards =
   partition_with t ~shards ~selector_of:(fun ~shard ->
@@ -616,8 +513,9 @@ let replay_view v caches =
   iter_view v (fun ~addrs ~metas ~len ->
       Array.iter
         (fun cache ->
-          Cachesim.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len
-            ~shards:v.v_shards ~shard:v.v_shard)
+          Cachesim.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len
+            ~shards:v.v_shards ~shard:v.v_shard ~fill:Cachesim.Cache.nofeed
+            ~spill:Cachesim.Cache.nofeed)
         caches)
 
 let replay_view_hierarchies v hierarchies =
@@ -626,12 +524,29 @@ let replay_view_hierarchies v hierarchies =
   iter_view v (fun ~addrs ~metas ~len ->
       Array.iter
         (fun h ->
-          Cachesim.Hierarchy.access_batch_sharded h ~addrs ~metas ~pos:0 ~len
+          Cachesim.Hierarchy.access_batch h ~addrs ~metas ~pos:0 ~len
             ~shards:v.v_shards ~shard:v.v_shard)
         hierarchies)
 
+(* Set-sharded fused walk: one pass over the tape, each cache touched
+   only on [shard]'s lines.  Every cache clamps the shard count to its
+   own set count, so heterogeneous sweep geometries neither drop nor
+   duplicate work.  Chunks whose partition index proves them disjoint
+   from [shard]'s lines (for every cache) are skipped without being
+   walked — or, for deferred chunks, decoded. *)
+let replay_fused_sharded ?skipped t caches ~shards ~shard =
+  check_shards ~shards ~shard;
+  let v =
+    make_view t (entries t) ~shards ~shard
+      (cache_selector caches ~shards ~shard)
+  in
+  Option.iter (fun r -> r := !r + v.v_skipped) skipped;
+  replay_view v caches
+
+let replay_fused t caches = replay_fused_sharded t caches ~shards:1 ~shard:0
+
 let iter t f =
-  iter_raw t (fun ~addrs ~metas ~len ->
+  fold_chunks t ~init:() ~f:(fun () ~addrs ~metas ~len ->
       for i = 0 to len - 1 do
         let owner, write, size = Cachesim.Cache.unpack_access metas.(i) in
         f { Event.owner; write; addr = addrs.(i); size }

@@ -12,19 +12,17 @@
     Chunks are allocated at a fixed capacity (default 65536 events),
     large enough to live on the major heap, so capture is O(1) amortized
     per event and stays off the minor collector.  Replay streams whole
-    chunks through {!Cachesim.Cache.access_batch}; {!replay_fused}
-    drives several caches from a single chunk walk so a multi-geometry
-    sweep reads each chunk once while it is hot.
+    chunks through {!Cachesim.Cache.access_batch}, driving several
+    caches from a single chunk walk so a multi-geometry sweep reads each
+    chunk once while it is hot.
 
     Every chunk carries a {e partition index}, maintained at capture
     time: a coverage bitmap over {!partition_buckets} buckets of the
     granule-line number ([addr lsr granule_shift]) plus the chunk's
-    min/max granule line.  The sharded walks use it to skip whole chunks
-    that provably contain no line of the requested shard, and
-    {!partition} builds per-shard chunk lists up front so each shard
-    domain walks only its slice — in both cases bit-identical to the
-    full scan, because a skipped chunk would not have changed the
-    shard's sets.
+    min/max granule line.  Every replay walks a per-shard chunk list
+    built from it ({!partition}), skipping whole chunks that provably
+    contain no line of the shard — bit-identical to the full scan,
+    because a skipped chunk would not have changed the shard's sets.
 
     Chunks may be {e deferred}: {!Tape_io} v2 loads adopt chunks as
     (length, index, decode) triples over an mmap'd payload
@@ -35,7 +33,7 @@
 
     Tapes are single-domain values: capture on one domain, then hand the
     (immutable-from-then-on) tape to replay jobs freely — concurrent
-    {!replay}s of one tape are safe as long as nobody appends. *)
+    replays of one tape are safe as long as nobody appends. *)
 
 type t
 
@@ -67,61 +65,15 @@ val batch_sink : t -> Recorder.batch_sink
 (** Chunk capture sink for {!Recorder.add_batch_sink} — the fast path
     when recording from a buffered recorder. *)
 
-(** {2 Replay} *)
+(** {2 Views and replay}
 
-val replay : t -> Cachesim.Cache.t -> unit
-(** Stream the captured events, in capture order, into [cache] via
-    {!Cachesim.Cache.access_batch}.  Statistics afterwards are
-    bit-identical to having traced the workload directly into the
-    cache. *)
-
-val replay_fused : t -> Cachesim.Cache.t array -> unit
-(** One pass over the tape driving every cache: for each chunk, replay
-    it into each cache before moving on.  Per-cache results equal
-    [Array.iter (replay t) caches]; the fused walk reads each chunk from
-    memory once instead of once per cache. *)
-
-val replay_fused_sharded :
-  ?skipped:int ref ->
-  t -> Cachesim.Cache.t array -> shards:int -> shard:int -> unit
-(** {!replay_fused} restricted to the cache lines owned by [shard] of
-    [shards] (see {!Cachesim.Cache.access_batch_sharded}).  Each cache
-    clamps [shards] to its own set count, so heterogeneous geometries
-    neither drop nor duplicate lines.  Replaying every shard — in any
-    order, or concurrently over per-shard cache replicas whose
-    statistics are merged afterwards — is bit-identical to
-    {!replay_fused}.
-
-    Chunks whose partition index proves them disjoint from [shard]'s
-    lines in every cache are skipped without being walked or (for
-    deferred chunks) decoded; [skipped] is incremented once per skipped
-    chunk.  Skipping never fires when any cache has a residency
-    accumulator attached (the logical clock must then advance over every
-    event), so timed replays remain exact.  Raises [Invalid_argument]
-    unless [shards] is a positive power of two and
-    [0 <= shard < shards]. *)
-
-val replay_hierarchies : t -> Cachesim.Hierarchy.t array -> unit
-(** Fused walk over multi-level hierarchies: for each chunk, feed it to
-    each hierarchy's L1 before moving on. *)
-
-val replay_hierarchies_sharded :
-  ?skipped:int ref ->
-  t -> Cachesim.Hierarchy.t array -> shards:int -> shard:int -> unit
-(** Sharded fused walk over hierarchies (see
-    {!Cachesim.Hierarchy.access_batch_sharded}), with the same
-    index-driven chunk skipping (keyed on each hierarchy's L1 line size
-    and effective shard count) and the same residency opt-out as
-    {!replay_fused_sharded}. *)
-
-(** {2 Pre-partitioned views}
-
-    {!partition} evaluates the per-chunk shard test once, up front, and
-    hands each shard the list of chunks it must walk — so [N] shard
-    domains each traverse only their slice instead of re-testing (or
-    rescanning) the whole tape, and a chunk no shard selects is never
-    materialized.  The tape must not be appended to while views are
-    alive (the usual replay contract). *)
+    Every replay walks a {!view}: one shard's list of chunks, selected
+    up front by the partition index, in capture order.  {!partition}
+    evaluates the per-chunk shard test once for every shard, so [N]
+    shard domains each traverse only their slice instead of re-testing
+    (or rescanning) the whole tape, and a chunk no shard selects is
+    never materialized.  The tape must not be appended to while views
+    are alive (the usual replay contract). *)
 
 type view
 (** One shard's slice of a tape: the chunks whose partition index
@@ -132,24 +84,46 @@ val partition : t -> Cachesim.Cache.t array -> shards:int -> view array
     sharded replay over [caches]; {!replay_view} of view [s] is
     bit-identical to [replay_fused_sharded t caches ~shards ~shard:s].
     The views are keyed on the caches' geometry (line size, effective
-    shard count): hand {!replay_view} replicas of the same
+    shard count) and on whether any has a residency accumulator (then
+    every chunk is selected, since the logical clock must advance over
+    every event): hand {!replay_view} replicas of the same
     configurations.  Raises [Invalid_argument] unless [shards] is a
     positive power of two. *)
 
 val partition_hierarchies :
   t -> Cachesim.Hierarchy.t array -> shards:int -> view array
 (** {!partition} keyed on hierarchies (L1 line size, hierarchy-wide
-    effective shard count) for {!replay_view_hierarchies}. *)
+    effective shard count, residency at any level) for
+    {!replay_view_hierarchies}. *)
 
 val replay_view : view -> Cachesim.Cache.t array -> unit
-(** Walk one view's chunks into [caches] via
-    {!Cachesim.Cache.access_batch_sharded}.  [caches] must be replicas
-    of the configurations the view was partitioned for (same geometry,
-    no residency attached) — the selector is recomputed and a mismatch
-    raises [Invalid_argument] instead of silently dropping events. *)
+(** Walk one view's chunks into [caches] via {!Cachesim.Cache.access_batch}
+    restricted to the view's shard.  [caches] must be replicas of the
+    configurations the view was partitioned for — the selector is
+    recomputed and a mismatch raises [Invalid_argument] instead of
+    silently dropping events. *)
 
 val replay_view_hierarchies : view -> Cachesim.Hierarchy.t array -> unit
 (** {!replay_view} over hierarchy replicas. *)
+
+val replay_fused_sharded :
+  ?skipped:int ref ->
+  t -> Cachesim.Cache.t array -> shards:int -> shard:int -> unit
+(** One shard's view built on the fly and replayed into [caches]: every
+    cache touched only on the lines owned by [shard] of [shards] (each
+    cache clamps [shards] to its own set count, so heterogeneous
+    geometries neither drop nor duplicate lines).  Replaying every shard
+    — in any order, or concurrently over per-shard cache replicas whose
+    statistics are merged afterwards — is bit-identical to
+    {!replay_fused}.  [skipped] is incremented once per chunk the
+    partition index excluded.  Raises [Invalid_argument] unless [shards]
+    is a positive power of two and [0 <= shard < shards]. *)
+
+val replay_fused : t -> Cachesim.Cache.t array -> unit
+(** [replay_fused_sharded ~shards:1 ~shard:0]: one pass over the tape
+    driving every cache, each chunk replayed into each cache before
+    moving on.  Statistics afterwards are bit-identical to having
+    traced the workload directly into each cache. *)
 
 val view_shard : view -> int
 val view_shards : view -> int
@@ -217,35 +191,14 @@ val fold_chunks :
 (** Fold over the raw columnar chunks in capture order, without decoding
     or copying — indices [0 .. len-1] of [addrs]/[metas] are live.  The
     arrays are the tape's own storage: callers must not mutate them.
-    Every tape walk (all the [replay*] variants, {!iter_raw}, {!iter},
-    and {!Tape_io.save}) is built on this single fold.  Deferred chunks
-    are materialized as the fold reaches them. *)
+    {!iter} and {!Tape_io.save} are built on this fold; replays walk
+    views instead.  Deferred chunks are materialized as the fold reaches
+    them. *)
 
 val materialize : t -> unit
 (** Force every deferred chunk's decode now.  Idempotent; useful to
     front-load decode cost (benchmark baselines) or to release the
     mapped file the decoders read from. *)
-
-val iter_raw :
-  t -> (addrs:int array -> metas:int array -> len:int -> unit) -> unit
-(** Visit the raw columnar chunks in capture order, without decoding —
-    indices [0 .. len-1] of [addrs]/[metas] are live.  The arrays are
-    the tape's own storage: callers must not mutate them.  This is the
-    hook for custom replay kernels (the bench harness' sharded scaling
-    measurements). *)
-
-val append_raw_chunk : t -> addrs:int array -> metas:int array -> len:int -> unit
-(** Adopt a whole pre-built chunk without per-event validation — the
-    {!Tape_io} v1 streaming load path, where the file checksum already
-    vouches for the words.  [addrs] and [metas] must both be exactly
-    [chunk_events t] long (the tape takes ownership of the arrays; the
-    caller must not reuse them) and the tape must currently end on a
-    chunk boundary, i.e. only full chunks may have been appended before
-    — a full chunk ([len = chunk_events t]) is retired into the filled
-    list, a partial one becomes the head.  The partition index is
-    recomputed from the words.  Raises [Invalid_argument] on wrong array
-    lengths, a length outside [0 .. chunk_events t], or a tape whose
-    head is already partially filled. *)
 
 val append_deferred_chunk :
   t ->
@@ -262,9 +215,11 @@ val append_deferred_chunk :
     safe to call from any domain (it may be called more than once under
     a materialization race; one result wins).  A partial chunk
     ([len < chunk_events t]) is decoded eagerly and becomes the head.
-    Boundary rules and raises as {!append_raw_chunk}, plus
-    [Invalid_argument] on a malformed index ([coverage] not
-    {!coverage_words} words of 32 bits, or an invalid line range). *)
+    The tape must currently end on a chunk boundary (only full chunks
+    appended before).  Raises [Invalid_argument] on a length outside
+    [0 .. chunk_events t], a tape whose head is already partially
+    filled, or a malformed index ([coverage] not {!coverage_words} words
+    of 32 bits, or an invalid line range). *)
 
 val iter : t -> (Event.t -> unit) -> unit
 (** Decode and visit every event in capture order. *)

@@ -44,13 +44,12 @@
    the file cannot be mapped (exotic filesystems), the payload is
    streamed and decoded eagerly instead — same validation, same tape.
 
-   Version 1 files (no chunk table; payload chunks carry a u32 length
-   prefix) still load through the original streaming path, with the
-   partition index recomputed by [Tape.append_raw_chunk]. *)
+   Version 1 files (no chunk table) are refused with [Version_mismatch];
+   the tape store treats them as stale entries and recaptures. *)
 
 let magic = "dvftape\n"
 let format_version = 2
-let oldest_readable_version = 1
+let oldest_readable_version = 2
 
 type meta = { workload : string; size : string; seed : int }
 
@@ -160,49 +159,17 @@ let write_tape oc ~meta ~registry ~tape =
       done;
       output oc scratch 0 (8 * len))
 
-(* The version-1 writer, retained so compatibility tests (and tooling
-   that must interoperate with v1-era readers) can still produce v1
-   files: chunks carry a u32 length prefix and there is no chunk
-   table. *)
-let write_tape_v1 oc ~meta ~registry ~tape =
-  let header = Buffer.create 512 in
-  Buffer.add_string header magic;
-  add_u32 header 1;
-  add_u32 header (Tape.chunk_events tape);
-  add_i64 header (Tape.length tape);
-  add_i64 header (checksum tape);
-  add_provenance_and_regions header ~meta ~registry;
-  Buffer.output_buffer oc header;
-  let scratch = Bytes.create (8 * Tape.chunk_events tape) in
-  let lenbuf = Bytes.create 4 in
-  Tape.fold_chunks tape ~init:() ~f:(fun () ~addrs ~metas ~len ->
-      Bytes.set_int32_le lenbuf 0 (Int32.of_int len);
-      output_bytes oc lenbuf;
-      for i = 0 to len - 1 do
-        Bytes.set_int64_le scratch (8 * i) (Int64.of_int addrs.(i))
-      done;
-      output oc scratch 0 (8 * len);
-      for i = 0 to len - 1 do
-        Bytes.set_int64_le scratch (8 * i) (Int64.of_int metas.(i))
-      done;
-      output oc scratch 0 (8 * len))
-
-let save_with writer ~path ~meta ~registry ~tape =
+let save ~path ~meta ~registry ~tape =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     writer oc ~meta ~registry ~tape;
+     write_tape oc ~meta ~registry ~tape;
      close_out oc
    with e ->
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Sys.rename tmp path
-
-let save ~path ~meta ~registry ~tape = save_with write_tape ~path ~meta ~registry ~tape
-
-let save_v1 ~path ~meta ~registry ~tape =
-  save_with write_tape_v1 ~path ~meta ~registry ~tape
 
 (* {2 Reading} *)
 
@@ -256,7 +223,7 @@ let read_header r =
   let workload = read_str r in
   let size = read_str r in
   let seed = read_i64 r in
-  (version, chunk_events, total, stored_checksum, { workload; size; seed })
+  (chunk_events, total, stored_checksum, { workload; size; seed })
 
 let read_regions r =
   let page = read_u32 r in
@@ -279,39 +246,6 @@ let reject_trailing r =
   match input_char r.ic with
   | _ -> corrupt "trailing garbage after last chunk"
   | exception End_of_file -> ()
-
-(* The v1 streaming path: chunks carry their own length prefix and are
-   decoded eagerly; [Tape.append_raw_chunk] recomputes the partition
-   index from the words. *)
-let read_chunks_v1 r ~chunk_events ~total ~stored_checksum =
-  let tape = Tape.create ~chunk_events () in
-  let scratch = Bytes.create (8 * chunk_events) in
-  let hash = ref hash_init in
-  let remaining = ref total in
-  while !remaining > 0 do
-    let expected = min !remaining chunk_events in
-    let len = read_u32 r in
-    if len <> expected then
-      corrupt "chunk length %d, expected %d" len expected;
-    let read_words () =
-      let a = Array.make chunk_events 0 in
-      read_exact r.ic scratch 0 (8 * len);
-      for i = 0 to len - 1 do
-        a.(i) <- Int64.to_int (Bytes.get_int64_le scratch (8 * i))
-      done;
-      a
-    in
-    let addrs = read_words () in
-    let metas = read_words () in
-    for i = 0 to len - 1 do
-      hash := hash_mix (hash_mix !hash addrs.(i)) metas.(i)
-    done;
-    Tape.append_raw_chunk tape ~addrs ~metas ~len;
-    remaining := !remaining - len
-  done;
-  if !hash <> stored_checksum then corrupt "checksum mismatch";
-  reject_trailing r;
-  tape
 
 (* One v2 chunk-table entry. *)
 type table_entry = {
@@ -486,20 +420,17 @@ let with_file path f =
 
 let load ?(telemetry = Dvf_util.Telemetry.null) ?(eager = false) path =
   with_file path (fun r ->
-      let version, chunk_events, total, stored_checksum, meta = read_header r in
+      let chunk_events, total, stored_checksum, meta = read_header r in
       let registry = read_regions r in
       let tape =
-        match version with
-        | 1 -> read_chunks_v1 r ~chunk_events ~total ~stored_checksum
-        | 2 -> read_chunks_v2 r ~telemetry ~chunk_events ~total ~stored_checksum
-        | _ -> assert false (* read_header rejected it *)
+        read_chunks_v2 r ~telemetry ~chunk_events ~total ~stored_checksum
       in
       if eager then Tape.materialize tape;
       (meta, registry, tape))
 
 let read_meta path =
   with_file path (fun r ->
-      let _, _, _, _, meta = read_header r in
+      let _, _, _, meta = read_header r in
       meta)
 
 let read_version path = with_file path read_raw_version

@@ -18,9 +18,8 @@
     are only decoded when a replay first touches it — so sharded walks
     that skip a chunk never pay for decoding it.  On a big-endian host
     or an unmappable file the same layout is streamed eagerly instead.
-    Version 1 files (no chunk table, per-chunk length prefixes) still
-    load through the original streaming path, with the partition index
-    recomputed by {!Tape.append_raw_chunk}.
+    Version 1 files (no chunk table) are refused with
+    {!Version_mismatch}.
 
     All multi-byte fields are little-endian and fixed-width; the format
     assumes a 64-bit platform (as does the in-memory layout).  The
@@ -35,8 +34,7 @@ val format_version : int
 (** Version written by {!save}. *)
 
 val oldest_readable_version : int
-(** Oldest version {!load} still reads (via its legacy streaming
-    path). *)
+(** Oldest version {!load} still reads: {!format_version} itself. *)
 
 type meta = {
   workload : string;  (** registry name of the traced workload *)
@@ -60,12 +58,6 @@ val save :
     [path].  Materializes any deferred chunks.  Raises [Sys_error] on
     I/O failure. *)
 
-val save_v1 :
-  path:string -> meta:meta -> registry:Region.t -> tape:Tape.t -> unit
-(** Write the legacy version-1 layout (no chunk table, streamed loads
-    only).  For compatibility tests and tooling that must interoperate
-    with v1-era readers; new code wants {!save}. *)
-
 val load :
   ?telemetry:Dvf_util.Telemetry.t ->
   ?eager:bool ->
@@ -77,7 +69,7 @@ val load :
     file the chunks arrive deferred over a shared mapping (the
     ["tape/mmap_bytes"] counter on [telemetry] records the mapped
     payload size); [~eager:true] forces every chunk immediately —
-    the benchmark baseline, and the v1/fallback behaviour. *)
+    the benchmark baseline, and the streamed-fallback behaviour. *)
 
 val read_meta : string -> (meta, error) result
 (** Provenance only — reads just the fixed header, not the region table

@@ -343,6 +343,125 @@ let prop_matches_reference_lru =
         line_addrs;
       !ok)
 
+(* --- the packed walk against per-event references ---
+
+   One differential property for every [Cache.access_batch] /
+   [Cache.access_batch_timed] path: the specialised kernel, the generic
+   residency-clocked walk, and the explicitly timed walk.  Random packed
+   traces (multi-line events, many owners) are cut at random chunk
+   boundaries and walked per shard into private replicas of a tiny cache
+   (shard counts above the set count included).  The merged per-owner
+   statistics must equal a per-event [Cache.access] loop, and each
+   shard's fill/spill feed must equal, in order, the lines of that shard
+   in the feed of a naive list-based LRU model. *)
+
+type feed_event = Fill of int * int | Spill of int * int (* owner, line *)
+
+(* Per set, resident (line, owner, dirty) most recent first.  A hit keeps
+   the filling owner; a miss in a full set evicts the last entry, spilling
+   it when dirty, before the new line's fill. *)
+let reference_feed (cfg : C.Config.t) events =
+  let sets = Array.make cfg.C.Config.sets [] in
+  let feed = ref [] in
+  Array.iter
+    (fun (addr, size, owner, write) ->
+      let line_of a = a / cfg.C.Config.line in
+      for line = line_of addr to line_of (addr + size - 1) do
+        let set = line land (cfg.C.Config.sets - 1) in
+        let resident = sets.(set) in
+        match List.find_opt (fun (l, _, _) -> l = line) resident with
+        | Some (_, o, d) ->
+            sets.(set) <-
+              (line, o, d || write)
+              :: List.filter (fun (l, _, _) -> l <> line) resident
+        | None ->
+            let kept =
+              if List.length resident < cfg.C.Config.associativity then resident
+              else begin
+                let rev = List.rev resident in
+                let l, o, d = List.hd rev in
+                if d then feed := Spill (o, l) :: !feed;
+                List.rev (List.tl rev)
+              end
+            in
+            sets.(set) <- (line, owner, write) :: kept;
+            feed := Fill (owner, line) :: !feed
+      done)
+    events;
+  List.rev !feed
+
+let gen_walk_case =
+  let open QCheck.Gen in
+  let* assoc = oneofl [ 1; 2; 4 ] in
+  let* sets = oneofl [ 1; 2; 4 ] in
+  let* line = oneofl [ 8; 16; 32 ] in
+  let* shards = oneofl [ 1; 2; 8 ] in
+  let* mode = oneofl [ `Plain; `Residency; `Timed ] in
+  let* events =
+    array_size (1 -- 300)
+      (quad (0 -- 2047) (1 -- 100) (0 -- 40) bool)
+  in
+  let* cuts = list_size (0 -- 6) (0 -- Array.length events) in
+  return (assoc, sets, line, shards, mode, events, cuts)
+
+let prop_walk_matches_references =
+  QCheck.Test.make ~count:300 ~name:"packed walk = per-event references"
+    (QCheck.make gen_walk_case)
+    (fun (assoc, sets, line, shards, mode, events, cuts) ->
+      let cfg = C.Config.make ~name:"walk" ~associativity:assoc ~sets ~line in
+      let n = Array.length events in
+      let addrs = Array.map (fun (a, _, _, _) -> a) events in
+      let metas =
+        Array.map
+          (fun (_, size, owner, write) ->
+            C.Cache.pack_access ~owner ~write ~size)
+          events
+      in
+      let bounds = List.sort_uniq compare ((0 :: cuts) @ [ n ]) in
+      let walk_shard shard =
+        let cache = C.Cache.create cfg in
+        if mode = `Residency then
+          C.Cache.attach_residency cache (C.Residency.create ~horizon:n ());
+        let feed = ref [] in
+        let fill ~owner ~line = feed := Fill (owner, line) :: !feed in
+        let spill ~owner ~line = feed := Spill (owner, line) :: !feed in
+        let rec chunks = function
+          | a :: (b :: _ as rest) ->
+              (match mode with
+              | `Timed ->
+                  C.Cache.access_batch_timed cache ~addrs ~metas
+                    ~times:(Array.init n (fun i -> i))
+                    ~pos:a ~len:(b - a) ~fill ~spill
+              | `Plain | `Residency ->
+                  C.Cache.access_batch cache ~addrs ~metas ~pos:a ~len:(b - a)
+                    ~shards ~shard ~fill ~spill);
+              chunks rest
+          | _ -> ()
+        in
+        chunks bounds;
+        (C.Cache.stats cache, List.rev !feed)
+      in
+      (* The timed walk is unsharded. *)
+      let shards = if mode = `Timed then 1 else shards in
+      let per_shard = List.init shards walk_shard in
+      let direct = C.Cache.create cfg in
+      Array.iter
+        (fun (addr, size, owner, write) ->
+          C.Cache.access direct ~owner ~write ~addr ~size)
+        events;
+      let reference = reference_feed cfg events in
+      let eff = min shards sets in
+      let line_of = function Fill (_, l) | Spill (_, l) -> l in
+      C.Stats.snapshot (C.Stats.sum (List.map fst per_shard))
+      = C.Stats.snapshot (C.Cache.stats direct)
+      && List.for_all2
+           (fun shard (_, feed) ->
+             feed
+             = List.filter
+                 (fun e -> shard < eff && line_of e land (eff - 1) = shard)
+                 reference)
+           (List.init shards Fun.id) per_shard)
+
 let suite =
   [
     Alcotest.test_case "config capacity" `Quick test_config_capacity;
@@ -381,4 +500,5 @@ let suite =
       test_snapshot_immutable_under_later_accesses;
     QCheck_alcotest.to_alcotest prop_stats_consistent;
     QCheck_alcotest.to_alcotest prop_matches_reference_lru;
+    QCheck_alcotest.to_alcotest prop_walk_matches_references;
   ]

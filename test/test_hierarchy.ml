@@ -37,6 +37,14 @@ let tape_of events =
   List.iter (Mt.Tape.append tape) events;
   tape
 
+let nofeed = C.Cache.nofeed
+
+(* The full (one-shard) walk of a tape into hierarchies. *)
+let replay_hierarchies tape hs =
+  Mt.Tape.replay_view_hierarchies
+    (Mt.Tape.partition_hierarchies tape hs ~shards:1).(0)
+    hs
+
 let level_snaps h =
   List.init (C.Hierarchy.depth h) (fun i ->
       snap (C.Hierarchy.level_cache h i))
@@ -114,10 +122,10 @@ let test_one_level_identity_all_workloads () =
       List.iter
         (fun cfg ->
           let plain = C.Cache.create cfg in
-          Mt.Tape.replay tape plain;
+          Mt.Tape.replay_fused tape [| plain |];
           C.Cache.flush plain;
           let h = C.Hierarchy.create [ cfg ] in
-          Mt.Tape.replay_hierarchies tape [| h |];
+          replay_hierarchies tape [| h |];
           C.Hierarchy.flush h;
           check_snapshots
             (Printf.sprintf "%s on %s" instance.Core.Workload.workload
@@ -285,15 +293,19 @@ let test_hierarchy_sharded_identity () =
   let tape = tape_of (synthetic_events 3000) in
   let configs = C.Config.hierarchy_of ~levels:2 C.Config.small_verification in
   let serial = C.Hierarchy.create configs in
-  Mt.Tape.replay_hierarchies tape [| serial |];
+  replay_hierarchies tape [| serial |];
   C.Hierarchy.flush serial;
   let serial_levels = level_snaps serial in
   List.iter
     (fun shards ->
+      let views =
+        Mt.Tape.partition_hierarchies tape [| C.Hierarchy.create configs |]
+          ~shards
+      in
       let replicas =
         Array.init shards (fun shard ->
             let h = C.Hierarchy.create configs in
-            Mt.Tape.replay_hierarchies_sharded tape [| h |] ~shards ~shard;
+            Mt.Tape.replay_view_hierarchies views.(shard) [| h |];
             C.Hierarchy.flush h;
             h)
       in
@@ -328,10 +340,12 @@ let test_failed_batch_leaves_cache_untouched () =
   let metas = [| meta; meta; meta; meta |] in
   Alcotest.check_raises "negative address rejected"
     (Invalid_argument "Cache.access_batch: negative address at index 2")
-    (fun () -> C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:4);
+    (fun () ->
+      C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:4 ~shards:1 ~shard:0
+        ~fill:nofeed ~spill:nofeed);
   expect_invalid "sharded walk rejects it too" (fun () ->
-      C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:4 ~shards:2
-        ~shard:0);
+      C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:4 ~shards:2 ~shard:0
+        ~fill:nofeed ~spill:nofeed);
   check_snapshots "stats untouched" before (snap cache);
   (* The valid prefix (indices 0..1) was not installed either. *)
   Alcotest.(check int) "no new resident lines" 0
@@ -341,22 +355,19 @@ let test_sharded_argument_validation () =
   let cache = C.Cache.create tiny in
   let addrs = [| 0 |] in
   let metas = [| C.Cache.pack_access ~owner:1 ~write:false ~size:4 |] in
-  expect_invalid "shards not a power of two" (fun () ->
-      C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:1 ~shards:3
-        ~shard:0);
-  expect_invalid "shards zero" (fun () ->
-      C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:1 ~shards:0
-        ~shard:0);
-  expect_invalid "shard out of range" (fun () ->
-      C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:1 ~shards:2
-        ~shard:2);
+  let walk ~shards ~shard =
+    C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:1 ~shards ~shard
+      ~fill:nofeed ~spill:nofeed
+  in
+  expect_invalid "shards not a power of two" (fun () -> walk ~shards:3 ~shard:0);
+  expect_invalid "shards zero" (fun () -> walk ~shards:0 ~shard:0);
+  expect_invalid "shard out of range" (fun () -> walk ~shards:2 ~shard:2);
   expect_invalid "effective_shards validates" (fun () ->
       ignore (C.Cache.effective_shards cache ~shards:6));
   Alcotest.(check int) "effective_shards clamps to sets" 4
     (C.Cache.effective_shards cache ~shards:64);
   (* A shard beyond the clamp owns no sets: walking it is a no-op. *)
-  C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:1 ~shards:64
-    ~shard:33;
+  walk ~shards:64 ~shard:33;
   Alcotest.(check int) "clamped shard is a no-op" 0
     (C.Stats.Snapshot.accesses (C.Stats.Snapshot.totals (snap cache)))
 
@@ -395,37 +406,11 @@ let test_snapshot_owner_lookup () =
 
 (* --- Verify sweeps --- *)
 
-let test_verify_sharded_identical () =
-  let workloads = [ Core.Workloads.vm; Core.Workloads.mc ] in
-  let fused =
-    Core.Verify.run_all ~jobs:1 ~strategy:Core.Verify.Fused ~workloads ()
-  in
-  List.iter
-    (fun jobs ->
-      let sharded =
-        Core.Verify.run_all ~jobs ~strategy:Core.Verify.Sharded ~workloads ()
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "sharded -j %d = fused" jobs)
-        true (sharded = fused))
-    [ 1; 2; 8 ];
-  (* An explicit shard count must not change the rows either. *)
-  let wide =
-    Core.Verify.run_all ~jobs:2 ~strategy:Core.Verify.Sharded ~shards:16
-      ~workloads ()
-  in
-  Alcotest.(check bool) "16 shards on 2 domains = fused" true (wide = fused)
-
 let test_run_all_levels () =
   let workloads = [ Core.Workloads.vm; Core.Workloads.mc ] in
-  let classic =
-    Core.Verify.run_all ~jobs:1 ~strategy:Core.Verify.Fused ~workloads ()
-  in
+  let classic = Core.Verify.run_all ~jobs:1 ~workloads () in
   (* levels:1 reports the same traffic the classic rows simulate. *)
-  let l1 =
-    Core.Verify.run_all_levels ~jobs:1 ~strategy:Core.Verify.Fused ~workloads
-      ~levels:1 ()
-  in
+  let l1 = Core.Verify.run_all_levels ~jobs:1 ~workloads ~levels:1 () in
   Alcotest.(check int) "same row count at levels:1" (List.length classic)
     (List.length l1);
   List.iter2
@@ -440,10 +425,7 @@ let test_run_all_levels () =
         (l.Core.Verify.misses +. l.Core.Verify.l_writebacks))
     classic l1;
   (* levels:2 rows obey the funnel invariant per workload/cache pair. *)
-  let l2 =
-    Core.Verify.run_all_levels ~jobs:1 ~strategy:Core.Verify.Fused ~workloads
-      ~levels:2 ()
-  in
+  let l2 = Core.Verify.run_all_levels ~jobs:1 ~workloads ~levels:2 () in
   let keys =
     List.sort_uniq compare
       (List.map
@@ -472,22 +454,14 @@ let test_run_all_levels () =
         (sum (fun (l : Core.Verify.level_row) -> l.Core.Verify.accesses)
            (level 2)))
     keys;
-  (* Sharded and parallel runs reproduce the serial per-level rows. *)
+  (* Wider sharded runs reproduce the serial per-level rows. *)
   List.iter
     (fun jobs ->
-      let sharded =
-        Core.Verify.run_all_levels ~jobs ~strategy:Core.Verify.Sharded
-          ~workloads ~levels:2 ()
-      in
+      let sharded = Core.Verify.run_all_levels ~jobs ~workloads ~levels:2 () in
       Alcotest.(check bool)
-        (Printf.sprintf "sharded -j %d = fused (levels:2)" jobs)
+        (Printf.sprintf "-j %d = -j 1 (levels:2)" jobs)
         true (sharded = l2))
-    [ 1; 2; 8 ];
-  (* A hierarchy can only be driven from a captured tape. *)
-  expect_invalid "retrace rejected" (fun () ->
-      ignore
-        (Core.Verify.run_all_levels ~jobs:1 ~strategy:Core.Verify.Retrace
-           ~workloads ~levels:2 ()));
+    [ 2; 16 ];
   expect_invalid "levels 0 rejected" (fun () ->
       ignore (Core.Verify.run_all_levels ~jobs:1 ~workloads ~levels:0 ()))
 
@@ -515,8 +489,6 @@ let suite =
       test_sharded_argument_validation;
     Alcotest.test_case "snapshot owner lookup" `Quick
       test_snapshot_owner_lookup;
-    Alcotest.test_case "verify sharded strategy identical" `Quick
-      test_verify_sharded_identical;
     Alcotest.test_case "per-level verification rows" `Quick
       test_run_all_levels;
   ]

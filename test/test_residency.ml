@@ -207,7 +207,7 @@ let test_batch_matches_per_event () =
     events;
   C.Cache.flush serial_cache;
   let batch_cache, batch_res = timed_cache ~horizon:n tiny in
-  Mt.Tape.replay (tape_of events) batch_cache;
+  Mt.Tape.replay_fused (tape_of events) [| batch_cache |];
   C.Cache.flush batch_cache;
   Alcotest.(check bool) "batch replay = per-event accesses" true
     (R.snapshot batch_res = R.snapshot serial_res);
@@ -219,7 +219,7 @@ let test_sharded_merge_identity () =
   let tape = tape_of (synthetic_events 3000) in
   let n = Mt.Tape.length tape in
   let serial_cache, serial_res = timed_cache ~horizon:n tiny in
-  Mt.Tape.replay tape serial_cache;
+  Mt.Tape.replay_fused tape [| serial_cache |];
   C.Cache.flush serial_cache;
   let serial = R.snapshot serial_res in
   List.iter
@@ -253,10 +253,10 @@ let test_sharded_merge_identity () =
 let test_stats_unchanged_by_residency () =
   let events = synthetic_events 3000 in
   let plain = C.Cache.create tiny in
-  Mt.Tape.replay (tape_of events) plain;
+  Mt.Tape.replay_fused (tape_of events) [| plain |];
   C.Cache.flush plain;
   let timed, _ = timed_cache ~horizon:(List.length events) tiny in
-  Mt.Tape.replay (tape_of events) timed;
+  Mt.Tape.replay_fused (tape_of events) [| timed |];
   C.Cache.flush timed;
   Alcotest.(check bool) "stats identical with and without residency" true
     (C.Stats.snapshot (C.Cache.stats plain)
@@ -293,32 +293,17 @@ let test_merge_and_sum () =
 
 (* --- timed verification rows --- *)
 
-let test_timed_verify_strategies () =
+let test_timed_verify_widths () =
   let workloads = [ Core.Workloads.vm; Core.Workloads.mc ] in
-  let replay =
-    Core.Verify.run_all_timed ~jobs:1 ~strategy:Core.Verify.Replay ~workloads
-      ()
-  in
-  Alcotest.(check bool) "rows exist" true (replay <> []);
-  let fused =
-    Core.Verify.run_all_timed ~jobs:1 ~strategy:Core.Verify.Fused ~workloads ()
-  in
-  Alcotest.(check bool) "fused = replay" true (fused = replay);
+  let serial = Core.Verify.run_all_timed ~jobs:1 ~workloads () in
+  Alcotest.(check bool) "rows exist" true (serial <> []);
   List.iter
     (fun jobs ->
-      let sharded =
-        Core.Verify.run_all_timed ~jobs ~strategy:Core.Verify.Sharded
-          ~workloads ()
-      in
       Alcotest.(check bool)
-        (Printf.sprintf "sharded -j %d = replay" jobs)
-        true (sharded = replay))
-    [ 1; 2; 8 ];
-  let wide =
-    Core.Verify.run_all_timed ~jobs:2 ~strategy:Core.Verify.Sharded ~shards:16
-      ~workloads ()
-  in
-  Alcotest.(check bool) "16 shards on 2 domains = replay" true (wide = replay);
+        (Printf.sprintf "-j %d = -j 1" jobs)
+        true
+        (Core.Verify.run_all_timed ~jobs ~workloads () = serial))
+    [ 2; 16 ];
   (* Each row's windows conserve its integrals. *)
   List.iter
     (fun (r : Core.Verify.time_row) ->
@@ -329,21 +314,16 @@ let test_timed_verify_strategies () =
       Alcotest.(check (float 1e-6)) "dirty window conserves dirty time"
         r.Core.Verify.dirty_time
         (sum r.Core.Verify.window_dirty))
-    replay;
+    serial;
   (* Deeper hierarchies keep the invariance. *)
-  let l2 =
-    Core.Verify.run_all_timed ~jobs:1 ~strategy:Core.Verify.Replay ~workloads
-      ~levels:2 ()
-  in
-  let l2_sharded =
-    Core.Verify.run_all_timed ~jobs:2 ~strategy:Core.Verify.Sharded ~workloads
-      ~levels:2 ()
-  in
-  Alcotest.(check bool) "levels:2 sharded -j2 = replay" true (l2_sharded = l2);
-  expect_invalid "retrace rejected" (fun () ->
-      ignore
-        (Core.Verify.run_all_timed ~jobs:1 ~strategy:Core.Verify.Retrace
-           ~workloads ()));
+  let l2 = Core.Verify.run_all_timed ~jobs:1 ~workloads ~levels:2 () in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "levels:2 -j %d = -j 1" jobs)
+        true
+        (Core.Verify.run_all_timed ~jobs ~workloads ~levels:2 () = l2))
+    [ 2; 16 ];
   expect_invalid "bins 0 rejected" (fun () ->
       ignore (Core.Verify.run_all_timed ~jobs:1 ~workloads ~bins:0 ()))
 
@@ -365,5 +345,5 @@ let suite =
       test_stats_unchanged_by_residency;
     Alcotest.test_case "merge and sum" `Quick test_merge_and_sum;
     Alcotest.test_case "timed verify rows invariant" `Quick
-      test_timed_verify_strategies;
+      test_timed_verify_widths;
   ]

@@ -169,7 +169,7 @@ let test_format_bump_retires_v1_entries () =
       let registry, tape = make_capture 64 () in
       (* An entry left behind by a v1-era build: same logical key, but
          filed under the name that build computed (the key hash embeds
-         the format version) and written in the v1 on-disk format. *)
+         the format version) and declaring version 1 in its header. *)
       let v1_name =
         Printf.sprintf "%s-%016Lx.dvftape" key.Mt.Tape_store.workload
           (Int64.of_int
@@ -178,7 +178,7 @@ let test_format_bump_retires_v1_entries () =
                    key.Mt.Tape_store.size key.Mt.Tape_store.seed)))
       in
       let v1_path = Filename.concat (Mt.Tape_store.dir store) v1_name in
-      Mt.Tape_io.save_v1 ~path:v1_path
+      Mt.Tape_io.save ~path:v1_path
         ~meta:
           {
             Mt.Tape_io.workload = key.Mt.Tape_store.workload;
@@ -186,13 +186,14 @@ let test_format_bump_retires_v1_entries () =
             seed = key.Mt.Tape_store.seed;
           }
         ~registry ~tape;
+      patch_file v1_path (fun b -> Bytes.set_int32_le b 8 1l);
       (* This build never probes the v1 name: a clean miss, and the old
          file is left for gc rather than eagerly evicted. *)
       Alcotest.(check bool) "v1 entry is not served" true
         (Mt.Tape_store.find store key = None);
       Alcotest.(check bool) "v1 file awaits gc" true (Sys.file_exists v1_path);
-      (* list labels it stale — the file is readable (load still accepts
-         v1) but its declared version is not this build's. *)
+      (* list labels it stale — a tape, but its declared version is not
+         this build's. *)
       (match Mt.Tape_store.list store with
       | [ e ] ->
           Alcotest.(check bool) "labelled Stale 1" true

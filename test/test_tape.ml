@@ -37,7 +37,7 @@ let drive_tape ?chunk_events cfg events =
   let tape = Mt.Tape.create ?chunk_events () in
   List.iter (Mt.Tape.append tape) events;
   let cache = C.Cache.create cfg in
-  Mt.Tape.replay tape cache;
+  Mt.Tape.replay_fused tape [| cache |];
   C.Cache.flush cache;
   (tape, snap cache)
 
@@ -87,29 +87,33 @@ let test_access_batch_equivalence () =
           ~size:e.Mt.Event.size)
     events;
   let batched = C.Cache.create cfg in
+  let walk ~pos ~len =
+    C.Cache.access_batch batched ~addrs ~metas ~pos ~len ~shards:1 ~shard:0
+      ~fill:C.Cache.nofeed ~spill:C.Cache.nofeed
+  in
   (* Split the stream at an arbitrary boundary: two batch calls must
      behave exactly like one. *)
-  C.Cache.access_batch batched ~addrs ~metas ~pos:0 ~len:777;
-  C.Cache.access_batch batched ~addrs ~metas ~pos:777 ~len:(n - 777);
+  walk ~pos:0 ~len:777;
+  walk ~pos:777 ~len:(n - 777);
   C.Cache.flush batched;
   check_snapshots "access_batch = access" direct (snap batched)
 
 let test_access_batch_bad_range () =
   let cache = C.Cache.create C.Config.small_verification in
   let addrs = Array.make 4 0 and metas = Array.make 4 0 in
+  let walk ?(metas = metas) ~pos ~len () =
+    C.Cache.access_batch cache ~addrs ~metas ~pos ~len ~shards:1 ~shard:0
+      ~fill:C.Cache.nofeed ~spill:C.Cache.nofeed
+  in
   let expect_invalid name f =
     match f () with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
-  expect_invalid "len past end" (fun () ->
-      C.Cache.access_batch cache ~addrs ~metas ~pos:2 ~len:3);
-  expect_invalid "negative pos" (fun () ->
-      C.Cache.access_batch cache ~addrs ~metas ~pos:(-1) ~len:1);
-  expect_invalid "negative len" (fun () ->
-      C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:(-1));
-  expect_invalid "mismatched metas" (fun () ->
-      C.Cache.access_batch cache ~addrs ~metas:(Array.make 2 0) ~pos:0 ~len:3)
+  expect_invalid "len past end" (walk ~pos:2 ~len:3);
+  expect_invalid "negative pos" (walk ~pos:(-1) ~len:1);
+  expect_invalid "negative len" (walk ~pos:0 ~len:(-1));
+  expect_invalid "mismatched metas" (walk ~metas:(Array.make 2 0) ~pos:0 ~len:3)
 
 (* --- chunk-boundary edge cases --- *)
 
@@ -119,7 +123,7 @@ let test_empty_tape () =
   Alcotest.(check int) "chunks" 0 (Mt.Tape.chunk_count tape);
   Alcotest.(check int) "to_list" 0 (List.length (Mt.Tape.to_list tape));
   let cache = C.Cache.create C.Config.small_verification in
-  Mt.Tape.replay tape cache;
+  Mt.Tape.replay_fused tape [| cache |];
   Alcotest.(check int) "no accesses" 0
     (C.Stats.Snapshot.accesses (C.Stats.Snapshot.totals (snap cache)))
 
@@ -250,7 +254,7 @@ let test_fused_equals_sequential () =
   List.iteri
     (fun i cfg ->
       let sequential = C.Cache.create cfg in
-      Mt.Tape.replay tape sequential;
+      Mt.Tape.replay_fused tape [| sequential |];
       C.Cache.flush sequential;
       check_snapshots
         (Printf.sprintf "fused = sequential on %s" cfg.C.Config.name)
@@ -290,7 +294,7 @@ let test_workload_bit_identity () =
       List.iter
         (fun cfg ->
           let replayed = C.Cache.create cfg in
-          Mt.Tape.replay tape replayed;
+          Mt.Tape.replay_fused tape [| replayed |];
           C.Cache.flush replayed;
           check_snapshots
             (Printf.sprintf "%s on %s" instance.Core.Workload.workload
@@ -411,33 +415,35 @@ let test_partition_validation () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "mismatched replica geometry must be rejected"
 
-(* --- Verify strategies agree --- *)
+(* --- Verify rows: every width agrees with the retrace oracle --- *)
 
-let test_verify_strategies_identical () =
+let test_verify_widths_match_oracle () =
   let workloads = [ Core.Workloads.vm; Core.Workloads.mc ] in
-  let run strategy = Core.Verify.run_all ~jobs:1 ~strategy ~workloads () in
-  let retrace = run Core.Verify.Retrace in
-  let replay = run Core.Verify.Replay in
-  let fused = run Core.Verify.Fused in
-  Alcotest.(check bool) "replay = retrace" true (replay = retrace);
-  Alcotest.(check bool) "fused = retrace" true (fused = retrace);
-  let parallel =
-    Core.Verify.run_all ~jobs:4 ~strategy:Core.Verify.Replay ~workloads ()
+  (* The independent reference: each kernel traced straight into each
+     cache, no tape and no sharding. *)
+  let oracle =
+    List.concat_map
+      (fun w ->
+        let instance = Core.Workloads.verification_instance w in
+        List.concat_map
+          (fun cache -> Core.Verify.verify_instance ~cache instance)
+          C.Config.verification_set)
+      workloads
   in
-  Alcotest.(check bool) "parallel replay = serial" true (parallel = replay);
-  (* The partitioned sharded engine, at widths below and above the
-     smallest verification cache's set count (the central clamp), still
-     reproduces the same rows. *)
   List.iter
-    (fun shards ->
-      let sharded =
-        Core.Verify.run_all ~jobs:4 ~strategy:Core.Verify.Sharded ~shards
-          ~workloads ()
-      in
+    (fun jobs ->
       Alcotest.(check bool)
-        (Printf.sprintf "sharded (%d shards) = retrace" shards)
-        true (sharded = retrace))
-    [ 2; 8; 256 ]
+        (Printf.sprintf "run_all -j %d = verify_instance" jobs)
+        true
+        (Core.Verify.run_all ~jobs ~workloads () = oracle))
+    [ 1; 2; 16 ];
+  let cap =
+    Core.Verify.capture (Core.Workloads.verification_instance Core.Workloads.vm)
+  in
+  Alcotest.(check bool) "capture_rows = verify_instance slice" true
+    (Core.Verify.capture_rows cap
+    = List.filter (fun (r : Core.Verify.row) -> r.Core.Verify.workload = "VM")
+        oracle)
 
 (* --- simulated cache sweep --- *)
 
@@ -499,7 +505,7 @@ let suite =
     Alcotest.test_case "partition skips disjoint chunks" `Quick
       test_partition_skips_disjoint_chunks;
     Alcotest.test_case "partition validation" `Quick test_partition_validation;
-    Alcotest.test_case "verify strategies identical" `Quick
-      test_verify_strategies_identical;
+    Alcotest.test_case "verify widths = verify_instance" `Quick
+      test_verify_widths_match_oracle;
     Alcotest.test_case "simulated sweep" `Quick test_sweep_simulate;
   ]

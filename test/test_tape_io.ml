@@ -165,37 +165,26 @@ let expect_error name path check =
         (Printf.sprintf "%s (%s)" name (Mt.Tape_io.error_to_string e))
         true (check e)
 
-(* --- legacy v1 format and version probing --- *)
+(* --- retired v1 format and version probing --- *)
 
-let test_v1_roundtrip () =
+(* A v1-era file is refused with a structured error, never an exception:
+   the header's version field is all the readers look at first, so a v2
+   file patched to declare version 1 is indistinguishable from one. *)
+let test_v1_version_mismatch () =
   with_tape_file (fun path ->
-      let registry = make_registry () in
-      let tape = make_tape 200 in
-      Mt.Tape_io.save_v1 ~path ~meta ~registry ~tape;
-      (match Mt.Tape_io.read_version path with
-      | Ok 1 -> ()
-      | Ok v -> Alcotest.failf "save_v1 wrote version %d" v
+      save_good path;
+      let b = Bytes.of_string (read_file path) in
+      Bytes.set_int32_le b 8 1l;
+      write_file path (Bytes.to_string b);
+      expect_error "v1 load" path (function
+        | Mt.Tape_io.Version_mismatch 1 -> true
+        | _ -> false);
+      match Mt.Tape_io.read_meta path with
+      | Error (Mt.Tape_io.Version_mismatch 1) -> ()
+      | Ok _ -> Alcotest.fail "read_meta accepted a v1 header"
       | Error e ->
-          Alcotest.failf "read_version: %s" (Mt.Tape_io.error_to_string e));
-      let meta', registry', tape' = load_exn path in
-      check_meta "v1 meta" meta meta';
-      Alcotest.(check bool) "v1 registry" true
-        (Mt.Region.export registry = Mt.Region.export registry');
-      Alcotest.(check bool) "v1 events" true
-        (List.for_all2 Mt.Event.equal (Mt.Tape.to_list tape)
-           (Mt.Tape.to_list tape'));
-      (* The streamed v1 load rebuilds the partition index from the
-         words, so it replays — and shards — exactly like the
-         original. *)
-      Alcotest.(check bool) "v1 partition index rebuilt" true
-        (Mt.Tape.chunk_infos tape = Mt.Tape.chunk_infos tape');
-      let cfg = C.Config.small_verification in
-      let a = C.Cache.create cfg and b = C.Cache.create cfg in
-      Mt.Tape.replay tape a;
-      Mt.Tape.replay tape' b;
-      C.Cache.flush a;
-      C.Cache.flush b;
-      Alcotest.(check bool) "v1 replay identical" true (snap a = snap b))
+          Alcotest.failf "read_meta: expected Version_mismatch 1, got %s"
+            (Mt.Tape_io.error_to_string e))
 
 let test_read_version () =
   with_tape_file (fun path ->
@@ -324,8 +313,8 @@ let test_eager_and_lazy_loads_agree () =
            (Mt.Tape.to_list eager_tape));
       let cfg = C.Config.large_verification in
       let a = C.Cache.create cfg and b = C.Cache.create cfg in
-      Mt.Tape.replay lazy_tape a;
-      Mt.Tape.replay eager_tape b;
+      Mt.Tape.replay_fused lazy_tape [| a |];
+      Mt.Tape.replay_fused eager_tape [| b |];
       C.Cache.flush a;
       C.Cache.flush b;
       Alcotest.(check bool) "replays agree" true (snap a = snap b);
@@ -378,8 +367,8 @@ let suite =
     Alcotest.test_case "loaded tape replays identically (fused + sharded)"
       `Quick test_loaded_tape_replays_identically;
     Alcotest.test_case "read_meta" `Quick test_read_meta;
-    Alcotest.test_case "v1 roundtrip (legacy streamed load)" `Quick
-      test_v1_roundtrip;
+    Alcotest.test_case "v1 file is Version_mismatch" `Quick
+      test_v1_version_mismatch;
     Alcotest.test_case "read_version probes without loading" `Quick
       test_read_version;
     Alcotest.test_case "missing file is Io_error" `Quick test_missing_file;
