@@ -3,23 +3,16 @@
    DESIGN.md calls out, exercises the Aspen DSL end to end, and times the
    analytical models against the cache simulator with bechamel (the
    paper's "evaluation cost at the granularity of seconds" claim).
+   Throughput of the pipeline's layers is measured by perfbench/, not
+   here.
 
-   Usage: dune exec bench/main.exe
-     [-- section ... [-j N] [--tape-store DIR]]
-   where section is one of: tables fig4 fig5 fig6 fig7 sweep tape ablation
-   sparse component inject chaos aspen speed serve.
+   Usage: dune exec bench/main.exe [-- section ... [-j N]]
+   where section is one of: tables fig4 fig5 fig6 fig7 sweep ablation
+   sparse component inject chaos aspen speed.
    With no sections every section runs.  [-j N] (or [--jobs N]) sets the
    domain count for the parallel sections (fig4, fig6, sweep, inject,
    chaos); the default is Domain.recommended_domain_count, and [-j 1]
-   forces the serial path.  [--tape-store DIR] routes every capture in
-   fig4, sweep and serve through a persistent content-addressed tape
-   store, so a warm store benchmarks the replay-from-disk path and the
-   snapshot records store hit/miss/byte counters.
-
-   Every run also writes BENCH_dvf.json — a machine-readable performance
-   snapshot (command, cache geometry, job count, wall-clock, trace-replay
-   events/sec, and the full telemetry document) — so CI can archive
-   per-commit performance without parsing the human-readable tables. *)
+   forces the serial path. *)
 
 let section_header title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
@@ -36,9 +29,9 @@ let run_tables () =
 
 (* --- Fig. 4: model verification --- *)
 
-let run_fig4 ~jobs ~telemetry ~store () =
+let run_fig4 ~jobs =
   section_header "Fig. 4 - Model verification (trace-driven simulation vs CGPMAC)";
-  let rows = Core.Verify.run_all ~jobs ~telemetry ?store () in
+  let rows = Core.Verify.run_all ~jobs () in
   Dvf_util.Table.print (Core.Verify.to_table rows);
   let summary =
     Dvf_util.Table.create ~title:"Aggregate (total-traffic) error per kernel"
@@ -98,9 +91,9 @@ let run_fig5 () =
 
 (* --- Fig. 6: CG vs PCG --- *)
 
-let run_fig6 ~jobs ~telemetry () =
+let run_fig6 ~jobs =
   section_header "Fig. 6 - Algorithm optimization (CG vs PCG)";
-  let rows = Core.Experiments.fig6 ~jobs ~telemetry () in
+  let rows = Core.Experiments.fig6 ~jobs () in
   Dvf_util.Table.print (Core.Experiments.fig6_table rows);
   let crossover =
     List.find_opt
@@ -272,7 +265,7 @@ let run_ablation () =
 
 (* --- Cache-capacity sweep (Fig. 5's x-axis at full resolution) --- *)
 
-let run_sweep ~jobs ~telemetry ~store () =
+let run_sweep ~jobs =
   section_header "Cache-capacity sweep (DVF_a, 4KB..16MB, 8-way, 64B lines)";
   (* The sweep also runs the trace-driven simulator over every geometry —
      one captured tape per workload, all geometries driven by one engine
@@ -281,212 +274,12 @@ let run_sweep ~jobs ~telemetry ~store () =
     (fun workload ->
       let instance = Core.Workloads.profiling_instance workload in
       let rows =
-        Core.Experiments.cache_sweep ~jobs ~telemetry ?store ~simulate:true
-          instance
+        Core.Experiments.cache_sweep ~jobs ~simulate:true instance
       in
       Dvf_util.Table.print
         (Core.Experiments.cache_sweep_table
            ~label:instance.Core.Workload.label rows))
     [ Core.Workloads.vm; Core.Workloads.ft; Core.Workloads.mc ]
-
-(* --- Tape replay engine: domain scaling, hierarchy and residency --- *)
-
-let run_tape ~jobs ~telemetry () =
-  section_header "Tape replay engine - set-sharded scaling (Fig. 4 sweep)";
-  let module T = Dvf_util.Telemetry in
-  (* Each run goes against a forked collector so its counters and
-     accumulators don't mix with the other runs'; rates are read off the
-     fork, then everything merges into the session collector for the
-     BENCH_dvf.json snapshot. *)
-  let run ~jobs =
-    let fork = T.fork telemetry in
-    let t0 = Unix.gettimeofday () in
-    let rows = Core.Verify.run_all ~jobs ~telemetry:fork () in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let rate counter =
-      let ns = T.span_ns fork "verify/replay_total" in
-      if Int64.compare ns 0L > 0 then
-        float_of_int (T.counter_value fork counter)
-        /. (Int64.to_float ns /. 1e9)
-      else 0.0
-    in
-    T.merge ~into:telemetry fork;
-    (rows, seconds, rate "tape/replay_events", rate "shard/walked_events")
-  in
-  (* Two rates per run: "logical" divides the stream each cache consumed
-     once by replay wall-clock; "aggregate" divides the event-walks the
-     engine performed across all its shard domains by the same wall-clock
-     (a 1-domain run performs exactly one walk, so both rates coincide
-     for the baseline).  On a box with >= shard_domains cores the logical
-     rate converges to the aggregate; the aggregate is the
-     machine-independent engine throughput. *)
-  let shard_domains = max 4 jobs in
-  let one_rows, one_s, one_rate, _ = run ~jobs:1 in
-  let shardn_rows, shardn_s, shardn_rate, shardn_walked =
-    run ~jobs:shard_domains
-  in
-  let t =
-    Dvf_util.Table.create
-      ~title:
-        (Printf.sprintf
-           "Sharded replay scaling (set-partitioned, %d shards on %d domains)"
-           shard_domains shard_domains)
-      [
-        ("walk", Dvf_util.Table.Left);
-        ("wall s", Dvf_util.Table.Right);
-        ("logical events/sec", Dvf_util.Table.Right);
-        ("aggregate events/sec", Dvf_util.Table.Right);
-        ("agg speedup", Dvf_util.Table.Right);
-      ]
-  in
-  List.iter
-    (fun (name, seconds, logical, aggregate) ->
-      Dvf_util.Table.add_row t
-        [
-          name;
-          Printf.sprintf "%.3f" seconds;
-          Printf.sprintf "%.3g" logical;
-          Printf.sprintf "%.3g" aggregate;
-          Printf.sprintf "%.2fx"
-            (if one_rate > 0.0 then aggregate /. one_rate else 0.0);
-        ])
-    [
-      ("1 domain (baseline)", one_s, one_rate, one_rate);
-      ( Printf.sprintf "sharded, %d domains" shard_domains,
-        shardn_s,
-        shardn_rate,
-        shardn_walked );
-    ];
-  Dvf_util.Table.print t;
-  Printf.printf "sharded rows bit-identical to serial: %s\n"
-    (if one_rows = shardn_rows then "yes" else "NO");
-  if T.enabled telemetry then begin
-    T.set_gauge telemetry "bench/fused_1dom_events_per_sec" one_rate;
-    T.set_gauge telemetry "bench/sharded_scaling_events_per_sec" shardn_walked;
-    T.set_gauge telemetry "bench/sharded_partitioned_events_per_sec"
-      shardn_walked;
-    T.set_gauge telemetry "bench/shard_domains" (float_of_int shard_domains)
-  end;
-  (* Per-level hierarchy throughput: a two-level run reports each level's
-     served accesses over the same replay wall-clock. *)
-  let levels = 2 in
-  let fork = T.fork telemetry in
-  let t0 = Unix.gettimeofday () in
-  let (_ : Core.Verify.level_row list) =
-    Core.Verify.run_all_levels ~jobs ~telemetry:fork ~levels ()
-  in
-  let hier_s = Unix.gettimeofday () -. t0 in
-  let level_counter fmt level = T.counter_value fork (Printf.sprintf fmt level) in
-  let t =
-    Dvf_util.Table.create
-      ~title:
-        (Printf.sprintf
-           "L1/L2 write-back hierarchy (verification sweep, %d levels, \
-            %.3f s)"
-           levels hier_s)
-      [
-        ("level", Dvf_util.Table.Left);
-        ("accesses", Dvf_util.Table.Right);
-        ("misses", Dvf_util.Table.Right);
-        ("writebacks", Dvf_util.Table.Right);
-        ("accesses/sec", Dvf_util.Table.Right);
-      ]
-  in
-  for level = 1 to levels do
-    let accesses = level_counter "hierarchy/l%d/accesses" level in
-    let rate =
-      if hier_s > 0.0 then float_of_int accesses /. hier_s else 0.0
-    in
-    Dvf_util.Table.add_row t
-      [
-        Printf.sprintf "L%d" level;
-        Printf.sprintf "%d" accesses;
-        Printf.sprintf "%d" (level_counter "hierarchy/l%d/misses" level);
-        Printf.sprintf "%d" (level_counter "hierarchy/l%d/writebacks" level);
-        Printf.sprintf "%.3g" rate;
-      ];
-    if T.enabled telemetry then
-      T.set_gauge telemetry
-        (Printf.sprintf "bench/level%d_accesses_per_sec" level)
-        rate
-  done;
-  Dvf_util.Table.print t;
-  let l1_out =
-    level_counter "hierarchy/l%d/misses" 1
-    + level_counter "hierarchy/l%d/writebacks" 1
-  in
-  Printf.printf "L2 accesses = L1 misses + L1 writebacks: %s\n"
-    (if level_counter "hierarchy/l%d/accesses" 2 = l1_out then "yes" else "NO");
-  T.merge ~into:telemetry fork;
-  if T.enabled telemetry then
-    T.set_gauge telemetry "bench/hierarchy_levels" (float_of_int levels);
-  (* Timed replay: residency tracking swaps the specialized unsafe loop
-     for a per-event logical clock. *)
-  let fork = T.fork telemetry in
-  let t0 = Unix.gettimeofday () in
-  let (_ : Core.Verify.time_row list) =
-    Core.Verify.run_all_timed ~jobs ~telemetry:fork ()
-  in
-  let timed_s = Unix.gettimeofday () -. t0 in
-  let timed_rate =
-    let ns = T.span_ns fork "verify/timed_total" in
-    if Int64.compare ns 0L > 0 then
-      float_of_int (T.counter_value fork "tape/timed_replay_events")
-      /. (Int64.to_float ns /. 1e9)
-    else 0.0
-  in
-  T.merge ~into:telemetry fork;
-  Printf.printf
-    "timed replay (per-line residency): %.3f s wall, %.3g events/sec\n"
-    timed_s timed_rate;
-  if T.enabled telemetry then
-    T.set_gauge telemetry "bench/timed_replay_events_per_sec" timed_rate;
-  (* On-disk load: eager per-chunk decode vs the default lazy mmap
-     adoption (.dvftape v2).  Both paths verify the full payload
-     checksum; the lazy path defers the addr/meta array decode until a
-     replay touches each chunk, so load returns after the header walk
-     and one streaming pass over the mapping.  Best-of-N wall times
-     keep the ratio stable against page-cache noise. *)
-  let cap =
-    Core.Verify.capture
-      (Core.Workloads.verification_instance Core.Workloads.cg)
-  in
-  let tmp = Filename.temp_file "dvf_bench" ".dvftape" in
-  Fun.protect ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
-  @@ fun () ->
-  Memtrace.Tape_io.save ~path:tmp
-    ~meta:
-      {
-        Memtrace.Tape_io.workload = cap.Core.Verify.instance.Core.Workload.workload;
-        size = cap.Core.Verify.instance.Core.Workload.label;
-        seed = 0;
-      }
-    ~registry:cap.Core.Verify.registry ~tape:cap.Core.Verify.tape;
-  let best_of n f =
-    let best = ref infinity in
-    for _ = 1 to n do
-      let t0 = Unix.gettimeofday () in
-      (match f () with
-      | Ok (_, _, (tape : Memtrace.Tape.t)) -> ignore (Memtrace.Tape.length tape)
-      | Error e -> failwith (Memtrace.Tape_io.error_to_string e));
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let reps = 5 in
-  let eager_s = best_of reps (fun () -> Memtrace.Tape_io.load ~eager:true tmp) in
-  let lazy_s = best_of reps (fun () -> Memtrace.Tape_io.load ~telemetry tmp) in
-  let speedup = if lazy_s > 0.0 then eager_s /. lazy_s else 0.0 in
-  Printf.printf
-    "tape load (%s, %d events): eager %.4f s, lazy mmap %.4f s -> %.2fx\n"
-    cap.Core.Verify.instance.Core.Workload.workload
-    (Memtrace.Tape.length cap.Core.Verify.tape)
-    eager_s lazy_s speedup;
-  if T.enabled telemetry then begin
-    T.set_gauge telemetry "bench/tape_load_eager_sec" eager_s;
-    T.set_gauge telemetry "bench/tape_load_mmap_sec" lazy_s;
-    T.set_gauge telemetry "bench/tape_load_mmap_speedup" speedup
-  end
 
 (* --- Extensions: sparse CG and cache-component DVF --- *)
 
@@ -577,14 +370,14 @@ let run_component () =
 
 (* --- Fault injection vs DVF --- *)
 
-let run_inject ~jobs ~telemetry () =
+let run_inject ~jobs =
   section_header
     "Fault injection vs DVF (the comparator methodology, paper SS I / SS VI)";
   let cache = Cachesim.Config.profiling_4mb in
   (* All six registered workloads through the injection subsystem, trials
      fanned out over [jobs] domains. *)
   let start = Unix.gettimeofday () in
-  let results = Core.Injection.run_all ~jobs ~telemetry (Core.Workloads.all ()) in
+  let results = Core.Injection.run_all ~jobs (Core.Workloads.all ()) in
   let inject_seconds = Unix.gettimeofday () -. start in
   List.iter
     (fun r -> Dvf_util.Table.print (Core.Injection.to_table r))
@@ -659,55 +452,17 @@ let run_inject ~jobs ~telemetry () =
 
 (* --- Chaos: component-kill campaigns over the service graph --- *)
 
-let run_chaos ~jobs ~telemetry () =
+let run_chaos ~jobs =
   section_header "Chaos campaigns - component kills over the service graph";
-  let w = Core.Service_workloads.workload () in
-  let trials = 2000 in
-  let start = Unix.gettimeofday () in
   let report =
-    match Core.Chaos.run ~jobs ~telemetry ~trials w with
+    match
+      Core.Chaos.run ~jobs ~trials:2000 (Core.Service_workloads.workload ())
+    with
     | Some r -> r
     | None -> failwith "service_graph workload lost its topology"
   in
-  let chaos_seconds = Unix.gettimeofday () -. start in
   Dvf_util.Table.print (Core.Chaos.to_table report);
-  Format.printf "%a" Core.Chaos.pp_summary report;
-  let total_trials =
-    List.fold_left
-      (fun acc (r : Core.Chaos.row) -> acc + r.Core.Chaos.trials)
-      0 report.Core.Chaos.rows
-  in
-  let trial_rate =
-    if chaos_seconds > 0.0 then float_of_int total_trials /. chaos_seconds
-    else 0.0
-  in
-  Printf.printf "%d kill trials in %.3f s = %.0f trials/sec (-j %d)\n"
-    total_trials chaos_seconds trial_rate jobs;
-  (* The synthesized request traffic through the verification cache — the
-     replay feeding the availability-vs-DVF comparison above. *)
-  let inst = w.Core.Workload.instance `Verification in
-  let cache = Cachesim.Cache.create Cachesim.Config.small_verification in
-  let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  ignore
-    (Memtrace.Recorder.add_sink recorder (Memtrace.Recorder.cache_sink cache));
-  let t0 = Unix.gettimeofday () in
-  inst.Core.Workload.trace registry recorder;
-  Memtrace.Recorder.flush recorder;
-  let trace_seconds = Unix.gettimeofday () -. t0 in
-  let events = Memtrace.Recorder.events_emitted recorder in
-  let event_rate =
-    if trace_seconds > 0.0 then float_of_int events /. trace_seconds else 0.0
-  in
-  Printf.printf
-    "service-graph traffic: %d events in %.3f s = %.2e events/sec\n" events
-    trace_seconds event_rate;
-  if Dvf_util.Telemetry.enabled telemetry then begin
-    Dvf_util.Telemetry.set_gauge telemetry "bench/chaos_trials_per_sec"
-      trial_rate;
-    Dvf_util.Telemetry.set_gauge telemetry
-      "bench/service_graph_replay_events_per_sec" event_rate
-  end
+  Format.printf "%a" Core.Chaos.pp_summary report
 
 (* --- Aspen DSL end-to-end --- *)
 
@@ -750,53 +505,6 @@ let run_aspen () =
           dsl_nha api_nha
      then "identical"
      else "MISMATCH")
-
-(* --- Serve: query-daemon request throughput --- *)
-
-let run_serve ~jobs ~telemetry ~store () =
-  section_header "Query daemon - dvf serve request throughput";
-  let srv = Core.Serve.create ~telemetry ?store ~jobs () in
-  Fun.protect
-    ~finally:(fun () -> Core.Serve.shutdown srv)
-    (fun () ->
-      let t0 = Unix.gettimeofday () in
-      Core.Serve.warm srv;
-      let warm_s = Unix.gettimeofday () -. t0 in
-      Printf.printf "warmed %d workloads in %.3f s%s\n"
-        (Core.Serve.warm_count srv) warm_s
-        (match store with Some _ -> " (tape store on)" | None -> "");
-      (* One batch mixes a replay-heavy op (verify: full tape walk over
-         the verification set) and a model op (dvf: analytic
-         profile) over every served workload — the shape a monitoring
-         client would send — spread over the pool by handle_batch. *)
-      let names = Core.Serve.workload_names srv in
-      let batch =
-        List.concat
-          (List.mapi
-             (fun i name ->
-               List.map
-                 (fun op ->
-                   Printf.sprintf {|{"id":%d,"op":"%s","workload":"%s"}|} i op
-                     name)
-                 [ "verify"; "dvf" ])
-             names)
-      in
-      (* Untimed pass so the measured rounds hit only warm state. *)
-      ignore (Core.Serve.handle_batch srv batch);
-      let rounds = 2 in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to rounds do
-        ignore (Core.Serve.handle_batch srv batch)
-      done;
-      let seconds = Unix.gettimeofday () -. t0 in
-      let total = rounds * List.length batch in
-      let rate = if seconds > 0.0 then float_of_int total /. seconds else 0.0 in
-      Printf.printf
-        "%d requests (%d batches of %d) in %.3f s = %.1f requests/sec (-j %d)\n"
-        total rounds (List.length batch) seconds rate jobs;
-      if Dvf_util.Telemetry.enabled telemetry then
-        Dvf_util.Telemetry.set_gauge telemetry "bench/serve_requests_per_sec"
-          rate)
 
 (* --- Speed: analytical models vs cache simulation --- *)
 
@@ -873,138 +581,20 @@ let run_speed () =
 
 let sections =
   [
-    ("tables", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_tables ());
+    ("tables", fun ~jobs:_ -> run_tables ());
     ("fig4", run_fig4);
-    ("fig5", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_fig5 ());
-    ( "fig6",
-      fun ~jobs ~telemetry ~store:_ () -> run_fig6 ~jobs ~telemetry ()
-    );
-    ("fig7", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_fig7 ());
+    ("fig5", fun ~jobs:_ -> run_fig5 ());
+    ("fig6", run_fig6);
+    ("fig7", fun ~jobs:_ -> run_fig7 ());
     ("sweep", run_sweep);
-    ( "tape",
-      fun ~jobs ~telemetry ~store:_ () -> run_tape ~jobs ~telemetry ()
-    );
-    ( "ablation",
-      fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_ablation () );
-    ("sparse", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_sparse ());
-    ( "component",
-      fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_component () );
-    ( "inject",
-      fun ~jobs ~telemetry ~store:_ () -> run_inject ~jobs ~telemetry ()
-    );
-    ( "chaos",
-      fun ~jobs ~telemetry ~store:_ () -> run_chaos ~jobs ~telemetry ()
-    );
-    ("aspen", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_aspen ());
-    ("speed", fun ~jobs:_ ~telemetry:_ ~store:_ () -> run_speed ());
-    ( "serve",
-      fun ~jobs ~telemetry ~store () -> run_serve ~jobs ~telemetry ~store ()
-    );
+    ("ablation", fun ~jobs:_ -> run_ablation ());
+    ("sparse", fun ~jobs:_ -> run_sparse ());
+    ("component", fun ~jobs:_ -> run_component ());
+    ("inject", run_inject);
+    ("chaos", run_chaos);
+    ("aspen", fun ~jobs:_ -> run_aspen ());
+    ("speed", fun ~jobs:_ -> run_speed ());
   ]
-
-(* BENCH_dvf.json: the machine-readable counterpart of the tables above.
-   One flat header (command, cache geometry, jobs, wall-clock, trace
-   events/sec) plus the whole telemetry document, so downstream tooling
-   never parses the pretty-printed output. *)
-let write_bench_snapshot ~command ~jobs ~store_dir ~wall_clock_sec
-    telemetry =
-  let module J = Dvf_util.Json in
-  let module T = Dvf_util.Telemetry in
-  let rate counter span =
-    let ns = T.span_ns telemetry span in
-    if Int64.compare ns 0L > 0 then
-      J.Float
-        (float_of_int (T.counter_value telemetry counter)
-        /. (Int64.to_float ns /. 1e9))
-    else J.Null
-  in
-  let replay_rate = rate "tape/replay_events" "verify/replay_total" in
-  let gauge name =
-    match T.gauge_value telemetry name with
-    | Some v -> J.Float v
-    | None -> J.Null
-  in
-  let gauge_int name =
-    match T.gauge_value telemetry name with
-    | Some v -> J.Int (int_of_float v)
-    | None -> J.Null
-  in
-  let geometry =
-    J.List
-      (List.map
-         (fun (c : Cachesim.Config.t) ->
-           J.Obj
-             [
-               ("name", J.Str c.Cachesim.Config.name);
-               ("associativity", J.Int c.Cachesim.Config.associativity);
-               ("sets", J.Int c.Cachesim.Config.sets);
-               ("line_bytes", J.Int c.Cachesim.Config.line);
-               ("capacity_bytes", J.Int (Cachesim.Config.capacity c));
-             ])
-         (Cachesim.Config.verification_set @ Cachesim.Config.profiling_set))
-  in
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "dvf-bench");
-        ("schema_version", J.Int T.schema_version);
-        ("command", J.Str command);
-        ("geometry", geometry);
-        ("jobs", J.Int jobs);
-        ("wall_clock_sec", J.Float wall_clock_sec);
-        ("events_per_sec", replay_rate);
-        ("replay_events_per_sec", replay_rate);
-        ("capture_events_per_sec", rate "tape/capture_events" "verify/capture_total");
-        (* Sharded scaling and per-level hierarchy rates, measured by the
-           tape section (gauges are absent — Null here — when that
-           section did not run).  [sharded_events_per_sec] is the
-           aggregate engine rate over all shard domains; the 1-domain
-           baseline's aggregate and logical rates coincide. *)
-        ("fused_events_per_sec", gauge "bench/fused_1dom_events_per_sec");
-        ("sharded_events_per_sec", gauge "bench/sharded_scaling_events_per_sec");
-        (* Partition-index era fields: the sharded engine's aggregate rate
-           over pre-partitioned chunk views, the chunks those views let
-           shard tasks skip outright, and the eager-vs-mmap load ratio
-           measured by the tape section (Null when it did not run). *)
-        ( "sharded_partitioned_events_per_sec",
-          gauge "bench/sharded_partitioned_events_per_sec" );
-        ( "tape_chunks_skipped",
-          J.Int (T.counter_value telemetry "tape/chunks_skipped") );
-        ("tape_load_mmap_speedup", gauge "bench/tape_load_mmap_speedup");
-        ("shards", gauge_int "bench/shard_domains");
-        ("levels", gauge_int "bench/hierarchy_levels");
-        ("level1_accesses_per_sec", gauge "bench/level1_accesses_per_sec");
-        ("level2_accesses_per_sec", gauge "bench/level2_accesses_per_sec");
-        (* Residency-tracking replay (the timed walk behind `dvf verify
-           --time-weighted` and `dvf windows`). *)
-        ( "timed_replay_events_per_sec",
-          gauge "bench/timed_replay_events_per_sec" );
-        (* Persistent tape store traffic (zero when --tape-store is off)
-           and the serve section's request throughput (Null when that
-           section did not run). *)
-        ( "tape_store",
-          match store_dir with Some d -> J.Str d | None -> J.Null );
-        ("store_hits", J.Int (T.counter_value telemetry "store/hits"));
-        ("store_misses", J.Int (T.counter_value telemetry "store/misses"));
-        ( "store_load_bytes",
-          J.Int (T.counter_value telemetry "store/load_bytes") );
-        ( "store_save_bytes",
-          J.Int (T.counter_value telemetry "store/save_bytes") );
-        ("serve_requests_per_sec", gauge "bench/serve_requests_per_sec");
-        (* Chaos section rates (Null when that section did not run):
-           component-kill campaign throughput and the service-graph
-           synthesized-traffic replay rate. *)
-        ("chaos_trials_per_sec", gauge "bench/chaos_trials_per_sec");
-        ( "service_graph_replay_events_per_sec",
-          gauge "bench/service_graph_replay_events_per_sec" );
-        ("telemetry", T.to_json telemetry);
-      ]
-  in
-  let oc = open_out "BENCH_dvf.json" in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "performance snapshot written to BENCH_dvf.json\n"
 
 let usage_error message =
   Printf.eprintf "%s (available sections: %s)\n" message
@@ -1016,7 +606,6 @@ let () =
      names.  Validate every section up front so a typo exits non-zero
      before anything runs, instead of failing halfway through a sweep. *)
   let jobs = ref (Dvf_util.Parallel.recommended_jobs ()) in
-  let store_dir = ref None in
   let rec parse acc = function
     | [] -> List.rev acc
     | ("-j" | "--jobs") :: value :: rest -> (
@@ -1026,10 +615,6 @@ let () =
             parse acc rest
         | _ -> usage_error (Printf.sprintf "bad job count %S" value))
     | [ ("-j" | "--jobs") ] -> usage_error "-j expects a positive integer"
-    | "--tape-store" :: dir :: rest ->
-        store_dir := Some dir;
-        parse acc rest
-    | [ "--tape-store" ] -> usage_error "--tape-store expects a directory"
     | name :: rest -> parse (name :: acc) rest
   in
   let requested =
@@ -1045,16 +630,4 @@ let () =
         | None -> usage_error (Printf.sprintf "unknown section '%s'" name))
       requested
   in
-  let telemetry = Dvf_util.Telemetry.create () in
-  let store =
-    Option.map
-      (fun dir -> Memtrace.Tape_store.create ~telemetry ~dir ())
-      !store_dir
-  in
-  let start = Unix.gettimeofday () in
-  List.iter (fun run -> run ~jobs:!jobs ~telemetry ~store ()) runs;
-  write_bench_snapshot
-    ~command:(String.concat " " (Array.to_list Sys.argv))
-    ~jobs:!jobs ~store_dir:!store_dir
-    ~wall_clock_sec:(Unix.gettimeofday () -. start)
-    telemetry
+  List.iter (fun run -> run ~jobs:!jobs) runs

@@ -537,10 +537,14 @@ let serve_cmd =
   let run jobs metrics tape_store socket workloads =
     let jobs = Cli_common.check_jobs jobs in
     (* A signal flips the loop into a normal return so the pool shuts
-       down and --metrics still gets written. *)
+       down and --metrics still gets written.  SIGPIPE is ignored so a
+       client that hangs up before its reply surfaces as EPIPE: a socket
+       client is dropped, and a closed stdout ends the session like
+       SIGINT. *)
     let on_signal = Sys.Signal_handle (fun _ -> raise Exit) in
     Sys.set_signal Sys.sigint on_signal;
     Sys.set_signal Sys.sigterm on_signal;
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     Cli_common.with_metrics metrics (fun telemetry ->
         let store = Cli_common.open_tape_store ~telemetry tape_store in
         let srv = Core.Serve.create ~telemetry ?store ~jobs ~workloads () in
@@ -552,7 +556,7 @@ let serve_cmd =
           match socket with
           | None -> serve_connection srv ~in_fd:Unix.stdin ~out_fd:Unix.stdout
           | Some path -> serve_socket srv path
-        with Exit -> ())
+        with Exit | Unix.Unix_error (Unix.EPIPE, _, _) -> ())
   in
   Cmd.v
     (Cmd.info "serve"

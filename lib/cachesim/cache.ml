@@ -252,16 +252,15 @@ let check_shards ~shards ~shard =
   if shards <= 0 || shards land (shards - 1) <> 0 then
     invalid_arg
       (Printf.sprintf
-         "Cache: shards must be a positive power of two (got %d)" shards);
+         "Cache.check_shards: shards must be a positive power of two (got %d)"
+         shards);
   if shard < 0 || shard >= shards then
     invalid_arg
-      (Printf.sprintf "Cache: shard %d out of range (0..%d)" shard (shards - 1))
+      (Printf.sprintf "Cache.check_shards: shard %d out of range (0..%d)" shard
+         (shards - 1))
 
 let effective_shards t ~shards =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Cache: shards must be a positive power of two (got %d)" shards);
+  check_shards ~shards ~shard:0;
   min shards t.config.Config.sets
 
 (* [touch_feed] per line of the shard; the clock is [times.(i)] when
@@ -371,34 +370,12 @@ let access_batch_timed t ~addrs ~metas ~times ~pos ~len ~fill ~spill =
   generic_walk t ~addrs ~metas ~times:(Some times) ~pos ~len ~mask:0 ~shard:0
     ~fill ~spill
 
-let set_of_addr t addr =
-  if addr < 0 then invalid_arg "Cache.set_of_addr: negative address";
-  (addr lsr t.line_shift) land t.set_mask
-
-(* End-of-run eviction of everything resident.  With residency
-   attached, every surviving line's open phase is closed at the current
-   event clock — the driver sets [now] to the run horizon first
-   ([set_now]) so end-of-run exposure is counted up to the horizon and
-   no further. *)
-let flush t =
-  Array.iteri
-    (fun w tag ->
-      if tag >= 0 then begin
-        if t.dirty.(w) then Stats.record_writeback t.stats ~owner:t.owners.(w);
-        (match t.res with
-        | Some res ->
-            Residency.record_interval res ~owner:t.owners.(w)
-              ~dirty:t.dirty.(w) ~t0:t.res_start.(w) ~t1:t.now;
-            Residency.record_flush res ~owner:t.owners.(w)
-        | None -> ());
-        t.tags.(w) <- -1;
-        t.dirty.(w) <- false;
-        t.stamps.(w) <- 0
-      end)
-    t.tags
-
-(* [flush], but every dirty line's write-back is also handed to [spill]
-   (slot order, i.e. set-major) so a next cache level can absorb it. *)
+(* End-of-run eviction of everything resident; every dirty line's
+   write-back is also handed to [spill] (slot order, i.e. set-major) so a
+   next cache level can absorb it.  With residency attached, every
+   surviving line's open phase is closed at the current event clock —
+   the caller sets [now] to the run horizon first ([set_now]) so
+   end-of-run exposure is counted up to the horizon and no further. *)
 let flush_feed t ~spill =
   Array.iteri
     (fun w tag ->
@@ -418,6 +395,8 @@ let flush_feed t ~spill =
         t.stamps.(w) <- 0
       end)
     t.tags
+
+let flush t = flush_feed t ~spill:nofeed
 
 let invalidate t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

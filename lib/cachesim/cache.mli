@@ -91,6 +91,13 @@ val unpack_access : int -> int * bool * int
     makes exactly the serial per-set decisions, so merging the shard
     caches' statistics reproduces the serial totals bit for bit. *)
 
+val check_shards : shards:int -> shard:int -> unit
+(** The one validity check for a shard selector, shared by every
+    set-sharded walk ({!access_batch}, {!Hierarchy.access_batch} and the
+    tape replays): raises [Invalid_argument] unless [shards] is a
+    positive power of two and [0 <= shard < shards].  Allocates nothing
+    when the arguments are valid. *)
+
 val effective_shards : t -> shards:int -> int
 (** [min shards sets]: the number of shards that actually own sets of
     this cache.  Shards [>= effective_shards] are no-ops for it.  Raises
@@ -150,10 +157,6 @@ val access_batch_timed :
 (** Unsharded {!access_batch} with the clock set to [times.(i)] before
     event [i].  Raises [Invalid_argument] on a bad range in any of the
     three arrays. *)
-
-val set_of_addr : t -> int -> int
-(** Set index of a byte address — the sharding key.  Raises
-    [Invalid_argument] on a negative address. *)
 
 val flush : t -> unit
 (** Evict everything, recording writebacks for dirty lines.  Called at the

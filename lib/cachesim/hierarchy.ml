@@ -163,14 +163,7 @@ and flush_queue t ~level =
   end
 
 let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Hierarchy: shards must be a positive power of two (got %d)" shards);
-  if shard < 0 || shard >= shards then
-    invalid_arg
-      (Printf.sprintf "Hierarchy: shard %d out of range (0..%d)" shard
-         (shards - 1));
+  Cache.check_shards ~shards ~shard;
   let eff = min shards (max_shards t) in
   (* Shards beyond the effective count own no sets at any level. *)
   if shard < eff then

@@ -407,15 +407,6 @@ let hierarchy_selector hierarchies ~shards ~shard =
                in
                Some (log2_pow2 line, eff)))
 
-let check_shards ~shards ~shard =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf "Tape: shards must be a positive power of two (got %d)"
-         shards);
-  if shard < 0 || shard >= shards then
-    invalid_arg
-      (Printf.sprintf "Tape: shard %d out of range (0..%d)" shard (shards - 1))
-
 let index_intersects idx mask =
   let rec go i =
     i < coverage_words
@@ -473,11 +464,7 @@ let make_view t all_entries ~shards ~shard sel =
   }
 
 let partition_with t ~shards ~selector_of =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Tape.partition: shards must be a positive power of two (got %d)"
-         shards);
+  Cachesim.Cache.check_shards ~shards ~shard:0;
   let all_entries = entries t in
   Array.init shards (fun shard ->
       make_view t all_entries ~shards ~shard (selector_of ~shard))
@@ -535,7 +522,7 @@ let replay_view_hierarchies v hierarchies =
    from [shard]'s lines (for every cache) are skipped without being
    walked — or, for deferred chunks, decoded. *)
 let replay_fused_sharded ?skipped t caches ~shards ~shard =
-  check_shards ~shards ~shard;
+  Cachesim.Cache.check_shards ~shards ~shard;
   let v =
     make_view t (entries t) ~shards ~shard
       (cache_selector caches ~shards ~shard)

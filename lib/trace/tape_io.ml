@@ -418,14 +418,13 @@ let with_file path f =
       | exception Bad_file e -> Error e
       | exception Sys_error msg -> Error (Io_error msg))
 
-let load ?(telemetry = Dvf_util.Telemetry.null) ?(eager = false) path =
+let load ?(telemetry = Dvf_util.Telemetry.null) path =
   with_file path (fun r ->
       let chunk_events, total, stored_checksum, meta = read_header r in
       let registry = read_regions r in
       let tape =
         read_chunks_v2 r ~telemetry ~chunk_events ~total ~stored_checksum
       in
-      if eager then Tape.materialize tape;
       (meta, registry, tape))
 
 let read_meta path =

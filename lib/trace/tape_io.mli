@@ -60,7 +60,6 @@ val save :
 
 val load :
   ?telemetry:Dvf_util.Telemetry.t ->
-  ?eager:bool ->
   string ->
   (meta * Region.t * Tape.t, error) result
 (** Read a tape file back.  Verifies magic, version, structural
@@ -68,8 +67,7 @@ val load :
     failure is a structured [Error], never a partial tape.  For a v2
     file the chunks arrive deferred over a shared mapping (the
     ["tape/mmap_bytes"] counter on [telemetry] records the mapped
-    payload size); [~eager:true] forces every chunk immediately —
-    the benchmark baseline, and the streamed-fallback behaviour. *)
+    payload size); {!Tape.materialize} forces every chunk at once. *)
 
 val read_meta : string -> (meta, error) result
 (** Provenance only — reads just the fixed header, not the region table

@@ -2,9 +2,9 @@
 
     Just enough JSON for the telemetry subsystem: {!Telemetry} serializes
     its metrics with {!to_string}, tests and CI round-trip the emitted
-    documents with {!of_string}, and [bench/main.exe] builds its
-    [BENCH_dvf.json] snapshot from {!t} values directly.  No external
-    dependency (yojson is not in the toolchain this repo builds against).
+    documents with {!of_string}, and [dvf serve] speaks it line by line
+    ({!parse_line}).  No external dependency (yojson is not in the
+    toolchain this repo builds against).
 
     Object member order is preserved as given; emitters that need
     deterministic output (telemetry does) sort their members before

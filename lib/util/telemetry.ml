@@ -97,13 +97,6 @@ let set_gauge t name v =
           | Some r -> r := v
           | None -> Hashtbl.add e.gauges name (ref v))
 
-let gauge_value t name =
-  match t with
-  | Disabled -> None
-  | Enabled e ->
-      Mutex.protect e.mutex (fun () ->
-          Option.map ( ! ) (Hashtbl.find_opt e.gauges name))
-
 let counter_value t name =
   match t with
   | Disabled -> 0
@@ -138,50 +131,9 @@ let gauge_rate t ~name ~counter ~span =
           (float_of_int (counter_value t counter)
           /. (Int64.to_float ns /. 1e9))
 
-let fork = function
-  | Disabled -> Disabled
-  | Enabled e -> create ~clock:e.clock ()
-
 let sorted_bindings table =
   let all = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
   List.sort (fun (a, _) (b, _) -> String.compare a b) all
-
-let merge ~into src =
-  match (into, src) with
-  | Disabled, _ | _, Disabled -> ()
-  | Enabled into_e, Enabled src_e ->
-      (* Snapshot the source under its own lock, then apply under the
-         destination's — never hold both (merge ~into:a b racing
-         merge ~into:b a must not deadlock). *)
-      let spans, counters, gauges =
-        Mutex.protect src_e.mutex (fun () ->
-            ( List.map
-                (fun (k, (s : span_stat)) -> (k, (s.calls, s.ns)))
-                (sorted_bindings src_e.spans),
-              List.map (fun (k, r) -> (k, !r)) (sorted_bindings src_e.counters),
-              List.map (fun (k, r) -> (k, !r)) (sorted_bindings src_e.gauges) ))
-      in
-      Mutex.protect into_e.mutex (fun () ->
-          List.iter
-            (fun (path, (calls, ns)) ->
-              match Hashtbl.find_opt into_e.spans path with
-              | Some s ->
-                  s.calls <- s.calls + calls;
-                  s.ns <- Int64.add s.ns ns
-              | None -> Hashtbl.add into_e.spans path { calls; ns })
-            spans;
-          List.iter
-            (fun (name, n) ->
-              match Hashtbl.find_opt into_e.counters name with
-              | Some r -> r := !r + n
-              | None -> Hashtbl.add into_e.counters name (ref n))
-            counters;
-          List.iter
-            (fun (name, v) ->
-              match Hashtbl.find_opt into_e.gauges name with
-              | Some r -> r := v
-              | None -> Hashtbl.add into_e.gauges name (ref v))
-            gauges)
 
 let schema_version = 1
 

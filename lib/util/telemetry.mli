@@ -5,8 +5,7 @@
     optional telemetry collector and reports into it: hierarchical
     wall-clock {e spans} (monotonic clock), monotone integer {e counters}
     and point-in-time float {e gauges}.  A collector serializes to a
-    versioned JSON document ({!to_json}) consumed by [--metrics] and by
-    [bench/main.exe]'s [BENCH_dvf.json] snapshot.
+    versioned JSON document ({!to_json}) written by [--metrics].
 
     {2 Zero cost when disabled}
 
@@ -22,9 +21,7 @@
     and span-total updates take an internal mutex, and the span {e stack}
     (which turns nested {!span} calls into [parent/child] paths) lives in
     domain-local storage, so concurrently running workers cannot corrupt
-    each other's nesting.  Alternatively {!fork} per-domain collectors
-    and {!merge} them after the join — counter and span addition
-    commutes, so the merged result is independent of worker scheduling.
+    each other's nesting.
 
     Everything recorded is deterministic except the time fields: counters
     and span {e call counts} depend only on the work done, never on [-j]
@@ -70,11 +67,6 @@ val set_gauge : t -> string -> float -> unit
 val counter_value : t -> string -> int
 (** Current value, [0] for unknown counters (always [0] when disabled). *)
 
-val gauge_value : t -> string -> float option
-(** Current gauge value, [None] when the gauge was never set (always
-    [None] when disabled).  Lets report writers (the bench snapshot)
-    read back derived gauges without re-deriving them. *)
-
 val span_ns : t -> string -> int64
 (** Accumulated nanoseconds under a span path, [0L] when absent. *)
 
@@ -83,17 +75,6 @@ val span_calls : t -> string -> int
 val gauge_rate : t -> name:string -> counter:string -> span:string -> unit
 (** Derive a throughput gauge: [name] := counter value / span seconds.
     No-op when the span has accumulated no time (avoids infinities). *)
-
-val fork : t -> t
-(** A fresh collector sharing the parent's clock and enabled-ness:
-    [fork null == null].  Give one to each worker domain, then {!merge}
-    into the parent after the join. *)
-
-val merge : into:t -> t -> unit
-(** Add every counter and span (durations and call counts) of the source
-    into [into]; gauges are copied (last write wins, sources applied in
-    sorted-name order).  Merging disabled collectors is a no-op.
-    Counter/span merging commutes. *)
 
 val schema_version : int
 (** Version stamped into every emitted document (currently 1). *)

@@ -333,6 +333,77 @@ let test_end_to_end_binary () =
           (served = direct))
   end
 
+(* A socket client that hangs up before its reply must cost the daemon
+   that client only: the write fails with EPIPE (not a fatal SIGPIPE)
+   and the next client is served. *)
+let test_socket_client_hangs_up () =
+  let exe = "../bin/dvf_cli.exe" in
+  if not (Sys.file_exists exe) then
+    Alcotest.skip ()
+  else begin
+    let path = Printf.sprintf "serve_hangup_%d.sock" (Unix.getpid ()) in
+    let dev_null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Unix.create_process exe
+        [| exe; "serve"; "-j"; "1"; "--socket"; path; "VM" |]
+        dev_null dev_null dev_null
+    in
+    Unix.close dev_null;
+    (* Writing to a dead daemon must fail this test, not kill the runner. *)
+    let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigpipe old_sigpipe;
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid);
+        try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        let connect () =
+          let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          match Unix.connect sock (Unix.ADDR_UNIX path) with
+          | () -> Some sock
+          | exception Unix.Unix_error _ ->
+              Unix.close sock;
+              None
+        in
+        let send sock line =
+          let line = line ^ "\n" in
+          ignore (Unix.write_substring sock line 0 (String.length line))
+        in
+        (* The daemon binds its socket once the workload is warm. *)
+        let rec wait_ready tries =
+          match connect () with
+          | Some sock -> sock
+          | None when tries > 0 ->
+              Unix.sleepf 0.05;
+              wait_ready (tries - 1)
+          | None -> Alcotest.fail "daemon never started listening"
+        in
+        let early = wait_ready 1200 in
+        send early {|{"id":1,"op":"verify","workload":"VM"}|};
+        Unix.close early;
+        let reply =
+          match connect () with
+          | None -> Error "connection refused"
+          | Some sock -> (
+              let ic = Unix.in_channel_of_descr sock in
+              Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+              match
+                send sock {|{"id":2,"op":"ping"}|};
+                input_line ic
+              with
+              | line -> Ok line
+              | exception (Unix.Unix_error _ | Sys_error _ | End_of_file) ->
+                  Error "connection lost")
+        in
+        match reply with
+        | Error why ->
+            Alcotest.failf "daemon died after a client hung up early (%s)" why
+        | Ok line ->
+            Alcotest.(check bool) "second client pong" true
+              (field "pong" (expect_ok (parse_exn line)) = J.Bool true))
+  end
+
 let suite =
   [
     Alcotest.test_case "ping" `Quick test_ping;
@@ -358,4 +429,6 @@ let suite =
     Alcotest.test_case "Json.parse_line" `Quick test_json_parse_line;
     Alcotest.test_case "end-to-end: dvf serve over pipes" `Quick
       test_end_to_end_binary;
+    Alcotest.test_case "socket client hanging up early" `Quick
+      test_socket_client_hangs_up;
   ]

@@ -300,13 +300,14 @@ let test_save_is_atomic () =
 let test_eager_and_lazy_loads_agree () =
   with_tape_file (fun path ->
       save_good path;
-      let load ~eager =
-        match Mt.Tape_io.load ~eager path with
+      let load () =
+        match Mt.Tape_io.load path with
         | Ok (_, _, t) -> t
         | Error e -> Alcotest.failf "load: %s" (Mt.Tape_io.error_to_string e)
       in
-      let lazy_tape = load ~eager:false in
-      let eager_tape = load ~eager:true in
+      let lazy_tape = load () in
+      let eager_tape = load () in
+      Mt.Tape.materialize eager_tape;
       Alcotest.(check bool) "event streams agree" true
         (List.for_all2 Mt.Event.equal
            (Mt.Tape.to_list lazy_tape)
@@ -321,6 +322,7 @@ let test_eager_and_lazy_loads_agree () =
       (* materialize is idempotent on both. *)
       Mt.Tape.materialize lazy_tape;
       Mt.Tape.materialize lazy_tape;
+      Mt.Tape.materialize eager_tape;
       Alcotest.(check int) "materialize preserves length"
         (Mt.Tape.length eager_tape)
         (Mt.Tape.length lazy_tape))

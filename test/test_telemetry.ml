@@ -1,6 +1,6 @@
-(* Telemetry collector: span nesting, counter/gauge semantics, fork/merge
-   commutativity, the versioned JSON document, and the end-to-end
-   guarantee that enabling metrics never changes computed results. *)
+(* Telemetry collector: span nesting, counter/gauge semantics, the
+   versioned JSON document, and the end-to-end guarantee that enabling
+   metrics never changes computed results. *)
 
 module T = Dvf_util.Telemetry
 module J = Dvf_util.Json
@@ -22,8 +22,7 @@ let test_null_is_inert () =
   T.time_ns T.null "s" 5L;
   Alcotest.(check int) "counter stays zero" 0 (T.counter_value T.null "c");
   Alcotest.(check int64) "span stays zero" 0L (T.span_ns T.null "s");
-  Alcotest.(check int) "span thunk runs" 41 (T.span T.null "s" (fun () -> 41));
-  Alcotest.(check bool) "fork null is null" true (T.fork T.null == T.null)
+  Alcotest.(check int) "span thunk runs" 41 (T.span T.null "s" (fun () -> 41))
 
 (* --- span nesting --- *)
 
@@ -85,36 +84,6 @@ let test_counters_and_gauges () =
       Alcotest.(check bool) "no infinite gauge" false
         (List.mem_assoc "bad" gauges)
   | _ -> Alcotest.fail "gauges section missing"
-
-(* --- fork / merge --- *)
-
-let record_worker_a t =
-  T.add t ~n:3 "shared";
-  T.add t ~n:1 "only_a";
-  T.time_ns t "work" 100L
-
-let record_worker_b t =
-  T.add t ~n:4 "shared";
-  T.time_ns t "work" 50L;
-  T.time_ns t "b_phase" 7L
-
-let test_merge_commutes () =
-  let merged order =
-    let parent = T.create ~clock:(fake_clock ()) () in
-    let a = T.fork parent and b = T.fork parent in
-    record_worker_a a;
-    record_worker_b b;
-    List.iter (fun src -> T.merge ~into:parent src) (order a b);
-    T.to_json parent
-  in
-  let ab = merged (fun a b -> [ a; b ]) in
-  let ba = merged (fun a b -> [ b; a ]) in
-  Alcotest.(check bool) "merge order invisible" true (J.equal ab ba);
-  match J.member "counters" ab with
-  | Some (J.Obj counters) ->
-      Alcotest.(check bool) "counters added" true
-        (List.assoc "shared" counters = J.Int 7)
-  | _ -> Alcotest.fail "counters section missing"
 
 (* --- JSON document --- *)
 
@@ -202,7 +171,6 @@ let suite =
     Alcotest.test_case "span survives exceptions" `Quick
       test_span_exception_still_recorded;
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
-    Alcotest.test_case "merge commutes" `Quick test_merge_commutes;
     Alcotest.test_case "JSON round-trip and validation" `Quick
       test_json_roundtrip_and_validate;
     Alcotest.test_case "verify rows identical with metrics" `Slow
