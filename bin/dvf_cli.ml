@@ -918,9 +918,8 @@ let tape_cmd =
     Cmd.v
       (Cmd.info "info"
          ~doc:
-           "Print a tape file's header, provenance and partition-index \
-            summary (byte-stable; $(b,--json) for the machine-readable \
-            line)")
+           "Print a tape file's header, provenance and layout summary \
+            (byte-stable; $(b,--json) for the machine-readable line)")
       Term.(const run $ file $ json)
   in
   Cmd.group

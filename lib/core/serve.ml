@@ -351,11 +351,10 @@ let chaos_report_of_result result =
 
 (* {2 Tape file inspection}
 
-   The payload behind [dvf tape info]: the on-disk header and
-   provenance plus a summary of the per-chunk partition index.  Lives
-   here so it shares the row-codec helpers and the %.17g float
-   convention — the JSON line round-trips exactly, and the rendered
-   table is byte-stable for CI comparison. *)
+   The payload behind [dvf tape info]: the on-disk header, provenance
+   and layout summary.  Lives here so it shares the row-codec helpers —
+   the JSON line round-trips exactly, and the rendered table is
+   byte-stable for CI comparison. *)
 
 type tape_info = {
   ti_version : int;
@@ -366,22 +365,7 @@ type tape_info = {
   ti_events : int;
   ti_chunks : int;
   ti_regions : int;
-  ti_granule : int;  (* bytes per partition-index granule *)
-  ti_buckets : int;
-  ti_min_line : int;  (* smallest granule line in any chunk; -1 if empty *)
-  ti_max_line : int;  (* largest; -1 if empty *)
-  ti_buckets_covered : int;  (* distinct buckets set across all chunks *)
-  ti_saturated_chunks : int;  (* chunks whose bitmap covers every bucket *)
-  ti_mean_coverage : float;  (* mean covered-bucket fraction per chunk *)
 }
-
-let popcount w =
-  let n = ref 0 and w = ref w in
-  while !w <> 0 do
-    n := !n + 1;
-    w := !w land (!w - 1)
-  done;
-  !n
 
 let tape_info_of_file path =
   match Memtrace.Tape_io.read_version path with
@@ -390,26 +374,6 @@ let tape_info_of_file path =
       match Memtrace.Tape_io.load path with
       | Error e -> Error e
       | Ok (meta, registry, tape) ->
-          let infos = Memtrace.Tape.chunk_infos tape in
-          let union = Array.make Memtrace.Tape.coverage_words 0 in
-          let min_line = ref max_int and max_line = ref (-1) in
-          let saturated = ref 0 and covered_sum = ref 0 in
-          List.iter
-            (fun (ci : Memtrace.Tape.chunk_info) ->
-              Array.iteri
-                (fun i w -> union.(i) <- union.(i) lor w)
-                ci.Memtrace.Tape.ci_coverage;
-              let covered =
-                Array.fold_left
-                  (fun acc w -> acc + popcount w)
-                  0 ci.Memtrace.Tape.ci_coverage
-              in
-              covered_sum := !covered_sum + covered;
-              if covered = Memtrace.Tape.partition_buckets then incr saturated;
-              min_line := min !min_line ci.Memtrace.Tape.ci_min_line;
-              max_line := max !max_line ci.Memtrace.Tape.ci_max_line)
-            infos;
-          let chunks = List.length infos in
           Ok
             {
               ti_version = version;
@@ -418,20 +382,8 @@ let tape_info_of_file path =
               ti_seed = meta.Memtrace.Tape_io.seed;
               ti_chunk_events = Memtrace.Tape.chunk_events tape;
               ti_events = Memtrace.Tape.length tape;
-              ti_chunks = chunks;
+              ti_chunks = Memtrace.Tape.chunk_count tape;
               ti_regions = List.length (Memtrace.Region.regions registry);
-              ti_granule = 1 lsl Memtrace.Tape.granule_shift;
-              ti_buckets = Memtrace.Tape.partition_buckets;
-              ti_min_line = (if chunks = 0 then -1 else !min_line);
-              ti_max_line = (if chunks = 0 then -1 else !max_line);
-              ti_buckets_covered =
-                Array.fold_left (fun acc w -> acc + popcount w) 0 union;
-              ti_saturated_chunks = !saturated;
-              ti_mean_coverage =
-                (if chunks = 0 then 0.0
-                 else
-                   float_of_int !covered_sum
-                   /. float_of_int (chunks * Memtrace.Tape.partition_buckets));
             })
 
 let tape_info_to_json i =
@@ -445,13 +397,6 @@ let tape_info_to_json i =
       ("events", Json.Int i.ti_events);
       ("chunks", Json.Int i.ti_chunks);
       ("regions", Json.Int i.ti_regions);
-      ("granule", Json.Int i.ti_granule);
-      ("buckets", Json.Int i.ti_buckets);
-      ("min_line", Json.Int i.ti_min_line);
-      ("max_line", Json.Int i.ti_max_line);
-      ("buckets_covered", Json.Int i.ti_buckets_covered);
-      ("saturated_chunks", Json.Int i.ti_saturated_chunks);
-      ("mean_coverage", Json.Float i.ti_mean_coverage);
     ]
 
 let tape_info_of_json j =
@@ -465,21 +410,13 @@ let tape_info_of_json j =
     ti_events = int_field ~what "events" j;
     ti_chunks = int_field ~what "chunks" j;
     ti_regions = int_field ~what "regions" j;
-    ti_granule = int_field ~what "granule" j;
-    ti_buckets = int_field ~what "buckets" j;
-    ti_min_line = int_field ~what "min_line" j;
-    ti_max_line = int_field ~what "max_line" j;
-    ti_buckets_covered = int_field ~what "buckets_covered" j;
-    ti_saturated_chunks = int_field ~what "saturated_chunks" j;
-    ti_mean_coverage = float_field ~what "mean_coverage" j;
   }
 
 let tape_info_table i =
   let t =
-    Dvf_util.Table.create ~title:"Tape file: header and partition index"
+    Dvf_util.Table.create ~title:"Tape file: header"
       [ ("field", Dvf_util.Table.Left); ("value", Dvf_util.Table.Right) ]
   in
-  let line v = if v < 0 then "-" else string_of_int v in
   List.iter
     (fun (k, v) -> Dvf_util.Table.add_row t [ k; v ])
     [
@@ -491,15 +428,6 @@ let tape_info_table i =
       ("events", string_of_int i.ti_events);
       ("chunks", string_of_int i.ti_chunks);
       ("regions", string_of_int i.ti_regions);
-      ("granule (bytes)", string_of_int i.ti_granule);
-      ("partition buckets", string_of_int i.ti_buckets);
-      ("min granule line", line i.ti_min_line);
-      ("max granule line", line i.ti_max_line);
-      ( "buckets covered",
-        Printf.sprintf "%d/%d" i.ti_buckets_covered i.ti_buckets );
-      ("saturated chunks", string_of_int i.ti_saturated_chunks);
-      ( "mean chunk coverage",
-        Printf.sprintf "%.1f%%" (100.0 *. i.ti_mean_coverage) );
     ];
   t
 

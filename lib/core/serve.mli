@@ -132,11 +132,11 @@ val chaos_report_of_result : Dvf_util.Json.t -> Chaos.report
 
 (** {2 Tape file inspection}
 
-    The payload behind [dvf tape info]: a .dvftape file's header and
-    provenance plus a summary of its per-chunk partition index
-    ({!Memtrace.Tape.chunk_infos}).  Shares the row-codec conventions —
-    the JSON line round-trips exactly and the rendered table is
-    byte-stable, which CI uses to pin the subcommand's output. *)
+    The payload behind [dvf tape info]: a .dvftape file's header,
+    provenance and layout (events, chunks, regions).  Shares the
+    row-codec conventions — the JSON line round-trips exactly and the
+    rendered table is byte-stable, which CI uses to pin the
+    subcommand's output. *)
 
 type tape_info = {
   ti_version : int;  (** on-disk format version the file declares *)
@@ -147,18 +147,10 @@ type tape_info = {
   ti_events : int;
   ti_chunks : int;
   ti_regions : int;
-  ti_granule : int;  (** bytes per partition-index granule *)
-  ti_buckets : int;  (** coverage-bitmap buckets per chunk *)
-  ti_min_line : int;  (** smallest granule line any chunk touches; -1 if empty *)
-  ti_max_line : int;  (** largest; -1 if empty *)
-  ti_buckets_covered : int;  (** distinct buckets set across all chunks *)
-  ti_saturated_chunks : int;  (** chunks whose bitmap covers every bucket *)
-  ti_mean_coverage : float;  (** mean covered-bucket fraction per chunk *)
 }
 
 val tape_info_of_file : string -> (tape_info, Memtrace.Tape_io.error) result
-(** Load (header, regions and chunk table only — deferred chunks are
-    never decoded) and summarize one tape file. *)
+(** Load (checksum verified) and summarize one tape file. *)
 
 val tape_info_to_json : tape_info -> Dvf_util.Json.t
 val tape_info_of_json : Dvf_util.Json.t -> tape_info

@@ -120,11 +120,10 @@ let capture ?(telemetry = Telemetry.null) ?store
 
    1. Walk: one task per (capture x shard), all captures in one map with
       no per-capture barrier.  Tasks are listed shard-major, so tasks
-      running at the same time mostly walk different captures and rarely
-      race to decode the same deferred chunk.  A task takes a private
-      replica of every consumer (with one residency accumulator per
-      level when [bins] is given), walks its shard's
-      [Tape.partition_hierarchies] view, pins the clock to the horizon
+      running at the same time mostly walk different captures.  A task
+      takes a private replica of every consumer (with one residency
+      accumulator per level when [bins] is given), walks its shard's
+      [Tape.view], pins the clock to the horizon
       (the tape length) and flushes.  Replicas share nothing, so tasks
       need no locking; each cache's statistics (and residency) are
       merged per capture in shard order ([Stats.sum], [Residency.sum]:
@@ -139,9 +138,7 @@ let capture ?(telemetry = Telemetry.null) ?store
    index bits), clamped to the smallest consumer level's set count: a
    wider width would spawn tasks that own no line of that consumer.  Set
    counts are powers of two, so the clamped width still is; rows never
-   depend on it.  With a residency accumulator attached the partition
-   selects every chunk, since the logical clock must advance over every
-   event. *)
+   depend on it. *)
 
 let pow2_floor n =
   let p = ref 1 in
@@ -196,10 +193,9 @@ let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
   in
   let walk (cap, shard) =
     let hs = replicas cap in
-    let view =
-      (Memtrace.Tape.partition_hierarchies cap.tape hs ~shards:width).(shard)
-    in
-    Memtrace.Tape.replay_view_hierarchies view hs;
+    Memtrace.Tape.replay_view_hierarchies
+      (Memtrace.Tape.view cap.tape ~shards:width ~shard)
+      hs;
     let levels h =
       Cachesim.Hierarchy.set_now h (Memtrace.Tape.length cap.tape);
       Cachesim.Hierarchy.flush h;
@@ -210,7 +206,7 @@ let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
     in
     let result = Array.map levels hs in
     Mutex.protect lock (fun () -> spare := hs :: !spare);
-    (result, view)
+    result
   in
   let t0 = Telemetry.now_ns telemetry in
   let walked =
@@ -228,7 +224,6 @@ let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
           (fun acc c -> acc + Memtrace.Tape.length c.tape)
           0 captures
     in
-    let sum f = List.fold_left (fun acc (_, v) -> acc + f v) 0 walked in
     (if bins = None then begin
        Telemetry.add telemetry ~n:events "tape/replay_events";
        Telemetry.time_ns telemetry "verify/replay_total" walk_ns
@@ -238,20 +233,15 @@ let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
        Telemetry.time_ns telemetry "verify/timed_total" walk_ns
      end);
     Telemetry.add telemetry ~n:(List.length walked) "shard/tasks";
-    (* Engine-side work: consumers x the events in the chunks the views
-       actually walk — the basis of the all-domains throughput figure. *)
-    Telemetry.add telemetry
-      ~n:(n_consumers * sum Memtrace.Tape.view_events)
-      "shard/walked_events";
-    Telemetry.add telemetry
-      ~n:(sum Memtrace.Tape.view_chunks_skipped)
-      "tape/chunks_skipped";
+    (* Engine-side work: every shard walks every event for every
+       consumer — the basis of the all-domains throughput figure. *)
+    Telemetry.add telemetry ~n:(width * events) "shard/walked_events";
     Telemetry.set_gauge telemetry "shard/count" (float_of_int width)
   end;
   (* Task [s * n_captures + i] walked shard [s] of capture [i]; merge
      each consumer's levels across the capture's shards, in shard
      order. *)
-  let walked = Array.of_list (List.map fst walked) in
+  let walked = Array.of_list walked in
   let n_captures = List.length captures in
   let merged =
     List.concat

@@ -100,7 +100,7 @@ val run_all :
     {!capture}; rows record a ["verify/<workload>/<cache>"] span with a
     nested ["model"] span and the ["cache/accesses"] counter; the walk
     records ["tape/replay_events"] (events x caches), ["shard/tasks"],
-    ["shard/walked_events"], ["tape/chunks_skipped"], the ["shard/count"]
+    ["shard/walked_events"], the ["shard/count"]
     gauge and the ["verify/replay_total"] accumulator; the sweep records
     ["verify/total"] wall-clock and, at the end, the throughput gauges
     ["recorder/events_per_sec"] and ["tape/capture_events_per_sec"] (over

@@ -30,7 +30,7 @@ let create ?(page = 4096) ?(stagger = 832) () =
     by_name = Hashtbl.create 16;
   }
 
-let round_up n granule = (n + granule - 1) / granule * granule
+let round_up n unit = (n + unit - 1) / unit * unit
 
 let register t ~name ~elements ~elem_size =
   if elements < 0 then invalid_arg "Region.register: negative element count";

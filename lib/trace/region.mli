@@ -18,7 +18,7 @@ type region = private {
 }
 
 val create : ?page:int -> ?stagger:int -> unit -> t
-(** [page] is the padding granule between regions (default 4096).
+(** [page] is the padding unit between regions (default 4096).
     [stagger] (default 832 bytes, a line-aligned odd multiple of 64)
     offsets each successive region's base by
     an extra [id * stagger] bytes so that distinct structures do not map

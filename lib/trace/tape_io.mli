@@ -2,24 +2,18 @@
 
     A saved tape is the whole capture artifact: provenance (workload,
     size label, seed), the simulated address-space layout
-    ({!Region.export}), the per-chunk partition index
-    ({!Tape.chunk_infos}), and the raw 16 B/event columnar chunks,
-    behind a magic/versioned header with payload and index checksums.
+    ({!Region.export}) and the raw 16 B/event columnar chunks, behind a
+    magic/versioned header and one checksum over everything else.
     {!save} then {!load} round-trips bit-identically — the loaded tape
     replays (fused and sharded, at any job count) to exactly the
     statistics of the in-memory original.
 
-    {!save} writes format version 2: the chunk table up front carries
-    each chunk's length and partition index, and the payload is a
-    contiguous, 8-byte-aligned block of addr/meta words.  {!load} maps
-    that block with [Unix.map_file] and adopts chunks zero-copy via
-    {!Tape.append_deferred_chunk}: the payload checksum is verified over
-    the mapping before any chunk is adopted, and a chunk's [int] arrays
-    are only decoded when a replay first touches it — so sharded walks
-    that skip a chunk never pay for decoding it.  On a big-endian host
-    or an unmappable file the same layout is streamed eagerly instead.
-    Version 1 files (no chunk table) are refused with
-    {!Version_mismatch}.
+    {!save} writes format version 3: the header, then the addr/meta
+    words of each chunk in capture order.  Chunk lengths follow from the
+    event count and the chunk capacity.  {!load} streams the payload,
+    decoding and hashing each chunk in one pass, and adopts the chunks
+    (via {!Tape.append_chunk}) only once the checksum matches.  Version
+    1 and 2 files are refused with {!Version_mismatch}.
 
     All multi-byte fields are little-endian and fixed-width; the format
     assumes a 64-bit platform (as does the in-memory layout).  The
@@ -52,22 +46,18 @@ val error_to_string : error -> string
 
 val save :
   path:string -> meta:meta -> registry:Region.t -> tape:Tape.t -> unit
-(** Write [tape] (with its provenance, registry and partition index) to
-    [path] atomically: the bytes go to [path ^ ".tmp"] which is renamed
-    into place, so a crash mid-save never leaves a half-written tape at
-    [path].  Materializes any deferred chunks.  Raises [Sys_error] on
-    I/O failure. *)
+(** Write [tape] (with its provenance and registry) to [path]
+    atomically: the bytes go to a temporary [path ^ ".<pid>-<n>.tmp"],
+    unique to this save, which is renamed into place — so a crash
+    mid-save never leaves a half-written tape at [path], and concurrent
+    saves of one path each install a complete file.  Raises [Sys_error]
+    on I/O failure. *)
 
-val load :
-  ?telemetry:Dvf_util.Telemetry.t ->
-  string ->
-  (meta * Region.t * Tape.t, error) result
-(** Read a tape file back.  Verifies magic, version, structural
-    invariants (chunk table, region layout) and both checksums; any
-    failure is a structured [Error], never a partial tape.  For a v2
-    file the chunks arrive deferred over a shared mapping (the
-    ["tape/mmap_bytes"] counter on [telemetry] records the mapped
-    payload size); {!Tape.materialize} forces every chunk at once. *)
+val load : string -> (meta * Region.t * Tape.t, error) result
+(** Read a tape file back.  Verifies magic, version, the header fields,
+    the file size against the event count, and the checksum, which
+    covers every header field and every event; any failure is a
+    structured [Error], never a partial tape or an exception. *)
 
 val read_meta : string -> (meta, error) result
 (** Provenance only — reads just the fixed header, not the region table

@@ -70,7 +70,7 @@ let meta_matches (m : Tape_io.meta) key =
    existing file gets it evicted so the caller recaptures over it. *)
 let timed_load t p =
   let start = Telemetry.now_ns t.telemetry in
-  let r = Tape_io.load ~telemetry:t.telemetry p in
+  let r = Tape_io.load p in
   Telemetry.time_ns t.telemetry "store/load_ns"
     (Int64.sub (Telemetry.now_ns t.telemetry) start);
   r
@@ -134,13 +134,21 @@ let list t =
            in
            Some { file; status })
 
-(* Orphaned temporaries: [Tape_io.save] writes [<entry>.tmp] and renames
-   it into place, so any [.dvftape.tmp] still on disk is the residue of
-   an interrupted save — never a live entry (a concurrent save would be
-   racing gc either way, and loses nothing but its cache warmth). *)
+(* Orphaned temporaries: [Tape_io.save] writes [<entry>.<pid>-<n>.tmp]
+   (older builds wrote [<entry>.tmp]) and renames it into place, so any
+   such file still on disk is the residue of an interrupted save — never
+   a live entry (a concurrent save would be racing gc either way, and
+   loses nothing but its cache warmth). *)
+let is_temp file =
+  Filename.check_suffix file ".tmp"
+  &&
+  let stem = Filename.chop_suffix file ".tmp" in
+  Filename.check_suffix stem suffix
+  || Filename.check_suffix (Filename.remove_extension stem) suffix
+
 let orphaned_temps t =
   Sys.readdir t.dir |> Array.to_list |> List.sort String.compare
-  |> List.filter (fun file -> Filename.check_suffix file (suffix ^ ".tmp"))
+  |> List.filter is_temp
 
 let entry_age_and_size t file =
   match Unix.stat (Filename.concat t.dir file) with

@@ -14,8 +14,7 @@
 
     Telemetry (when the store carries a live collector): counters
     [store/hits], [store/misses], [store/load_bytes],
-    [store/save_bytes], [store/evictions], [tape/mmap_bytes] (payload
-    bytes the loader mapped zero-copy), and the [store/load_ns]
+    [store/save_bytes], [store/evictions], and the [store/load_ns]
     duration accumulating wall-clock {!Tape_io.load} time. *)
 
 type t
@@ -71,7 +70,8 @@ val list : t -> entry list
 
 val gc : ?max_bytes:int -> t -> string list
 (** Remove every [`Stale] and [`Corrupt] entry, plus any orphaned
-    [.dvftape.tmp] left behind by an interrupted atomic save.  With
+    [.dvftape.<pid>-<n>.tmp] (or older [.dvftape.tmp]) temporary left
+    behind by an interrupted atomic save.  With
     [max_bytes], additionally evict healthy entries least-recently-used
     first ({!find} bumps an entry's mtime on every hit; ties break by
     file name) until the store's total size is within the budget.

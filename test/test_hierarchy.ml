@@ -41,9 +41,7 @@ let nofeed = C.Cache.nofeed
 
 (* The full (one-shard) walk of a tape into hierarchies. *)
 let replay_hierarchies tape hs =
-  Mt.Tape.replay_view_hierarchies
-    (Mt.Tape.partition_hierarchies tape hs ~shards:1).(0)
-    hs
+  Mt.Tape.replay_view_hierarchies (Mt.Tape.view tape ~shards:1 ~shard:0) hs
 
 let level_snaps h =
   List.init (C.Hierarchy.depth h) (fun i ->
@@ -298,14 +296,11 @@ let test_hierarchy_sharded_identity () =
   let serial_levels = level_snaps serial in
   List.iter
     (fun shards ->
-      let views =
-        Mt.Tape.partition_hierarchies tape [| C.Hierarchy.create configs |]
-          ~shards
-      in
       let replicas =
         Array.init shards (fun shard ->
             let h = C.Hierarchy.create configs in
-            Mt.Tape.replay_view_hierarchies views.(shard) [| h |];
+            Mt.Tape.replay_view_hierarchies (Mt.Tape.view tape ~shards ~shard)
+              [| h |];
             C.Hierarchy.flush h;
             h)
       in

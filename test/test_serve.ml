@@ -240,18 +240,8 @@ let test_tape_info () =
       Alcotest.(check int) "events" 200 info.Core.Serve.ti_events;
       Alcotest.(check int) "chunks" 4 info.Core.Serve.ti_chunks;
       Alcotest.(check int) "regions" 2 info.Core.Serve.ti_regions;
-      Alcotest.(check int) "granule" (1 lsl Mt.Tape.granule_shift)
-        info.Core.Serve.ti_granule;
-      Alcotest.(check int) "buckets" Mt.Tape.partition_buckets
-        info.Core.Serve.ti_buckets;
-      (* Addresses 0, 32, .. 199*32: granule lines 0 .. 796 step 4. *)
-      Alcotest.(check int) "min line" 0 info.Core.Serve.ti_min_line;
-      Alcotest.(check int) "max line" (199 * 4) info.Core.Serve.ti_max_line;
-      Alcotest.(check int) "covered buckets (stride 4)"
-        (Mt.Tape.partition_buckets / 4)
-        info.Core.Serve.ti_buckets_covered;
-      Alcotest.(check int) "no saturated chunks" 0
-        info.Core.Serve.ti_saturated_chunks;
+      Alcotest.(check int) "chunk capacity" 64 info.Core.Serve.ti_chunk_events;
+      Alcotest.(check int) "seed" 3 info.Core.Serve.ti_seed;
       (* The codec round-trips exactly and the JSON line is stable. *)
       let json = Core.Serve.tape_info_to_json info in
       Alcotest.(check bool) "json round-trip" true

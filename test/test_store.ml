@@ -164,21 +164,22 @@ let test_meta_mismatch_evicted () =
       Alcotest.(check bool) "mismatched entry removed" false
         (Sys.file_exists (Mt.Tape_store.path store key)))
 
-let test_format_bump_retires_v1_entries () =
+let format_bump_retires version () =
   with_store (fun store ->
       let registry, tape = make_capture 64 () in
-      (* An entry left behind by a v1-era build: same logical key, but
+      (* An entry left behind by an older build: same logical key, but
          filed under the name that build computed (the key hash embeds
-         the format version) and declaring version 1 in its header. *)
-      let v1_name =
+         the format version) and declaring its version in its header. *)
+      let old_name =
         Printf.sprintf "%s-%016Lx.dvftape" key.Mt.Tape_store.workload
           (Int64.of_int
              (Mt.Tape_io.hash_string
-                (Printf.sprintf "v1|%s|%s|%d" key.Mt.Tape_store.workload
-                   key.Mt.Tape_store.size key.Mt.Tape_store.seed)))
+                (Printf.sprintf "v%d|%s|%s|%d" version
+                   key.Mt.Tape_store.workload key.Mt.Tape_store.size
+                   key.Mt.Tape_store.seed)))
       in
-      let v1_path = Filename.concat (Mt.Tape_store.dir store) v1_name in
-      Mt.Tape_io.save ~path:v1_path
+      let old_path = Filename.concat (Mt.Tape_store.dir store) old_name in
+      Mt.Tape_io.save ~path:old_path
         ~meta:
           {
             Mt.Tape_io.workload = key.Mt.Tape_store.workload;
@@ -186,18 +187,19 @@ let test_format_bump_retires_v1_entries () =
             seed = key.Mt.Tape_store.seed;
           }
         ~registry ~tape;
-      patch_file v1_path (fun b -> Bytes.set_int32_le b 8 1l);
-      (* This build never probes the v1 name: a clean miss, and the old
+      patch_file old_path (fun b ->
+          Bytes.set_int32_le b 8 (Int32.of_int version));
+      (* This build never probes the old name: a clean miss, and the old
          file is left for gc rather than eagerly evicted. *)
-      Alcotest.(check bool) "v1 entry is not served" true
+      Alcotest.(check bool) "old entry is not served" true
         (Mt.Tape_store.find store key = None);
-      Alcotest.(check bool) "v1 file awaits gc" true (Sys.file_exists v1_path);
+      Alcotest.(check bool) "old file awaits gc" true (Sys.file_exists old_path);
       (* list labels it stale — a tape, but its declared version is not
          this build's. *)
       (match Mt.Tape_store.list store with
       | [ e ] ->
-          Alcotest.(check bool) "labelled Stale 1" true
-            (e.Mt.Tape_store.status = `Stale 1)
+          Alcotest.(check bool) "labelled Stale" true
+            (e.Mt.Tape_store.status = `Stale version)
       | es -> Alcotest.failf "expected one entry, got %d" (List.length es));
       (* find_or_capture recaptures under the current name... *)
       let _, _, hit =
@@ -206,9 +208,9 @@ let test_format_bump_retires_v1_entries () =
       Alcotest.(check bool) "recaptured" false hit;
       Alcotest.(check bool) "current-format entry on disk" true
         (Sys.file_exists (Mt.Tape_store.path store key));
-      (* ...and gc reaps the retired v1 file, keeping the fresh one. *)
+      (* ...and gc reaps the retired file, keeping the fresh one. *)
       let removed = Mt.Tape_store.gc store in
-      Alcotest.(check (list string)) "gc reaps the v1 entry" [ v1_name ] removed;
+      Alcotest.(check (list string)) "gc reaps the old entry" [ old_name ] removed;
       Alcotest.(check bool) "fresh entry survives" true
         (Mt.Tape_store.find store key <> None))
 
@@ -249,22 +251,45 @@ let test_gc_orphaned_temps () =
   with_store (fun store ->
       let registry, tape = make_capture 64 () in
       Mt.Tape_store.save store key ~registry ~tape;
-      (* The residue of an interrupted atomic save: [Tape_io.save]
-         writes [<entry>.tmp] and renames, so a lingering .tmp is
-         garbage by construction. *)
-      let orphan =
-        Filename.concat (Mt.Tape_store.dir store) "dead.dvftape.tmp"
-      in
-      let oc = open_out_bin orphan in
-      output_string oc "partial write";
-      close_out oc;
+      (* The residue of interrupted atomic saves: [Tape_io.save] writes
+         [<entry>.<pid>-<n>.tmp] (older builds [<entry>.tmp]) and
+         renames, so a lingering temporary is garbage by construction. *)
+      let orphans = [ "dead.dvftape.123-4.tmp"; "old.dvftape.tmp" ] in
+      List.iter
+        (fun name ->
+          let oc = open_out_bin (Filename.concat (Mt.Tape_store.dir store) name) in
+          output_string oc "partial write";
+          close_out oc)
+        orphans;
       let removed = Mt.Tape_store.gc store in
-      Alcotest.(check (list string)) "orphan removed"
-        [ "dead.dvftape.tmp" ] removed;
-      Alcotest.(check bool) "orphan gone from disk" false
-        (Sys.file_exists orphan);
+      Alcotest.(check (list string)) "orphans removed" orphans removed;
+      Alcotest.(check bool) "orphans gone from disk" false
+        (List.exists
+           (fun name ->
+             Sys.file_exists (Filename.concat (Mt.Tape_store.dir store) name))
+           orphans);
       Alcotest.(check bool) "live entry untouched" true
         (Mt.Tape_store.find store key <> None))
+
+(* Two writers saving one key at once (two processes sharing a store,
+   or two domains) each write their own temporary; every save succeeds
+   and the entry left behind loads. *)
+let test_concurrent_saves () =
+  with_store (fun store ->
+      let registry, tape = make_capture 200 () in
+      let writer () =
+        for _ = 1 to 25 do
+          Mt.Tape_store.save store key ~registry ~tape
+        done
+      in
+      let other = Domain.spawn writer in
+      writer ();
+      Domain.join other;
+      (match Mt.Tape_io.load (Mt.Tape_store.path store key) with
+      | Ok (_, _, loaded) -> check_same_tape "entry after the race" tape loaded
+      | Error e -> Alcotest.failf "load: %s" (Mt.Tape_io.error_to_string e));
+      Alcotest.(check (list string)) "no temporaries left" []
+        (Mt.Tape_store.gc store))
 
 let entry_bytes store k =
   let ic = open_in_bin (Mt.Tape_store.path store k) in
@@ -373,10 +398,14 @@ let suite =
     Alcotest.test_case "stale version evicted" `Quick test_stale_version_evicted;
     Alcotest.test_case "meta mismatch evicted" `Quick test_meta_mismatch_evicted;
     Alcotest.test_case "format bump retires v1 entries" `Quick
-      test_format_bump_retires_v1_entries;
+      (format_bump_retires 1);
+    Alcotest.test_case "format bump retires v2 entries" `Quick
+      (format_bump_retires 2);
     Alcotest.test_case "list and gc" `Quick test_list_and_gc;
     Alcotest.test_case "gc removes orphaned temporaries" `Quick
       test_gc_orphaned_temps;
+    Alcotest.test_case "concurrent saves of one key" `Quick
+      test_concurrent_saves;
     Alcotest.test_case "gc enforces an LRU byte budget" `Quick
       test_gc_lru_budget;
     Alcotest.test_case "create on a file is rejected" `Quick

@@ -304,7 +304,7 @@ let test_workload_bit_identity () =
         C.Config.verification_set)
     (Core.Workloads.all ())
 
-(* --- pre-partitioned shard views --- *)
+(* --- per-shard views --- *)
 
 let test_partition_views_bit_identity () =
   (* Every workload, shards 1/2/8: replaying each shard's view — in
@@ -330,15 +330,13 @@ let test_partition_views_bit_identity () =
           let replicas = caches () in
           Array.iteri
             (fun shard view ->
-              Alcotest.(check int) "view shard" shard (Mt.Tape.view_shard view);
-              Alcotest.(check int) "view shards" shards
-                (Mt.Tape.view_shards view);
               Alcotest.(check int)
-                (Printf.sprintf
-                   "%s -j%d shard %d: walked + skipped covers the tape" name
+                (Printf.sprintf "%s -j%d shard %d: walks every chunk" name
                    shards shard)
                 (Mt.Tape.chunk_count tape)
-                (Mt.Tape.view_chunks view + Mt.Tape.view_chunks_skipped view);
+                (Mt.Tape.view_chunks view);
+              Alcotest.(check int) "skips nothing" 0
+                (Mt.Tape.view_chunks_skipped view);
               Mt.Tape.replay_view view replicas)
             views;
           Array.iter C.Cache.flush replicas;
@@ -353,51 +351,6 @@ let test_partition_views_bit_identity () =
         [ 1; 2; 8 ])
     (Core.Workloads.all ())
 
-let test_partition_skips_disjoint_chunks () =
-  (* 8-byte lines make the granule line equal the cache line, so a chunk
-     touching only even granule lines provably holds nothing for the odd
-     shard of two — the index must skip it, and skipping must not change
-     a single statistic. *)
-  let cfg = C.Config.make ~name:"strided" ~associativity:2 ~sets:64 ~line:8 in
-  let chunk_events = 16 in
-  let tape = Mt.Tape.create ~chunk_events () in
-  for chunk = 0 to 3 do
-    for i = 0 to chunk_events - 1 do
-      let line = (2 * i) + (chunk land 1) in
-      Mt.Tape.append tape (Mt.Event.read ~owner:1 ~addr:(line * 8) ~size:4)
-    done
-  done;
-  Alcotest.(check int) "four chunks" 4 (Mt.Tape.chunk_count tape);
-  let caches () = [| C.Cache.create cfg |] in
-  let fused = caches () in
-  Mt.Tape.replay_fused tape fused;
-  Array.iter C.Cache.flush fused;
-  (* The on-the-fly sharded walk skips the foreign chunks... *)
-  let sharded = caches () in
-  let skipped = ref 0 in
-  for shard = 0 to 1 do
-    Mt.Tape.replay_fused_sharded ~skipped tape sharded ~shards:2 ~shard
-  done;
-  Array.iter C.Cache.flush sharded;
-  Alcotest.(check int) "each shard skips its two foreign chunks" 4 !skipped;
-  check_snapshots "sharded with skipping = fused" (snap fused.(0))
-    (snap sharded.(0));
-  (* ...and the pre-partitioned views exclude exactly the same chunks. *)
-  let views = Mt.Tape.partition tape (caches ()) ~shards:2 in
-  let replicas = caches () in
-  Array.iter
-    (fun view ->
-      Alcotest.(check int) "view walks its two chunks" 2
-        (Mt.Tape.view_chunks view);
-      Alcotest.(check int) "view skips the two foreign chunks" 2
-        (Mt.Tape.view_chunks_skipped view);
-      Alcotest.(check int) "view events" (2 * chunk_events)
-        (Mt.Tape.view_events view);
-      Mt.Tape.replay_view view replicas)
-    views;
-  Array.iter C.Cache.flush replicas;
-  check_snapshots "views = fused" (snap fused.(0)) (snap replicas.(0))
-
 let test_partition_validation () =
   let cfg = C.Config.make ~name:"v8" ~associativity:2 ~sets:64 ~line:8 in
   let tape = Mt.Tape.create ~chunk_events:16 () in
@@ -405,15 +358,9 @@ let test_partition_validation () =
   (match Mt.Tape.partition tape [| C.Cache.create cfg |] ~shards:3 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-power-of-two shard count must be rejected");
-  (* A view replayed into replicas of a different geometry must refuse
-     rather than silently drop or duplicate lines. *)
-  let views = Mt.Tape.partition tape [| C.Cache.create cfg |] ~shards:2 in
-  match
-    Mt.Tape.replay_view views.(0)
-      [| C.Cache.create C.Config.small_verification |]
-  with
+  match Mt.Tape.view tape ~shards:2 ~shard:2 with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "mismatched replica geometry must be rejected"
+  | _ -> Alcotest.fail "shard out of range must be rejected"
 
 (* --- Verify rows: every width agrees with the retrace oracle --- *)
 
@@ -502,8 +449,6 @@ let suite =
       test_workload_bit_identity;
     Alcotest.test_case "partitioned views bit-identity (all workloads)" `Quick
       test_partition_views_bit_identity;
-    Alcotest.test_case "partition skips disjoint chunks" `Quick
-      test_partition_skips_disjoint_chunks;
     Alcotest.test_case "partition validation" `Quick test_partition_validation;
     Alcotest.test_case "verify widths = verify_instance" `Quick
       test_verify_widths_match_oracle;

@@ -75,10 +75,6 @@ let check_roundtrip n =
       Alcotest.(check int) "length" (Mt.Tape.length tape) (Mt.Tape.length tape');
       Alcotest.(check int) "chunks" (Mt.Tape.chunk_count tape)
         (Mt.Tape.chunk_count tape');
-      (* The partition index written to the chunk table and adopted on
-         load must equal the one capture built. *)
-      Alcotest.(check bool) "partition index" true
-        (Mt.Tape.chunk_infos tape = Mt.Tape.chunk_infos tape');
       Alcotest.(check bool) "events" true
         (List.for_all2 Mt.Event.equal (Mt.Tape.to_list tape)
            (Mt.Tape.to_list tape')))
@@ -168,8 +164,9 @@ let expect_error name path check =
 (* --- retired v1 format and version probing --- *)
 
 (* A v1-era file is refused with a structured error, never an exception:
-   the header's version field is all the readers look at first, so a v2
-   file patched to declare version 1 is indistinguishable from one. *)
+   the header's version field is all the readers look at first, so a
+   current file patched to declare version 1 is indistinguishable from
+   one. *)
 let test_v1_version_mismatch () =
   with_tape_file (fun path ->
       save_good path;
@@ -185,6 +182,17 @@ let test_v1_version_mismatch () =
       | Error e ->
           Alcotest.failf "read_meta: expected Version_mismatch 1, got %s"
             (Mt.Tape_io.error_to_string e))
+
+(* The same for v2 (chunk table and partition index), retired by v3. *)
+let test_v2_version_mismatch () =
+  with_tape_file (fun path ->
+      save_good path;
+      let b = Bytes.of_string (read_file path) in
+      Bytes.set_int32_le b 8 2l;
+      write_file path (Bytes.to_string b);
+      expect_error "v2 load" path (function
+        | Mt.Tape_io.Version_mismatch 2 -> true
+        | _ -> false))
 
 let test_read_version () =
   with_tape_file (fun path ->
@@ -243,22 +251,72 @@ let test_corrupt_payload () =
         | Mt.Tape_io.Corrupt _ -> true
         | _ -> false))
 
-let test_corrupt_chunk_table () =
+(* The chunk capacity sizes the loader's allocations, so the checksum
+   must vouch for it: a tape whose one partial chunk would load under
+   any capacity >= its length, patched to claim a bigger capacity, is
+   refused, and one past the format's bound is refused before the
+   loader allocates for it. *)
+let test_capacity_checksummed () =
   with_tape_file (fun path ->
-      save_good path;
-      let b = Bytes.of_string (read_file path) in
-      (* The payload is exactly 16 bytes/event at the tail; 16 bytes
-         before it lands in the chunk-table region (the last entry's
-         line range or the index checksum, depending on alignment
-         padding).  Either way the index checksum must refuse the table
-         before any deferred chunk is adopted. *)
-      let total = Int64.to_int (Bytes.get_int64_le b 16) in
-      let pos = Bytes.length b - (16 * total) - 16 in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x08));
-      write_file path (Bytes.to_string b);
-      expect_error "corrupt chunk table" path (function
-        | Mt.Tape_io.Corrupt _ -> true
-        | _ -> false))
+      Mt.Tape_io.save ~path ~meta ~registry:(make_registry ())
+        ~tape:(make_tape ~chunk_events:65536 10);
+      let good = read_file path in
+      List.iter
+        (fun capacity ->
+          let b = Bytes.of_string good in
+          Bytes.set_int32_le b 12 (Int32.of_int capacity);
+          write_file path (Bytes.to_string b);
+          expect_error
+            (Printf.sprintf "capacity patched to %d" capacity)
+            path
+            (function Mt.Tape_io.Corrupt _ -> true | _ -> false))
+        [ 1 lsl 17; 1 lsl 25 ])
+
+(* Every single-byte flip and every truncation of a small multi-chunk
+   file either fails to load with a structured error or loads the very
+   same events; no reader ever raises. *)
+let test_mutations_are_safe () =
+  with_tape_file (fun path ->
+      let tape = make_tape ~chunk_events:16 40 in
+      let registry = Mt.Region.create () in
+      ignore (Mt.Region.register registry ~name:"A" ~elements:64 ~elem_size:8);
+      ignore (Mt.Region.register registry ~name:"B" ~elements:9 ~elem_size:4);
+      Mt.Tape_io.save ~path ~meta ~registry ~tape;
+      let good = read_file path in
+      let original = Mt.Tape.to_list tape in
+      let check what bytes =
+        write_file path bytes;
+        (match Mt.Tape_io.load path with
+        | Error _ -> ()
+        | Ok (_, _, loaded) ->
+            if not (List.equal Mt.Event.equal original (Mt.Tape.to_list loaded))
+            then Alcotest.failf "%s: loaded a different tape" what
+        | exception e ->
+            Alcotest.failf "%s: load raised %s" what (Printexc.to_string e));
+        (match Mt.Tape_io.read_meta path with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+            Alcotest.failf "%s: read_meta raised %s" what (Printexc.to_string e));
+        match Mt.Tape_io.read_version path with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+            Alcotest.failf "%s: read_version raised %s" what
+              (Printexc.to_string e)
+      in
+      String.iteri
+        (fun pos c ->
+          List.iter
+            (fun mask ->
+              let b = Bytes.of_string good in
+              Bytes.set b pos (Char.chr (Char.code c lxor mask));
+              check
+                (Printf.sprintf "byte %d xor 0x%02x" pos mask)
+                (Bytes.to_string b))
+            [ 0x01; 0x80; 0xff ])
+        good;
+      for len = 0 to String.length good - 1 do
+        check (Printf.sprintf "truncated to %d bytes" len) (String.sub good 0 len)
+      done)
 
 let test_truncated () =
   with_tape_file (fun path ->
@@ -273,9 +331,9 @@ let test_truncated_payload_tail () =
   with_tape_file (fun path ->
       save_good path;
       let whole = read_file path in
-      (* Drop only the final 8 bytes: header and chunk table stay
-         intact, so the exact-size check on the mapped payload is what
-         must catch it — no partial chunk may be adopted. *)
+      (* Drop only the final 8 bytes: the header stays intact, so the
+         exact-size check on the payload is what must catch it — no
+         partial chunk may be adopted. *)
       write_file path (String.sub whole 0 (String.length whole - 8));
       expect_error "truncated payload" path (function
         | Mt.Tape_io.Corrupt _ -> true
@@ -292,40 +350,12 @@ let test_trailing_garbage () =
 let test_save_is_atomic () =
   with_tape_file (fun path ->
       save_good path;
-      (* No .tmp debris left behind after a successful save. *)
-      Alcotest.(check bool) "tmp removed" false (Sys.file_exists (path ^ ".tmp")))
-
-(* --- eager vs lazy (mmap decode-on-demand) loads --- *)
-
-let test_eager_and_lazy_loads_agree () =
-  with_tape_file (fun path ->
-      save_good path;
-      let load () =
-        match Mt.Tape_io.load path with
-        | Ok (_, _, t) -> t
-        | Error e -> Alcotest.failf "load: %s" (Mt.Tape_io.error_to_string e)
-      in
-      let lazy_tape = load () in
-      let eager_tape = load () in
-      Mt.Tape.materialize eager_tape;
-      Alcotest.(check bool) "event streams agree" true
-        (List.for_all2 Mt.Event.equal
-           (Mt.Tape.to_list lazy_tape)
-           (Mt.Tape.to_list eager_tape));
-      let cfg = C.Config.large_verification in
-      let a = C.Cache.create cfg and b = C.Cache.create cfg in
-      Mt.Tape.replay_fused lazy_tape [| a |];
-      Mt.Tape.replay_fused eager_tape [| b |];
-      C.Cache.flush a;
-      C.Cache.flush b;
-      Alcotest.(check bool) "replays agree" true (snap a = snap b);
-      (* materialize is idempotent on both. *)
-      Mt.Tape.materialize lazy_tape;
-      Mt.Tape.materialize lazy_tape;
-      Mt.Tape.materialize eager_tape;
-      Alcotest.(check int) "materialize preserves length"
-        (Mt.Tape.length eager_tape)
-        (Mt.Tape.length lazy_tape))
+      (* No temporary debris left behind after a successful save. *)
+      let prefix = path ^ "." in
+      Alcotest.(check (list string)) "tmp removed" []
+        (List.filter
+           (fun f -> String.starts_with ~prefix f)
+           (Array.to_list (Sys.readdir "."))))
 
 (* --- fold_chunks (the walk everything else is built on) --- *)
 
@@ -371,19 +401,22 @@ let suite =
     Alcotest.test_case "read_meta" `Quick test_read_meta;
     Alcotest.test_case "v1 file is Version_mismatch" `Quick
       test_v1_version_mismatch;
+    Alcotest.test_case "v2 file is Version_mismatch" `Quick
+      test_v2_version_mismatch;
     Alcotest.test_case "read_version probes without loading" `Quick
       test_read_version;
     Alcotest.test_case "missing file is Io_error" `Quick test_missing_file;
     Alcotest.test_case "bad magic" `Quick test_bad_magic;
     Alcotest.test_case "version mismatch" `Quick test_version_mismatch;
     Alcotest.test_case "corrupt payload" `Quick test_corrupt_payload;
-    Alcotest.test_case "corrupt chunk table" `Quick test_corrupt_chunk_table;
+    Alcotest.test_case "header capacity is checksummed" `Quick
+      test_capacity_checksummed;
+    Alcotest.test_case "byte flips and truncations safe" `Quick
+      test_mutations_are_safe;
     Alcotest.test_case "truncated file" `Quick test_truncated;
     Alcotest.test_case "truncated payload tail" `Quick
       test_truncated_payload_tail;
     Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage;
-    Alcotest.test_case "eager and lazy loads agree" `Quick
-      test_eager_and_lazy_loads_agree;
     Alcotest.test_case "save leaves no tmp file" `Quick test_save_is_atomic;
     Alcotest.test_case "fold_chunks equivalence" `Quick
       test_fold_chunks_equivalence;
