@@ -17,6 +17,14 @@
 let section_header title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
 
+(* Replay a captured tape into a fresh cache of geometry [cfg] and flush
+   it, so its statistics count every dirty line's writeback. *)
+let simulate cfg tape =
+  let cache = Cachesim.Cache.create cfg in
+  Memtrace.Tape.replay_fused tape [| cache |];
+  Cachesim.Cache.flush cache;
+  cache
+
 (* --- Tables II, IV, V, VI, VII --- *)
 
 let run_tables () =
@@ -195,11 +203,9 @@ let run_ablation () =
      run-length-aware estimate, against the MC simulation. *)
   let mc = Kernels.Monte_carlo.verification in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let c = Cachesim.Cache.create cache in
-  ignore (Memtrace.Recorder.add_sink recorder (Memtrace.Recorder.cache_sink c));
-  ignore (Kernels.Monte_carlo.run registry recorder mc);
-  Cachesim.Cache.flush c;
+  let tape = Memtrace.Tape.create () in
+  ignore (Kernels.Monte_carlo.run registry tape mc);
+  let c = simulate cache tape in
   let sim_total =
     Cachesim.Stats.Snapshot.total_main_memory
       (Cachesim.Stats.snapshot (Cachesim.Cache.stats c))
@@ -297,19 +303,16 @@ let run_sparse () =
         ("modeled", Dvf_util.Table.Right); ("error %", Dvf_util.Table.Right);
       ]
   in
+  let registry = Memtrace.Region.create () in
+  let tape = Memtrace.Tape.create () in
+  let result = Kernels.Sparse_cg.run registry tape p in
+  let spec =
+    Kernels.Sparse_cg.spec ~iterations:result.Kernels.Sparse_cg.iterations p
+  in
   List.iter
     (fun cfg ->
-      let registry = Memtrace.Region.create () in
-      let recorder = Memtrace.Recorder.create () in
-      let cache = Cachesim.Cache.create cfg in
-      ignore
-        (Memtrace.Recorder.add_sink recorder (Memtrace.Recorder.cache_sink cache));
-      let result = Kernels.Sparse_cg.run registry recorder p in
-      Cachesim.Cache.flush cache;
+      let cache = simulate cfg tape in
       let snap = Cachesim.Stats.snapshot (Cachesim.Cache.stats cache) in
-      let spec =
-        Kernels.Sparse_cg.spec ~iterations:result.Kernels.Sparse_cg.iterations p
-      in
       let modeled =
         Access_patterns.App_spec.main_memory_accesses ~cache:cfg spec
       in
@@ -535,22 +538,15 @@ let run_speed () =
                  (Access_patterns.App_spec.main_memory_accesses ~cache mc_spec)));
         Test.make ~name:"simulation: VM trace + LRU cache"
           (Staged.stage (fun () ->
-               let registry = Memtrace.Region.create () in
-               let recorder = Memtrace.Recorder.create () in
-               let c = Cachesim.Cache.create cache in
-               ignore
-                 (Memtrace.Recorder.add_sink recorder
-                    (Memtrace.Recorder.cache_sink c));
-               ignore (Kernels.Vm.run registry recorder vm)));
+               let tape = Memtrace.Tape.create () in
+               ignore (Kernels.Vm.run (Memtrace.Region.create ()) tape vm);
+               ignore (simulate cache tape)));
         Test.make ~name:"simulation: MC trace + LRU cache"
           (Staged.stage (fun () ->
-               let registry = Memtrace.Region.create () in
-               let recorder = Memtrace.Recorder.create () in
-               let c = Cachesim.Cache.create cache in
+               let tape = Memtrace.Tape.create () in
                ignore
-                 (Memtrace.Recorder.add_sink recorder
-                    (Memtrace.Recorder.cache_sink c));
-               ignore (Kernels.Monte_carlo.run registry recorder mc)));
+                 (Kernels.Monte_carlo.run (Memtrace.Region.create ()) tape mc);
+               ignore (simulate cache tape)));
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in

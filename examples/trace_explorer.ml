@@ -1,7 +1,8 @@
 (* Looking under the hood: instrument a kernel with the tracked-array
-   substrate (the reproduction's Pin), stream its references through the
-   LRU cache simulator, and compare per-structure traffic against the
-   analytical model — the Fig. 4 methodology on one kernel.
+   substrate (the reproduction's Pin), capture its references on a tape,
+   replay the tape through the LRU cache simulator, and compare
+   per-structure traffic against the analytical model — the Fig. 4
+   methodology on one kernel.
 
    Run with: dune exec examples/trace_explorer.exe *)
 
@@ -9,15 +10,12 @@ let () =
   let params = Kernels.Barnes_hut.make_params ~theta:0.5 500 in
   let cache_config = Cachesim.Config.small_verification in
 
-  (* Wire a recorder with two sinks: the cache simulator and a counter. *)
+  (* Capture once, then replay into the cache simulator. *)
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
+  let tape = Memtrace.Tape.create () in
+  let result = Kernels.Barnes_hut.run registry tape params in
   let cache = Cachesim.Cache.create cache_config in
-  ignore (Memtrace.Recorder.add_sink recorder (Memtrace.Recorder.cache_sink cache));
-  let counting_sink, count = Memtrace.Recorder.counting_sink () in
-  ignore (Memtrace.Recorder.add_sink recorder counting_sink);
-
-  let result = Kernels.Barnes_hut.run registry recorder params in
+  Memtrace.Tape.replay_fused tape [| cache |];
   Cachesim.Cache.flush cache;
 
   Printf.printf "Barnes-Hut, %d particles, theta = %.1f\n" params.Kernels.Barnes_hut.particles
@@ -26,7 +24,8 @@ let () =
   Printf.printf "  avg tree visits / particle: %.1f (the model's k)\n"
     result.Kernels.Barnes_hut.avg_visits;
   Printf.printf "  hot (always-visited) nodes: %d\n" result.Kernels.Barnes_hut.hot_nodes;
-  Printf.printf "  memory references traced:   %d\n\n" (count ());
+  Printf.printf "  memory references traced:   %d\n\n"
+    (Memtrace.Tape.length tape);
 
   let stats = Cachesim.Cache.stats cache in
   let spec = Kernels.Barnes_hut.spec ~result params in

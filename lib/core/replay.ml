@@ -55,24 +55,24 @@ let structure_elem_size (spec : Ap.App_spec.t) (s : Ap.App_spec.structure) =
   | Some p -> ( match of_pattern p with Some e -> e | None -> 8)
   | None -> ( match from_composition () with Some e -> e | None -> 8)
 
-let emit recorder (region : Memtrace.Region.region) stream =
+let emit tape (region : Memtrace.Region.region) stream =
   let elements = max 1 (region.Memtrace.Region.bytes / region.elem_size) in
   let size = region.Memtrace.Region.elem_size in
   Array.iteri
     (fun i e ->
       let addr = Memtrace.Region.elem_addr region (e mod elements) in
-      Memtrace.Recorder.read recorder ~owner:region.Memtrace.Region.id ~addr
-        ~size;
+      Memtrace.Tape.append tape ~owner:region.Memtrace.Region.id ~write:false
+        ~addr ~size;
       if stream.store.(i) then
-        Memtrace.Recorder.write recorder ~owner:region.Memtrace.Region.id ~addr
-          ~size)
+        Memtrace.Tape.append tape ~owner:region.Memtrace.Region.id ~write:true
+          ~addr ~size)
     stream.idx
 
-let replay_random recorder region (r : Ap.Random_access.t) =
+let replay_random tape region (r : Ap.Random_access.t) =
   let elements = r.Ap.Random_access.elements in
   (* The model assumes every element is traversed once (construction)
      before the random visits begin. *)
-  emit recorder region (full_traverse ~elements);
+  emit tape region (full_traverse ~elements);
   let rng = Dvf_util.Rng.create (42 + region.Memtrace.Region.id) in
   let run = max 1 r.Ap.Random_access.run_length in
   let runs = max 1 (r.Ap.Random_access.visits / run) in
@@ -82,15 +82,15 @@ let replay_random recorder region (r : Ap.Random_access.t) =
       let start = Dvf_util.Rng.int rng elements in
       for k = 0 to run - 1 do
         let addr = Memtrace.Region.elem_addr region ((start + k) mod elements) in
-        Memtrace.Recorder.read recorder ~owner:region.Memtrace.Region.id ~addr
-          ~size
+        Memtrace.Tape.append tape ~owner:region.Memtrace.Region.id
+          ~write:false ~addr ~size
       done
     done
   done
 
 (* One phase: interleave the occurrences by slicing each occurrence's
    reference stream into [max times] chunks, emitted round-robin. *)
-let replay_phase recorder lookup (phase : Ap.Compose.phase) =
+let replay_phase tape lookup (phase : Ap.Compose.phase) =
   let occurrence_stream (o : Ap.Compose.occurrence) =
     let region : Memtrace.Region.region = lookup o.Ap.Compose.structure in
     let elements = max 1 (region.Memtrace.Region.bytes / region.elem_size) in
@@ -123,14 +123,14 @@ let replay_phase recorder lookup (phase : Ap.Compose.phase) =
   in
   for t = 0 to slices - 1 do
     List.iter
-      (fun (region, stream) -> emit recorder region (chunk stream t))
+      (fun (region, stream) -> emit tape region (chunk stream t))
       streams
   done
 
 let trace ?(telemetry = Dvf_util.Telemetry.null) (spec : Ap.App_spec.t)
-    registry recorder =
+    registry tape =
   Dvf_util.Telemetry.span telemetry "replay" @@ fun () ->
-  let events_before = Memtrace.Recorder.events_emitted recorder in
+  let events_before = Memtrace.Tape.length tape in
   let regions =
     List.map
       (fun (s : Ap.App_spec.structure) ->
@@ -148,20 +148,20 @@ let trace ?(telemetry = Dvf_util.Telemetry.null) (spec : Ap.App_spec.t)
       match s.Ap.App_spec.pattern with
       | None -> ()
       | Some (Ap.Pattern.Stream st) ->
-          emit recorder (lookup s.Ap.App_spec.name) (stream_refs st)
+          emit tape (lookup s.Ap.App_spec.name) (stream_refs st)
       | Some (Ap.Pattern.Templated t) ->
-          emit recorder (lookup s.Ap.App_spec.name) (template_refs t)
+          emit tape (lookup s.Ap.App_spec.name) (template_refs t)
       | Some (Ap.Pattern.Random r) ->
-          replay_random recorder (lookup s.Ap.App_spec.name) r)
+          replay_random tape (lookup s.Ap.App_spec.name) r)
     spec.Ap.App_spec.structures;
   (* Composition phases. *)
   (match spec.Ap.App_spec.composition with
   | None -> ()
   | Some c ->
       for _ = 1 to c.Ap.Compose.iterations do
-        List.iter (replay_phase recorder lookup) c.Ap.Compose.order
+        List.iter (replay_phase tape lookup) c.Ap.Compose.order
       done);
   if Dvf_util.Telemetry.enabled telemetry then
     Dvf_util.Telemetry.add telemetry
-      ~n:(Memtrace.Recorder.events_emitted recorder - events_before)
+      ~n:(Memtrace.Tape.length tape - events_before)
       "replay/events"

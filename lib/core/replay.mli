@@ -26,9 +26,10 @@ val trace :
   ?telemetry:Dvf_util.Telemetry.t ->
   Access_patterns.App_spec.t ->
   Memtrace.Region.t ->
-  Memtrace.Recorder.t ->
+  Memtrace.Tape.t ->
   unit
-(** Registers one region per spec structure, then replays the patterns.
-    Deterministic: equal specs yield equal traces.  [telemetry] (default
-    {!Dvf_util.Telemetry.null}) gets a ["replay"] span (nested under any
-    open span) and a ["replay/events"] counter of references emitted. *)
+(** Registers one region per spec structure, then appends the patterns'
+    references to the tape.  Deterministic: equal specs yield equal
+    traces.  [telemetry] (default {!Dvf_util.Telemetry.null}) gets a
+    ["replay"] span (nested under any open span) and a ["replay/events"]
+    counter of references appended. *)

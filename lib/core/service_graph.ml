@@ -309,7 +309,7 @@ let flops ~requests t =
     0
     (touch_plan t ~requests)
 
-let trace ?(seed = 42) ~requests t registry recorder =
+let trace ?(seed = 42) ~requests t registry tape =
   if requests < 1 then invalid_arg "Service_graph.trace: requests < 1";
   let plan = touch_plan t ~requests in
   let regions =
@@ -329,8 +329,8 @@ let trace ?(seed = 42) ~requests t registry recorder =
     (fun (_, (region, _, _)) ->
       let elements = max 1 (region.Memtrace.Region.bytes / elem_size) in
       for e = 0 to elements - 1 do
-        Memtrace.Recorder.read recorder ~owner:region.Memtrace.Region.id
-          ~addr:(Memtrace.Region.elem_addr region e)
+        Memtrace.Tape.append tape ~owner:region.Memtrace.Region.id
+          ~write:false ~addr:(Memtrace.Region.elem_addr region e)
           ~size:elem_size
       done)
     regions;
@@ -355,7 +355,8 @@ let trace ?(seed = 42) ~requests t registry recorder =
           let elements = max 1 (region.Memtrace.Region.bytes / elem_size) in
           let start = Dvf_util.Rng.int rng elements in
           for k = 0 to visits - 1 do
-            Memtrace.Recorder.read recorder ~owner:region.Memtrace.Region.id
+            Memtrace.Tape.append tape ~owner:region.Memtrace.Region.id
+              ~write:false
               ~addr:(Memtrace.Region.elem_addr region ((start + k) mod elements))
               ~size:elem_size
           done)

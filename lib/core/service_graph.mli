@@ -99,13 +99,13 @@ val flops : requests:int -> t -> int
 
 val trace :
   ?seed:int -> requests:int -> t -> Memtrace.Region.t ->
-  Memtrace.Recorder.t -> unit
-(** Emit the synthesized reference stream {!spec} models: one region per
-    touched component, a construction traverse of each, then [requests]
-    requests — endpoints scheduled by largest-remainder weighted
-    round-robin (so executed counts match the mix deterministically),
-    each touching its components with one contiguous random run per
-    component.  Offsets come from per-component splitmix64 children of
+  Memtrace.Tape.t -> unit
+(** Append the synthesized reference stream {!spec} models to the
+    tape: one region per touched component, a construction traverse of
+    each, then [requests] requests — endpoints scheduled by
+    largest-remainder weighted round-robin (so executed counts match the
+    mix deterministically), each touching its components with one
+    contiguous random run per component.  Offsets come from per-component splitmix64 children of
     [seed] (default 42), so the trace is bit-reproducible. *)
 
 val social_network : t

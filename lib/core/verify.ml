@@ -36,19 +36,6 @@ let rows_of_snapshot ~telemetry ~cache ~registry (instance : Workload.instance)
         modeled = model_value })
     modeled
 
-let verify_instance ~cache (instance : Workload.instance) =
-  let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.buffered () in
-  let sim_cache = Cachesim.Cache.create cache in
-  ignore
-    (Memtrace.Recorder.add_batch_sink recorder
-       (Memtrace.Recorder.cache_batch_sink sim_cache));
-  instance.Workload.trace registry recorder;
-  Memtrace.Recorder.flush recorder;
-  Cachesim.Cache.flush sim_cache;
-  rows_of_snapshot ~telemetry:Telemetry.null ~cache ~registry instance
-    (Cachesim.Stats.snapshot (Cachesim.Cache.stats sim_cache))
-
 (* --- capture once, replay many --- *)
 
 type capture = {
@@ -62,20 +49,11 @@ let capture_fresh ~telemetry (instance : Workload.instance) =
     (Printf.sprintf "verify/%s/capture" instance.Workload.workload)
   @@ fun () ->
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.buffered () in
   let tape = Memtrace.Tape.create () in
-  ignore
-    (Memtrace.Recorder.add_batch_sink recorder (Memtrace.Tape.batch_sink tape));
   let t0 = Telemetry.now_ns telemetry in
-  instance.Workload.trace registry recorder;
-  Memtrace.Recorder.flush recorder;
+  instance.Workload.trace registry tape;
   let capture_ns = Int64.sub (Telemetry.now_ns telemetry) t0 in
   if Telemetry.enabled telemetry then begin
-    Telemetry.add telemetry ~n:(Memtrace.Recorder.events_emitted recorder)
-      "recorder/events";
-    Telemetry.add telemetry
-      ~n:(Memtrace.Recorder.batches_dispatched recorder)
-      "recorder/batches";
     Telemetry.add telemetry ~n:(Memtrace.Tape.length tape)
       "tape/capture_events";
     Telemetry.add telemetry ~n:(Memtrace.Tape.allocated_bytes tape)
@@ -83,6 +61,19 @@ let capture_fresh ~telemetry (instance : Workload.instance) =
     Telemetry.time_ns telemetry "verify/capture_total" capture_ns
   end;
   (registry, tape)
+
+(* The test oracle: capture, then feed every decoded event through the
+   per-event [Cache.access] — independent of the packed, sharded walk
+   that [engine] below drives. *)
+let verify_instance ~cache (instance : Workload.instance) =
+  let registry, tape = capture_fresh ~telemetry:Telemetry.null instance in
+  let sim_cache = Cachesim.Cache.create cache in
+  Memtrace.Tape.iter tape (fun (e : Memtrace.Event.t) ->
+      Cachesim.Cache.access sim_cache ~owner:e.owner ~write:e.write
+        ~addr:e.addr ~size:e.size);
+  Cachesim.Cache.flush sim_cache;
+  rows_of_snapshot ~telemetry:Telemetry.null ~cache ~registry instance
+    (Cachesim.Stats.snapshot (Cachesim.Cache.stats sim_cache))
 
 (* The workloads take no per-run seed (instances are deterministic given
    their size label), so the store key's seed slot is fixed at 0 until a
@@ -308,8 +299,6 @@ let capture_stats ?(telemetry = Telemetry.null) ~jobs ~caches cap =
 
 let finalize_metrics telemetry =
   if Telemetry.enabled telemetry then begin
-    Telemetry.gauge_rate telemetry ~name:"recorder/events_per_sec"
-      ~counter:"recorder/events" ~span:"verify/capture_total";
     Telemetry.gauge_rate telemetry ~name:"tape/capture_events_per_sec"
       ~counter:"tape/capture_events" ~span:"verify/capture_total";
     Telemetry.gauge_rate telemetry ~name:"tape/replay_events_per_sec"
@@ -322,12 +311,7 @@ let finalize_metrics telemetry =
     if captured > 0 then
       Telemetry.set_gauge telemetry "tape/bytes_per_event"
         (float_of_int (Telemetry.counter_value telemetry "tape/allocated_bytes")
-        /. float_of_int captured);
-    let batches = Telemetry.counter_value telemetry "recorder/batches" in
-    if batches > 0 then
-      Telemetry.set_gauge telemetry "recorder/mean_batch_size"
-        (float_of_int (Telemetry.counter_value telemetry "recorder/events")
-        /. float_of_int batches)
+        /. float_of_int captured)
   end
 
 (* The shared driver of the [run_all*] sweeps: capture every workload's

@@ -12,9 +12,9 @@
     cache, instead of re-executing the kernel per geometry.  Every replay
     goes through one engine: set-sharded walks of per-shard tape views
     on private cache replicas, merged in shard order, so rows are
-    bit-identical at any job count.  {!verify_instance}, which traces the
-    kernel straight into a cache with no tape, is the independent
-    reference the tests compare the engine against. *)
+    bit-identical at any job count.  {!verify_instance}, which feeds a
+    fresh capture event by event through {!Cachesim.Cache.access}, is
+    the independent reference the tests compare the engine against. *)
 
 type row = {
   workload : string;   (** registry name, e.g. "CG" *)
@@ -28,9 +28,10 @@ val error : row -> float
 (** |modeled - simulated| / simulated. *)
 
 val verify_instance : cache:Cachesim.Config.t -> Workload.instance -> row list
-(** One workload instance against one cache configuration, re-executing
-    the kernel and tracing it straight into the cache — no tape, no
-    sharding.  The test oracle for the replay engine. *)
+(** One workload instance against one cache configuration: re-execute
+    the kernel into a fresh tape, then replay its decoded events
+    ({!Memtrace.Tape.iter}) one {!Cachesim.Cache.access} at a time — no
+    packed walk, no sharding.  The test oracle for the replay engine. *)
 
 type capture = {
   instance : Workload.instance;
@@ -50,9 +51,9 @@ val capture :
   ?telemetry:Dvf_util.Telemetry.t ->
   ?store:Memtrace.Tape_store.t ->
   Workload.instance -> capture
-(** Execute the workload kernel once, recording its reference stream into
-    a fresh tape.  Telemetry: span ["verify/<workload>/capture"], the
-    ["recorder/*"] counters, ["tape/capture_events"] and
+(** Execute the workload kernel once, its instrumented arrays appending
+    every reference straight into a fresh tape.  Telemetry: span
+    ["verify/<workload>/capture"], the ["tape/capture_events"] and
     ["tape/allocated_bytes"] counters, and the ["verify/capture_total"]
     accumulator — kernel execution time is now separable from simulation
     time, which the old ["verify/trace_total"] lumped together.
@@ -103,10 +104,9 @@ val run_all :
     ["shard/walked_events"], the ["shard/count"]
     gauge and the ["verify/replay_total"] accumulator; the sweep records
     ["verify/total"] wall-clock and, at the end, the throughput gauges
-    ["recorder/events_per_sec"] and ["tape/capture_events_per_sec"] (over
-    capture time), ["tape/replay_events_per_sec"] and
-    ["cache/accesses_per_sec"] (over replay time),
-    ["tape/bytes_per_event"] and ["recorder/mean_batch_size"].  Counters
+    ["tape/capture_events_per_sec"] (over capture time),
+    ["tape/replay_events_per_sec"] and ["cache/accesses_per_sec"] (over
+    replay time), and ["tape/bytes_per_event"].  Counters
     other than the shard ones are identical at every job count; only
     the time fields differ. *)
 

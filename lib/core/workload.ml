@@ -5,7 +5,7 @@ type instance = {
   label : string;
   spec : Access_patterns.App_spec.t;
   flops : int;
-  trace : Memtrace.Region.t -> Memtrace.Recorder.t -> unit;
+  trace : Memtrace.Region.t -> Memtrace.Tape.t -> unit;
 }
 
 type t = {

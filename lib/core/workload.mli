@@ -17,7 +17,7 @@ type instance = {
   label : string;                     (** e.g. "CG 500x500" *)
   spec : Access_patterns.App_spec.t;
   flops : int;
-  trace : Memtrace.Region.t -> Memtrace.Recorder.t -> unit;
+  trace : Memtrace.Region.t -> Memtrace.Tape.t -> unit;
 }
 
 type t = {

@@ -4,7 +4,7 @@ let instance ~workload ~label ~spec ~flops ~trace =
 let vm_instance p label =
   instance ~workload:"VM" ~label ~spec:(Kernels.Vm.spec p)
     ~flops:(Kernels.Vm.flop_count p)
-    ~trace:(fun reg rc -> ignore (Kernels.Vm.run reg rc p))
+    ~trace:(fun reg tape -> ignore (Kernels.Vm.run reg tape p))
 
 let cg_instance p label =
   (* The spec's iteration count is what the kernel actually executes
@@ -13,32 +13,32 @@ let cg_instance p label =
   instance ~workload:"CG" ~label
     ~spec:(Kernels.Cg.spec ~iterations:result.Kernels.Cg.iterations p)
     ~flops:result.Kernels.Cg.flops
-    ~trace:(fun reg rc -> ignore (Kernels.Cg.run reg rc p))
+    ~trace:(fun reg tape -> ignore (Kernels.Cg.run reg tape p))
 
 let nb_instance p label =
   let result = Kernels.Barnes_hut.run_untraced p in
   instance ~workload:"NB" ~label
     ~spec:(Kernels.Barnes_hut.spec ~result p)
     ~flops:result.Kernels.Barnes_hut.flops
-    ~trace:(fun reg rc -> ignore (Kernels.Barnes_hut.run reg rc p))
+    ~trace:(fun reg tape -> ignore (Kernels.Barnes_hut.run reg tape p))
 
 let mg_instance p label =
   let result = Kernels.Multigrid.run_untraced p in
   instance ~workload:"MG" ~label ~spec:(Kernels.Multigrid.spec p)
     ~flops:result.Kernels.Multigrid.flops
-    ~trace:(fun reg rc -> ignore (Kernels.Multigrid.run reg rc p))
+    ~trace:(fun reg tape -> ignore (Kernels.Multigrid.run reg tape p))
 
 let ft_instance p label =
   let result = Kernels.Fft.run_untraced p in
   instance ~workload:"FT" ~label ~spec:(Kernels.Fft.spec p)
     ~flops:result.Kernels.Fft.flops
-    ~trace:(fun reg rc -> ignore (Kernels.Fft.run reg rc p))
+    ~trace:(fun reg tape -> ignore (Kernels.Fft.run reg tape p))
 
 let mc_instance p label =
   let result = Kernels.Monte_carlo.run_untraced p in
   instance ~workload:"MC" ~label ~spec:(Kernels.Monte_carlo.spec p)
     ~flops:result.Kernels.Monte_carlo.flops
-    ~trace:(fun reg rc -> ignore (Kernels.Monte_carlo.run reg rc p))
+    ~trace:(fun reg tape -> ignore (Kernels.Monte_carlo.run reg tape p))
 
 let sizes ~verification ~profiling = function
   | `Verification -> verification

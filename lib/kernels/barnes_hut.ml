@@ -215,7 +215,7 @@ let run_with params ~touch_tree ~read_particle ~write_particle =
     flops = !flops;
   }
 
-let run registry recorder params =
+let run registry tape params =
   (* Allocate the tree region after building once untraced to know the
      node count?  No: node count is deterministic from the particles, so
      build silently inside run_with; we size the region generously and
@@ -223,10 +223,10 @@ let run registry recorder params =
   let px, py, pm = gen_particles params in
   let tree = build_tree params px py pm in
   let t_region =
-    Tracked.make registry recorder ~name:"T" ~elem_size:32 tree.count ()
+    Tracked.make registry tape ~name:"T" ~elem_size:32 tree.count ()
   in
   let p_region =
-    Tracked.make registry recorder ~name:"P" ~elem_size:32 params.particles ()
+    Tracked.make registry tape ~name:"P" ~elem_size:32 params.particles ()
   in
   (* Construction pass: the random-access model assumes every element is
      traversed once before random accesses begin. *)

@@ -101,16 +101,16 @@ let build_result p ~iterations ~residual ~x_get xstar =
     flops = flop_count ~iterations p;
   }
 
-let run registry recorder p =
+let run registry tape p =
   let n = p.n in
   let rng = Dvf_util.Rng.create p.seed in
   let xstar = known_solution rng n in
   let b = rhs_of_solution n xstar in
-  let a = Tracked.make registry recorder ~name:"A" ~elem_size:8 (n * n) 0.0 in
+  let a = Tracked.make registry tape ~name:"A" ~elem_size:8 (n * n) 0.0 in
   fill_matrix n (fun i j v -> Tracked.set_silent a ((i * n) + j) v);
-  let x = Tracked.make registry recorder ~name:"x" ~elem_size:8 n 0.0 in
-  let pvec = Tracked.init registry recorder ~name:"p" ~elem_size:8 n (fun i -> b.(i)) in
-  let r = Tracked.init registry recorder ~name:"r" ~elem_size:8 n (fun i -> b.(i)) in
+  let x = Tracked.make registry tape ~name:"x" ~elem_size:8 n 0.0 in
+  let pvec = Tracked.init registry tape ~name:"p" ~elem_size:8 n (fun i -> b.(i)) in
+  let r = Tracked.init registry tape ~name:"r" ~elem_size:8 n (fun i -> b.(i)) in
   let module O = struct
     let n = n
 

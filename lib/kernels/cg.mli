@@ -58,8 +58,9 @@ val iterate :
     [p = r = b] on entry.  [on_iteration k] fires before iteration [k]
     (1-based) — the fault injector's hook. *)
 
-val run : Memtrace.Region.t -> Memtrace.Recorder.t -> params -> result
-(** Solve with tracing: structures "A", "x", "p", "r" (8-byte elements). *)
+val run : Memtrace.Region.t -> Memtrace.Tape.t -> params -> result
+(** Solve, appending every traced reference to the tape: structures
+    "A", "x", "p", "r" (8-byte elements). *)
 
 val run_untraced : params -> result
 (** Same computation without a trace (for iteration counting and the

@@ -112,10 +112,10 @@ let finish p ~flops data signal =
   let checksum = Array.fold_left (fun acc x -> acc +. Complex.norm x) 0.0 data in
   { checksum; max_roundtrip_error = roundtrip_error p signal; flops }
 
-let run registry recorder p =
+let run registry tape p =
   let signal = gen_signal p in
   let x =
-    Tracked.create registry recorder ~name:"X" ~elem_size:16 (Array.copy signal)
+    Tracked.create registry tape ~name:"X" ~elem_size:16 (Array.copy signal)
   in
   let flop_total = ref 0 in
   let flops n = flop_total := !flop_total + n in

@@ -38,7 +38,9 @@ type result = {
   flops : int;
 }
 
-val run : Memtrace.Region.t -> Memtrace.Recorder.t -> params -> result
+val run : Memtrace.Region.t -> Memtrace.Tape.t -> params -> result
+(** Run with tracing: every traced reference is appended to the tape. *)
+
 val run_untraced : params -> result
 
 val naive_dft : float array -> float array -> float array * float array

@@ -51,14 +51,14 @@ let run_with p ~read_grid ~read_xs =
   done;
   { total_xs = !total; flops = !flops }
 
-let run registry recorder p =
+let run registry tape p =
   let g = p.grid_points in
   let grid =
-    Tracked.init registry recorder ~name:"G" ~elem_size:8 g (fun i ->
+    Tracked.init registry tape ~name:"G" ~elem_size:8 g (fun i ->
         float_of_int i /. float_of_int (g - 1))
   in
   let xs =
-    Tracked.init registry recorder ~name:"E" ~elem_size:8 (g * p.nuclides)
+    Tracked.init registry tape ~name:"E" ~elem_size:8 (g * p.nuclides)
       (fun i -> xs_value ~nuclide:(i mod p.nuclides) ~point:(i / p.nuclides))
   in
   (* Construction pass, as the random-access model assumes. *)

@@ -202,11 +202,11 @@ let run_generic p ~ops ~get_u ~get_v =
     flops = !flop_total;
   }
 
-let run registry recorder p =
+let run registry tape p =
   let total = hierarchy_elements p in
-  let r = Tracked.make registry recorder ~name:"R" ~elem_size:8 total 0.0 in
-  let u = Tracked.make registry recorder ~name:"U" ~elem_size:8 total 0.0 in
-  let vrhs = Tracked.create registry recorder ~name:"V" ~elem_size:8 (gen_rhs p) in
+  let r = Tracked.make registry tape ~name:"R" ~elem_size:8 total 0.0 in
+  let u = Tracked.make registry tape ~name:"U" ~elem_size:8 total 0.0 in
+  let vrhs = Tracked.create registry tape ~name:"V" ~elem_size:8 (gen_rhs p) in
   let ops =
     (module struct
       let get_r = Tracked.get r

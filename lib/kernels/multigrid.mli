@@ -44,7 +44,9 @@ type result = {
   flops : int;
 }
 
-val run : Memtrace.Region.t -> Memtrace.Recorder.t -> params -> result
+val run : Memtrace.Region.t -> Memtrace.Tape.t -> params -> result
+(** Run with tracing: every traced reference is appended to the tape. *)
+
 val run_untraced : params -> result
 
 val spec : params -> Access_patterns.App_spec.t

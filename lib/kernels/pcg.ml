@@ -112,15 +112,15 @@ let finish p ~iterations ~residual ~x_get xstar =
 let precond_elements p =
   match p.preconditioner with `Dense_matrix -> p.n * p.n | `Vector -> p.n
 
-let run registry recorder p =
+let run registry tape p =
   let n = p.n in
   let rng = Dvf_util.Rng.create p.seed in
   let xstar = Spd.known_solution rng n in
   let b = Spd.rhs_of_solution n xstar in
-  let a = Tracked.make registry recorder ~name:"A" ~elem_size:8 (n * n) 0.0 in
+  let a = Tracked.make registry tape ~name:"A" ~elem_size:8 (n * n) 0.0 in
   Spd.fill_matrix n (fun i j v -> Tracked.set_silent a ((i * n) + j) v);
   let m =
-    Tracked.make registry recorder ~name:"M" ~elem_size:8 (precond_elements p) 0.0
+    Tracked.make registry tape ~name:"M" ~elem_size:8 (precond_elements p) 0.0
   in
   (match p.preconditioner with
   | `Dense_matrix ->
@@ -131,10 +131,10 @@ let run registry recorder p =
       for i = 0 to n - 1 do
         Tracked.set_silent m i (1.0 /. Spd.diagonal ~n i)
       done);
-  let x = Tracked.make registry recorder ~name:"x" ~elem_size:8 n 0.0 in
-  let pvec = Tracked.make registry recorder ~name:"p" ~elem_size:8 n 0.0 in
-  let r = Tracked.init registry recorder ~name:"r" ~elem_size:8 n (fun i -> b.(i)) in
-  let z = Tracked.make registry recorder ~name:"z" ~elem_size:8 n 0.0 in
+  let x = Tracked.make registry tape ~name:"x" ~elem_size:8 n 0.0 in
+  let pvec = Tracked.make registry tape ~name:"p" ~elem_size:8 n 0.0 in
+  let r = Tracked.init registry tape ~name:"r" ~elem_size:8 n (fun i -> b.(i)) in
+  let z = Tracked.make registry tape ~name:"z" ~elem_size:8 n 0.0 in
   let module O = struct
     let n = n
 

@@ -39,8 +39,9 @@ type result = {
   flops : int;
 }
 
-val run : Memtrace.Region.t -> Memtrace.Recorder.t -> params -> result
-(** Traced structures: "A", "M", "x", "p", "r", "z" (8-byte elements).
+val run : Memtrace.Region.t -> Memtrace.Tape.t -> params -> result
+(** Solve, appending every traced reference to the tape.  Traced
+    structures: "A", "M", "x", "p", "r", "z" (8-byte elements).
     In [`Vector] mode M has n elements instead of n^2. *)
 
 val run_untraced : params -> result

@@ -59,24 +59,24 @@ let problem_data p =
   Csr.spmv m xstar b;
   (m, xstar, b)
 
-let run registry recorder p =
+let run registry tape p =
   let m, xstar, b = problem_data p in
   let n = m.Csr.n in
   let a_vals =
-    Tracked.create registry recorder ~name:"a" ~elem_size:8
+    Tracked.create registry tape ~name:"a" ~elem_size:8
       (Array.copy m.Csr.values)
   in
   let colidx =
-    Tracked.create registry recorder ~name:"colidx" ~elem_size:4
+    Tracked.create registry tape ~name:"colidx" ~elem_size:4
       (Array.copy m.Csr.col_idx)
   in
   let rowstr =
-    Tracked.create registry recorder ~name:"rowstr" ~elem_size:4
+    Tracked.create registry tape ~name:"rowstr" ~elem_size:4
       (Array.copy m.Csr.row_ptr)
   in
-  let x = Tracked.make registry recorder ~name:"x" ~elem_size:8 n 0.0 in
-  let pvec = Tracked.init registry recorder ~name:"p" ~elem_size:8 n (fun i -> b.(i)) in
-  let r = Tracked.init registry recorder ~name:"r" ~elem_size:8 n (fun i -> b.(i)) in
+  let x = Tracked.make registry tape ~name:"x" ~elem_size:8 n 0.0 in
+  let pvec = Tracked.init registry tape ~name:"p" ~elem_size:8 n (fun i -> b.(i)) in
+  let r = Tracked.init registry tape ~name:"r" ~elem_size:8 n (fun i -> b.(i)) in
   let module O = struct
     let n = n
 

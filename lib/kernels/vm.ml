@@ -19,19 +19,19 @@ let profiling = make_params 100_000
 
 type result = { checksum : float; flops : int }
 
-let run registry recorder p =
+let run registry tape p =
   let init_a i = float_of_int ((i mod 97) + 1) in
   let init_b i = float_of_int ((i mod 89) + 1) /. 8.0 in
   let a =
-    Tracked.init registry recorder ~name:"A" ~elem_size:p.elem_size
+    Tracked.init registry tape ~name:"A" ~elem_size:p.elem_size
       (p.n * p.stride_a) init_a
   in
   let b =
-    Tracked.init registry recorder ~name:"B" ~elem_size:p.elem_size
+    Tracked.init registry tape ~name:"B" ~elem_size:p.elem_size
       (p.n * p.stride_b) init_b
   in
   let c =
-    Tracked.make registry recorder ~name:"C" ~elem_size:p.elem_size p.n 0.0
+    Tracked.make registry tape ~name:"C" ~elem_size:p.elem_size p.n 0.0
   in
   for i = 0 to p.n - 1 do
     let ai = Tracked.get a (i * p.stride_a) in

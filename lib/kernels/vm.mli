@@ -25,11 +25,10 @@ val profiling : params
 
 type result = { checksum : float; flops : int }
 
-val run :
-  Memtrace.Region.t -> Memtrace.Recorder.t -> params -> result
-(** Execute the kernel with tracing.  A is registered with
-    [n * stride_a] elements (the strided traverse spans that extent),
-    similarly B; C has [n] elements. *)
+val run : Memtrace.Region.t -> Memtrace.Tape.t -> params -> result
+(** Execute the kernel, appending every traced reference to the tape.
+    A is registered with [n * stride_a] elements (the strided traverse
+    spans that extent), similarly B; C has [n] elements. *)
 
 val spec : params -> Access_patterns.App_spec.t
 (** The analytical CGPMAC description (three streaming structures). *)

@@ -8,10 +8,5 @@ type t = {
 let read ~owner ~addr ~size = { owner; write = false; addr; size }
 let write ~owner ~addr ~size = { owner; write = true; addr; size }
 
-let pp fmt t =
-  Format.fprintf fmt "%s owner=%d addr=0x%x size=%d"
-    (if t.write then "W" else "R")
-    t.owner t.addr t.size
-
 let equal a b =
   a.owner = b.owner && a.write = b.write && a.addr = b.addr && a.size = b.size

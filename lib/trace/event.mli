@@ -1,4 +1,6 @@
-(** A single memory reference in a trace.
+(** A single memory reference in a trace, as {!Tape.iter} and
+    {!Tape.to_list} decode it.  Capture never builds one: kernels write
+    straight into the tape ({!Tape.append}).
 
     [addr] is a byte address in the simulated address space laid out by
     {!Region}; [size] is the reference width in bytes; [owner] identifies
@@ -13,5 +15,4 @@ type t = {
 
 val read : owner:int -> addr:int -> size:int -> t
 val write : owner:int -> addr:int -> size:int -> t
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -3,9 +3,11 @@
    [Cachesim.Cache.pack_access].  Chunks are fixed-size (default 65536
    events = two 512 KiB arrays, far past the minor-heap threshold, so
    capture never churns the minor collector) and are only ever appended
-   to, which keeps [append] at two stores and an increment.  Captured
-   and loaded tapes hold the same chunks: [Tape_io] decodes a file
-   straight into them ([append_chunk]). *)
+   to.  Kernels write into the head chunk directly through [append] —
+   no per-event record, no intermediate buffer — which keeps capture at
+   two stores and an increment per event.  Captured and loaded tapes
+   hold the same chunks: [Tape_io] decodes a file straight into them
+   ([append_chunk]). *)
 
 type chunk = {
   addrs : int array;
@@ -54,72 +56,20 @@ let retire_head t =
   t.filled_count <- t.filled_count + 1;
   t.head <- fresh_chunk t.chunk_capacity
 
-let append t (e : Event.t) =
-  if e.addr < 0 then invalid_arg "Tape.append: negative address";
+(* Validate before touching any state, so a rejected event leaves the
+   tape exactly as it was (a full head is not retired for it).  The
+   unchecked stores are in bounds: every chunk's arrays hold exactly
+   [chunk_capacity] words ([append_chunk] enforces it for adopted ones)
+   and [len < chunk_capacity] once a full head is retired. *)
+let append t ~owner ~write ~addr ~size =
+  if addr < 0 then invalid_arg "Tape.append: negative address";
+  let meta = Cachesim.Cache.pack_access ~owner ~write ~size in
   if t.head.len = t.chunk_capacity then retire_head t;
   let c = t.head in
-  c.addrs.(c.len) <- e.addr;
-  c.metas.(c.len) <-
-    Cachesim.Cache.pack_access ~owner:e.owner ~write:e.write ~size:e.size;
+  Array.unsafe_set c.addrs c.len addr;
+  Array.unsafe_set c.metas c.len meta;
   c.len <- c.len + 1;
   t.total <- t.total + 1
-
-(* Packed layout mirrored from [Cachesim.Cache.pack_access]; the shift is
-   derived from [Cache.max_size] so the two cannot drift, and the
-   equivalence is asserted once at module initialization. *)
-let meta_owner_shift =
-  let rec bits n = if n = 0 then 0 else 1 + bits (n lsr 1) in
-  bits Cachesim.Cache.max_size + 1
-
-let () =
-  assert (
-    Cachesim.Cache.pack_access ~owner:3 ~write:true ~size:5
-    = (3 lsl meta_owner_shift) lor (5 lsl 1) lor 1)
-
-(* Bulk capture: validate the whole batch up front (a failed batch
-   leaves the tape untouched), then store runs directly into the chunk
-   arrays, splitting only at chunk boundaries — no per-event boundary
-   re-check and no per-event validation inside [pack_access].  Capture
-   is the pipeline bottleneck, so this path is what [batch_sink] rides. *)
-let append_batch t events n =
-  if n < 0 || n > Array.length events then
-    invalid_arg
-      (Printf.sprintf "Tape.append_batch: bad count %d (have %d events)" n
-         (Array.length events));
-  for i = 0 to n - 1 do
-    let e : Event.t = events.(i) in
-    if e.addr < 0 then
-      invalid_arg
-        (Printf.sprintf "Tape.append_batch: negative address at index %d" i);
-    if e.size <= 0 || e.size > Cachesim.Cache.max_size then
-      invalid_arg
-        (Printf.sprintf "Tape.append_batch: size %d out of range at index %d"
-           e.size i);
-    if e.owner < 0 || e.owner > Cachesim.Cache.max_owner then
-      invalid_arg
-        (Printf.sprintf "Tape.append_batch: owner %d out of range at index %d"
-           e.owner i)
-  done;
-  let i = ref 0 in
-  while !i < n do
-    if t.head.len = t.chunk_capacity then retire_head t;
-    let c = t.head in
-    let run = min (n - !i) (t.chunk_capacity - c.len) in
-    for k = 0 to run - 1 do
-      let e : Event.t = Array.unsafe_get events (!i + k) in
-      Array.unsafe_set c.addrs (c.len + k) e.addr;
-      Array.unsafe_set c.metas (c.len + k)
-        ((e.owner lsl meta_owner_shift)
-        lor (e.size lsl 1)
-        lor (if e.write then 1 else 0))
-    done;
-    c.len <- c.len + run;
-    i := !i + run
-  done;
-  t.total <- t.total + n
-
-let sink t : Recorder.sink = fun e -> append t e
-let batch_sink t : Recorder.batch_sink = fun events n -> append_batch t events n
 
 (* Chunk adoption (the [Tape_io] load path): the arrays become the
    tape's own storage, full chunks retired as captured ones are and a

@@ -6,8 +6,9 @@
     compact, append-only columnar buffer — per event one byte address
     and one {!Cachesim.Cache.pack_access} metadata word, stored in
     chunked unboxed [int] arrays ({!bytes_per_event} = 16 on 64-bit) —
-    captured from a {!Recorder} once and then replayed into any number
-    of caches without re-executing the workload kernel.
+    captured once, by instrumented kernels writing straight into it
+    (see {!Tracked}), and then replayed into any number of caches
+    without re-executing the workload kernel.
 
     Chunks are allocated at a fixed capacity (default 65536 events),
     large enough to live on the major heap, so capture is O(1) amortized
@@ -30,27 +31,14 @@ val create : ?chunk_events:int -> unit -> t
 
 (** {2 Capture} *)
 
-val append : t -> Event.t -> unit
-(** Record one event.  Raises [Invalid_argument] on a negative address
-    or on an owner/size outside the packed-word range (see
-    {!Cachesim.Cache.pack_access}) — the same events a direct
-    {!Cachesim.Cache.access} would reject. *)
-
-val append_batch : t -> Event.t array -> int -> unit
-(** [append_batch t events n] records [events.(0 .. n-1)] in order.
-    This is the capture fast path: the whole batch is validated up
-    front (so a rejected batch leaves the tape untouched) and events
-    are then stored in runs split only at chunk boundaries, instead of
-    re-checking the boundary and re-validating per event.  Raises
-    [Invalid_argument] on a bad count, a negative address, or an
-    owner/size outside the packed-word range. *)
-
-val sink : t -> Recorder.sink
-(** Per-event capture sink for {!Recorder.add_sink}. *)
-
-val batch_sink : t -> Recorder.batch_sink
-(** Chunk capture sink for {!Recorder.add_batch_sink} — the fast path
-    when recording from a buffered recorder. *)
+val append : t -> owner:int -> write:bool -> addr:int -> size:int -> unit
+(** Record one reference: the capture entry point every traced kernel
+    writes through.  The event is validated first — raising
+    [Invalid_argument] on a negative address or on an owner/size outside
+    the packed-word range (see {!Cachesim.Cache.pack_access}), the same
+    events a direct {!Cachesim.Cache.access} would reject — so a
+    rejected event leaves the tape unchanged.  It is then packed and
+    stored straight into the head chunk. *)
 
 val append_chunk : t -> addrs:int array -> metas:int array -> len:int -> unit
 (** Adopt one already-packed chunk — the {!Tape_io} load path.  [addrs]

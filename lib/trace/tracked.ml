@@ -1,32 +1,27 @@
 type 'a t = {
   storage : 'a array;
   region : Region.region;
-  recorder : Recorder.t;
+  tape : Tape.t;
 }
 
-let create registry recorder ~name ~elem_size storage =
+let create registry tape ~name ~elem_size storage =
   let region =
     Region.register registry ~name ~elements:(Array.length storage) ~elem_size
   in
-  { storage; region; recorder }
+  { storage; region; tape }
 
-let make registry recorder ~name ~elem_size n init =
-  create registry recorder ~name ~elem_size (Array.make n init)
+let make registry tape ~name ~elem_size n init =
+  create registry tape ~name ~elem_size (Array.make n init)
 
-let init registry recorder ~name ~elem_size n f =
-  create registry recorder ~name ~elem_size (Array.init n f)
+let init registry tape ~name ~elem_size n f =
+  create registry tape ~name ~elem_size (Array.init n f)
 
 let length t = Array.length t.storage
 let region t = t.region
 
 let emit t i ~write =
-  let addr = Region.elem_addr t.region i in
-  if write then
-    Recorder.write t.recorder ~owner:t.region.Region.id ~addr
-      ~size:t.region.Region.elem_size
-  else
-    Recorder.read t.recorder ~owner:t.region.Region.id ~addr
-      ~size:t.region.Region.elem_size
+  Tape.append t.tape ~owner:t.region.Region.id ~write
+    ~addr:(Region.elem_addr t.region i) ~size:t.region.Region.elem_size
 
 let get t i =
   emit t i ~write:false;

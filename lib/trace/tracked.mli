@@ -1,10 +1,11 @@
 (** Instrumented arrays — the reproduction's Pin.
 
     A tracked array couples real storage with a {!Region} so that every
-    [get]/[set] both performs the computation and emits the corresponding
-    memory reference.  Kernels written against this module therefore
-    produce numerically correct results *and* a faithful per-structure
-    address stream, which is what Pin gave the paper's authors.
+    [get]/[set] both performs the computation and appends the
+    corresponding memory reference to the array's {!Tape}.  Kernels
+    written against this module therefore produce numerically correct
+    results *and* a faithful per-structure address stream, which is what
+    Pin gave the paper's authors.
 
     The [elem_size] of the region may differ from OCaml's in-memory
     representation (e.g. a "4-byte integer array" is stored in an OCaml
@@ -14,16 +15,16 @@
 type 'a t
 
 val create :
-  Region.t -> Recorder.t -> name:string -> elem_size:int -> 'a array -> 'a t
+  Region.t -> Tape.t -> name:string -> elem_size:int -> 'a array -> 'a t
 (** Wrap [storage]; registers a region of [Array.length storage] elements.
     The array is owned by the tracked wrapper afterwards. *)
 
 val make :
-  Region.t -> Recorder.t -> name:string -> elem_size:int -> int -> 'a -> 'a t
-(** [make reg rec ~name ~elem_size n init] wraps [Array.make n init]. *)
+  Region.t -> Tape.t -> name:string -> elem_size:int -> int -> 'a -> 'a t
+(** [make reg tape ~name ~elem_size n init] wraps [Array.make n init]. *)
 
 val init :
-  Region.t -> Recorder.t -> name:string -> elem_size:int -> int ->
+  Region.t -> Tape.t -> name:string -> elem_size:int -> int ->
   (int -> 'a) -> 'a t
 (** Like [Array.init]; construction is untraced (the paper's models ignore
     initialization phases — "we focus on the major computation parts ...
@@ -45,12 +46,12 @@ val set_silent : 'a t -> int -> 'a -> unit
 (** Untraced write. *)
 
 val touch : 'a t -> int -> unit
-(** Emit a read of element [i] without using the value — models accesses to
+(** Record a read of element [i] without using the value — models accesses to
     fields our OCaml representation stores elsewhere (e.g. a tree node's
     child pointers). *)
 
 val touch_write : 'a t -> int -> unit
-(** Emit a write of element [i] without storing a value (the counterpart of
+(** Record a write of element [i] without storing a value (the counterpart of
     {!touch} for modeled stores, e.g. accumulating a force into a particle
     record). *)
 

@@ -3,8 +3,8 @@
     Stdlib-only (Domain + Mutex + Condition): a fixed-size pool of worker
     domains pulls closures from a shared work queue.  Designed for the
     embarrassingly parallel sweeps in this repository — every kernel x
-    cache-configuration simulation owns its private [Region], [Recorder]
-    and [Cache], so jobs share nothing mutable and the parallel result is
+    cache-configuration simulation owns its private [Region], [Tape] and
+    [Cache], so jobs share nothing mutable and the parallel result is
     bit-identical to the serial one.
 
     Restrictions: jobs must not themselves call back into the same pool

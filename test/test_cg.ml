@@ -13,8 +13,7 @@ let test_solves_system () =
 let test_traced_matches_untraced () =
   let p = Cg.make_params ~max_iterations:10 100 in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let traced = Cg.run registry recorder p in
+  let traced = Cg.run registry (Memtrace.Tape.create ()) p in
   let untraced = Cg.run_untraced p in
   Alcotest.(check int) "same iterations" untraced.Cg.iterations traced.Cg.iterations;
   Alcotest.(check (float 1e-12)) "same residual" untraced.Cg.residual traced.Cg.residual
@@ -33,11 +32,9 @@ let test_iterations_grow_with_n () =
 let model_vs_sim cfg =
   let p = Cg.make_params ~max_iterations:8 ~tolerance:0.0 200 in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let cache = Cachesim.Cache.create cfg in
-  ignore (Memtrace.Recorder.add_sink recorder (Memtrace.Recorder.cache_sink cache));
-  let res = Cg.run registry recorder p in
-  Cachesim.Cache.flush cache;
+  let tape = Memtrace.Tape.create () in
+  let res = Cg.run registry tape p in
+  let cache = Fixtures.simulate cfg tape in
   let stats = Cachesim.Cache.stats cache in
   let spec = Cg.spec ~iterations:res.Cg.iterations p in
   let modeled = Access_patterns.App_spec.main_memory_accesses ~cache:cfg spec in

@@ -57,14 +57,14 @@ let test_reference_count_matches_trace () =
      count exactly. *)
   let p = Kernels.Vm.verification in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let _ = Kernels.Vm.run registry recorder p in
+  let tape = Memtrace.Tape.create () in
+  let _ = Kernels.Vm.run registry tape p in
   let spec = Kernels.Vm.spec p in
   let modeled =
     List.fold_left (fun acc (_, v) -> acc +. v) 0.0
       (Ap.App_spec.cache_references ~cache spec)
   in
-  checkf "total references" (float_of_int (Memtrace.Recorder.events_emitted recorder))
+  checkf "total references" (float_of_int (Memtrace.Tape.length tape))
     modeled
 
 let test_cache_dvf_resident_capped () =

@@ -32,10 +32,7 @@ let synthetic_events n =
       if i mod 4 = 0 then Mt.Event.write ~owner ~addr ~size
       else Mt.Event.read ~owner ~addr ~size)
 
-let tape_of events =
-  let tape = Mt.Tape.create ~chunk_events:256 () in
-  List.iter (Mt.Tape.append tape) events;
-  tape
+let tape_of events = Fixtures.tape_of_events ~chunk_events:256 events
 
 let nofeed = C.Cache.nofeed
 
@@ -103,14 +100,7 @@ let test_one_level_identity_synthetic () =
   check_snapshots "1-level = plain cache" (snap plain)
     (snap (C.Hierarchy.level_cache h 0))
 
-let capture_instance (instance : Core.Workload.instance) =
-  let registry = Mt.Region.create () in
-  let recorder = Mt.Recorder.buffered () in
-  let tape = Mt.Tape.create () in
-  ignore (Mt.Recorder.add_batch_sink recorder (Mt.Tape.batch_sink tape));
-  instance.Core.Workload.trace registry recorder;
-  Mt.Recorder.flush recorder;
-  tape
+let capture_instance instance = (Core.Verify.capture instance).Core.Verify.tape
 
 let test_one_level_identity_all_workloads () =
   List.iter

@@ -10,11 +10,9 @@ module Mc = Kernels.Monte_carlo
    simulated main-memory accesses against the analytical spec. *)
 let run_into_cache cfg run =
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let cache = Cachesim.Cache.create cfg in
-  ignore (Memtrace.Recorder.add_sink recorder (Memtrace.Recorder.cache_sink cache));
-  let result = run registry recorder in
-  Cachesim.Cache.flush cache;
+  let tape = Memtrace.Tape.create () in
+  let result = run registry tape in
+  let cache = Fixtures.simulate cfg tape in
   (registry, Cachesim.Cache.stats cache, result)
 
 let compare_structures ~msg ~tolerance cfg registry stats spec names =
@@ -68,8 +66,7 @@ let test_nb_theta_controls_visits () =
 let test_nb_traced_matches_untraced () =
   let p = Nb.verification in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let traced = Nb.run registry recorder p in
+  let traced = Nb.run registry (Memtrace.Tape.create ()) p in
   let untraced = Nb.run_untraced p in
   Alcotest.(check int) "same node count" untraced.Nb.nodes traced.Nb.nodes;
   Alcotest.(check (float 1e-9)) "same visit count" untraced.Nb.avg_visits
@@ -112,13 +109,14 @@ let test_mg_spec_ref_counts_match_trace () =
      events. *)
   let p = Mg.make_params ~v_cycles:1 16 in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let sink, counted = Memtrace.Recorder.buffer_sink () in
-  ignore (Memtrace.Recorder.add_sink recorder sink);
-  let _ = Mg.run registry recorder p in
+  let tape = Memtrace.Tape.create () in
+  let _ = Mg.run registry tape p in
   let r_owner = (Memtrace.Region.lookup registry "R").Memtrace.Region.id in
   let traced_r =
-    List.length (List.filter (fun e -> e.Memtrace.Event.owner = r_owner) (counted ()))
+    List.length
+      (List.filter
+         (fun e -> e.Memtrace.Event.owner = r_owner)
+         (Memtrace.Tape.to_list tape))
   in
   let spec = Mg.spec p in
   let r_structure =
@@ -202,8 +200,7 @@ let test_mc_total_plausible () =
 let test_mc_traced_matches_untraced () =
   let p = Mc.make_params 500 in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let traced = Mc.run registry recorder p in
+  let traced = Mc.run registry (Memtrace.Tape.create ()) p in
   let untraced = Mc.run_untraced p in
   Alcotest.(check (float 1e-9)) "same accumulation" untraced.Mc.total_xs
     traced.Mc.total_xs

@@ -15,8 +15,7 @@ let test_traced_matches_untraced () =
     (fun preconditioner ->
       let p = Pcg.make_params ~max_iterations:10 ~preconditioner 80 in
       let registry = Memtrace.Region.create () in
-      let recorder = Memtrace.Recorder.create () in
-      let traced = Pcg.run registry recorder p in
+      let traced = Pcg.run registry (Memtrace.Tape.create ()) p in
       let untraced = Pcg.run_untraced p in
       Alcotest.(check int) "iterations" untraced.Pcg.iterations traced.Pcg.iterations;
       Alcotest.(check (float 1e-12)) "residual" untraced.Pcg.residual
@@ -53,11 +52,9 @@ let test_model_vs_simulation () =
   List.iter
     (fun cfg ->
       let registry = Memtrace.Region.create () in
-      let recorder = Memtrace.Recorder.create () in
-      let cache = Cachesim.Cache.create cfg in
-      ignore (Memtrace.Recorder.add_sink recorder (Memtrace.Recorder.cache_sink cache));
-      let result = Pcg.run registry recorder p in
-      Cachesim.Cache.flush cache;
+      let tape = Memtrace.Tape.create () in
+      let result = Pcg.run registry tape p in
+      let cache = Fixtures.simulate cfg tape in
       let stats = Cachesim.Cache.stats cache in
       let spec = Pcg.spec ~iterations:result.Pcg.iterations p in
       let modeled =

@@ -29,10 +29,7 @@ let synthetic_events n =
       if i mod 4 = 0 then Mt.Event.write ~owner ~addr ~size
       else Mt.Event.read ~owner ~addr ~size)
 
-let tape_of events =
-  let tape = Mt.Tape.create ~chunk_events:256 () in
-  List.iter (Mt.Tape.append tape) events;
-  tape
+let tape_of events = Fixtures.tape_of_events ~chunk_events:256 events
 
 let timed_cache ?bins ~horizon cfg =
   let cache = C.Cache.create cfg in

@@ -14,8 +14,9 @@ let contains_substring haystack needle =
   let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
   scan 0
 
-let with_server ?(workloads = [ Core.Workloads.vm; Core.Workloads.mc ]) f =
-  let srv = Core.Serve.create ~jobs:2 ~workloads () in
+let with_server ?(jobs = 2) ?(workloads = [ Core.Workloads.vm; Core.Workloads.mc ])
+    f =
+  let srv = Core.Serve.create ~jobs ~workloads () in
   Fun.protect ~finally:(fun () -> Core.Serve.shutdown srv) (fun () -> f srv)
 
 let parse_exn line =
@@ -223,7 +224,7 @@ let test_tape_info () =
       ignore (Mt.Region.register registry ~name:"B" ~elements:64 ~elem_size:4);
       let tape = Mt.Tape.create ~chunk_events:64 () in
       for i = 0 to 199 do
-        Mt.Tape.append tape (Mt.Event.read ~owner:1 ~addr:(i * 32) ~size:4)
+        Mt.Tape.append tape ~owner:1 ~write:false ~addr:(i * 32) ~size:4
       done;
       Mt.Tape_io.save ~path
         ~meta:{ Mt.Tape_io.workload = "VM"; size = "n=64"; seed = 3 }
@@ -273,6 +274,185 @@ let test_json_parse_line () =
   match J.parse_line "nope" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted"
+
+(* --- fuzzing untrusted request lines ---
+
+   Every line a client sends is untrusted.  Four generators — random
+   bytes, truncations of valid requests, parameters of the wrong JSON
+   type and out-of-range parameter values — each produce lines the
+   server must refuse: exactly one reply per non-blank line, a
+   well-formed [dvf-query] envelope with [ok:false] and an error
+   string, no exception, and a server that still answers [ping]
+   afterwards. *)
+
+(* A request line never holds a newline: the transport splits on it. *)
+let gen_bytes =
+  QCheck.Gen.(
+    map
+      (String.map (fun c -> if c = '\n' then ' ' else c))
+      (string_size ~gen:char (int_range 0 80)))
+
+let valid_requests =
+  [
+    {|{"id":1,"op":"ping"}|};
+    {|{"id":2,"op":"verify","workload":"VM"}|};
+    {|{"id":3,"op":"levels","workload":"VM","levels":2}|};
+    {|{"id":4,"op":"timed","workload":"VM","levels":1,"bins":4}|};
+    {|{"id":5,"op":"sweep","workload":"VM","capacities":[4096,8192]}|};
+    {|{"id":6,"op":"chaos","trials":10,"kill_fraction":0.25}|};
+  ]
+
+(* A proper prefix of a one-object document is never a document. *)
+let gen_truncation =
+  QCheck.Gen.(
+    oneofl valid_requests >>= fun r ->
+    map (fun n -> String.sub r 0 n) (int_range 0 (String.length r - 1)))
+
+let request op fields =
+  J.to_string ~indent:false
+    (J.Obj ([ ("id", J.Int 7); ("op", J.Str op) ] @ fields))
+
+let not_int =
+  [ J.Str "2"; J.Float 2.5; J.Bool true; J.List [ J.Int 2 ]; J.Obj [] ]
+let not_number = [ J.Str "0.5"; J.Bool false; J.List []; J.Obj [] ]
+
+(* Each op reads the parameter it is paired with, so every line is
+   malformed; "workload" pins the served kernel where an op takes one. *)
+let gen_wrong_type =
+  let vm = ("workload", J.Str "VM") in
+  let case op param values extra =
+    QCheck.Gen.map
+      (fun v -> request op ((param, v) :: extra))
+      (QCheck.Gen.oneofl values)
+  in
+  QCheck.Gen.oneof
+    [
+      case "levels" "levels" (J.Null :: not_int) [ vm ];
+      case "timed" "levels" (J.Null :: not_int) [ vm ];
+      case "timed" "bins" (J.Null :: not_int) [ vm ];
+      case "sweep" "capacities"
+        [
+          J.Int 4096; J.Str "4096"; J.List [ J.Str "x" ];
+          J.List [ J.Float 4096. ];
+        ]
+        [ vm ];
+      case "sweep" "simulate" [ J.Str "yes"; J.Int 1; J.Null ] [ vm ];
+      case "chaos" "trials" not_int [];
+      case "chaos" "kill_fraction" not_number [];
+      case "chaos" "seed" not_int [];
+      case "verify" "workload" [ J.Int 1; J.Bool true; J.List [] ] [];
+      QCheck.Gen.map
+        (fun v ->
+          J.to_string ~indent:false (J.Obj [ ("id", J.Int 7); ("op", v) ]))
+        (QCheck.Gen.oneofl (J.Null :: not_int));
+    ]
+
+(* Values every validator rejects: hierarchies have 1..3 levels, a
+   capacity must give a power-of-two set count of 8-way 64-B lines, and
+   kill fractions lie in [0, 1].  Rejected before any work is done, so
+   the cases stay cheap. *)
+let gen_out_of_range =
+  let open QCheck.Gen in
+  let vm = ("workload", J.Str "VM") in
+  let bad_levels = oneof [ int_range (-3) 0; int_range 4 1000 ] in
+  let bad_capacity =
+    oneof
+      [
+        int_range (-100_000) 511;
+        map2
+          (fun k r ->
+            let k = if k land (k - 1) = 0 then k + 1 else k in
+            (512 * k) + r)
+          (int_range 3 1000) (int_range 0 511);
+      ]
+  in
+  oneof
+    [
+      map (fun l -> request "levels" [ vm; ("levels", J.Int l) ]) bad_levels;
+      map (fun l -> request "timed" [ vm; ("levels", J.Int l) ]) bad_levels;
+      map
+        (fun b -> request "timed" [ vm; ("bins", J.Int b) ])
+        (int_range (-1000) 0);
+      map
+        (fun c ->
+          request "sweep"
+            [ vm; ("capacities", J.List [ J.Int 4096; J.Int c ]) ])
+        bad_capacity;
+      map
+        (fun n -> request "chaos" [ ("trials", J.Int n) ])
+        (int_range (-1000) 0);
+      map
+        (fun f -> request "chaos" [ ("kill_fraction", J.Float f) ])
+        (oneof [ float_range (-1000.) (-0.001); float_range 1.001 1000. ]);
+      map
+        (fun op -> request op [ ("workload", J.Str "NOPE") ])
+        (oneofl [ "verify"; "levels"; "timed"; "dvf"; "sweep"; "chaos" ]);
+    ]
+
+let refuses srv line =
+  let reply =
+    match Core.Serve.handle_line srv line with
+    | reply -> reply
+    | exception e ->
+        QCheck.Test.fail_reportf "exception %s escaped" (Printexc.to_string e)
+  in
+  (match (J.parse_line line, reply) with
+  | Ok None, None -> ()
+  | Ok None, Some _ -> QCheck.Test.fail_report "reply to a blank line"
+  | _, None -> QCheck.Test.fail_report "no reply to a non-blank line"
+  | _, Some reply -> (
+      match J.of_string reply with
+      | Error e -> QCheck.Test.fail_reportf "reply does not parse: %s" e
+      | Ok r -> (
+          if J.member "schema" r <> Some (J.Str Core.Serve.schema) then
+            QCheck.Test.fail_reportf "bad schema in %s" reply;
+          match (J.member "ok" r, J.member "error" r) with
+          | Some (J.Bool false), Some (J.Str msg) when msg <> "" -> ()
+          | _ -> QCheck.Test.fail_reportf "not a structured error: %s" reply)));
+  (match Core.Serve.handle_line srv {|{"id":0,"op":"ping"}|} with
+  | Some pong when contains_substring pong {|"pong":true|} -> ()
+  | _ -> QCheck.Test.fail_report "ping no longer answers");
+  true
+
+let test_fuzz_serve () =
+  with_server ~jobs:1 ~workloads:[ Core.Workloads.vm ] (fun srv ->
+      List.iter
+        (fun (name, count, gen) ->
+          QCheck.Test.check_exn
+            (QCheck.Test.make ~count ~name
+               (QCheck.make ~print:(Printf.sprintf "%S") gen)
+               (refuses srv)))
+        [
+          ("random bytes", 300, gen_bytes);
+          ("truncated requests", 200, gen_truncation);
+          ("wrong-typed parameters", 200, gen_wrong_type);
+          ("out-of-range parameters", 200, gen_out_of_range);
+        ])
+
+let test_fuzz_parse_line () =
+  let never_raises =
+    QCheck.Test.make ~count:1000 ~name:"Json.parse_line total"
+      (QCheck.make ~print:(Printf.sprintf "%S")
+         QCheck.Gen.(
+           oneof [ string_size ~gen:char (int_range 0 80); gen_truncation ]))
+      (fun line ->
+        match J.parse_line line with
+        | Ok None ->
+            String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') line
+        | Ok (Some _) | Error _ -> true
+        | exception e ->
+            QCheck.Test.fail_reportf "exception %s" (Printexc.to_string e))
+  in
+  let truncations_rejected =
+    QCheck.Test.make ~count:300 ~name:"truncated requests are errors"
+      (QCheck.make ~print:(Printf.sprintf "%S") gen_truncation)
+      (fun line ->
+        match J.parse_line line with
+        | Ok None -> line = ""
+        | Ok (Some _) -> false
+        | Error _ -> true)
+  in
+  List.iter QCheck.Test.check_exn [ never_raises; truncations_rejected ]
 
 (* --- end to end: the real binary over pipes --- *)
 
@@ -417,6 +597,9 @@ let suite =
     Alcotest.test_case "row codecs round-trip" `Quick test_row_codecs_roundtrip;
     Alcotest.test_case "tape info" `Quick test_tape_info;
     Alcotest.test_case "Json.parse_line" `Quick test_json_parse_line;
+    Alcotest.test_case "fuzz: Json.parse_line" `Quick test_fuzz_parse_line;
+    Alcotest.test_case "fuzz: malformed lines get structured errors" `Quick
+      test_fuzz_serve;
     Alcotest.test_case "end-to-end: dvf serve over pipes" `Quick
       test_end_to_end_binary;
     Alcotest.test_case "socket client hanging up early" `Quick

@@ -175,12 +175,9 @@ let test_evaluator_matches_available () =
 
 let capture ?seed ~requests g =
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let sink, events = Memtrace.Recorder.buffer_sink () in
-  ignore (Memtrace.Recorder.add_sink recorder sink);
-  Sg.trace ?seed ~requests g registry recorder;
-  Memtrace.Recorder.flush recorder;
-  events ()
+  let tape = Memtrace.Tape.create () in
+  Sg.trace ?seed ~requests g registry tape;
+  Memtrace.Tape.to_list tape
 
 let test_trace_is_deterministic () =
   let g = Sg.social_network in
@@ -198,8 +195,7 @@ let test_spec_structures_match_trace_regions () =
     List.map fst (Access_patterns.App_spec.structure_bytes spec)
   in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  Sg.trace ~requests:200 g registry recorder;
+  Sg.trace ~requests:200 g registry (Memtrace.Tape.create ());
   let region_names =
     List.map
       (fun (r : Memtrace.Region.region) -> r.Memtrace.Region.name)

@@ -97,8 +97,7 @@ let test_sparse_matches_dense_cg () =
 let test_traced_matches_untraced () =
   let p = S.make_params ~max_iterations:12 (`Laplacian_2d 20) in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let traced = S.run registry recorder p in
+  let traced = S.run registry (Memtrace.Tape.create ()) p in
   let untraced = S.run_untraced p in
   Alcotest.(check int) "iterations" untraced.S.iterations traced.S.iterations;
   Alcotest.(check (float 1e-12)) "residual" untraced.S.residual traced.S.residual
@@ -108,11 +107,9 @@ let test_model_vs_simulation () =
   List.iter
     (fun cfg ->
       let registry = Memtrace.Region.create () in
-      let recorder = Memtrace.Recorder.create () in
-      let cache = Cachesim.Cache.create cfg in
-      ignore (Memtrace.Recorder.add_sink recorder (Memtrace.Recorder.cache_sink cache));
-      let result = S.run registry recorder p in
-      Cachesim.Cache.flush cache;
+      let tape = Memtrace.Tape.create () in
+      let result = S.run registry tape p in
+      let cache = Fixtures.simulate cfg tape in
       let stats = Cachesim.Cache.stats cache in
       let spec = S.spec ~iterations:result.S.iterations p in
       let modeled = Access_patterns.App_spec.main_memory_accesses ~cache:cfg spec in

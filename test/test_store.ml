@@ -45,9 +45,7 @@ let synthetic_events n =
 let make_capture n () =
   let registry = Mt.Region.create () in
   ignore (Mt.Region.register registry ~name:"A" ~elements:256 ~elem_size:8);
-  let tape = Mt.Tape.create ~chunk_events:64 () in
-  List.iter (Mt.Tape.append tape) (synthetic_events n);
-  (registry, tape)
+  (registry, Fixtures.tape_of_events ~chunk_events:64 (synthetic_events n))
 
 let check_same_tape name expected actual =
   Alcotest.(check int)

@@ -1,9 +1,10 @@
 (* Memtrace.Tape: capture-once/replay-many correctness.
 
-   The tentpole invariant is bit-identity: replaying a captured tape into
-   a cache must leave statistics identical to tracing the workload
-   straight into that cache — for every builtin workload, every
-   verification geometry, any chunking, and fused multi-cache walks. *)
+   The tentpole invariant is bit-identity: the packed replay of a
+   captured tape into a cache must leave statistics identical to feeding
+   the same events one [Cache.access] at a time — for every builtin
+   workload, every verification geometry, any chunking, and fused
+   multi-cache walks. *)
 
 module C = Cachesim
 module Mt = Memtrace
@@ -34,8 +35,7 @@ let drive_direct cfg events =
   snap cache
 
 let drive_tape ?chunk_events cfg events =
-  let tape = Mt.Tape.create ?chunk_events () in
-  List.iter (Mt.Tape.append tape) events;
+  let tape = Fixtures.tape_of_events ?chunk_events events in
   let cache = C.Cache.create cfg in
   Mt.Tape.replay_fused tape [| cache |];
   C.Cache.flush cache;
@@ -160,65 +160,44 @@ let test_append_validation () =
   let tape = Mt.Tape.create () in
   Alcotest.check_raises "negative address"
     (Invalid_argument "Tape.append: negative address") (fun () ->
-      Mt.Tape.append tape (Mt.Event.read ~owner:0 ~addr:(-1) ~size:4));
+      Mt.Tape.append tape ~owner:0 ~write:false ~addr:(-1) ~size:4);
   Alcotest.check_raises "bad chunk capacity"
     (Invalid_argument "Tape.create: chunk_events must be positive (got 0)")
     (fun () -> ignore (Mt.Tape.create ~chunk_events:0 ()))
 
-(* --- bulk append (capture fast path) --- *)
-
-let test_append_batch_equals_append () =
-  let events = Array.of_list (synthetic_events 37) in
-  let one_by_one = Mt.Tape.create ~chunk_events:8 () in
-  Array.iter (Mt.Tape.append one_by_one) events;
-  (* One bulk call crossing four chunk boundaries, and two split calls
-     with the second starting mid-chunk: all three tapes must agree. *)
-  let bulk = Mt.Tape.create ~chunk_events:8 () in
-  Mt.Tape.append_batch bulk events (Array.length events);
-  let split = Mt.Tape.create ~chunk_events:8 () in
-  Mt.Tape.append_batch split (Array.sub events 0 11) 11;
-  Mt.Tape.append_batch split (Array.sub events 11 26) 26;
+(* A rejected event must leave the tape exactly as it was — in
+   particular a full head chunk is not retired (and a fresh one not
+   allocated) for an event that is then refused. *)
+let test_rejected_append_leaves_tape_unchanged () =
+  let bad =
+    [
+      ("size 0", (1, 0, 0)); ("owner -1", (-1, 0, 4)); ("addr -1", (1, -1, 4));
+    ]
+  in
   List.iter
-    (fun (name, tape) ->
-      Alcotest.(check int) (name ^ " length") 37 (Mt.Tape.length tape);
-      Alcotest.(check int) (name ^ " chunks") 5 (Mt.Tape.chunk_count tape);
-      Alcotest.(check bool) (name ^ " events") true
-        (List.for_all2 Mt.Event.equal
-           (Mt.Tape.to_list one_by_one)
-           (Mt.Tape.to_list tape)))
-    [ ("bulk", bulk); ("split", split) ];
-  (* A batch can also consume a prefix of its array. *)
-  let prefix = Mt.Tape.create ~chunk_events:8 () in
-  Mt.Tape.append_batch prefix events 5;
-  Alcotest.(check int) "prefix length" 5 (Mt.Tape.length prefix)
-
-let test_append_batch_validation_is_atomic () =
-  let tape = Mt.Tape.create ~chunk_events:8 () in
-  let good = Array.of_list (synthetic_events 5) in
-  Mt.Tape.append_batch tape good 5;
-  let expect_untouched name f =
-    (match f () with
-    | exception Invalid_argument _ -> ()
-    | () -> Alcotest.failf "%s: expected Invalid_argument" name);
-    (* Up-front validation: nothing before the bad index was recorded. *)
-    Alcotest.(check int) (name ^ ": length untouched") 5 (Mt.Tape.length tape);
-    Alcotest.(check bool) (name ^ ": events untouched") true
-      (List.for_all2 Mt.Event.equal (Array.to_list good) (Mt.Tape.to_list tape))
-  in
-  let with_bad_event e =
-    let events = Array.of_list (synthetic_events 12) in
-    events.(7) <- e;
-    fun () -> Mt.Tape.append_batch tape events 12
-  in
-  expect_untouched "negative address mid-batch"
-    (with_bad_event (Mt.Event.read ~owner:1 ~addr:(-4) ~size:4));
-  expect_untouched "zero size mid-batch"
-    (with_bad_event { Mt.Event.owner = 1; write = false; addr = 0; size = 0 });
-  expect_untouched "negative owner mid-batch"
-    (with_bad_event (Mt.Event.read ~owner:(-1) ~addr:0 ~size:4));
-  expect_untouched "count past end" (fun () -> Mt.Tape.append_batch tape good 6);
-  expect_untouched "negative count" (fun () ->
-      Mt.Tape.append_batch tape good (-1))
+    (fun (head, good) ->
+      let tape =
+        Fixtures.tape_of_events ~chunk_events:8 (synthetic_events good)
+      in
+      let length = Mt.Tape.length tape
+      and chunks = Mt.Tape.chunk_count tape
+      and bytes = Mt.Tape.allocated_bytes tape
+      and events = Mt.Tape.to_list tape in
+      List.iter
+        (fun (name, (owner, addr, size)) ->
+          let name = Printf.sprintf "%s on %s head" name head in
+          (match Mt.Tape.append tape ~owner ~write:true ~addr ~size with
+          | exception Invalid_argument _ -> ()
+          | () -> Alcotest.failf "%s: expected Invalid_argument" name);
+          Alcotest.(check int) (name ^ ": length") length (Mt.Tape.length tape);
+          Alcotest.(check int) (name ^ ": chunk_count") chunks
+            (Mt.Tape.chunk_count tape);
+          Alcotest.(check int) (name ^ ": allocated_bytes") bytes
+            (Mt.Tape.allocated_bytes tape);
+          Alcotest.(check bool) (name ^ ": to_list") true
+            (List.for_all2 Mt.Event.equal events (Mt.Tape.to_list tape)))
+        bad)
+    [ ("empty", 0); ("full", 8) ]
 
 (* Chunk accounting is tracked incrementally (recomputing it per append
    used to make telemetry sampling quadratic); it must stay consistent
@@ -231,7 +210,7 @@ let test_chunk_accounting_incremental () =
     (Mt.Tape.allocated_bytes tape);
   List.iteri
     (fun i e ->
-      Mt.Tape.append tape e;
+      Fixtures.append_event tape e;
       let n = i + 1 in
       let chunks = Dvf_util.Maths.cdiv n 8 in
       Alcotest.(check int) (Printf.sprintf "chunks at %d" n) chunks
@@ -246,8 +225,7 @@ let test_chunk_accounting_incremental () =
 
 let test_fused_equals_sequential () =
   let events = synthetic_events 3000 in
-  let tape = Mt.Tape.create ~chunk_events:256 () in
-  List.iter (Mt.Tape.append tape) events;
+  let tape = Fixtures.tape_of_events ~chunk_events:256 events in
   let caches = Array.of_list (List.map C.Cache.create C.Config.verification_set) in
   Mt.Tape.replay_fused tape caches;
   Array.iter C.Cache.flush caches;
@@ -263,22 +241,15 @@ let test_fused_equals_sequential () =
 
 (* --- capture -> replay bit-identity on every builtin workload --- *)
 
-let capture_instance (instance : Core.Workload.instance) =
-  let registry = Mt.Region.create () in
-  let recorder = Mt.Recorder.buffered () in
-  let tape = Mt.Tape.create () in
-  ignore (Mt.Recorder.add_batch_sink recorder (Mt.Tape.batch_sink tape));
-  instance.Core.Workload.trace registry recorder;
-  Mt.Recorder.flush recorder;
-  tape
+let capture_instance instance = (Core.Verify.capture instance).Core.Verify.tape
 
-let direct_instance (instance : Core.Workload.instance) cfg =
-  let registry = Mt.Region.create () in
-  let recorder = Mt.Recorder.buffered () in
+(* The per-event reference: the tape's decoded events, one
+   [Cache.access] each — independent of the packed walk. *)
+let per_event tape cfg =
   let cache = C.Cache.create cfg in
-  ignore (Mt.Recorder.add_batch_sink recorder (Mt.Recorder.cache_batch_sink cache));
-  instance.Core.Workload.trace registry recorder;
-  Mt.Recorder.flush recorder;
+  Mt.Tape.iter tape (fun (e : Mt.Event.t) ->
+      C.Cache.access cache ~owner:e.owner ~write:e.write ~addr:e.addr
+        ~size:e.size);
   C.Cache.flush cache;
   snap cache
 
@@ -299,10 +270,54 @@ let test_workload_bit_identity () =
           check_snapshots
             (Printf.sprintf "%s on %s" instance.Core.Workload.workload
                cfg.C.Config.name)
-            (direct_instance instance cfg)
+            (per_event tape cfg)
             (snap replayed))
         C.Config.verification_set)
     (Core.Workloads.all ())
+
+(* --- capture output pinned to committed digests ---
+
+   golden/tape_digests.txt holds, per verification workload, the event
+   count and a digest of the captured payload words — every event's
+   address and packed meta word as little-endian int64s, digested in
+   blocks of 4096 events and then digested again over the block
+   digests.  That depends only on the event stream, not on chunking or
+   on the .dvftape format, so any change in what capture records fails
+   here. *)
+
+let payload_digest tape =
+  let block = Bytes.create (16 * 4096) and fill = ref 0 in
+  let digests = Buffer.create 4096 in
+  let flush () =
+    Buffer.add_string digests (Digest.subbytes block 0 !fill);
+    fill := 0
+  in
+  Mt.Tape.fold_chunks tape ~init:() ~f:(fun () ~addrs ~metas ~len ->
+      for i = 0 to len - 1 do
+        Bytes.set_int64_le block !fill (Int64.of_int addrs.(i));
+        Bytes.set_int64_le block (!fill + 8) (Int64.of_int metas.(i));
+        fill := !fill + 16;
+        if !fill = Bytes.length block then flush ()
+      done);
+  if !fill > 0 then flush ();
+  Digest.to_hex (Digest.string (Buffer.contents digests))
+
+let test_capture_digests_golden () =
+  let golden =
+    In_channel.with_open_text "golden/tape_digests.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let captured =
+    List.map
+      (fun workload ->
+        let instance = Core.Workloads.verification_instance workload in
+        let tape = capture_instance instance in
+        Printf.sprintf "%s %d %s" instance.Core.Workload.workload
+          (Mt.Tape.length tape) (payload_digest tape))
+      Core.Workloads.[ vm; cg; nb; mg; ft; mc ]
+  in
+  Alcotest.(check (list string)) "capture digests" golden captured
 
 (* --- per-shard views --- *)
 
@@ -353,8 +368,7 @@ let test_partition_views_bit_identity () =
 
 let test_partition_validation () =
   let cfg = C.Config.make ~name:"v8" ~associativity:2 ~sets:64 ~line:8 in
-  let tape = Mt.Tape.create ~chunk_events:16 () in
-  List.iter (Mt.Tape.append tape) (synthetic_events 64);
+  let tape = Fixtures.tape_of_events ~chunk_events:16 (synthetic_events 64) in
   (match Mt.Tape.partition tape [| C.Cache.create cfg |] ~shards:3 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-power-of-two shard count must be rejected");
@@ -366,8 +380,8 @@ let test_partition_validation () =
 
 let test_verify_widths_match_oracle () =
   let workloads = [ Core.Workloads.vm; Core.Workloads.mc ] in
-  (* The independent reference: each kernel traced straight into each
-     cache, no tape and no sharding. *)
+  (* The independent reference: each kernel's capture fed event by event
+     into each cache, no packed walk and no sharding. *)
   let oracle =
     List.concat_map
       (fun w ->
@@ -396,6 +410,7 @@ let test_verify_widths_match_oracle () =
 
 let test_sweep_simulate () =
   let instance = Core.Workloads.verification_instance Core.Workloads.vm in
+  let tape = capture_instance instance in
   let capacities = [ 8192; 65536 ] in
   let rows =
     Core.Experiments.cache_sweep ~jobs:1 ~capacities ~simulate:true instance
@@ -409,9 +424,9 @@ let test_sweep_simulate () =
       match r.Core.Experiments.sim_n_ha with
       | None -> Alcotest.failf "missing sim_n_ha at %d" r.Core.Experiments.capacity
       | Some sim ->
-          (* The fused sweep replay must agree exactly with tracing the
-             workload directly into the same geometry. *)
-          let direct = direct_instance instance r.Core.Experiments.sweep_cache in
+          (* The fused sweep replay must agree exactly with the
+             per-event walk of the same capture on the same geometry. *)
+          let direct = per_event tape r.Core.Experiments.sweep_cache in
           Alcotest.(check (float 0.0))
             (Printf.sprintf "sim_n_ha at %d" r.Core.Experiments.capacity)
             (float_of_int (C.Stats.Snapshot.total_main_memory direct))
@@ -438,15 +453,15 @@ let suite =
     Alcotest.test_case "capacity + 1" `Quick test_capacity_plus_one;
     Alcotest.test_case "chunking invariance" `Quick test_chunking_invariance;
     Alcotest.test_case "append validation" `Quick test_append_validation;
-    Alcotest.test_case "append_batch = append" `Quick
-      test_append_batch_equals_append;
-    Alcotest.test_case "append_batch validation is atomic" `Quick
-      test_append_batch_validation_is_atomic;
+    Alcotest.test_case "rejected append leaves tape unchanged" `Quick
+      test_rejected_append_leaves_tape_unchanged;
     Alcotest.test_case "chunk accounting incremental" `Quick
       test_chunk_accounting_incremental;
     Alcotest.test_case "fused = sequential" `Quick test_fused_equals_sequential;
     Alcotest.test_case "capture/replay bit-identity (all workloads)" `Quick
       test_workload_bit_identity;
+    Alcotest.test_case "capture digests = golden (all workloads)" `Quick
+      test_capture_digests_golden;
     Alcotest.test_case "partitioned views bit-identity (all workloads)" `Quick
       test_partition_views_bit_identity;
     Alcotest.test_case "partition validation" `Quick test_partition_validation;

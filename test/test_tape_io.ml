@@ -47,9 +47,7 @@ let synthetic_events n =
       else Mt.Event.read ~owner ~addr ~size)
 
 let make_tape ?(chunk_events = 64) n =
-  let tape = Mt.Tape.create ~chunk_events () in
-  List.iter (Mt.Tape.append tape) (synthetic_events n);
-  tape
+  Fixtures.tape_of_events ~chunk_events (synthetic_events n)
 
 let load_exn path =
   match Mt.Tape_io.load path with

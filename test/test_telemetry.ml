@@ -155,7 +155,7 @@ let test_verify_rows_identical_with_metrics () =
         (counter ^ " schedule-independent")
         (T.counter_value serial_t counter)
         (T.counter_value parallel_t counter))
-    [ "recorder/events"; "recorder/batches"; "cache/accesses" ];
+    [ "tape/capture_events"; "tape/allocated_bytes"; "cache/accesses" ];
   (* And both documents validate. *)
   List.iter
     (fun t ->

@@ -35,31 +35,13 @@ let test_elem_addr () =
     (Invalid_argument "Region.elem_addr: index 10 out of A") (fun () ->
       ignore (Mt.Region.elem_addr a 10))
 
-let test_recorder_fanout () =
-  let rec_ = Mt.Recorder.create () in
-  let sink1, get1 = Mt.Recorder.buffer_sink () in
-  let sink2, count2 = Mt.Recorder.counting_sink () in
-  ignore (Mt.Recorder.add_sink rec_ sink1);
-  ignore (Mt.Recorder.add_sink rec_ sink2);
-  Mt.Recorder.read rec_ ~owner:1 ~addr:100 ~size:8;
-  Mt.Recorder.write rec_ ~owner:2 ~addr:200 ~size:4;
-  let events = get1 () in
-  Alcotest.(check int) "buffered" 2 (List.length events);
-  Alcotest.(check int) "counted" 2 (count2 ());
-  Alcotest.(check int) "emitted" 2 (Mt.Recorder.events_emitted rec_);
-  let first = List.hd events in
-  Alcotest.(check bool) "first is read" false first.Mt.Event.write;
-  Alcotest.(check int) "first addr" 100 first.Mt.Event.addr
-
 let test_tracked_get_set () =
   let reg = Mt.Region.create () in
-  let rec_ = Mt.Recorder.create () in
-  let sink, get = Mt.Recorder.buffer_sink () in
-  ignore (Mt.Recorder.add_sink rec_ sink);
-  let arr = Mt.Tracked.make reg rec_ ~name:"X" ~elem_size:8 10 0.0 in
+  let tape = Mt.Tape.create () in
+  let arr = Mt.Tracked.make reg tape ~name:"X" ~elem_size:8 10 0.0 in
   Mt.Tracked.set arr 3 1.5;
   Alcotest.(check (float 0.0)) "get returns value" 1.5 (Mt.Tracked.get arr 3);
-  let events = get () in
+  let events = Mt.Tape.to_list tape in
   Alcotest.(check int) "two events" 2 (List.length events);
   let w = List.nth events 0 and r = List.nth events 1 in
   Alcotest.(check bool) "write event" true w.Mt.Event.write;
@@ -71,38 +53,34 @@ let test_tracked_get_set () =
 
 let test_tracked_silent_ops_untraced () =
   let reg = Mt.Region.create () in
-  let rec_ = Mt.Recorder.create () in
-  let arr = Mt.Tracked.make reg rec_ ~name:"X" ~elem_size:4 5 0 in
+  let tape = Mt.Tape.create () in
+  let arr = Mt.Tracked.make reg tape ~name:"X" ~elem_size:4 5 0 in
   Mt.Tracked.set_silent arr 0 42;
   Alcotest.(check int) "silent get" 42 (Mt.Tracked.get_silent arr 0);
-  Alcotest.(check int) "no events" 0 (Mt.Recorder.events_emitted rec_)
+  Alcotest.(check int) "no events" 0 (Mt.Tape.length tape)
 
 let test_tracked_init_untraced () =
   let reg = Mt.Region.create () in
-  let rec_ = Mt.Recorder.create () in
-  let arr = Mt.Tracked.init reg rec_ ~name:"X" ~elem_size:4 100 (fun i -> i * i) in
+  let tape = Mt.Tape.create () in
+  let arr = Mt.Tracked.init reg tape ~name:"X" ~elem_size:4 100 (fun i -> i * i) in
   Alcotest.(check int) "initialized" 81 (Mt.Tracked.get_silent arr 9);
-  Alcotest.(check int) "init untraced" 0 (Mt.Recorder.events_emitted rec_)
+  Alcotest.(check int) "init untraced" 0 (Mt.Tape.length tape)
 
 let test_tracked_touch () =
   let reg = Mt.Region.create () in
-  let rec_ = Mt.Recorder.create () in
-  let sink, get = Mt.Recorder.buffer_sink () in
-  ignore (Mt.Recorder.add_sink rec_ sink);
-  let arr = Mt.Tracked.make reg rec_ ~name:"X" ~elem_size:32 4 () in
+  let tape = Mt.Tape.create () in
+  let arr = Mt.Tracked.make reg tape ~name:"X" ~elem_size:32 4 () in
   Mt.Tracked.touch arr 2;
-  match get () with
+  match Mt.Tape.to_list tape with
   | [ e ] ->
       Alcotest.(check bool) "is read" false e.Mt.Event.write;
       Alcotest.(check int) "size is elem_size" 32 e.Mt.Event.size
   | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
 
-let test_cache_sink_integration () =
+let test_tracked_cache_integration () =
   let reg = Mt.Region.create () in
-  let rec_ = Mt.Recorder.create () in
-  let cache = Cachesim.Cache.create Cachesim.Config.small_verification in
-  ignore (Mt.Recorder.add_sink rec_ (Mt.Recorder.cache_sink cache));
-  let arr = Mt.Tracked.make reg rec_ ~name:"X" ~elem_size:8 16 0.0 in
+  let tape = Mt.Tape.create () in
+  let arr = Mt.Tracked.make reg tape ~name:"X" ~elem_size:8 16 0.0 in
   (* Two sequential passes: first all misses (4 lines of 32 B hold 16
      8-byte elements), second all hits. *)
   for _pass = 1 to 2 do
@@ -110,158 +88,18 @@ let test_cache_sink_integration () =
       ignore (Mt.Tracked.get arr i)
     done
   done;
+  let cache = Cachesim.Cache.create Cachesim.Config.small_verification in
+  Mt.Tape.replay_fused tape [| cache |];
   let owner = (Mt.Tracked.region arr).Mt.Region.id in
   let c = Cachesim.Stats.owner_counters (Cachesim.Cache.stats cache) owner in
   Alcotest.(check int) "misses" 4 c.Cachesim.Stats.misses;
   Alcotest.(check int) "hits" 28 c.Cachesim.Stats.hits
 
-(* Regression: add_sink used to append with [sinks @ [sink]] (quadratic)
-   — order across many sinks must stay registration order. *)
-let test_sink_registration_order () =
-  let rec_ = Mt.Recorder.create () in
-  let seen = ref [] in
-  for i = 0 to 99 do
-    ignore (Mt.Recorder.add_sink rec_ (fun _ -> seen := i :: !seen))
-  done;
-  Mt.Recorder.read rec_ ~owner:1 ~addr:0 ~size:1;
-  Alcotest.(check (list int)) "registration order" (List.init 100 Fun.id)
-    (List.rev !seen)
-
-(* Regression: [null] was one shared lazy recorder, so a sink added to it
-   leaked into every later user.  Now each [null ()] is fresh and inert. *)
-let test_null_recorder_inert_and_fresh () =
-  let n1 = Mt.Recorder.null () in
-  Alcotest.(check bool) "distinct values" false (n1 == Mt.Recorder.null ());
-  (match Mt.Recorder.add_sink n1 (fun _ -> ()) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "null recorder accepted a sink");
-  (match Mt.Recorder.add_batch_sink n1 (fun _ _ -> ()) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "null recorder accepted a batch sink");
-  Mt.Recorder.read n1 ~owner:1 ~addr:0 ~size:8;
-  Alcotest.(check int) "events dropped" 0 (Mt.Recorder.events_emitted n1)
-
-let test_buffered_chunks_and_flush () =
-  let rec_ = Mt.Recorder.create ~buffer_capacity:4 () in
-  let sink, get = Mt.Recorder.buffer_sink () in
-  ignore (Mt.Recorder.add_sink rec_ sink);
-  for i = 0 to 9 do
-    Mt.Recorder.read rec_ ~owner:1 ~addr:(i * 8) ~size:8
-  done;
-  (* Two full chunks delivered, two events still pending. *)
-  Alcotest.(check int) "delivered before flush" 8 (List.length (get ()));
-  Alcotest.(check int) "pending" 2 (Mt.Recorder.pending rec_);
-  Alcotest.(check int) "all counted" 10 (Mt.Recorder.events_emitted rec_);
-  Mt.Recorder.flush rec_;
-  Alcotest.(check int) "pending after flush" 0 (Mt.Recorder.pending rec_);
-  let events = get () in
-  Alcotest.(check int) "all delivered" 10 (List.length events);
-  List.iteri
-    (fun i (e : Mt.Event.t) ->
-      Alcotest.(check int) (Printf.sprintf "event %d in order" i) (i * 8)
-        e.Mt.Event.addr)
-    events
-
-let test_emit_batch_counts_and_order () =
-  let rec_ = Mt.Recorder.create ~buffer_capacity:8 () in
-  let sink, get = Mt.Recorder.buffer_sink () in
-  let batch_chunks = ref [] in
-  ignore (Mt.Recorder.add_sink rec_ sink);
-  ignore
-    (Mt.Recorder.add_batch_sink rec_ (fun events n ->
-         batch_chunks := Array.to_list (Array.sub events 0 n) :: !batch_chunks));
-  (* One buffered event, then a batch: flush-before-batch keeps order. *)
-  Mt.Recorder.read rec_ ~owner:1 ~addr:0 ~size:8;
-  let batch = Array.init 3 (fun i -> Mt.Event.read ~owner:1 ~addr:(8 * (i + 1)) ~size:8) in
-  Mt.Recorder.emit_batch rec_ batch 3;
-  Alcotest.(check int) "counted" 4 (Mt.Recorder.events_emitted rec_);
-  let addrs = List.map (fun (e : Mt.Event.t) -> e.Mt.Event.addr) (get ()) in
-  Alcotest.(check (list int)) "order preserved" [ 0; 8; 16; 24 ] addrs;
-  Alcotest.(check int) "batch sink saw both chunks" 2
-    (List.length !batch_chunks);
-  Alcotest.check_raises "bad length"
-    (Invalid_argument "Recorder.emit_batch: bad length 4 (array has 3)")
-    (fun () -> Mt.Recorder.emit_batch rec_ batch 4)
-
-(* The batched trace->cache fast path must produce bit-identical
-   statistics to the historical per-event dispatch. *)
-let test_buffered_cache_sink_equivalence () =
-  let run make_recorder attach =
-    let reg = Mt.Region.create () in
-    let rec_ = make_recorder () in
-    let cache = Cachesim.Cache.create Cachesim.Config.small_verification in
-    attach rec_ cache;
-    ignore (Kernels.Vm.run reg rec_ Kernels.Vm.verification);
-    Mt.Recorder.flush rec_;
-    Cachesim.Cache.flush cache;
-    Cachesim.Stats.totals (Cachesim.Cache.stats cache)
-  in
-  let unbuffered =
-    run
-      (fun () -> Mt.Recorder.create ())
-      (fun r c -> ignore (Mt.Recorder.add_sink r (Mt.Recorder.cache_sink c)))
-  in
-  let buffered =
-    run
-      (fun () -> Mt.Recorder.buffered ~buffer_capacity:64 ())
-      (fun r c -> ignore (Mt.Recorder.add_batch_sink r (Mt.Recorder.cache_batch_sink c)))
-  in
-  Alcotest.(check bool) "identical stats" true (unbuffered = buffered);
-  Alcotest.(check bool) "nonempty" true (unbuffered.Cachesim.Stats.misses > 0)
-
-(* Unsubscription: O(1) removal that keeps every other sink's dispatch
-   order, is idempotent, and rejects foreign handles. *)
-let test_unsubscribe_detaches_sink () =
-  let rec_ = Mt.Recorder.create () in
-  let sink1, count1 = Mt.Recorder.counting_sink () in
-  let sink2, count2 = Mt.Recorder.counting_sink () in
-  let h1 = Mt.Recorder.add_sink rec_ sink1 in
-  ignore (Mt.Recorder.add_sink rec_ sink2);
-  Mt.Recorder.read rec_ ~owner:1 ~addr:0 ~size:8;
-  Mt.Recorder.unsubscribe rec_ h1;
-  Mt.Recorder.unsubscribe rec_ h1 (* idempotent *);
-  Mt.Recorder.read rec_ ~owner:1 ~addr:8 ~size:8;
-  Alcotest.(check int) "removed sink stops seeing events" 1 (count1 ());
-  Alcotest.(check int) "other sink unaffected" 2 (count2 ());
-  Alcotest.(check int) "recorder still counts" 2
-    (Mt.Recorder.events_emitted rec_)
-
-let test_unsubscribe_batch_sink () =
-  let rec_ = Mt.Recorder.buffered ~buffer_capacity:2 () in
-  let seen = ref 0 in
-  let h = Mt.Recorder.add_batch_sink rec_ (fun _ n -> seen := !seen + n) in
-  Mt.Recorder.read rec_ ~owner:1 ~addr:0 ~size:8;
-  Mt.Recorder.flush rec_;
-  Mt.Recorder.unsubscribe rec_ h;
-  Mt.Recorder.read rec_ ~owner:1 ~addr:8 ~size:8;
-  Mt.Recorder.flush rec_;
-  Alcotest.(check int) "batch sink detached" 1 !seen
-
-let test_unsubscribe_preserves_order () =
-  let rec_ = Mt.Recorder.create () in
-  let seen = ref [] in
-  let handles =
-    List.init 5 (fun i ->
-        Mt.Recorder.add_sink rec_ (fun _ -> seen := i :: !seen))
-  in
-  Mt.Recorder.unsubscribe rec_ (List.nth handles 2);
-  Mt.Recorder.read rec_ ~owner:1 ~addr:0 ~size:1;
-  Alcotest.(check (list int)) "survivors keep registration order"
-    [ 0; 1; 3; 4 ] (List.rev !seen)
-
-let test_unsubscribe_foreign_handle_rejected () =
-  let r1 = Mt.Recorder.create () in
-  let r2 = Mt.Recorder.create () in
-  let h = Mt.Recorder.add_sink r1 (fun _ -> ()) in
-  ignore h;
-  match Mt.Recorder.unsubscribe r2 h with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "foreign handle accepted"
-
 let test_to_array_snapshot () =
   let reg = Mt.Region.create () in
-  let rec_ = Mt.Recorder.create () in
-  let arr = Mt.Tracked.init reg rec_ ~name:"X" ~elem_size:4 3 (fun i -> i) in
+  let arr =
+    Mt.Tracked.init reg (Mt.Tape.create ()) ~name:"X" ~elem_size:4 3 (fun i -> i)
+  in
   let snap = Mt.Tracked.to_array arr in
   Mt.Tracked.set_silent arr 0 99;
   Alcotest.(check int) "snapshot unaffected" 0 snap.(0)
@@ -274,31 +112,12 @@ let suite =
       test_region_duplicate_name_rejected;
     Alcotest.test_case "region lookup" `Quick test_region_lookup;
     Alcotest.test_case "elem_addr" `Quick test_elem_addr;
-    Alcotest.test_case "recorder fanout" `Quick test_recorder_fanout;
     Alcotest.test_case "tracked get/set traced" `Quick test_tracked_get_set;
     Alcotest.test_case "silent ops untraced" `Quick
       test_tracked_silent_ops_untraced;
     Alcotest.test_case "init untraced" `Quick test_tracked_init_untraced;
     Alcotest.test_case "touch" `Quick test_tracked_touch;
     Alcotest.test_case "cache sink integration" `Quick
-      test_cache_sink_integration;
-    Alcotest.test_case "sink registration order" `Quick
-      test_sink_registration_order;
-    Alcotest.test_case "null recorder inert and fresh" `Quick
-      test_null_recorder_inert_and_fresh;
-    Alcotest.test_case "buffered chunks and flush" `Quick
-      test_buffered_chunks_and_flush;
-    Alcotest.test_case "emit_batch counts and order" `Quick
-      test_emit_batch_counts_and_order;
-    Alcotest.test_case "buffered cache sink equivalence" `Quick
-      test_buffered_cache_sink_equivalence;
-    Alcotest.test_case "unsubscribe detaches sink" `Quick
-      test_unsubscribe_detaches_sink;
-    Alcotest.test_case "unsubscribe batch sink" `Quick
-      test_unsubscribe_batch_sink;
-    Alcotest.test_case "unsubscribe preserves order" `Quick
-      test_unsubscribe_preserves_order;
-    Alcotest.test_case "unsubscribe rejects foreign handle" `Quick
-      test_unsubscribe_foreign_handle_rejected;
+      test_tracked_cache_integration;
     Alcotest.test_case "to_array snapshot" `Quick test_to_array_snapshot;
   ]

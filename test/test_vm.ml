@@ -4,11 +4,9 @@
 
 let simulate_vm cache_config p =
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let cache = Cachesim.Cache.create cache_config in
-  ignore (Memtrace.Recorder.add_sink recorder (Memtrace.Recorder.cache_sink cache));
-  let result = Kernels.Vm.run registry recorder p in
-  Cachesim.Cache.flush cache;
+  let tape = Memtrace.Tape.create () in
+  let result = Kernels.Vm.run registry tape p in
+  let cache = Fixtures.simulate cache_config tape in
   (registry, Cachesim.Cache.stats cache, result)
 
 let model_vs_sim_structure cache_config p name =
@@ -45,8 +43,7 @@ let test_checksum_correct () =
   (* The kernel must compute the right product regardless of tracing. *)
   let p = Kernels.Vm.make_params ~stride_a:2 ~stride_b:1 100 in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let r = Kernels.Vm.run registry recorder p in
+  let r = Kernels.Vm.run registry (Memtrace.Tape.create ()) p in
   let expected = ref 0.0 in
   for i = 0 to 99 do
     let a = float_of_int ((i * 2 mod 97) + 1) in
@@ -68,9 +65,9 @@ let test_trace_event_count () =
   (* 4 traced references per loop iteration (read A, B, C; write C). *)
   let p = Kernels.Vm.make_params 50 in
   let registry = Memtrace.Region.create () in
-  let recorder = Memtrace.Recorder.create () in
-  let _ = Kernels.Vm.run registry recorder p in
-  Alcotest.(check int) "events" (4 * 50) (Memtrace.Recorder.events_emitted recorder)
+  let tape = Memtrace.Tape.create () in
+  let _ = Kernels.Vm.run registry tape p in
+  Alcotest.(check int) "events" (4 * 50) (Memtrace.Tape.length tape)
 
 let suite =
   [
