@@ -1,0 +1,84 @@
+(* The analytic outputs pinned byte for byte.
+
+   golden/analytic.txt holds the stdout of the model-only CLI commands
+   below, each after a "$ dvf <args>" line, followed by the cache-sweep
+   tables of the VM, FT and MC profiling sweeps (analytic model only,
+   one domain).  Every one of these outputs comes from the CGPMAC model
+   and the roofline time, so any change in how N_ha, T or the DVF is
+   computed shows up here.  Fig. 5 (MG's full template model) is too
+   slow for this suite; CI pins it against golden/fig5.txt. *)
+
+let commands =
+  [
+    [ "fig6"; "-j"; "2" ];
+    [ "fig7" ];
+    [ "profile" ];
+    [ "components"; "VM"; "CG"; "NB"; "FT"; "MC" ];
+    [ "protect"; "VM"; "CG"; "NB"; "FT"; "MC" ];
+    [ "chaos"; "--trials"; "50" ];
+    [ "inject"; "--trials"; "25"; "-j"; "2" ];
+    [ "--model"; "models/vm.aspen"; "-j"; "2" ];
+  ]
+
+let exe = "../bin/dvf_cli.exe"
+
+(* Paths in [commands] are relative to the repository root; the suite
+   runs one directory below it. *)
+let run_cli args =
+  let args =
+    List.map
+      (fun a -> if String.starts_with ~prefix:"models/" a then "../" ^ a else a)
+      args
+  in
+  let ic = Unix.open_process_args_in exe (Array.of_list (exe :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "dvf %s failed" (String.concat " " args)
+
+let sweep_tables () =
+  List.map
+    (fun workload ->
+      let instance = Core.Workloads.profiling_instance workload in
+      let rows =
+        Core.Experiments.cache_sweep ~jobs:1 ~simulate:false instance
+      in
+      Printf.sprintf "$ cache_sweep_table %s\n%s\n" workload.Core.Workload.name
+        (Dvf_util.Table.render
+           (Core.Experiments.cache_sweep_table
+              ~label:instance.Core.Workload.label rows)))
+    Core.Workloads.[ vm; ft; mc ]
+
+let test_analytic_golden () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    let golden =
+      In_channel.with_open_text "golden/analytic.txt" In_channel.input_all
+    in
+    let produced =
+      String.concat ""
+        (List.map
+           (fun args ->
+             Printf.sprintf "$ dvf %s\n%s" (String.concat " " args)
+               (run_cli args))
+           commands
+        @ sweep_tables ())
+    in
+    (* Compare section by section so a failure names the command. *)
+    let sections s =
+      String.split_on_char '\n' s
+      |> List.fold_left
+           (fun acc line ->
+             match acc with
+             | _ when String.starts_with ~prefix:"$ " line -> (line, [ line ]) :: acc
+             | (head, lines) :: rest -> (head, line :: lines) :: rest
+             | [] -> [ ("(preamble)", [ line ]) ])
+           []
+      |> List.rev_map (fun (head, lines) ->
+             (head, String.concat "\n" (List.rev lines)))
+    in
+    Alcotest.(check (list (pair string string)))
+      "analytic outputs" (sections golden) (sections produced)
+
+let suite =
+  [ Alcotest.test_case "analytic outputs match golden" `Quick test_analytic_golden ]
