@@ -251,12 +251,10 @@ let run_ablation () =
     let spec =
       Kernels.Pcg.spec ~iterations:result.Kernels.Pcg.iterations params
     in
-    let cache = Cachesim.Config.profiling_4mb in
-    let time =
-      Core.Perf.app_time Core.Perf.default_machine ~cache
-        ~flops:result.Kernels.Pcg.flops spec
-    in
-    (Core.Dvf.of_spec ~cache ~fit:5000.0 ~time spec).Core.Dvf.total
+    (Core.Dvf.of_spec ~machine:Core.Perf.default_machine
+       ~cache:Cachesim.Config.profiling_4mb ~fit:5000.0
+       ~flops:result.Kernels.Pcg.flops spec)
+      .Core.Dvf.total
   in
   let cg_row =
     List.find
@@ -340,8 +338,9 @@ let run_sparse () =
   let n = 800 and iterations = 20 in
   let cache = Cachesim.Config.profiling_4mb in
   let dvf spec flops =
-    let time = Core.Perf.app_time Core.Perf.default_machine ~cache ~flops spec in
-    (Core.Dvf.of_spec ~cache ~fit:5000.0 ~time spec).Core.Dvf.total
+    (Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache ~fit:5000.0
+       ~flops spec)
+      .Core.Dvf.total
   in
   let dense_spec = Kernels.Cg.spec ~iterations (Kernels.Cg.make_params n) in
   let sparse_params = Kernels.Sparse_cg.make_params (`Tridiagonal n) in
@@ -362,13 +361,13 @@ let run_component () =
   List.iter
     (fun workload ->
       let instance = Core.Workloads.profiling_instance workload in
-      let time =
-        Core.Perf.app_time Core.Perf.default_machine ~cache
-          ~flops:instance.Core.Workload.flops instance.Core.Workload.spec
+      let spec = instance.Core.Workload.spec in
+      let memory =
+        Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache
+          ~fit:5000.0 ~flops:instance.Core.Workload.flops spec
       in
       Dvf_util.Table.print
-        (Core.Component.to_table
-           (Core.Component.both ~cache ~time instance.Core.Workload.spec)))
+        (Core.Component.to_table (Core.Component.both ~cache ~memory spec)))
     (Core.Workloads.all ())
 
 (* --- Fault injection vs DVF --- *)
@@ -396,7 +395,10 @@ let run_inject ~jobs =
     List.find (fun r -> r.Core.Injection.workload = "VM") results
   in
   let vm_spec = vm_result.Core.Injection.spec in
-  let vm_dvf = Core.Dvf.of_spec ~cache ~fit:5000.0 ~time:1e-4 vm_spec in
+  let vm_dvf =
+    Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache ~fit:5000.0
+      ~flops:vm_result.Core.Injection.flops vm_spec
+  in
   let implied =
     List.map
       (fun (c : Kernels.Fault_injection.campaign) ->

@@ -201,19 +201,21 @@ let models_cmd =
 
 (* --- component / protect: the library's extensions --- *)
 
+(* The unprotected profiling-scale DVF on Table IV's largest cache. *)
+let profiling_dvf (instance : Core.Workload.instance) =
+  Core.Dvf.of_spec ~machine:Core.Perf.default_machine
+    ~cache:Cachesim.Config.profiling_4mb ~fit:(Core.Ecc.fit Core.Ecc.No_ecc)
+    ~flops:instance.Core.Workload.flops instance.Core.Workload.spec
+
 let components_cmd =
   let run workloads =
-    let cache = Cachesim.Config.profiling_4mb in
     List.iter
       (fun workload ->
         let instance = Core.Workloads.profiling_instance workload in
-        let time =
-          Core.Perf.app_time Core.Perf.default_machine ~cache
-            ~flops:instance.Core.Workload.flops instance.Core.Workload.spec
-        in
         Dvf_util.Table.print
           (Core.Component.to_table
-             (Core.Component.both ~cache ~time instance.Core.Workload.spec)))
+             (Core.Component.both ~cache:Cachesim.Config.profiling_4mb
+                ~memory:(profiling_dvf instance) instance.Core.Workload.spec)))
       workloads
   in
   Cmd.v
@@ -227,18 +229,10 @@ let protect_cmd =
     Arg.(value & opt float 0.10 & info [ "t"; "target" ] ~docv:"FRACTION" ~doc)
   in
   let run target workloads =
-    let cache = Cachesim.Config.profiling_4mb in
     List.iter
       (fun workload ->
         let instance = Core.Workloads.profiling_instance workload in
-        let time =
-          Core.Perf.app_time Core.Perf.default_machine ~cache
-            ~flops:instance.Core.Workload.flops instance.Core.Workload.spec
-        in
-        let app =
-          Core.Dvf.of_spec ~cache ~fit:(Core.Ecc.fit Core.Ecc.No_ecc) ~time
-            instance.Core.Workload.spec
-        in
+        let app = profiling_dvf instance in
         Printf.printf "=== %s ===\n" instance.Core.Workload.label;
         Dvf_util.Table.print
           (Core.Selective.to_table
@@ -821,14 +815,10 @@ let run_model path overrides jobs telemetry =
             (Core.Ecc.fit Core.Ecc.No_ecc);
           List.iter
             (fun (app : Aspen.Compile.app) ->
-              let time =
-                Core.Perf.app_time Core.Perf.default_machine ~cache
-                  ~flops:app.Aspen.Compile.flops app.Aspen.Compile.spec
-              in
               let d =
-                Core.Dvf.of_spec ~cache
+                Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache
                   ~fit:(Core.Ecc.fit Core.Ecc.No_ecc)
-                  ~time app.Aspen.Compile.spec
+                  ~flops:app.Aspen.Compile.flops app.Aspen.Compile.spec
               in
               Format.printf "%a@.@." Core.Dvf.pp_app d)
             apps

@@ -6,22 +6,19 @@
 let () =
   let cache = Cachesim.Config.profiling_4mb in
   let instance = Core.Workloads.profiling_instance Core.Workloads.vm in
-  let spec = instance.Core.Workload.spec in
-  let base_time =
-    Core.Perf.app_time Core.Perf.default_machine ~cache
-      ~flops:instance.Core.Workload.flops spec
+  let base =
+    Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache
+      ~fit:(Core.Ecc.fit Core.Ecc.No_ecc) ~flops:instance.Core.Workload.flops
+      instance.Core.Workload.spec
   in
   Printf.printf "Application: %s, unprotected DVF_a = %.4g\n\n"
-    instance.Core.Workload.label
-    (Core.Dvf.of_spec ~cache ~fit:(Core.Ecc.fit Core.Ecc.No_ecc)
-       ~time:base_time spec)
-      .Core.Dvf.total;
+    instance.Core.Workload.label base.Core.Dvf.total;
   List.iter
     (fun scheme ->
       if scheme <> Core.Ecc.No_ecc then begin
         let degradation, dvf =
-          Core.Ecc.optimal_degradation ~cache ~base_time ~max_degradation:0.30
-            ~steps:60 scheme spec
+          Core.Ecc.optimal_degradation ~max_degradation:0.30 ~steps:60 scheme
+            base
         in
         Printf.printf
           "%-18s floor FIT %-8g best degradation %4.1f%%  ->  DVF %.4g\n"
@@ -42,8 +39,7 @@ let () =
     (fun pct ->
       let d = float_of_int pct /. 100.0 in
       let dvf scheme =
-        (Core.Ecc.protected_dvf ~cache ~base_time ~degradation:d scheme spec)
-          .Core.Dvf.total
+        (Core.Ecc.protected_dvf ~degradation:d scheme base).Core.Dvf.total
       in
       Dvf_util.Table.add_row t
         [

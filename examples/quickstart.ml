@@ -44,14 +44,13 @@ let () =
         ]
       ()
   in
-  (* Pick a cache (Table IV's largest), estimate execution time with the
-     roofline model, and evaluate Eq. 1 per structure. *)
+  (* Pick a cache (Table IV's largest) and evaluate the models once: the
+     roofline execution time comes from the same N_ha as Eq. 1 per
+     structure. *)
   let cache = Cachesim.Config.profiling_4mb in
-  let time =
-    Core.Perf.app_time Core.Perf.default_machine ~cache ~flops:20_000_000 spec
-  in
   let dvf =
-    Core.Dvf.of_spec ~cache ~fit:(Core.Ecc.fit Core.Ecc.No_ecc) ~time spec
+    Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache
+      ~fit:(Core.Ecc.fit Core.Ecc.No_ecc) ~flops:20_000_000 spec
   in
   Format.printf "%a@." Core.Dvf.pp_app dvf;
   (* The structure with the highest DVF is where selective protection

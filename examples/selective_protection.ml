@@ -10,13 +10,10 @@ let () =
   List.iter
     (fun kernel ->
       let instance = Core.Workloads.profiling_instance kernel in
-      let time =
-        Core.Perf.app_time Core.Perf.default_machine ~cache
-          ~flops:instance.Core.Workload.flops instance.Core.Workload.spec
-      in
       let app =
-        Core.Dvf.of_spec ~cache ~fit:(Core.Ecc.fit Core.Ecc.No_ecc) ~time
-          instance.Core.Workload.spec
+        Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache
+          ~fit:(Core.Ecc.fit Core.Ecc.No_ecc)
+          ~flops:instance.Core.Workload.flops instance.Core.Workload.spec
       in
       Printf.printf "=== %s (unprotected DVF_a %.4g) ===\n"
         instance.Core.Workload.label app.Core.Dvf.total;

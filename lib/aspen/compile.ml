@@ -369,13 +369,11 @@ let find_app ?overrides file name =
   | Some (Ast.App a) -> compile_app ?overrides a
   | _ -> fail (Printf.sprintf "no app named '%s' in this file" name)
 
-let execution_time machine app =
-  match app.declared_time with
-  | Some t -> t
-  | None ->
-      Core.Perf.app_time machine.perf ~cache:machine.cache ~flops:app.flops
-        app.spec
-
 let dvf machine app =
-  let time = execution_time machine app in
-  Core.Dvf.of_spec ~cache:machine.cache ~fit:machine.fit ~time app.spec
+  let d =
+    Core.Dvf.of_spec ~machine:machine.perf ~cache:machine.cache
+      ~fit:machine.fit ~flops:app.flops app.spec
+  in
+  match app.declared_time with
+  | Some time -> Core.Dvf.rescale ~fit:machine.fit ~time d
+  | None -> d

@@ -37,10 +37,9 @@ val find_machine : Ast.file -> string -> machine
 
 val find_app : ?overrides:Eval.env -> Ast.file -> string -> app
 
-val execution_time : machine -> app -> float
-(** The app's declared [time] if present, otherwise the roofline model on
-    the machine's [perf] section. *)
-
 val dvf : machine -> app -> Core.Dvf.app_dvf
-(** The Fig. 3 pipeline: N_ha from the pattern models on the machine's
-    cache, T from {!execution_time}, FIT from the machine — Eq. 1/2. *)
+(** The Fig. 3 pipeline: {!Core.Dvf.of_spec} on the machine's cache, FIT
+    and [perf] section — N_ha from the pattern models, evaluated once,
+    and T from the roofline on that N_ha — then Eq. 1/2.  An app that
+    declares its [time] gets that T instead, through {!Core.Dvf.rescale}
+    on the same N_ha. *)

@@ -30,10 +30,10 @@ let default_trials = 1000
 let report_of ~cache ~fit ~machine ~seed ~kill_fraction (w : Workload.t) graph
     campaigns =
   let inst = w.Workload.instance `Profiling in
-  let time =
-    Perf.app_time machine ~cache ~flops:inst.Workload.flops inst.Workload.spec
+  let app =
+    Dvf.of_spec ~machine ~cache ~fit ~flops:inst.Workload.flops
+      inst.Workload.spec
   in
-  let app = Dvf.of_spec ~cache ~fit ~time inst.Workload.spec in
   let dvf_of name =
     match
       List.find_opt

@@ -36,11 +36,8 @@ let cache_dvf ?(fit = default_cache_fit) ~cache ~time spec =
     ~app_name:(spec.Access_patterns.App_spec.app_name ^ " (LLC)")
     counts
 
-let both ?(memory_fit = Ecc.fit Ecc.No_ecc) ?cache_fit ~cache ~time spec =
-  {
-    memory = Dvf.of_spec ~cache ~fit:memory_fit ~time spec;
-    cache = cache_dvf ?fit:cache_fit ~cache ~time spec;
-  }
+let both ?cache_fit ~cache ~(memory : Dvf.app_dvf) spec =
+  { memory; cache = cache_dvf ?fit:cache_fit ~cache ~time:memory.Dvf.time spec }
 
 let to_table t =
   let tbl =

@@ -12,6 +12,7 @@ type app_dvf = {
   app_name : string;
   fit : float;
   time : float;
+  n_ha : float;
   structures : structure_dvf list;
   total : float;
 }
@@ -37,18 +38,21 @@ let of_counts ?alpha ?beta ~fit ~time ~app_name counts =
         structure ?alpha ?beta ~fit ~time ~bytes ~n_ha name)
       counts
   in
-  { app_name; fit; time; structures; total = total_of structures }
+  let n_ha = List.fold_left (fun acc (_, _, n) -> acc +. n) 0.0 counts in
+  { app_name; fit; time; n_ha; structures; total = total_of structures }
 
-let of_spec ?alpha ?beta ~cache ~fit ~time spec =
+let of_spec ?alpha ?beta ~machine ~cache ~fit ~flops spec =
   let n_has = Access_patterns.App_spec.main_memory_accesses ~cache spec in
   let sizes = Access_patterns.App_spec.structure_bytes spec in
-  let counts =
-    List.map
-      (fun (name, n_ha) -> (name, List.assoc name sizes, n_ha))
-      n_has
-  in
+  let n_ha = List.fold_left (fun acc (_, n) -> acc +. n) 0.0 n_has in
+  let time = Perf.execution_time machine ~cache ~flops ~n_ha in
   of_counts ?alpha ?beta ~fit ~time
-    ~app_name:spec.Access_patterns.App_spec.app_name counts
+    ~app_name:spec.Access_patterns.App_spec.app_name
+    (List.map (fun (name, n) -> (name, List.assoc name sizes, n)) n_has)
+
+let rescale ?alpha ?beta ~fit ~time app =
+  of_counts ?alpha ?beta ~fit ~time ~app_name:app.app_name
+    (List.map (fun s -> (s.name, s.bytes, s.n_ha)) app.structures)
 
 let pp_app fmt t =
   Format.fprintf fmt "@[<v>%s (FIT=%g, T=%.4gs):@," t.app_name t.fit t.time;

@@ -33,6 +33,7 @@ type app_dvf = {
   app_name : string;
   fit : float;            (** FIT used, failures / (10^9 h * Mbit) *)
   time : float;           (** T in seconds *)
+  n_ha : float;           (** the structures' N_ha, summed in order *)
   structures : structure_dvf list;
   total : float;          (** DVF_a, Eq. 2 *)
 }
@@ -47,10 +48,20 @@ val structure :
     straight product).  Raises [Invalid_argument] on negative inputs. *)
 
 val of_spec :
-  ?alpha:float -> ?beta:float -> cache:Cachesim.Config.t -> fit:float ->
-  time:float -> Access_patterns.App_spec.t -> app_dvf
-(** Evaluate a CGPMAC application spec: per-structure [N_ha] from the
-    access-pattern models, Eq. 1 per structure, Eq. 2 for the total. *)
+  ?alpha:float -> ?beta:float -> machine:Perf.machine ->
+  cache:Cachesim.Config.t -> fit:float -> flops:int ->
+  Access_patterns.App_spec.t -> app_dvf
+(** The one place a spec meets a cache: the CGPMAC models run once for
+    the per-structure [N_ha], summed in order into [n_ha]; T is the
+    roofline [Perf.execution_time machine ~cache ~flops ~n_ha]; then
+    Eq. 1 per structure and Eq. 2 for the total. *)
+
+val rescale :
+  ?alpha:float -> ?beta:float -> fit:float -> time:float -> app_dvf ->
+  app_dvf
+(** Eq. 1 and Eq. 2 re-applied to [app]'s [(S_d, N_ha)] pairs at a new
+    FIT and T, without running the models again (ECC, a declared time).
+    [rescale ~fit:app.fit ~time:app.time app = app]. *)
 
 val of_counts :
   ?alpha:float -> ?beta:float -> fit:float -> time:float ->

@@ -31,21 +31,20 @@ let effective_fit ?(full_strength_degradation = 0.05) ~degradation scheme =
      scheme's floor as the invested overhead approaches full strength. *)
   base *. ((floor_fit /. base) ** strength)
 
-let protected_dvf ?full_strength_degradation ~cache ~base_time ~degradation
-    scheme spec =
+let protected_dvf ?full_strength_degradation ~degradation scheme
+    (base : Dvf.app_dvf) =
   let fit = effective_fit ?full_strength_degradation ~degradation scheme in
-  let time = degraded_time ~base_time ~degradation in
-  Dvf.of_spec ~cache ~fit ~time spec
+  let time = degraded_time ~base_time:base.Dvf.time ~degradation in
+  Dvf.rescale ~fit ~time base
 
-let optimal_degradation ?full_strength_degradation ~cache ~base_time
-    ~max_degradation ~steps scheme spec =
+let optimal_degradation ?full_strength_degradation ~max_degradation ~steps
+    scheme base =
   if steps < 1 then invalid_arg "Ecc.optimal_degradation: steps < 1";
   let best = ref (0.0, infinity) in
   for i = 0 to steps do
     let d = max_degradation *. float_of_int i /. float_of_int steps in
     let dvf =
-      (protected_dvf ?full_strength_degradation ~cache ~base_time
-         ~degradation:d scheme spec)
+      (protected_dvf ?full_strength_degradation ~degradation:d scheme base)
         .Dvf.total
     in
     if dvf < snd !best then best := (d, dvf)

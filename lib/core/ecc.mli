@@ -35,15 +35,17 @@ val effective_fit :
     exposure time keeps growing. *)
 
 val protected_dvf :
-  ?full_strength_degradation:float -> cache:Cachesim.Config.t ->
-  base_time:float -> degradation:float -> scheme ->
-  Access_patterns.App_spec.t -> Dvf.app_dvf
+  ?full_strength_degradation:float -> degradation:float -> scheme ->
+  Dvf.app_dvf -> Dvf.app_dvf
 (** DVF of the application with {!effective_fit} and the degraded
-    execution time — the quantity Fig. 7 sweeps. *)
+    execution time — the quantity Fig. 7 sweeps.  The argument is the
+    unprotected application from {!Dvf.of_spec}: its [N_ha] and [time]
+    are the base, its [fit] is ignored.  Only FIT and T change, so this
+    is a {!Dvf.rescale}; the models are not evaluated again. *)
 
 val optimal_degradation :
-  ?full_strength_degradation:float -> cache:Cachesim.Config.t ->
-  base_time:float -> max_degradation:float -> steps:int -> scheme ->
-  Access_patterns.App_spec.t -> float * float
-(** Grid search over [0, max_degradation]: the [(degradation, dvf)] pair
+  ?full_strength_degradation:float -> max_degradation:float -> steps:int ->
+  scheme -> Dvf.app_dvf -> float * float
+(** Grid search over [0, max_degradation] of {!protected_dvf} on the
+    unprotected base application: the [(degradation, dvf)] pair
     minimizing DVF. *)

@@ -58,24 +58,22 @@ let fig6 ?jobs ?telemetry ?(machine = Perf.default_machine)
       let pcg_spec =
         Kernels.Pcg.spec ~iterations:pcg_result.Kernels.Pcg.iterations pcg_params
       in
-      let cg_time =
-        Perf.app_time machine ~cache ~flops:cg_result.Kernels.Cg.flops cg_spec
+      let cg =
+        Dvf.of_spec ~machine ~cache ~fit ~flops:cg_result.Kernels.Cg.flops
+          cg_spec
       in
-      let pcg_time =
-        Perf.app_time machine ~cache ~flops:pcg_result.Kernels.Pcg.flops pcg_spec
-      in
-      let cg_dvf = (Dvf.of_spec ~cache ~fit ~time:cg_time cg_spec).Dvf.total in
-      let pcg_dvf =
-        (Dvf.of_spec ~cache ~fit ~time:pcg_time pcg_spec).Dvf.total
+      let pcg =
+        Dvf.of_spec ~machine ~cache ~fit ~flops:pcg_result.Kernels.Pcg.flops
+          pcg_spec
       in
       {
         n;
         cg_iterations = cg_result.Kernels.Cg.iterations;
         pcg_iterations = pcg_result.Kernels.Pcg.iterations;
-        cg_time;
-        pcg_time;
-        cg_dvf;
-        pcg_dvf;
+        cg_time = cg.Dvf.time;
+        pcg_time = pcg.Dvf.time;
+        cg_dvf = cg.Dvf.total;
+        pcg_dvf = pcg.Dvf.total;
       })
     sizes
 
@@ -112,16 +110,16 @@ let fig7 ?(machine = Perf.default_machine)
     ?(cache = Cachesim.Config.profiling_4mb) ?(steps = 30)
     ?(max_degradation = 0.30) () =
   let instance = Workloads.profiling_instance Workloads.vm in
-  let spec = instance.Workload.spec in
-  let base_time =
-    Perf.app_time machine ~cache ~flops:instance.Workload.flops spec
+  let base =
+    Dvf.of_spec ~machine ~cache ~fit:(Ecc.fit Ecc.No_ecc)
+      ~flops:instance.Workload.flops instance.Workload.spec
   in
   List.init (steps + 1) (fun i ->
       let degradation =
         max_degradation *. float_of_int i /. float_of_int steps
       in
       let dvf scheme =
-        (Ecc.protected_dvf ~cache ~base_time ~degradation scheme spec).Dvf.total
+        (Ecc.protected_dvf ~degradation scheme base).Dvf.total
       in
       { degradation; secded_dvf = dvf Ecc.Secded; chipkill_dvf = dvf Ecc.Chipkill })
 
@@ -223,19 +221,15 @@ let cache_sweep ?jobs ?(telemetry = Telemetry.null)
   let points = List.combine (List.combine capacities caches) sim_totals in
   sweep_map ?jobs ~telemetry ~label:"cache_sweep"
     (fun ((capacity, cache), sim_n_ha) ->
-      let spec = instance.Workload.spec in
-      let time = Perf.app_time machine ~cache ~flops:instance.Workload.flops spec in
-      let n_ha =
-        List.fold_left
-          (fun acc (_, v) -> acc +. v)
-          0.0
-          (Access_patterns.App_spec.main_memory_accesses ~cache spec)
+      let app =
+        Dvf.of_spec ~machine ~cache ~fit ~flops:instance.Workload.flops
+          instance.Workload.spec
       in
       {
         capacity;
         sweep_cache = cache;
-        dvf_a = (Dvf.of_spec ~cache ~fit ~time spec).Dvf.total;
-        n_ha;
+        dvf_a = app.Dvf.total;
+        n_ha = app.Dvf.n_ha;
         sim_n_ha;
       })
     points

@@ -259,8 +259,7 @@ let correlate ?(cache = Cachesim.Config.profiling_4mb) ?(fit = default_fit)
   let rows =
     List.concat_map
       (fun r ->
-        let time = Perf.app_time machine ~cache ~flops:r.flops r.spec in
-        let app = Dvf.of_spec ~cache ~fit ~time r.spec in
+        let app = Dvf.of_spec ~machine ~cache ~fit ~flops:r.flops r.spec in
         List.map
           (fun (c : Fi.campaign) ->
             let dvf =

@@ -120,8 +120,8 @@ val default_fit : float
 val correlate :
   ?cache:Cachesim.Config.t -> ?fit:float -> ?machine:Perf.machine ->
   result list -> correlation
-(** Evaluate each result's spec with {!Dvf.of_spec} (execution time from
-    the {!Perf} roofline) and pair every structure's empirical SDC rate
+(** Evaluate each result's spec once with {!Dvf.of_spec} (execution
+    time from the {!Perf} roofline on the same [N_ha]) and pair every structure's empirical SDC rate
     with its analytical DVF.  [cache] defaults to
     {!Cachesim.Config.profiling_4mb}.  Raises [Invalid_argument] if a
     campaign structure is missing from the spec. *)

@@ -20,12 +20,3 @@ let execution_time machine ~cache ~flops ~n_ha =
   let bytes = n_ha *. float_of_int cache.Cachesim.Config.line in
   let memory = bytes /. machine.memory_bandwidth in
   Float.max compute memory
-
-let app_time machine ~cache ~flops spec =
-  let n_ha =
-    List.fold_left
-      (fun acc (_, v) -> acc +. v)
-      0.0
-      (Access_patterns.App_spec.main_memory_accesses ~cache spec)
-  in
-  execution_time machine ~cache ~flops ~n_ha

@@ -24,9 +24,6 @@ val make_machine :
 val execution_time :
   machine -> cache:Cachesim.Config.t -> flops:int -> n_ha:float -> float
 (** Roofline time for a phase with [flops] operations and [n_ha]
-    main-memory accesses of one cache line each. *)
-
-val app_time :
-  machine -> cache:Cachesim.Config.t -> flops:int ->
-  Access_patterns.App_spec.t -> float
-(** [execution_time] with [n_ha] summed over the spec's structures. *)
+    main-memory accesses of one cache line each.  {!Dvf.of_spec} calls
+    it with the [N_ha] it has just evaluated, so an application's T and
+    its DVF come from one model run per (spec, cache). *)

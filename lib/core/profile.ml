@@ -13,8 +13,9 @@ type row = {
 let profile_instance ?(machine = Perf.default_machine) ?(fit = Ecc.fit Ecc.No_ecc)
     ~cache (instance : Workload.instance) =
   let spec = instance.Workload.spec in
-  let time = Perf.app_time machine ~cache ~flops:instance.Workload.flops spec in
-  let app = Dvf.of_spec ~cache ~fit ~time spec in
+  let app =
+    Dvf.of_spec ~machine ~cache ~fit ~flops:instance.Workload.flops spec
+  in
   let structure_rows =
     List.map
       (fun (s : Dvf.structure_dvf) ->
@@ -25,7 +26,7 @@ let profile_instance ?(machine = Perf.default_machine) ?(fit = Ecc.fit Ecc.No_ec
           dvf = s.Dvf.dvf;
           n_ha = s.Dvf.n_ha;
           bytes = s.Dvf.bytes;
-          time;
+          time = app.Dvf.time;
         })
       app.Dvf.structures
   in
@@ -36,9 +37,9 @@ let profile_instance ?(machine = Perf.default_machine) ?(fit = Ecc.fit Ecc.No_ec
         cache;
         structure = instance.Workload.workload;
         dvf = app.Dvf.total;
-        n_ha = List.fold_left (fun acc r -> acc +. r.n_ha) 0.0 structure_rows;
+        n_ha = app.Dvf.n_ha;
         bytes = Access_patterns.App_spec.total_bytes spec;
-        time;
+        time = app.Dvf.time;
       };
     ]
 

@@ -464,6 +464,12 @@ let required_workload t req =
 let rows_result to_row rows =
   Json.Obj [ ("rows", Json.List (List.map to_row rows)) ]
 
+(* Size parameters are allocated in full, and [Out_of_memory] would take
+   the daemon down: each is capped at about 100x its default. *)
+let at_most what max n =
+  if n > max then failwith (Printf.sprintf "%S must be at most %d" what max);
+  n
+
 let op_verify t req =
   rows_result verify_row_to_json
     (List.concat_map
@@ -493,7 +499,7 @@ let op_timed t req =
   in
   let bins =
     match Json.member "bins" req with
-    | Some (Json.Int b) -> b
+    | Some (Json.Int b) -> at_most "bins" 2000 b
     | Some _ -> failwith "\"bins\" must be an integer"
     | None -> Cachesim.Residency.default_bins
   in
@@ -521,7 +527,8 @@ let op_sweep t req =
     match Json.member "capacities" req with
     | None | Some Json.Null -> None
     | Some (Json.List vs) ->
-        Some (List.map (as_int ~what:"\"capacities\" entry") vs)
+        let entry v = as_int ~what:"\"capacities\" entry" v in
+        Some (List.map (fun v -> at_most "capacities" (1 lsl 30) (entry v)) vs)
     | Some _ -> failwith "\"capacities\" must be a list of integers"
   in
   let simulate =
@@ -560,7 +567,7 @@ let op_chaos t req =
   let trials =
     match Json.member "trials" req with
     | None | Some Json.Null -> None
-    | Some (Json.Int n) -> Some n
+    | Some (Json.Int n) -> Some (at_most "trials" 100_000 n)
     | Some _ -> failwith "\"trials\" must be an integer"
   in
   let kill_fraction =

@@ -25,31 +25,23 @@ let make ?(cache_ratio = 1.0) ?(distance = `Stack) ?writes ~elem_size refs =
 
 let block_trace ~line t =
   if line <= 0 then invalid_arg "Template.block_trace: line <= 0";
-  let blocks = ref [] and flags = ref [] in
-  let count = ref 0 in
+  let first elem = elem * t.elem_size / line in
+  let last elem = ((elem * t.elem_size) + t.elem_size - 1) / line in
+  let count =
+    Array.fold_left (fun acc elem -> acc + last elem - first elem + 1) 0 t.refs
+  in
+  let blocks = Array.make count 0 and flags = Array.make count false in
+  let i = ref 0 in
   Array.iteri
     (fun pos elem ->
       let w = match t.writes with Some ws -> ws.(pos) | None -> false in
-      let first_byte = elem * t.elem_size in
-      let last_byte = first_byte + t.elem_size - 1 in
-      for b = first_byte / line to last_byte / line do
-        blocks := b :: !blocks;
-        flags := w :: !flags;
-        incr count
+      for b = first elem to last elem do
+        blocks.(!i) <- b;
+        flags.(!i) <- w;
+        incr i
       done)
     t.refs;
-  let arr = Array.make !count 0 and warr = Array.make !count false in
-  let rec fill i bs ws =
-    match (bs, ws) with
-    | [], [] -> ()
-    | b :: bs, w :: ws ->
-        arr.(i) <- b;
-        warr.(i) <- w;
-        fill (i - 1) bs ws
-    | _ -> assert false
-  in
-  fill (!count - 1) !blocks !flags;
-  (arr, warr)
+  (blocks, flags)
 
 let available_blocks ~cache t =
   let cc = float_of_int (Cachesim.Config.capacity cache) in

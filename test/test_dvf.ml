@@ -47,12 +47,73 @@ let test_weighted_generalization () =
 let test_of_spec_matches_manual () =
   let spec = Kernels.Vm.spec Kernels.Vm.verification in
   let cache = Cachesim.Config.small_verification in
-  let app = D.of_spec ~cache ~fit:5000.0 ~time:0.01 spec in
+  let app =
+    D.of_spec ~machine:Core.Perf.default_machine ~cache ~fit:5000.0 ~flops:0
+      spec
+  in
   let n_has = Access_patterns.App_spec.main_memory_accesses ~cache spec in
   List.iter
     (fun (s : D.structure_dvf) ->
       checkf ("n_ha for " ^ s.D.name) (List.assoc s.D.name n_has) s.D.n_ha)
     app.D.structures
+
+(* The of_spec contract, exactly (no tolerance): T is the roofline on the
+   app's own N_ha, N_ha is the in-order sum of the structures', and
+   rescaling to the same FIT and T reproduces the app. *)
+let contract_apps () =
+  List.concat_map
+    (fun (w : Core.Workload.t) ->
+      let instance = Core.Workloads.verification_instance w in
+      List.map
+        (fun cache ->
+          ( cache,
+            instance.Core.Workload.flops,
+            D.of_spec ~machine:Core.Perf.default_machine ~cache ~fit:5000.0
+              ~flops:instance.Core.Workload.flops instance.Core.Workload.spec ))
+        Cachesim.Config.verification_set)
+    Core.Workloads.[ vm; cg; nb; mc ]
+
+let test_of_spec_time_is_roofline () =
+  List.iter
+    (fun (cache, flops, (app : D.app_dvf)) ->
+      Alcotest.(check (float 0.0))
+        (app.D.app_name ^ " T")
+        (Core.Perf.execution_time Core.Perf.default_machine ~cache ~flops
+           ~n_ha:app.D.n_ha)
+        app.D.time)
+    (contract_apps ())
+
+let test_of_spec_n_ha_is_sum () =
+  List.iter
+    (fun (_, _, (app : D.app_dvf)) ->
+      Alcotest.(check (float 0.0))
+        (app.D.app_name ^ " N_ha")
+        (List.fold_left
+           (fun acc (s : D.structure_dvf) -> acc +. s.D.n_ha)
+           0.0 app.D.structures)
+        app.D.n_ha)
+    (contract_apps ())
+
+let test_rescale_identity () =
+  List.iter
+    (fun (_, _, (app : D.app_dvf)) ->
+      Alcotest.(check bool)
+        (app.D.app_name ^ " rescale at its own FIT and T")
+        true
+        (D.rescale ~fit:app.D.fit ~time:app.D.time app = app))
+    (contract_apps ())
+
+let test_rescale_reapplies_eq1 () =
+  let app =
+    D.of_counts ~fit:100.0 ~time:1.0 ~app_name:"demo"
+      [ ("a", 1000, 10.0); ("b", 2000, 5.0) ]
+  in
+  let r = D.rescale ~fit:200.0 ~time:3.0 app in
+  Alcotest.(check bool) "same as of_counts at the new FIT and T" true
+    (r
+    = D.of_counts ~fit:200.0 ~time:3.0 ~app_name:"demo"
+        [ ("a", 1000, 10.0); ("b", 2000, 5.0) ]);
+  checkf "6x DVF" (6.0 *. app.D.total) r.D.total
 
 let test_rejects_negative () =
   Alcotest.check_raises "negative n_ha"
@@ -81,6 +142,14 @@ let suite =
     Alcotest.test_case "weighted generalization" `Quick
       test_weighted_generalization;
     Alcotest.test_case "of_spec consistent" `Quick test_of_spec_matches_manual;
+    Alcotest.test_case "of_spec T is the roofline on its N_ha" `Quick
+      test_of_spec_time_is_roofline;
+    Alcotest.test_case "of_spec N_ha is the in-order sum" `Quick
+      test_of_spec_n_ha_is_sum;
+    Alcotest.test_case "rescale at the same FIT and T is the identity" `Quick
+      test_rescale_identity;
+    Alcotest.test_case "rescale re-applies Eq.1" `Quick
+      test_rescale_reapplies_eq1;
     Alcotest.test_case "rejects negative inputs" `Quick test_rejects_negative;
     QCheck_alcotest.to_alcotest prop_dvf_monotone_in_every_factor;
   ]

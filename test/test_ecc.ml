@@ -35,31 +35,30 @@ let test_effective_fit_monotone () =
     prev := f
   done
 
+(* The unprotected VM application every protection case starts from. *)
+let vm_base () =
+  Core.Dvf.of_spec ~machine:Core.Perf.default_machine
+    ~cache:Cachesim.Config.profiling_4mb ~fit:(E.fit E.No_ecc) ~flops:0
+    (Kernels.Vm.spec Kernels.Vm.profiling)
+
 let test_fig7_u_shape () =
   (* The optimum sits at the scheme's full-strength point. *)
-  let cache = Cachesim.Config.profiling_4mb in
-  let spec = Kernels.Vm.spec Kernels.Vm.profiling in
+  let base = vm_base () in
   let d_opt, dvf_opt =
-    E.optimal_degradation ~cache ~base_time:1e-4 ~max_degradation:0.30
-      ~steps:60 E.Secded spec
+    E.optimal_degradation ~max_degradation:0.30 ~steps:60 E.Secded base
   in
   checkf ~eps:1e-6 "optimum at 5%" 0.05 d_opt;
   (* And the curve rises on both sides. *)
-  let dvf d =
-    (E.protected_dvf ~cache ~base_time:1e-4 ~degradation:d E.Secded spec)
-      .Core.Dvf.total
-  in
+  let dvf d = (E.protected_dvf ~degradation:d E.Secded base).Core.Dvf.total in
   Alcotest.(check bool) "rises before" true (dvf 0.0 > dvf_opt);
   Alcotest.(check bool) "rises after" true (dvf 0.30 > dvf_opt)
 
 let test_chipkill_below_secded () =
-  let cache = Cachesim.Config.profiling_4mb in
-  let spec = Kernels.Vm.spec Kernels.Vm.profiling in
+  let base = vm_base () in
   List.iter
     (fun d ->
       let dvf scheme =
-        (E.protected_dvf ~cache ~base_time:1e-4 ~degradation:d scheme spec)
-          .Core.Dvf.total
+        (E.protected_dvf ~degradation:d scheme base).Core.Dvf.total
       in
       Alcotest.(check bool)
         (Printf.sprintf "chipkill <= secded at %.2f" d)
@@ -70,16 +69,24 @@ let test_chipkill_below_secded () =
 let test_protection_reduces_dvf () =
   (* Fig. 7's headline: with any meaningful investment, DVF drops below
      the unprotected level. *)
-  let cache = Cachesim.Config.profiling_4mb in
-  let spec = Kernels.Vm.spec Kernels.Vm.profiling in
-  let unprotected =
-    (Core.Dvf.of_spec ~cache ~fit:(E.fit E.No_ecc) ~time:1e-4 spec).Core.Dvf.total
-  in
+  let base = vm_base () in
   let protected_ =
-    (E.protected_dvf ~cache ~base_time:1e-4 ~degradation:0.05 E.Secded spec)
-      .Core.Dvf.total
+    (E.protected_dvf ~degradation:0.05 E.Secded base).Core.Dvf.total
   in
-  Alcotest.(check bool) "secded helps" true (protected_ < unprotected)
+  Alcotest.(check bool) "secded helps" true (protected_ < base.Core.Dvf.total)
+
+let test_no_degradation_is_rescale () =
+  (* With nothing invested, protection only swaps in the scheme's
+     effective FIT on the base app's N_ha and T. *)
+  let base = vm_base () in
+  List.iter
+    (fun scheme ->
+      Alcotest.(check bool) (E.name scheme) true
+        (E.protected_dvf ~degradation:0.0 scheme base
+        = Core.Dvf.rescale
+            ~fit:(E.effective_fit ~degradation:0.0 scheme)
+            ~time:base.Core.Dvf.time base))
+    E.all
 
 let suite =
   [
@@ -93,4 +100,6 @@ let suite =
     Alcotest.test_case "chipkill below SECDED" `Quick test_chipkill_below_secded;
     Alcotest.test_case "protection reduces DVF" `Quick
       test_protection_reduces_dvf;
+    Alcotest.test_case "zero degradation is a rescale" `Quick
+      test_no_degradation_is_rescale;
   ]

@@ -77,7 +77,10 @@ let test_on_real_kernel () =
   (* VM: protecting A alone removes most of the vulnerability. *)
   let cache = Cachesim.Config.profiling_4mb in
   let spec = Kernels.Vm.spec Kernels.Vm.profiling in
-  let app = D.of_spec ~cache ~fit:5000.0 ~time:1e-4 spec in
+  let app =
+    D.of_spec ~machine:Core.Perf.default_machine ~cache ~fit:5000.0 ~flops:0
+      spec
+  in
   let top = List.hd (S.rank app) in
   Alcotest.(check string) "A is the most vulnerable" "A" top.D.name;
   let curve = S.coverage_curve ~scheme:Core.Ecc.Chipkill app in

@@ -348,13 +348,16 @@ let gen_wrong_type =
     ]
 
 (* Values every validator rejects: hierarchies have 1..3 levels, a
-   capacity must give a power-of-two set count of 8-way 64-B lines, and
-   kill fractions lie in [0, 1].  Rejected before any work is done, so
-   the cases stay cheap. *)
+   capacity must give a power-of-two set count of 8-way 64-B lines and
+   be at most 1 GiB, bins lie in 1..2000, trials in 1..100000, and kill
+   fractions in [0, 1].  Rejected before any work is done, so the cases
+   stay cheap — above all the well-typed but huge sizes, which would
+   otherwise be allocated in full. *)
 let gen_out_of_range =
   let open QCheck.Gen in
   let vm = ("workload", J.Str "VM") in
   let bad_levels = oneof [ int_range (-3) 0; int_range 4 1000 ] in
+  let above bound = oneof [ int_range (bound + 1) max_int; return max_int ] in
   let bad_capacity =
     oneof
       [
@@ -364,6 +367,9 @@ let gen_out_of_range =
             let k = if k land (k - 1) = 0 then k + 1 else k in
             (512 * k) + r)
           (int_range 3 1000) (int_range 0 511);
+        (* valid geometries (power-of-two set counts) above 1 GiB *)
+        map (fun k -> 1 lsl k) (int_range 31 62);
+        above (1 lsl 30);
       ]
   in
   oneof
@@ -372,7 +378,7 @@ let gen_out_of_range =
       map (fun l -> request "timed" [ vm; ("levels", J.Int l) ]) bad_levels;
       map
         (fun b -> request "timed" [ vm; ("bins", J.Int b) ])
-        (int_range (-1000) 0);
+        (oneof [ int_range (-1000) 0; above 2000 ]);
       map
         (fun c ->
           request "sweep"
@@ -380,7 +386,7 @@ let gen_out_of_range =
         bad_capacity;
       map
         (fun n -> request "chaos" [ ("trials", J.Int n) ])
-        (int_range (-1000) 0);
+        (oneof [ int_range (-1000) 0; above 100_000 ]);
       map
         (fun f -> request "chaos" [ ("kill_fraction", J.Float f) ])
         (oneof [ float_range (-1000.) (-0.001); float_range 1.001 1000. ]);

@@ -44,7 +44,17 @@ let test_block_trace_lowering () =
   let t2 = T.make ~writes:[| false; true |] ~elem_size:64 [| 0; 1 |] in
   let blocks, writes = T.block_trace ~line:32 t2 in
   Alcotest.(check (array int)) "spanning" [| 0; 1; 2; 3 |] blocks;
-  Alcotest.(check (array bool)) "write flags" [| false; false; true; true |] writes
+  Alcotest.(check (array bool)) "write flags" [| false; false; true; true |] writes;
+  (* 24-byte elements over 32-byte lines: the line does not divide the
+     element, so element 1 (bytes 24..47) spans blocks 0 and 1 and
+     element 2 (bytes 48..71) spans blocks 1 and 2. *)
+  let t3 =
+    T.make ~writes:[| false; true; false; true |] ~elem_size:24 [| 0; 1; 2; 4 |]
+  in
+  let blocks, writes = T.block_trace ~line:32 t3 in
+  Alcotest.(check (array int)) "straddling" [| 0; 0; 1; 1; 2; 3 |] blocks;
+  Alcotest.(check (array bool)) "straddling write flags"
+    [| false; true; true; false; false; true |] writes
 
 let test_available_blocks_ratio () =
   let t = T.make ~cache_ratio:0.5 ~elem_size:8 [| 0 |] in
