@@ -361,13 +361,10 @@ let run_component () =
   List.iter
     (fun workload ->
       let instance = Core.Workloads.profiling_instance workload in
-      let spec = instance.Core.Workload.spec in
-      let memory =
-        Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache
-          ~fit:5000.0 ~flops:instance.Core.Workload.flops spec
-      in
       Dvf_util.Table.print
-        (Core.Component.to_table (Core.Component.both ~cache ~memory spec)))
+        (Core.Component.to_table
+           (Core.Component.both ~machine:Core.Perf.default_machine ~cache
+              ~flops:instance.Core.Workload.flops instance.Core.Workload.spec)))
     (Core.Workloads.all ())
 
 (* --- Fault injection vs DVF --- *)

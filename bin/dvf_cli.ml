@@ -201,12 +201,6 @@ let models_cmd =
 
 (* --- component / protect: the library's extensions --- *)
 
-(* The unprotected profiling-scale DVF on Table IV's largest cache. *)
-let profiling_dvf (instance : Core.Workload.instance) =
-  Core.Dvf.of_spec ~machine:Core.Perf.default_machine
-    ~cache:Cachesim.Config.profiling_4mb ~fit:(Core.Ecc.fit Core.Ecc.No_ecc)
-    ~flops:instance.Core.Workload.flops instance.Core.Workload.spec
-
 let components_cmd =
   let run workloads =
     List.iter
@@ -214,8 +208,10 @@ let components_cmd =
         let instance = Core.Workloads.profiling_instance workload in
         Dvf_util.Table.print
           (Core.Component.to_table
-             (Core.Component.both ~cache:Cachesim.Config.profiling_4mb
-                ~memory:(profiling_dvf instance) instance.Core.Workload.spec)))
+             (Core.Component.both ~machine:Core.Perf.default_machine
+                ~cache:Cachesim.Config.profiling_4mb
+                ~flops:instance.Core.Workload.flops
+                instance.Core.Workload.spec)))
       workloads
   in
   Cmd.v
@@ -232,7 +228,12 @@ let protect_cmd =
     List.iter
       (fun workload ->
         let instance = Core.Workloads.profiling_instance workload in
-        let app = profiling_dvf instance in
+        let app =
+          Core.Dvf.of_spec ~machine:Core.Perf.default_machine
+            ~cache:Cachesim.Config.profiling_4mb
+            ~fit:(Core.Ecc.fit Core.Ecc.No_ecc)
+            ~flops:instance.Core.Workload.flops instance.Core.Workload.spec
+        in
         Printf.printf "=== %s ===\n" instance.Core.Workload.label;
         Dvf_util.Table.print
           (Core.Selective.to_table

@@ -12,13 +12,10 @@ let () =
   List.iter
     (fun kernel ->
       let instance = Core.Workloads.profiling_instance kernel in
-      let spec = instance.Core.Workload.spec in
-      let memory =
-        Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache
-          ~fit:(Core.Ecc.fit Core.Ecc.No_ecc)
-          ~flops:instance.Core.Workload.flops spec
+      let both =
+        Core.Component.both ~machine:Core.Perf.default_machine ~cache
+          ~flops:instance.Core.Workload.flops instance.Core.Workload.spec
       in
-      let both = Core.Component.both ~cache ~memory spec in
       Dvf_util.Table.print (Core.Component.to_table both))
     [ Core.Workloads.vm; Core.Workloads.mc ];
   print_endline

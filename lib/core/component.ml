@@ -36,7 +36,10 @@ let cache_dvf ?(fit = default_cache_fit) ~cache ~time spec =
     ~app_name:(spec.Access_patterns.App_spec.app_name ^ " (LLC)")
     counts
 
-let both ?cache_fit ~cache ~(memory : Dvf.app_dvf) spec =
+let both ?cache_fit ~machine ~cache ~flops spec =
+  let memory =
+    Dvf.of_spec ~machine ~cache ~fit:(Ecc.fit Ecc.No_ecc) ~flops spec
+  in
   { memory; cache = cache_dvf ?fit:cache_fit ~cache ~time:memory.Dvf.time spec }
 
 let to_table t =

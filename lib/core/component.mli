@@ -34,11 +34,12 @@ val cache_dvf :
 (** Eq. 1 instantiated for the LLC as described above. *)
 
 val both :
-  ?cache_fit:float -> cache:Cachesim.Config.t -> memory:Dvf.app_dvf ->
-  Access_patterns.App_spec.t -> component_dvf
-(** Memory DVF (the paper's) and cache DVF side by side.  [memory] is
-    [spec]'s {!Dvf.of_spec} on the same [cache]; the cache DVF reuses its
-    execution time, so the memory models run once per (spec, cache). *)
+  ?cache_fit:float -> machine:Perf.machine -> cache:Cachesim.Config.t ->
+  flops:int -> Access_patterns.App_spec.t -> component_dvf
+(** Memory DVF (the paper's) and cache DVF side by side.  The memory DVF
+    is [spec]'s {!Dvf.of_spec} at the unprotected 5000 FIT/Mbit; the cache
+    DVF reuses its execution time, so the memory models run once per
+    (spec, cache). *)
 
 val to_table : component_dvf -> Dvf_util.Table.t
 (** Per-structure comparison: sizes, resident bytes, both DVFs, and which

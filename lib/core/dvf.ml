@@ -50,8 +50,8 @@ let of_spec ?alpha ?beta ~machine ~cache ~fit ~flops spec =
     ~app_name:spec.Access_patterns.App_spec.app_name
     (List.map (fun (name, n) -> (name, List.assoc name sizes, n)) n_has)
 
-let rescale ?alpha ?beta ~fit ~time app =
-  of_counts ?alpha ?beta ~fit ~time ~app_name:app.app_name
+let rescale ~fit ~time app =
+  of_counts ~fit ~time ~app_name:app.app_name
     (List.map (fun s -> (s.name, s.bytes, s.n_ha)) app.structures)
 
 let pp_app fmt t =

@@ -56,11 +56,10 @@ val of_spec :
     roofline [Perf.execution_time machine ~cache ~flops ~n_ha]; then
     Eq. 1 per structure and Eq. 2 for the total. *)
 
-val rescale :
-  ?alpha:float -> ?beta:float -> fit:float -> time:float -> app_dvf ->
-  app_dvf
+val rescale : fit:float -> time:float -> app_dvf -> app_dvf
 (** Eq. 1 and Eq. 2 re-applied to [app]'s [(S_d, N_ha)] pairs at a new
-    FIT and T, without running the models again (ECC, a declared time).
+    FIT and T, without running the models again (ECC, a declared time),
+    with the default exponents [alpha = beta = 1].
     [rescale ~fit:app.fit ~time:app.time app = app]. *)
 
 val of_counts :

@@ -527,8 +527,11 @@ let op_sweep t req =
     match Json.member "capacities" req with
     | None | Some Json.Null -> None
     | Some (Json.List vs) ->
-        let entry v = as_int ~what:"\"capacities\" entry" v in
-        Some (List.map (fun v -> at_most "capacities" (1 lsl 30) (entry v)) vs)
+        let cs = List.map (as_int ~what:"\"capacities\" entry") vs in
+        (* a simulated sweep builds every cache at once: bound their sum *)
+        let bound = at_most "capacities (each and summed)" (1 lsl 30) in
+        ignore (List.fold_left (fun sum c -> bound (sum + max 0 (bound c))) 0 cs);
+        Some cs
     | Some _ -> failwith "\"capacities\" must be a list of integers"
   in
   let simulate =

@@ -52,8 +52,10 @@
     responses, never a crash of the serving process.  Size parameters
     are allocated in full, so each is bounded at about 100x its default
     and rejected before any work is done: ["bins"] at most 2000,
-    ["trials"] at most 100000, and each ["capacities"] entry at most
-    1 GiB (2{^30} bytes, 64x the sweep's largest default geometry).
+    ["trials"] at most 100000, and ["capacities"] at most 1 GiB
+    (2{^30} bytes, 64x the sweep's largest default geometry) per entry
+    and summed over its entries, since a simulated sweep builds every
+    cache at once.
     The CLI's own flags are not bounded. *)
 
 type t

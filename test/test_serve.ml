@@ -348,8 +348,8 @@ let gen_wrong_type =
     ]
 
 (* Values every validator rejects: hierarchies have 1..3 levels, a
-   capacity must give a power-of-two set count of 8-way 64-B lines and
-   be at most 1 GiB, bins lie in 1..2000, trials in 1..100000, and kill
+   capacity must give a power-of-two set count of 8-way 64-B lines, the
+   capacities be at most 1 GiB each and in sum, bins lie in 1..2000, trials in 1..100000, and kill
    fractions in [0, 1].  Rejected before any work is done, so the cases
    stay cheap — above all the well-typed but huge sizes, which would
    otherwise be allocated in full. *)
@@ -384,6 +384,14 @@ let gen_out_of_range =
           request "sweep"
             [ vm; ("capacities", J.List [ J.Int 4096; J.Int c ]) ])
         bad_capacity;
+      (* many valid geometries, each within the bound, over 1 GiB in sum *)
+      map2
+        (fun k extra ->
+          let c = 1 lsl k in
+          let n = (1 lsl (30 - k)) + extra in
+          request "sweep"
+            [ vm; ("capacities", J.List (List.init n (fun _ -> J.Int c))) ])
+        (int_range 24 30) (int_range 1 20);
       map
         (fun n -> request "chaos" [ ("trials", J.Int n) ])
         (oneof [ int_range (-1000) 0; above 100_000 ]);

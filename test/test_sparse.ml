@@ -143,8 +143,9 @@ let test_sparse_dvf_below_dense () =
     Kernels.Cg.spec ~iterations (Kernels.Cg.make_params n)
   in
   let dvf spec =
-    (Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache ~fit:5000.0
-       ~flops:0 spec)
+    (Core.Dvf.rescale ~fit:5000.0 ~time:1e-3
+       (Core.Dvf.of_spec ~machine:Core.Perf.default_machine ~cache ~fit:5000.0
+          ~flops:0 spec))
       .Core.Dvf.total
   in
   Alcotest.(check bool) "sparse <= dense / 10" true
