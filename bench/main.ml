@@ -516,7 +516,12 @@ let run_speed () =
   let cache = Cachesim.Config.small_verification in
   let vm = Kernels.Vm.verification in
   let vm_spec = Kernels.Vm.spec vm in
-  let cg_instance = Core.Workloads.verification_instance Core.Workloads.cg in
+  let instance_spec w =
+    (Core.Workloads.verification_instance w).Core.Workload.spec
+  in
+  let cg_spec = instance_spec Core.Workloads.cg in
+  let mg_spec = instance_spec Core.Workloads.mg in
+  let ft_spec = instance_spec Core.Workloads.ft in
   let mc = Kernels.Monte_carlo.verification in
   let mc_spec = Kernels.Monte_carlo.spec mc in
   let tests =
@@ -529,8 +534,15 @@ let run_speed () =
         Test.make ~name:"model: CG composition spec"
           (Staged.stage (fun () ->
                ignore
-                 (Access_patterns.App_spec.main_memory_accesses ~cache
-                    cg_instance.Core.Workload.spec)));
+                 (Access_patterns.App_spec.main_memory_accesses ~cache cg_spec)));
+        Test.make ~name:"model: MG template spec"
+          (Staged.stage (fun () ->
+               ignore
+                 (Access_patterns.App_spec.main_memory_accesses ~cache mg_spec)));
+        Test.make ~name:"model: FT template spec"
+          (Staged.stage (fun () ->
+               ignore
+                 (Access_patterns.App_spec.main_memory_accesses ~cache ft_spec)));
         Test.make ~name:"model: MC random spec"
           (Staged.stage (fun () ->
                ignore

@@ -164,8 +164,10 @@ let lower_template env args generators =
       let refs, writes =
         try provider tl_env with Failure message -> fail message
       in
-      Ap.Template.make ~cache_ratio:ratio ~distance ?writes ~elem_size:elem
-        refs
+      (try
+         Ap.Template.make ~cache_ratio:ratio ~distance ?writes ~elem_size:elem
+           refs
+       with Invalid_argument message -> fail message)
   | None ->
       let shape =
         match tuple_arg args "shape" with
@@ -179,7 +181,8 @@ let lower_template env args generators =
         | Failure message -> fail message
         | Invalid_argument message -> fail message
       in
-      Ap.Template.make ~cache_ratio:ratio ~distance ~elem_size:elem refs
+      (try Ap.Template.make ~cache_ratio:ratio ~distance ~elem_size:elem refs
+       with Invalid_argument message -> fail message)
 
 let lower_standalone_pattern env (p : Ast.pattern) =
   match p with

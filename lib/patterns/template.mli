@@ -11,11 +11,18 @@
       previous reference exceeds the maximum available cache capacity.
 
     "Distance" is the LRU stack distance (number of {e distinct} blocks
-    referenced in between), computed exactly with a Fenwick tree; with an
-    LRU cache of [B] available blocks, a re-reference misses iff its stack
-    distance is at least [B].  A [`Raw] distance variant (plain count of
-    intervening references, the literal reading of the paper's "distance")
-    is kept for the ablation bench. *)
+    referenced in between).  With [B] available blocks a re-reference
+    misses iff its stack distance is at least [B], which is exactly "the
+    block is not resident in a fully associative LRU cache of [B]
+    blocks", so the model walks that cache: an intrusive recency list in
+    two int arrays indexed by block id plus one state byte per block,
+    O(1) per block reference.  The tables are sized by the input, not
+    by the id values: a template whose block ids all fall in
+    [0 .. n-1] ([n] block references) is walked straight from its
+    element stream; any other template, and any explicit block trace,
+    is first renumbered in first-touch order.  A [`Raw] distance variant
+    (plain count of intervening references, the literal reading of the
+    paper's "distance") is kept for the ablation bench. *)
 
 type distance_kind = [ `Stack | `Raw ]
 
@@ -36,8 +43,9 @@ val make :
   elem_size:int -> int array -> t
 (** [make ~elem_size refs] with [cache_ratio] defaulting to 1.0 and
     [distance] to [`Stack].  Raises [Invalid_argument] on a non-positive
-    element size, negative indices, a ratio outside (0,1], or a [writes]
-    array whose length differs from [refs]. *)
+    element size, a negative index, an index above
+    [max_int / elem_size - 1] (whose byte offset would overflow), a ratio
+    outside (0,1], or a [writes] array whose length differs from [refs]. *)
 
 val block_trace : line:int -> t -> int array * bool array
 (** Element references lowered to cache-block ids with their store flags.

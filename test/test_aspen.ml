@@ -265,6 +265,36 @@ let test_semantic_errors () =
   expect_error
     "app x { data D { size = 8 } order { phase { E : reuse } } }"
 
+(* Template indices are untrusted input: a negative index, or one whose
+   byte offset overflows, is a structured compile error, while a sparse
+   but valid index is modeled exactly. *)
+let template_app refs =
+  Printf.sprintf
+    "app t { data X { pattern template(elem = 8) { refs (%s) } } }" refs
+
+let test_template_index_errors () =
+  let expect_message src expected =
+    match A.Compile.apps (A.Parser.parse_file src) with
+    | exception A.Errors.Error { message; _ } ->
+        Alcotest.(check string) "message" expected message
+    | _ -> Alcotest.failf "expected a compile error on %s" src
+  in
+  expect_message (template_app "X(0), X(0 - 5)")
+    "Template.make: negative element index";
+  expect_message (template_app "X(0), X(2305843009213693951)")
+    "Template.make: element index too large"
+
+let test_sparse_template_index () =
+  let src = template_app "X(0), X(10^15), X(0)" in
+  let app = A.Compile.find_app (A.Parser.parse_file src) "t" in
+  List.iter
+    (fun cache ->
+      Alcotest.(check (list (pair string (float 0.0))))
+        cache.Cachesim.Config.name [ ("X", 2.0) ]
+        (Access_patterns.App_spec.main_memory_accesses ~cache
+           app.A.Compile.spec))
+    Cachesim.Config.verification_set
+
 (* --- Pretty-printer round trip --- *)
 
 let test_roundtrip_builtin_models () =
@@ -352,6 +382,8 @@ let suite =
     Alcotest.test_case "order composition" `Quick test_order_composition;
     Alcotest.test_case "generator syntax" `Quick test_generator_syntax;
     Alcotest.test_case "semantic errors" `Quick test_semantic_errors;
+    Alcotest.test_case "template index errors" `Quick test_template_index_errors;
+    Alcotest.test_case "sparse template index" `Quick test_sparse_template_index;
     Alcotest.test_case "round trip builtin models" `Quick
       test_roundtrip_builtin_models;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;

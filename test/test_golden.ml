@@ -5,8 +5,9 @@
    tables of the VM, FT and MC profiling sweeps (analytic model only,
    one domain).  Every one of these outputs comes from the CGPMAC model
    and the roofline time, so any change in how N_ha, T or the DVF is
-   computed shows up here.  Fig. 5 (MG's full template model) is too
-   slow for this suite; CI pins it against golden/fig5.txt. *)
+   computed shows up here.  golden/fig5.txt holds the stdout of
+   "dvf fig5", every workload's profile on the four Table IV caches,
+   including the template models of MG and FT. *)
 
 let commands =
   [
@@ -80,5 +81,16 @@ let test_analytic_golden () =
     Alcotest.(check (list (pair string string)))
       "analytic outputs" (sections golden) (sections produced)
 
+let test_fig5_golden () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    Alcotest.(check string)
+      "dvf fig5"
+      (In_channel.with_open_text "golden/fig5.txt" In_channel.input_all)
+      (run_cli [ "fig5" ])
+
 let suite =
-  [ Alcotest.test_case "analytic outputs match golden" `Quick test_analytic_golden ]
+  [
+    Alcotest.test_case "analytic outputs match golden" `Quick test_analytic_golden;
+    Alcotest.test_case "fig5 matches golden" `Quick test_fig5_golden;
+  ]

@@ -56,6 +56,22 @@ let test_block_trace_lowering () =
   Alcotest.(check (array bool)) "straddling write flags"
     [| false; true; true; false; false; true |] writes
 
+let test_index_overflow_rejected () =
+  (* (index + 1) * elem_size must fit in an int: at elem 8 the largest
+     index is max_int / 8 - 1.  Index 2^61 - 1 would wrap to block 0
+     and merge with element 0. *)
+  let top = (max_int / 8) - 1 in
+  ignore (T.make ~elem_size:8 [| 0; top |]);
+  Alcotest.check_raises "past the bound"
+    (Invalid_argument "Template.make: element index too large") (fun () ->
+      ignore (T.make ~elem_size:8 [| 0; top + 1 |]));
+  Alcotest.check_raises "wrapping index"
+    (Invalid_argument "Template.make: element index too large") (fun () ->
+      ignore (T.make ~elem_size:8 [| 0; 2305843009213693951 |]));
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Template.make: negative element index") (fun () ->
+      ignore (T.make ~elem_size:8 [| 0; -1 |]))
+
 let test_available_blocks_ratio () =
   let t = T.make ~cache_ratio:0.5 ~elem_size:8 [| 0 |] in
   Alcotest.(check int) "half the cache" 128 (T.available_blocks ~cache:small_cache t)
@@ -287,6 +303,52 @@ let prop_writebacks_match_reference =
       in
       got = expected)
 
+(* Property: the model walks the element stream itself (dense ids) or a
+   renumbered block trace (sparse ids), and either way agrees with the
+   explicit block trace and with the naive LRU.  Elements of 12 and 24 B
+   straddle lines; in half the cases some indices are scaled by 2^40,
+   which forces the renumbering. *)
+let gen_template_case =
+  let open QCheck.Gen in
+  let* elem_size = oneofl [ 1; 4; 8; 12; 16; 24; 32 ] in
+  let* line = oneofl [ 8; 16; 32; 64 ] in
+  let* associativity = int_range 1 4 in
+  let* sets = oneofl [ 1; 2; 4 ] in
+  let* cache_ratio = map (fun k -> float_of_int k /. 8.0) (int_range 1 8) in
+  let* sparse = bool in
+  let index =
+    if sparse then
+      frequency
+        [ (4, int_range 0 40); (1, map (fun i -> i lsl 40) (int_range 1 40)) ]
+    else int_range 0 40
+  in
+  let* refs = array_size (int_range 1 200) index in
+  let* writes = opt (array_size (return (Array.length refs)) bool) in
+  let cache = Cachesim.Config.make ~name:"tiny" ~associativity ~sets ~line in
+  return (cache, T.make ~cache_ratio ?writes ~elem_size refs)
+
+let print_template_case (cache, t) =
+  Printf.sprintf "line=%d blocks=%d %s refs=[%s] writes=%s"
+    cache.Cachesim.Config.line (Cachesim.Config.blocks cache)
+    (Format.asprintf "%a" T.pp t)
+    (String.concat ";" (Array.to_list (Array.map string_of_int t.T.refs)))
+    (match t.T.writes with
+    | None -> "none"
+    | Some ws ->
+        String.init (Array.length ws) (fun i -> if ws.(i) then 'w' else 'r'))
+
+let prop_model_matches_block_trace_and_lru =
+  QCheck.Test.make ~count:300 ~name:"template model = block trace = LRU"
+    (QCheck.make ~print:print_template_case gen_template_case)
+    (fun (cache, t) ->
+      let capacity = T.available_blocks ~cache t in
+      let trace, flags = T.block_trace ~line:cache.Cachesim.Config.line t in
+      let writes = Option.map (fun _ -> flags) t.T.writes in
+      let m, w = T.accesses_on_blocks ~capacity ~distance:`Stack ~writes trace in
+      let rm, rw = reference_lru_with_writebacks ~capacity trace flags in
+      let model = T.main_memory_accesses ~cache t in
+      model = float_of_int (m + w) && model = float_of_int (rm + rw))
+
 let suite =
   [
     Alcotest.test_case "first touch counts" `Quick test_first_touch_counts;
@@ -298,6 +360,8 @@ let suite =
       test_stack_distance_ignores_duplicates;
     Alcotest.test_case "empty trace" `Quick test_empty_trace;
     Alcotest.test_case "block lowering" `Quick test_block_trace_lowering;
+    Alcotest.test_case "index overflow rejected" `Quick
+      test_index_overflow_rejected;
     Alcotest.test_case "available blocks ratio" `Quick
       test_available_blocks_ratio;
     Alcotest.test_case "model vs simulation (thrash)" `Quick
@@ -319,4 +383,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_miss_bounds;
     QCheck_alcotest.to_alcotest prop_stack_matches_fully_associative_lru;
     QCheck_alcotest.to_alcotest prop_writebacks_match_reference;
+    QCheck_alcotest.to_alcotest prop_model_matches_block_trace_and_lru;
   ]
