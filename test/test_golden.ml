@@ -7,7 +7,10 @@
    and the roofline time, so any change in how N_ha, T or the DVF is
    computed shows up here.  golden/fig5.txt holds the stdout of
    "dvf fig5", every workload's profile on the four Table IV caches,
-   including the template models of MG and FT. *)
+   including the template models of MG and FT.  golden/sweep_sim.txt
+   holds the exact simulated totals (misses + writebacks, every
+   geometry) of the VM, FT and MC profiling sweeps, so the trace-driven
+   half of the sweep is pinned too, not only its rounded table cells. *)
 
 let commands =
   [
@@ -89,8 +92,44 @@ let test_fig5_golden () =
       (In_channel.with_open_text "golden/fig5.txt" In_channel.input_all)
       (run_cli [ "fig5" ])
 
+let sweep_sim ~jobs captures =
+  String.concat ""
+    (List.map
+       (fun (cap : Core.Verify.capture) ->
+         let instance = cap.Core.Verify.instance in
+         let rows =
+           Core.Experiments.cache_sweep ~jobs ~simulate:true ~capture:cap
+             instance
+         in
+         Printf.sprintf "$ sweep_sim %s\n%s" instance.Core.Workload.workload
+           (String.concat ""
+              (List.map
+                 (fun (r : Core.Experiments.sweep_row) ->
+                   Printf.sprintf "%d %.0f\n" r.Core.Experiments.capacity
+                     (Option.get r.Core.Experiments.sim_n_ha))
+                 rows)))
+       captures)
+
+let test_sweep_sim_golden () =
+  let golden =
+    In_channel.with_open_text "golden/sweep_sim.txt" In_channel.input_all
+  in
+  let captures =
+    List.map
+      (fun w -> Core.Verify.capture (Core.Workloads.profiling_instance w))
+      Core.Workloads.[ vm; ft; mc ]
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "simulated sweep totals, jobs %d" jobs)
+        golden (sweep_sim ~jobs captures))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "analytic outputs match golden" `Quick test_analytic_golden;
     Alcotest.test_case "fig5 matches golden" `Quick test_fig5_golden;
+    Alcotest.test_case "simulated sweep matches golden" `Quick
+      test_sweep_sim_golden;
   ]
