@@ -175,8 +175,8 @@ let access t ~owner ~write ~addr ~size =
 
 let meta_size_bits = 30
 let max_size = (1 lsl meta_size_bits) - 1
-let meta_owner_shift = meta_size_bits + 1
-let max_owner = max_int lsr meta_owner_shift
+let owner_shift = meta_size_bits + 1
+let max_owner = max_int lsr owner_shift
 
 let pack_access ~owner ~write ~size =
   if size <= 0 || size > max_size then
@@ -187,12 +187,12 @@ let pack_access ~owner ~write ~size =
     invalid_arg
       (Printf.sprintf "Cache.pack_access: owner %d out of range (0..%d)" owner
          max_owner);
-  (owner lsl meta_owner_shift)
+  (owner lsl owner_shift)
   lor (size lsl 1)
   lor (if write then 1 else 0)
 
 let unpack_access meta =
-  ( meta lsr meta_owner_shift,
+  ( meta lsr owner_shift,
     meta land 1 = 1,
     (meta lsr 1) land max_size )
 
@@ -275,7 +275,7 @@ let generic_walk t ~addrs ~metas ~times ~pos ~len ~mask ~shard ~fill ~spill =
       | None -> now0 + (i - pos));
     let addr = Array.unsafe_get addrs i in
     let meta = Array.unsafe_get metas i in
-    let owner = meta lsr meta_owner_shift in
+    let owner = meta lsr owner_shift in
     let write = meta land 1 = 1 in
     let first = addr lsr shift in
     let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
@@ -310,7 +310,7 @@ let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard ~fill ~spill =
          for i = pos to pos + len - 1 do
            let addr = Array.unsafe_get addrs i in
            let meta = Array.unsafe_get metas i in
-           let owner = meta lsr meta_owner_shift in
+           let owner = meta lsr owner_shift in
            let write = meta land 1 = 1 in
            let first = addr lsr shift in
            let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in

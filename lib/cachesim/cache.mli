@@ -80,6 +80,17 @@ val pack_access : owner:int -> write:bool -> size:int -> int
 val unpack_access : int -> int * bool * int
 (** [(owner, write, size)] of a word built by {!pack_access}. *)
 
+val owner_shift : int
+(** The owner's bit offset in a {!pack_access} word: a walk decodes the
+    owner as [meta lsr owner_shift], the write flag as [meta land 1] and
+    the size as [(meta lsr 1) land max_size]. *)
+
+val validate_batch :
+  addrs:int array -> metas:int array -> pos:int -> len:int -> unit
+(** The batch check every packed walk runs before it changes any state:
+    raises [Invalid_argument] on a range outside either array or on a
+    negative address. *)
+
 (** {2 The packed walk}
 
     Each set's LRU state is independent of every other set's, so a batch

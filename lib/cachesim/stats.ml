@@ -42,6 +42,14 @@ let record_writeback t ~owner =
   let c = ensure t owner in
   c.writebacks <- c.writebacks + 1
 
+let add t ~owner (n : counters) =
+  let c = ensure t owner in
+  c.reads <- c.reads + n.reads;
+  c.writes <- c.writes + n.writes;
+  c.hits <- c.hits + n.hits;
+  c.misses <- c.misses + n.misses;
+  c.writebacks <- c.writebacks + n.writebacks
+
 let counters_of_cell (c : cell) : counters =
   {
     reads = c.reads;

@@ -20,6 +20,10 @@ val create : unit -> t
 val record_access : t -> owner:int -> write:bool -> hit:bool -> unit
 val record_writeback : t -> owner:int -> unit
 
+val add : t -> owner:int -> counters -> unit
+(** Add a whole set of counters to the owner's at once — for walks that
+    tally their own counts and hand them over at the end ({!Sweep}). *)
+
 val owner_counters : t -> int -> counters
 (** All-zero counters for owners never seen. *)
 

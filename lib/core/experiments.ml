@@ -159,23 +159,44 @@ type sweep_row = {
   sim_n_ha : float option;
 }
 
-(* Trace-driven half of a simulated sweep: the capture's tape replayed
-   into every sweep geometry through the verification replay engine
-   (set-sharded walks, each cache clamping the shard count to its own set
-   count, statistics merged in shard order) — totals are bit-identical
-   at any [jobs].  Returns each cache's simulated total main-memory
-   accesses (misses + writebacks), in [caches] order. *)
-let simulate_totals ~jobs ~telemetry ~caches cap =
+(* Trace-driven half of a simulated sweep: one all-geometry walk
+   ([Cachesim.Sweep]) per shard over the capture's tape, at the replay
+   engine's width, the per-shard statistics merged in shard order — so
+   totals are bit-identical at any [jobs].  Returns each cache's
+   simulated total main-memory accesses (misses + writebacks), in
+   [caches] order. *)
+let simulate_totals ~jobs ~telemetry ~caches (cap : Verify.capture) =
   Telemetry.span telemetry
     (Printf.sprintf "cache_sweep/%s/replay"
        cap.Verify.instance.Workload.workload)
-    (fun () ->
-      List.map
-        (fun stats ->
-          float_of_int
-            (Cachesim.Stats.Snapshot.total_main_memory
-               (Cachesim.Stats.snapshot stats)))
-        (Verify.capture_stats ~telemetry ~jobs ~caches cap))
+  @@ fun () ->
+  let width = Verify.shard_width ~jobs caches in
+  let walk shard =
+    let sweep = Cachesim.Sweep.create caches in
+    Memtrace.Tape.fold_chunks cap.Verify.tape ~init:()
+      ~f:(fun () ~addrs ~metas ~len ->
+        Cachesim.Sweep.access_batch sweep ~addrs ~metas ~pos:0 ~len
+          ~shards:width ~shard);
+    Cachesim.Sweep.flush sweep;
+    Cachesim.Sweep.stats sweep
+  in
+  let per_shard =
+    Dvf_util.Parallel.map_list ~telemetry ~jobs:(min jobs width) walk
+      (List.init width Fun.id)
+  in
+  if Telemetry.enabled telemetry then begin
+    Telemetry.add telemetry
+      ~n:(Memtrace.Tape.length cap.Verify.tape * List.length caches)
+      "tape/replay_events";
+    Telemetry.add telemetry ~n:width "shard/tasks";
+    Telemetry.set_gauge telemetry "shard/count" (float_of_int width)
+  end;
+  List.mapi
+    (fun i _ ->
+      float_of_int
+        (Cachesim.Stats.total_main_memory_accesses
+           (Cachesim.Stats.sum (List.map (fun s -> List.nth s i) per_shard))))
+    caches
 
 let cache_sweep ?jobs ?(telemetry = Telemetry.null)
     ?(machine = Perf.default_machine) ?(fit = Ecc.fit Ecc.No_ecc) ?(line = 64)

@@ -79,15 +79,17 @@ val cache_sweep :
 
     [simulate] (default [false]) additionally runs the trace-driven
     simulator over every sweep geometry: the workload's trace is captured
-    {e once} into a {!Memtrace.Tape} ({!Verify.capture}) and all
-    geometries are driven by the verification replay engine
-    ({!Verify.capture_stats}) — one set-sharded walk per shard of the
-    [jobs]-wide pool; results are independent of the width.  Each row's
-    [sim_n_ha] then holds the simulated total main-memory accesses next
-    to the analytic [n_ha].  Telemetry adds
-    ["cache_sweep/<workload>/replay"] spans plus the shared
-    ["tape/*"]/["shard/*"] counters and
-    ["verify/capture_total"]/["verify/replay_total"] accumulators.
+    {e once} into a {!Memtrace.Tape} ({!Verify.capture}) and walked
+    {e once} for all geometries by {!Cachesim.Sweep} — one walk per shard
+    of the replay engine's width ({!Verify.shard_width} of [jobs] and the
+    geometries), statistics merged in shard order; results are
+    independent of the width.  Each row's [sim_n_ha] then holds the
+    simulated total main-memory accesses next to the analytic [n_ha].
+    Telemetry adds one ["cache_sweep/<workload>/replay"] span per call,
+    the ["tape/replay_events"] counter (tape events x geometries), the
+    ["shard/tasks"] counter and the ["shard/count"] gauge (both the
+    width), plus ["pool/*"] when the width exceeds 1 and the capture
+    telemetry of {!Verify.capture} when the trace is captured here.
 
     [store] (only meaningful with [simulate]) routes the capture through
     a persistent tape store — a warm store skips kernel tracing

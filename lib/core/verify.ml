@@ -136,15 +136,15 @@ let pow2_floor n =
   while !p * 2 <= n do p := !p * 2 done;
   !p
 
+let shard_width ~jobs configs =
+  List.fold_left
+    (fun acc (c : Cachesim.Config.t) -> min acc c.Cachesim.Config.sets)
+    (pow2_floor jobs) configs
+
 let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
   if Option.fold ~none:false ~some:(fun b -> b <= 0) bins then
     invalid_arg "Verify: bins must be positive";
-  let width =
-    List.fold_left
-      (fun acc (c : Cachesim.Config.t) -> min acc c.Cachesim.Config.sets)
-      (pow2_floor (Pool.size pool))
-      (List.concat consumers)
-  in
+  let width = shard_width ~jobs:(Pool.size pool) (List.concat consumers) in
   (* Replica sets are recycled across tasks, so only about one per
      concurrently running task is ever built, not one per (capture x
      shard): large hierarchies would otherwise pile up as garbage and
@@ -290,12 +290,6 @@ let capture_rows ?(telemetry = Telemetry.null) cap =
       engine ~telemetry ~pool
         ~consumers:(single_level Cachesim.Config.verification_set)
         ~rows:(cache_rows ~telemetry) [ cap ])
-
-let capture_stats ?(telemetry = Telemetry.null) ~jobs ~caches cap =
-  Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
-      engine ~telemetry ~pool ~consumers:(single_level caches)
-        ~rows:(fun _ _ levels -> List.map fst levels)
-        [ cap ])
 
 let finalize_metrics telemetry =
   if Telemetry.enabled telemetry then begin

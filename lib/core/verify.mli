@@ -70,13 +70,11 @@ val capture_rows : ?telemetry:Dvf_util.Telemetry.t -> capture -> row list
     bit-identical to the corresponding slice of {!run_all}, and what a
     [dvf serve] verify request runs against its warm capture. *)
 
-val capture_stats :
-  ?telemetry:Dvf_util.Telemetry.t ->
-  jobs:int -> caches:Cachesim.Config.t list -> capture -> Cachesim.Stats.t list
-(** Replay one capture into every cache of [caches] through the engine
-    (width from [jobs], see {!run_all}) and return each cache's merged,
-    flushed statistics in [caches] order — the trace-driven half of a
-    simulated capacity sweep.  Bit-identical at any [jobs]. *)
+val shard_width : jobs:int -> Cachesim.Config.t list -> int
+(** The replay engine's shard count for a [jobs]-wide pool: the largest
+    power of two [<= jobs], clamped to the smallest set count among
+    [configs] (a wider width would make shards that own no line of that
+    cache).  Always a power of two. *)
 
 val run_all :
   ?jobs:int ->

@@ -16,8 +16,7 @@
     two arrays and a length, whether it was captured or loaded by
     {!Tape_io}.  Replay streams whole chunks through
     {!Cachesim.Cache.access_batch}, driving several caches from a single
-    chunk walk so a multi-geometry sweep reads each chunk once while it
-    is hot.
+    chunk walk so each chunk is read once while it is hot.
 
     Tapes are single-domain values: capture on one domain, then hand the
     (immutable-from-then-on) tape to replay jobs freely — concurrent

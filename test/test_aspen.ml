@@ -284,6 +284,47 @@ let test_template_index_errors () =
   expect_message (template_app "X(0), X(2305843009213693951)")
     "Template.make: element index too large"
 
+(* Semantic errors carry no position (line 0) and render as the bare
+   message; lexer and parser errors keep theirs. *)
+let test_error_rendering () =
+  Alcotest.(check (option string)) "position-less" (Some "bad index")
+    (A.Errors.to_string
+       (A.Errors.Error { line = 0; col = 0; message = "bad index" }));
+  Alcotest.(check (option string)) "positioned"
+    (Some "line 3, column 7: bad token")
+    (A.Errors.to_string
+       (A.Errors.Error { line = 3; col = 7; message = "bad token" }));
+  Alcotest.(check (option string)) "lexer error"
+    (Some "line 1, column 18: unexpected character '`'")
+    (match A.Parser.parse_file "app x { data D { ` } }" with
+    | exception e -> A.Errors.to_string e
+    | _ -> None);
+  Alcotest.(check (option string)) "other exceptions" None
+    (A.Errors.to_string Not_found)
+
+(* The CLI's report of a bad template index names no "line 0". *)
+let test_cli_semantic_error () =
+  let exe = "../bin/dvf_cli.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else begin
+    let path = Filename.temp_file "dvf_neg_index" ".aspen" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (template_app "X(0), X(0 - 5)"));
+    let out, inp, err =
+      Unix.open_process_args_full exe [| exe; "--model"; path |]
+        (Unix.environment ())
+    in
+    close_out inp;
+    ignore (In_channel.input_all out);
+    let stderr = In_channel.input_all err in
+    (match Unix.close_process_full (out, inp, err) with
+    | Unix.WEXITED 1 -> ()
+    | _ -> Alcotest.fail "expected exit status 1");
+    Alcotest.(check string) "stderr"
+      "error: Template.make: negative element index\n" stderr
+  end
+
 let test_sparse_template_index () =
   let src = template_app "X(0), X(10^15), X(0)" in
   let app = A.Compile.find_app (A.Parser.parse_file src) "t" in
@@ -384,6 +425,9 @@ let suite =
     Alcotest.test_case "semantic errors" `Quick test_semantic_errors;
     Alcotest.test_case "template index errors" `Quick test_template_index_errors;
     Alcotest.test_case "sparse template index" `Quick test_sparse_template_index;
+    Alcotest.test_case "error rendering" `Quick test_error_rendering;
+    Alcotest.test_case "CLI semantic error has no position" `Quick
+      test_cli_semantic_error;
     Alcotest.test_case "round trip builtin models" `Quick
       test_roundtrip_builtin_models;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;

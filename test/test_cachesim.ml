@@ -359,10 +359,12 @@ type feed_event = Fill of int * int | Spill of int * int (* owner, line *)
 
 (* Per set, resident (line, owner, dirty) most recent first.  A hit keeps
    the filling owner; a miss in a full set evicts the last entry, spilling
-   it when dirty, before the new line's fill. *)
-let reference_feed (cfg : C.Config.t) events =
+   it when dirty, before the new line's fill.  Returns the feed and the
+   run's statistics, end-of-run flush included. *)
+let reference_lru (cfg : C.Config.t) events =
   let sets = Array.make cfg.C.Config.sets [] in
   let feed = ref [] in
+  let stats = C.Stats.create () in
   Array.iter
     (fun (addr, size, owner, write) ->
       let line_of a = a / cfg.C.Config.line in
@@ -371,16 +373,21 @@ let reference_feed (cfg : C.Config.t) events =
         let resident = sets.(set) in
         match List.find_opt (fun (l, _, _) -> l = line) resident with
         | Some (_, o, d) ->
+            C.Stats.record_access stats ~owner ~write ~hit:true;
             sets.(set) <-
               (line, o, d || write)
               :: List.filter (fun (l, _, _) -> l <> line) resident
         | None ->
+            C.Stats.record_access stats ~owner ~write ~hit:false;
             let kept =
               if List.length resident < cfg.C.Config.associativity then resident
               else begin
                 let rev = List.rev resident in
                 let l, o, d = List.hd rev in
-                if d then feed := Spill (o, l) :: !feed;
+                if d then begin
+                  C.Stats.record_writeback stats ~owner:o;
+                  feed := Spill (o, l) :: !feed
+                end;
                 List.rev (List.tl rev)
               end
             in
@@ -388,7 +395,12 @@ let reference_feed (cfg : C.Config.t) events =
             feed := Fill (owner, line) :: !feed
       done)
     events;
-  List.rev !feed
+  Array.iter
+    (List.iter (fun (_, o, d) -> if d then C.Stats.record_writeback stats ~owner:o))
+    sets;
+  (List.rev !feed, stats)
+
+let reference_feed cfg events = fst (reference_lru cfg events)
 
 let gen_walk_case =
   let open QCheck.Gen in

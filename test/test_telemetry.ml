@@ -164,6 +164,37 @@ let test_verify_rows_identical_with_metrics () =
       | Error m -> Alcotest.failf "document invalid: %s" m)
     [ serial_t; parallel_t ]
 
+(* The simulated sweep's documented telemetry: one replay span per
+   call, events x geometries replayed, and one walk task per shard. *)
+let test_simulated_sweep_metrics () =
+  let instance = Core.Workloads.verification_instance Core.Workloads.vm in
+  let cap = Core.Verify.capture instance in
+  let capacities = [ 8192; 65536; 4096 ] in
+  let sweep ?telemetry jobs =
+    Core.Experiments.cache_sweep ~jobs ?telemetry ~capacities ~simulate:true
+      ~capture:cap instance
+  in
+  let plain = sweep 1 in
+  List.iter
+    (fun (jobs, width) ->
+      let t = T.create () in
+      Alcotest.(check bool)
+        (Printf.sprintf "rows unchanged with metrics, jobs %d" jobs)
+        true
+        (sweep ~telemetry:t jobs = plain);
+      Alcotest.(check int) "one replay span" 1
+        (T.span_calls t "cache_sweep/VM/replay");
+      Alcotest.(check int) "tape/replay_events = events x geometries"
+        (Memtrace.Tape.length cap.Core.Verify.tape * List.length capacities)
+        (T.counter_value t "tape/replay_events");
+      Alcotest.(check int) "shard/tasks" width (T.counter_value t "shard/tasks");
+      match J.member "gauges" (T.to_json t) with
+      | Some gauges ->
+          Alcotest.(check bool) "shard/count gauge" true
+            (J.member "shard/count" gauges = Some (J.Float (float_of_int width)))
+      | None -> Alcotest.fail "no gauges section")
+    [ (1, 1); (2, 2) ]
+
 let suite =
   [
     Alcotest.test_case "null collector is inert" `Quick test_null_is_inert;
@@ -175,4 +206,6 @@ let suite =
       test_json_roundtrip_and_validate;
     Alcotest.test_case "verify rows identical with metrics" `Slow
       test_verify_rows_identical_with_metrics;
+    Alcotest.test_case "simulated sweep metrics" `Quick
+      test_simulated_sweep_metrics;
   ]
