@@ -18,7 +18,9 @@
    and misses in the ones below; each of those evicts its set's least
    recently used line, whose suffix (by inclusion it is held at k but not
    below) moves to [k+1], with a writeback when it was dirty at [k].
-   Levels keep only tags (line ids) and the filling owners.
+   Levels keep only tags (line ids) and the filling owners, for the sets
+   of the walker's shard alone: the shard bits are the low bits of every
+   set index, so [set lsr id_shift] numbers a shard's sets densely.
 
    Counts are kept per owner as a histogram over [res] (split by the
    write flag) and per (owner, level) writebacks; {!stats} turns them
@@ -32,11 +34,11 @@ type level = {
 
 type t = {
   level_of : int array;  (* config -> level *)
-  levels : level array;  (* distinct set counts, ascending *)
+  sets : int array;  (* distinct set counts, ascending *)
+  mutable levels : level array;  (* per set count, built by the first batch *)
   nlevels : int;
   assoc : int;
   line_shift : int;
-  min_sets : int;
   mutable pinned : (int * int) option;  (* (eff, shard) of the first batch *)
   mutable id_shift : int;
   (* per line id *)
@@ -84,19 +86,11 @@ let create configs =
     level_of =
       Array.of_list
         (List.map (fun (c : Config.t) -> level_of_sets c.sets) configs);
-    levels =
-      Array.map
-        (fun s ->
-          {
-            set_mask = s - 1;
-            tags = Array.make (s * assoc) (-1);
-            owners = Array.make (s * assoc) 0;
-          })
-        sets;
+    sets;
+    levels = [||];
     nlevels = Array.length sets;
     assoc;
     line_shift = log2 line;
-    min_sets = sets.(0);
     pinned = None;
     id_shift = 0;
     stamp = [||];
@@ -172,7 +166,7 @@ let grow_owners t owner =
 let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
   Cache.check_shards ~shards ~shard;
   Cache.validate_batch ~addrs ~metas ~pos ~len;
-  let eff = min shards t.min_sets in
+  let eff = min shards t.sets.(0) in
   (match t.pinned with
   | Some (e, s) when e = eff && s = shard -> ()
   | Some (e, s) ->
@@ -182,7 +176,17 @@ let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
            shard eff)
   | None ->
       t.pinned <- Some (eff, shard);
-      t.id_shift <- log2 eff);
+      t.id_shift <- log2 eff;
+      t.levels <-
+        Array.map
+          (fun s ->
+            let slots = s / eff * t.assoc in
+            {
+              set_mask = s - 1;
+              tags = Array.make slots (-1);
+              owners = Array.make slots 0;
+            })
+          t.sets);
   if shard < eff then begin
     let mask = eff - 1
     and shift = t.line_shift
@@ -214,7 +218,7 @@ let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
           for k = 0 to m - 1 do
             let lv = Array.unsafe_get levels k in
             let tags = lv.tags in
-            let base = (line land lv.set_mask) * ca in
+            let base = ((line land lv.set_mask) lsr id_shift) * ca in
             let limit = base + ca in
             (* the first empty way, else the least recently used one *)
             let victim = ref base and oldest = ref max_int and w = ref base in
