@@ -202,7 +202,7 @@ let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
       let owner = meta lsr owner_shift in
       if owner >= t.owner_cap then grow_owners t owner;
       let write = meta land 1 in
-      let counts = (((owner * 2) + write) * (nl + 1)) in
+      let counts = ((owner * 2) + write) * (nl + 1) in
       let first = addr lsr shift in
       let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
       for line = first to last do
