@@ -10,7 +10,10 @@
    including the template models of MG and FT.  golden/sweep_sim.txt
    holds the exact simulated totals (misses + writebacks, every
    geometry) of the VM, FT and MC profiling sweeps, so the trace-driven
-   half of the sweep is pinned too, not only its rounded table cells. *)
+   half of the sweep is pinned too, not only its rounded table cells.
+   golden/verify_levels.txt holds the stdout of "dvf verify --levels 2"
+   and "dvf verify --time-weighted --levels 2": per-level hierarchy
+   traffic and per-level residency line-events of every workload. *)
 
 let commands =
   [
@@ -126,10 +129,55 @@ let test_sweep_sim_golden () =
         golden (sweep_sim ~jobs captures))
     [ 1; 2 ]
 
+(* The hierarchy and residency tables, at one and two domains, and
+   then from a warm tape store: a cold [verify --tape-store] (checked
+   against golden/verify_default.txt) saves every tape, so the level
+   runs replay tapes that went through save and load. *)
+let levels_commands =
+  [ [ "verify"; "--levels"; "2" ]; [ "verify"; "--time-weighted"; "--levels"; "2" ] ]
+
+let levels_output extra =
+  String.concat ""
+    (List.map
+       (fun args ->
+         Printf.sprintf "$ dvf %s\n%s" (String.concat " " args)
+           (run_cli (args @ extra)))
+       levels_commands)
+
+let test_verify_levels_golden () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    let read path = In_channel.with_open_text path In_channel.input_all in
+    let golden = read "golden/verify_levels.txt" in
+    List.iter
+      (fun jobs ->
+        Alcotest.(check string)
+          (Printf.sprintf "levels tables, -j %s" jobs)
+          golden
+          (levels_output [ "-j"; jobs ]))
+      [ "1"; "2" ];
+    let store = Filename.temp_dir "dvf_golden_store" "" in
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat store f))
+          (Sys.readdir store);
+        Sys.rmdir store)
+      (fun () ->
+        Alcotest.(check string)
+          "verify into a cold store"
+          (read "golden/verify_default.txt")
+          (run_cli [ "verify"; "--tape-store"; store ]);
+        Alcotest.(check string)
+          "levels tables from a warm store" golden
+          (levels_output [ "--tape-store"; store ]))
+
 let suite =
   [
     Alcotest.test_case "analytic outputs match golden" `Quick test_analytic_golden;
     Alcotest.test_case "fig5 matches golden" `Quick test_fig5_golden;
     Alcotest.test_case "simulated sweep matches golden" `Quick
       test_sweep_sim_golden;
+    Alcotest.test_case "verify levels match golden" `Quick
+      test_verify_levels_golden;
   ]
