@@ -357,10 +357,14 @@ let prop_matches_reference_lru =
 
 type feed_event = Fill of int * int | Spill of int * int (* owner, line *)
 
-(* Per set, resident (line, owner, dirty) most recent first.  A hit keeps
-   the filling owner; a miss in a full set evicts the last entry, spilling
-   it when dirty, before the new line's fill.  Returns the feed and the
-   run's statistics, end-of-run flush included. *)
+(* Per set, resident (line, owner, dirty, way) most recent first.  A hit
+   keeps the filling owner; a miss in a full set evicts the last entry,
+   spilling it when dirty, before the new line's fill.  A set's k-th fill
+   takes way k and a later fill its victim's way, which is all the ways
+   are used for: the end-of-run flush spills the dirty lines in slot
+   order (set by set, way by way), the order [Cache.flush_feed] reports
+   them in.  Returns the walk's feed, the flush's spills and the run's
+   statistics, end-of-run flush included. *)
 let reference_lru (cfg : C.Config.t) events =
   let sets = Array.make cfg.C.Config.sets [] in
   let feed = ref [] in
@@ -371,36 +375,48 @@ let reference_lru (cfg : C.Config.t) events =
       for line = line_of addr to line_of (addr + size - 1) do
         let set = line land (cfg.C.Config.sets - 1) in
         let resident = sets.(set) in
-        match List.find_opt (fun (l, _, _) -> l = line) resident with
-        | Some (_, o, d) ->
+        match List.find_opt (fun (l, _, _, _) -> l = line) resident with
+        | Some (_, o, d, way) ->
             C.Stats.record_access stats ~owner ~write ~hit:true;
             sets.(set) <-
-              (line, o, d || write)
-              :: List.filter (fun (l, _, _) -> l <> line) resident
+              (line, o, d || write, way)
+              :: List.filter (fun (l, _, _, _) -> l <> line) resident
         | None ->
             C.Stats.record_access stats ~owner ~write ~hit:false;
-            let kept =
-              if List.length resident < cfg.C.Config.associativity then resident
+            let kept, way =
+              if List.length resident < cfg.C.Config.associativity then
+                (resident, List.length resident)
               else begin
                 let rev = List.rev resident in
-                let l, o, d = List.hd rev in
+                let l, o, d, way = List.hd rev in
                 if d then begin
                   C.Stats.record_writeback stats ~owner:o;
                   feed := Spill (o, l) :: !feed
                 end;
-                List.rev (List.tl rev)
+                (List.rev (List.tl rev), way)
               end
             in
-            sets.(set) <- (line, owner, write) :: kept;
+            sets.(set) <- (line, owner, write, way) :: kept;
             feed := Fill (owner, line) :: !feed
       done)
     events;
-  Array.iter
-    (List.iter (fun (_, o, d) -> if d then C.Stats.record_writeback stats ~owner:o))
-    sets;
-  (List.rev !feed, stats)
+  let flush =
+    List.concat_map
+      (fun resident ->
+        List.sort (fun (_, _, _, a) (_, _, _, b) -> compare a b) resident
+        |> List.filter_map (fun (l, o, d, _) ->
+               if d then begin
+                 C.Stats.record_writeback stats ~owner:o;
+                 Some (Spill (o, l))
+               end
+               else None))
+      (Array.to_list sets)
+  in
+  (List.rev !feed, flush, stats)
 
-let reference_feed cfg events = fst (reference_lru cfg events)
+let reference_feed cfg events =
+  let feed, _, _ = reference_lru cfg events in
+  feed
 
 let gen_walk_case =
   let open QCheck.Gen in

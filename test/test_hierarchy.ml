@@ -244,6 +244,97 @@ let test_funnel_capacity_invariance () =
   Alcotest.(check bool) "funnel 1 = funnel 13" true (tiny_buf = small_buf);
   Alcotest.(check bool) "funnel 13 = funnel 65536" true (small_buf = big_buf)
 
+(* --- the chained naive LRU oracle ---
+
+   Level k+1 of the hierarchy sees exactly level k's traffic: each fill
+   as a line-sized read and each dirty eviction as a line-sized write,
+   in the order level k emitted them, then level k's end-of-run spills.
+   Chaining test_cachesim's naive list LRU that way gives every level's
+   statistics with no queue, drain or shard in sight, so the property
+   checks Hierarchy's funnel (forwarding order, drains mid-walk, the
+   flush cascade, set sharding) against a model that has none of it. *)
+
+let chained_reference configs events =
+  let rec walk input = function
+    | [] -> []
+    | (cfg : C.Config.t) :: deeper ->
+        let feed, flush, stats = Test_cachesim.reference_lru cfg input in
+        let line = cfg.C.Config.line in
+        let forward = function
+          | Test_cachesim.Fill (owner, l) -> (l * line, line, owner, false)
+          | Test_cachesim.Spill (owner, l) -> (l * line, line, owner, true)
+        in
+        C.Stats.snapshot stats
+        :: walk (Array.of_list (List.map forward (feed @ flush))) deeper
+  in
+  walk events configs
+
+let gen_chain_case =
+  let open QCheck.Gen in
+  let* line = oneofl [ 8; 16; 32 ] in
+  let* levels =
+    list_size (2 -- 3) (pair (oneofl [ 1; 2; 4; 8; 16 ]) (1 -- 4))
+  in
+  let* shards = oneofl [ 1; 2; 4 ] in
+  let* funnel = 1 -- 8 in
+  let* events =
+    array_size (1 -- 300) (quad (0 -- 2047) (1 -- 100) (0 -- 5) bool)
+  in
+  let* cuts = list_size (0 -- 6) (0 -- Array.length events) in
+  return (line, levels, shards, funnel, events, cuts)
+
+let print_chain_case (line, levels, shards, funnel, events, cuts) =
+  Printf.sprintf "line %d, levels [%s], %d shards, funnel %d, %d events, cuts [%s]"
+    line
+    (String.concat "; "
+       (List.map (fun (s, a) -> Printf.sprintf "%d sets %d-way" s a) levels))
+    shards funnel (Array.length events)
+    (String.concat ";" (List.map string_of_int cuts))
+
+let prop_hierarchy_matches_chained_lru =
+  QCheck.Test.make ~count:300 ~name:"hierarchy = chained naive LRU"
+    (QCheck.make ~print:print_chain_case gen_chain_case)
+    (fun (line, levels, shards, funnel, events, cuts) ->
+      let configs =
+        List.mapi
+          (fun i (sets, associativity) ->
+            C.Config.make ~name:(Printf.sprintf "L%d" (i + 1)) ~associativity
+              ~sets ~line)
+          levels
+      in
+      let n = Array.length events in
+      let addrs = Array.map (fun (a, _, _, _) -> a) events in
+      let metas =
+        Array.map
+          (fun (_, size, owner, write) ->
+            C.Cache.pack_access ~owner ~write ~size)
+          events
+      in
+      let bounds = List.sort_uniq compare ((0 :: cuts) @ [ n ]) in
+      let replicas =
+        List.init shards (fun shard ->
+            let h = C.Hierarchy.create ~funnel_events:funnel configs in
+            let rec batches = function
+              | a :: (b :: _ as rest) ->
+                  C.Hierarchy.access_batch h ~addrs ~metas ~pos:a ~len:(b - a)
+                    ~shards ~shard;
+                  batches rest
+              | _ -> ()
+            in
+            batches bounds;
+            C.Hierarchy.flush h;
+            h)
+      in
+      let summed =
+        List.init (List.length configs) (fun level ->
+            C.Stats.snapshot
+              (C.Stats.sum
+                 (List.map
+                    (fun h -> C.Cache.stats (C.Hierarchy.level_cache h level))
+                    replicas)))
+      in
+      summed = chained_reference configs events)
+
 (* --- sharded walks are bit-identical --- *)
 
 let test_cache_sharded_identity () =
@@ -464,6 +555,7 @@ let suite =
       test_flush_attribution_mini_trace;
     Alcotest.test_case "funnel capacity invariance" `Quick
       test_funnel_capacity_invariance;
+    QCheck_alcotest.to_alcotest prop_hierarchy_matches_chained_lru;
     Alcotest.test_case "sharded fused = fused (caches)" `Quick
       test_cache_sharded_identity;
     Alcotest.test_case "sharded fused = fused (hierarchies)" `Quick

@@ -89,7 +89,9 @@ let prop_sweep_matches_caches =
         (fun cfg stats ->
           let snap = C.Stats.snapshot stats in
           snap = C.Stats.snapshot (cache_walk cfg events)
-          && snap = C.Stats.snapshot (snd (Test_cachesim.reference_lru cfg events)))
+          &&
+          let _, _, reference = Test_cachesim.reference_lru cfg events in
+          snap = C.Stats.snapshot reference)
         configs swept
       (* addresses past 2^40 force renumbering; small ones never do *)
       && List.exists C.Sweep.renumbered walkers = far)
