@@ -164,63 +164,58 @@ let access t ~owner ~write ~addr ~size =
   done;
   t.now <- t.now + 1
 
-(* --- packed bulk interface ---
+(* --- the packed event ---
 
-   One event is two ints: the byte address, and a metadata word packing
-   write (bit 0), size (bits 1..30) and owner (bits 31+).  The layout is
-   shared with [Memtrace.Tape], which stores captured traces in columnar
-   [addrs]/[metas] arrays and streams whole chunks back through
-   [access_batch] — one closure dispatch and one bounds check per chunk
-   instead of per event. *)
+   One event is one immediate int, so a captured trace is one unboxed
+   [int] array per chunk ([Memtrace.Tape]) that streams through
+   [access_batch] with one call and one bounds check per chunk.  Bit 0
+   is the write flag, bits 1..13 the size, bits 14..22 the owner and
+   bits 23..61 the byte address, so every valid word is non-negative.
+   Only this file knows the shifts: other modules use [pack] and the
+   accessors. *)
 
-let meta_size_bits = 30
-let max_size = (1 lsl meta_size_bits) - 1
-let owner_shift = meta_size_bits + 1
-let max_owner = max_int lsr owner_shift
+let owner_shift = 14
+let addr_shift = 23
+let max_size = (1 lsl 13) - 1
+let max_owner = (1 lsl 9) - 1
+let max_addr = (1 lsl 39) - 1
 
-let pack_access ~owner ~write ~size =
-  if size <= 0 || size > max_size then
+let pack ~owner ~write ~addr ~size =
+  if size <= 0 || size > max_size || owner < 0 || owner > max_owner
+     || addr < 0 || addr > max_addr - size + 1
+  then
     invalid_arg
-      (Printf.sprintf "Cache.pack_access: size %d out of range (1..%d)" size
-         max_size);
-  if owner < 0 || owner > max_owner then
-    invalid_arg
-      (Printf.sprintf "Cache.pack_access: owner %d out of range (0..%d)" owner
-         max_owner);
-  (owner lsl owner_shift)
+      (Printf.sprintf
+         "Cache.pack: owner %d, address %d, size %d outside owner 0..%d, \
+          size 1..%d, bytes 0..%d"
+         owner addr size max_owner max_size max_addr);
+  (addr lsl addr_shift)
+  lor (owner lsl owner_shift)
   lor (size lsl 1)
-  lor (if write then 1 else 0)
+  lor if write then 1 else 0
 
-let unpack_access meta =
-  ( meta lsr owner_shift,
-    meta land 1 = 1,
-    (meta lsr 1) land max_size )
+let event_addr w = w lsr addr_shift
+let event_owner w = (w lsr owner_shift) land max_owner
+let event_size w = (w lsr 1) land max_size
+let event_write w = w land 1 = 1
 
 (* Whole-range validation before any state change: a bad event mid-batch
    used to abort the walk half-applied, leaving tags and statistics torn.
    Validating up front means a failed batch leaves the cache untouched —
    and lets the walks below index with [Array.unsafe_get]. *)
-let validate_batch ~addrs ~metas ~pos ~len =
-  if
-    pos < 0 || len < 0
-    || pos + len > Array.length addrs
-    || pos + len > Array.length metas
-  then
+let validate_batch ~events ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length events then
     invalid_arg
-      (Printf.sprintf
-         "Cache.access_batch: bad range pos=%d len=%d (addrs %d, metas %d)"
-         pos len (Array.length addrs) (Array.length metas));
+      (Printf.sprintf "Cache.access_batch: bad range pos=%d len=%d (events %d)"
+         pos len (Array.length events));
+  (* A non-negative word's address is below 2^39 by construction. *)
   for i = pos to pos + len - 1 do
-    if addrs.(i) < 0 then
+    let w = events.(i) in
+    if w < 0 || event_size w = 0 || event_addr w + event_size w - 1 > max_addr
+    then
       invalid_arg
-        (Printf.sprintf "Cache.access_batch: negative address at index %d" i)
+        (Printf.sprintf "Cache.access_batch: invalid event word at index %d" i)
   done
-
-let validate_times ~times ~pos ~len =
-  if pos + len > Array.length times then
-    invalid_arg
-      (Printf.sprintf "Cache: bad times range pos=%d len=%d (times %d)" pos len
-         (Array.length times))
 
 (* --- the packed walk ---
 
@@ -265,7 +260,7 @@ let effective_shards t ~shards =
 
 (* [touch_feed] per line of the shard; the clock is [times.(i)] when
    given, the implicit [now0 + (i - pos)] otherwise. *)
-let generic_walk t ~addrs ~metas ~times ~pos ~len ~mask ~shard ~fill ~spill =
+let generic_walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
   let shift = t.line_shift in
   let now0 = t.now in
   for i = pos to pos + len - 1 do
@@ -273,21 +268,21 @@ let generic_walk t ~addrs ~metas ~times ~pos ~len ~mask ~shard ~fill ~spill =
       (match times with
       | Some times -> Array.unsafe_get times i
       | None -> now0 + (i - pos));
-    let addr = Array.unsafe_get addrs i in
-    let meta = Array.unsafe_get metas i in
-    let owner = meta lsr owner_shift in
-    let write = meta land 1 = 1 in
+    let w = Array.unsafe_get events i in
+    let owner = event_owner w in
+    let write = event_write w in
+    let addr = event_addr w in
     let first = addr lsr shift in
-    let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
+    let last = (addr + event_size w - 1) lsr shift in
     for line = first to last do
       if line land mask = shard then
         ignore (touch_feed t ~owner ~write ~line ~fill ~spill)
     done
   done
 
-let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard ~fill ~spill =
+let access_batch t ~events ~pos ~len ~shards ~shard ~fill ~spill =
   check_shards ~shards ~shard;
-  validate_batch ~addrs ~metas ~pos ~len;
+  validate_batch ~events ~pos ~len;
   let eff = min shards t.config.Config.sets in
   let now0 = t.now in
   (* With fewer usable shards than requested (tiny cache), shards
@@ -296,8 +291,8 @@ let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard ~fill ~spill =
   (if shard < eff then
      match t.res with
      | Some _ ->
-         generic_walk t ~addrs ~metas ~times:None ~pos ~len ~mask:(eff - 1)
-           ~shard ~fill ~spill
+         generic_walk t ~events ~times:None ~pos ~len ~mask:(eff - 1) ~shard
+           ~fill ~spill
      | None ->
          let mask = eff - 1 in
          let shift = t.line_shift in
@@ -308,12 +303,12 @@ let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard ~fill ~spill =
          and dirty = t.dirty
          and stamps = t.stamps in
          for i = pos to pos + len - 1 do
-           let addr = Array.unsafe_get addrs i in
-           let meta = Array.unsafe_get metas i in
-           let owner = meta lsr owner_shift in
-           let write = meta land 1 = 1 in
+           let w = Array.unsafe_get events i in
+           let owner = event_owner w in
+           let write = event_write w in
+           let addr = event_addr w in
            let first = addr lsr shift in
-           let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
+           let last = (addr + event_size w - 1) lsr shift in
            for line = first to last do
              if line land mask = shard then begin
                let base = (line land set_mask) * ca in
@@ -364,11 +359,14 @@ let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard ~fill ~spill =
    array (non-decreasing) instead of the implicit [now0 + i] clock.
    Used only by [Hierarchy] in timed mode; the final [now] is the last
    event's time. *)
-let access_batch_timed t ~addrs ~metas ~times ~pos ~len ~fill ~spill =
-  validate_batch ~addrs ~metas ~pos ~len;
-  validate_times ~times ~pos ~len;
-  generic_walk t ~addrs ~metas ~times:(Some times) ~pos ~len ~mask:0 ~shard:0
-    ~fill ~spill
+let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
+  validate_batch ~events ~pos ~len;
+  if pos + len > Array.length times then
+    invalid_arg
+      (Printf.sprintf "Cache: bad times range pos=%d len=%d (times %d)" pos len
+         (Array.length times));
+  generic_walk t ~events ~times:(Some times) ~pos ~len ~mask:0 ~shard:0 ~fill
+    ~spill
 
 (* End-of-run eviction of everything resident; every dirty line's
    write-back is also handed to [spill] (slot order, i.e. set-major) so a

@@ -57,39 +57,37 @@ val touch_line : t -> owner:int -> write:bool -> line_addr:int -> bool
     [line_addr] is a byte address (any byte within the line).  Returns
     [true] on hit. *)
 
-(** {2 Packed bulk interface}
+(** {2 Packed events}
 
-    The hot path for replaying captured traces ({!Memtrace.Tape}): events
-    are stored columnar as two unboxed [int] arrays — byte address, and a
-    metadata word from {!pack_access} — and a whole chunk is driven
-    through the simulator with one call. *)
+    The hot path for replaying captured traces ({!Memtrace.Tape}): an
+    event is one non-negative immediate [int] built by {!pack}, a chunk
+    of them one unboxed [int] array that is driven through the simulator
+    with one call.  Only this module knows the word's layout. *)
 
-val max_size : int
-(** Largest reference size {!pack_access} can encode: [2^30 - 1]. *)
+val max_addr : int
+(** [2^39 - 1]: every byte of a packed event lies in [0 .. max_addr]. *)
 
 val max_owner : int
-(** Largest owner id {!pack_access} can encode. *)
+(** [511]: the largest owner id a packed event carries. *)
 
-val pack_access : owner:int -> write:bool -> size:int -> int
-(** Pack one reference's metadata: bit 0 is the write flag, bits 1..30
-    the size in bytes, the remaining high bits the owner id.  Raises
-    [Invalid_argument] when [size] is outside [1 .. 2^30 - 1] or [owner]
-    outside [0 .. max_int lsr 31] — far beyond anything the region
-    registry hands out, but a loud failure beats silent truncation. *)
+val max_size : int
+(** [8191]: the largest size in bytes a packed event carries. *)
 
-val unpack_access : int -> int * bool * int
-(** [(owner, write, size)] of a word built by {!pack_access}. *)
+val pack : owner:int -> write:bool -> addr:int -> size:int -> int
+(** One reference as one word.  Raises [Invalid_argument] when [size] is
+    outside [1 .. max_size], [owner] outside [0 .. max_owner], or a byte
+    of [addr .. addr + size - 1] outside [0 .. max_addr]. *)
 
-val owner_shift : int
-(** The owner's bit offset in a {!pack_access} word: a walk decodes the
-    owner as [meta lsr owner_shift], the write flag as [meta land 1] and
-    the size as [(meta lsr 1) land max_size]. *)
+val event_addr : int -> int
+val event_owner : int -> int
+val event_size : int -> int
+val event_write : int -> bool
+(** The fields of a {!pack}ed word. *)
 
-val validate_batch :
-  addrs:int array -> metas:int array -> pos:int -> len:int -> unit
+val validate_batch : events:int array -> pos:int -> len:int -> unit
 (** The batch check every packed walk runs before it changes any state:
-    raises [Invalid_argument] on a range outside either array or on a
-    negative address. *)
+    raises [Invalid_argument] on a range outside [events] or on a word
+    no {!pack} call returns. *)
 
 (** {2 The packed walk}
 
@@ -120,8 +118,7 @@ val nofeed : owner:int -> line:int -> unit
 
 val access_batch :
   t ->
-  addrs:int array ->
-  metas:int array ->
+  events:int array ->
   pos:int ->
   len:int ->
   shards:int ->
@@ -129,8 +126,8 @@ val access_batch :
   fill:(owner:int -> line:int -> unit) ->
   spill:(owner:int -> line:int -> unit) ->
   unit
-(** Simulate [addrs.(pos .. pos+len-1)] (with matching {!pack_access}
-    metadata in [metas]) as if each were passed to {!access} in order,
+(** Simulate the packed events [events.(pos .. pos+len-1)] as if each
+    were passed to {!access} in order,
     touching only the lines owned by [shard] of [shards] —
     [~shards:1 ~shard:0] is the full walk.  Same line splitting, same
     statistics, one bounds check and one call for the whole block.
@@ -141,8 +138,8 @@ val access_batch :
     [line] the line {e number}; a victim's spill is reported before the
     missing line's fill.  Pass {!nofeed} for both when nothing listens.
 
-    Raises [Invalid_argument] on a range outside either array, a
-    negative address, a [shards] that is not a positive power of two, or
+    Raises [Invalid_argument] on a range outside [events], an invalid
+    event word, a [shards] that is not a positive power of two, or
     [shard] outside [0 .. shards-1]; a rejected batch leaves the cache
     untouched. *)
 
@@ -157,8 +154,7 @@ val access_batch :
 
 val access_batch_timed :
   t ->
-  addrs:int array ->
-  metas:int array ->
+  events:int array ->
   times:int array ->
   pos:int ->
   len:int ->
@@ -166,8 +162,8 @@ val access_batch_timed :
   spill:(owner:int -> line:int -> unit) ->
   unit
 (** Unsharded {!access_batch} with the clock set to [times.(i)] before
-    event [i].  Raises [Invalid_argument] on a bad range in any of the
-    three arrays. *)
+    event [i].  Raises [Invalid_argument] on a bad range in either array
+    or an invalid event word. *)
 
 val flush : t -> unit
 (** Evict everything, recording writebacks for dirty lines.  Called at the

@@ -3,9 +3,9 @@
    emits — a read fill of the full line on each miss (write-allocate)
    and a write spill on each dirty eviction.  That traffic travels
    through the same packed-event funnel the single-cache path uses
-   ([Cache.pack_access] words in columnar addr/meta buffers), so a
-   level's input is indistinguishable from a program trace and each
-   level keeps its own [Stats].
+   ([Cache.pack] words in one buffer), so a level's input is
+   indistinguishable from a program trace and each level keeps its own
+   [Stats].
 
    Invariant (checked by the tests): after [flush], a level's accesses
    equal the previous level's misses plus its writebacks.
@@ -18,8 +18,7 @@
    L2's own (much sparser) traffic count. *)
 
 type queue = {
-  q_addrs : int array;
-  q_metas : int array;
+  q_events : int array;
   (* Event-time stamps of the queued fills/spills (the emitting cache's
      clock at push time); only consulted when [timed]. *)
   q_times : int array;
@@ -32,17 +31,11 @@ type t = {
      length = depth - 1. *)
   queues : queue array;
   line : int;
-  line_shift : int;
   funnel_events : int;
   (* 1-element scratch for the single-event entry point. *)
-  scratch_addr : int array;
-  scratch_meta : int array;
+  scratch : int array;
   mutable timed : bool;
 }
-
-let log2 n =
-  let rec loop acc n = if n <= 1 then acc else loop (acc + 1) (n lsr 1) in
-  loop 0 n
 
 let create ?(funnel_events = 4096) configs =
   if configs = [] then invalid_arg "Hierarchy.create: no levels";
@@ -60,14 +53,16 @@ let create ?(funnel_events = 4096) configs =
               %d (all levels must share one line size)"
              (i + 1) c.line line))
     configs;
+  if line > Cache.max_size then
+    invalid_arg
+      (Printf.sprintf "Hierarchy.create: line size %d above Cache.max_size" line);
   let caches = Array.of_list (List.map Cache.create configs) in
   let queues =
     Array.init
       (Array.length caches - 1)
       (fun _ ->
         {
-          q_addrs = Array.make funnel_events 0;
-          q_metas = Array.make funnel_events 0;
+          q_events = Array.make funnel_events 0;
           q_times = Array.make funnel_events 0;
           q_len = 0;
         })
@@ -76,10 +71,8 @@ let create ?(funnel_events = 4096) configs =
     caches;
     queues;
     line;
-    line_shift = log2 line;
     funnel_events;
-    scratch_addr = [| 0 |];
-    scratch_meta = [| 0 |];
+    scratch = [| 0 |];
     timed = false;
   }
 
@@ -124,7 +117,7 @@ let max_shards t =
    deeper level had fewer sets than the effective shard count.  In timed
    mode the inner levels take the queue's stamp column ([times]) so they
    advance on the program's event axis. *)
-let rec feed t ~level ~addrs ~metas ~times ~pos ~len ~shards ~shard =
+let rec feed t ~level ~events ~times ~pos ~len ~shards ~shard =
   let cache = t.caches.(level) in
   let last = level = Array.length t.caches - 1 in
   let fill, spill =
@@ -135,18 +128,16 @@ let rec feed t ~level ~addrs ~metas ~times ~pos ~len ~shards ~shard =
   in
   (match times with
   | Some times ->
-      Cache.access_batch_timed cache ~addrs ~metas ~times ~pos ~len ~fill
-        ~spill
+      Cache.access_batch_timed cache ~events ~times ~pos ~len ~fill ~spill
   | None ->
-      Cache.access_batch cache ~addrs ~metas ~pos ~len ~shards ~shard ~fill
-        ~spill);
+      Cache.access_batch cache ~events ~pos ~len ~shards ~shard ~fill ~spill);
   if not last then flush_queue t ~level
 
 and push t ~level ~owner ~line ~write =
   let q = t.queues.(level) in
   if q.q_len = t.funnel_events then flush_queue t ~level;
-  q.q_addrs.(q.q_len) <- line lsl t.line_shift;
-  q.q_metas.(q.q_len) <- Cache.pack_access ~owner ~write ~size:t.line;
+  q.q_events.(q.q_len) <-
+    Cache.pack ~owner ~write ~addr:(line * t.line) ~size:t.line;
   q.q_times.(q.q_len) <- Cache.now t.caches.(level);
   q.q_len <- q.q_len + 1
 
@@ -157,23 +148,21 @@ and flush_queue t ~level =
     (* Reset before feeding: the next level's own spills may re-enter
        [push] for this queue while we are still walking it. *)
     q.q_len <- 0;
-    feed t ~level:(level + 1) ~addrs:q.q_addrs ~metas:q.q_metas
+    feed t ~level:(level + 1) ~events:q.q_events
       ~times:(if t.timed then Some q.q_times else None)
       ~pos:0 ~len ~shards:1 ~shard:0
   end
 
-let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
+let access_batch t ~events ~pos ~len ~shards ~shard =
   Cache.check_shards ~shards ~shard;
   let eff = min shards (max_shards t) in
   (* Shards beyond the effective count own no sets at any level. *)
   if shard < eff then
-    feed t ~level:0 ~addrs ~metas ~times:None ~pos ~len ~shards:eff ~shard
+    feed t ~level:0 ~events ~times:None ~pos ~len ~shards:eff ~shard
 
 let access t ~owner ~write ~addr ~size =
-  t.scratch_addr.(0) <- addr;
-  t.scratch_meta.(0) <- Cache.pack_access ~owner ~write ~size;
-  access_batch t ~addrs:t.scratch_addr ~metas:t.scratch_meta ~pos:0 ~len:1
-    ~shards:1 ~shard:0
+  t.scratch.(0) <- Cache.pack ~owner ~write ~addr ~size;
+  access_batch t ~events:t.scratch ~pos:0 ~len:1 ~shards:1 ~shard:0
 
 (* Drain level by level: level i's flush spills feed level i+1 before
    level i+1 itself flushes, so end-of-run dirty lines cascade down the

@@ -6,10 +6,9 @@
     stream, and each deeper level sees only the traffic the level above
     emits — a read fill of the full line on every miss (write-allocate)
     and a write spill on every dirty eviction (write-back).  Inter-level
-    traffic travels through the same packed-event funnel
-    ({!Cache.pack_access} words in columnar buffers) the single-cache
-    replay path uses, and every level keeps its own {!Stats}, so DVF can
-    be evaluated per level.
+    traffic travels through the same packed-event funnel ({!Cache.pack}
+    words in one buffer) the single-cache replay path uses, and every
+    level keeps its own {!Stats}, so DVF can be evaluated per level.
 
     Invariant (after {!flush}): a level's accesses equal the previous
     level's misses plus its writebacks.
@@ -25,7 +24,9 @@ val create : ?funnel_events:int -> Config.t list -> t
     lines, and the set-sharded walk partitions every level by the same
     line-number bits.  [funnel_events] (default 4096) sizes the
     inter-level buffers.  Raises [Invalid_argument] on an empty list,
-    mismatched line sizes, or a non-positive [funnel_events]. *)
+    mismatched line sizes, a line size above {!Cache.max_size} (a
+    forwarded line must fit one packed event), or a non-positive
+    [funnel_events]. *)
 
 val depth : t -> int
 
@@ -53,12 +54,12 @@ val max_shards : t -> int
     {!access_batch} clamps its [shards] argument to this. *)
 
 val access : t -> owner:int -> write:bool -> addr:int -> size:int -> unit
-(** Single-reference entry point (mirrors {!Cache.access}). *)
+(** Single-reference entry point (mirrors {!Cache.access}).  Raises
+    [Invalid_argument] on a reference {!Cache.pack} rejects. *)
 
 val access_batch :
   t ->
-  addrs:int array ->
-  metas:int array ->
+  events:int array ->
   pos:int ->
   len:int ->
   shards:int ->

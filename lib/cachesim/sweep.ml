@@ -163,9 +163,9 @@ let grow_owners t owner =
   t.wb <- grow t.wb t.nlevels;
   t.owner_cap <- n'
 
-let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
+let access_batch t ~events ~pos ~len ~shards ~shard =
   Cache.check_shards ~shards ~shard;
-  Cache.validate_batch ~addrs ~metas ~pos ~len;
+  Cache.validate_batch ~events ~pos ~len;
   let eff = min shards t.sets.(0) in
   (match t.pinned with
   | Some (e, s) when e = eff && s = shard -> ()
@@ -193,18 +193,16 @@ let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
     and id_shift = t.id_shift
     and nl = t.nlevels
     and ca = t.assoc
-    and levels = t.levels
-    and max_size = Cache.max_size
-    and owner_shift = Cache.owner_shift in
+    and levels = t.levels in
     for i = pos to pos + len - 1 do
-      let addr = Array.unsafe_get addrs i in
-      let meta = Array.unsafe_get metas i in
-      let owner = meta lsr owner_shift in
+      let w = Array.unsafe_get events i in
+      let owner = Cache.event_owner w in
       if owner >= t.owner_cap then grow_owners t owner;
-      let write = meta land 1 in
-      let counts = ((owner * 2) + write) * (nl + 1) in
+      let write = Cache.event_write w in
+      let counts = ((owner * 2) + Bool.to_int write) * (nl + 1) in
+      let addr = Cache.event_addr w in
       let first = addr lsr shift in
-      let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
+      let last = (addr + Cache.event_size w - 1) lsr shift in
       for line = first to last do
         if line land mask = shard then begin
           let key = line lsr id_shift in
@@ -251,7 +249,7 @@ let access_batch t ~addrs ~metas ~pos ~len ~shards ~shard =
             Array.unsafe_set lv.owners v owner
           done;
           Bytes.unsafe_set res id '\000';
-          if write = 1 then Bytes.unsafe_set dirty id '\000';
+          if write then Bytes.unsafe_set dirty id '\000';
           t.clock <- t.clock + 1;
           Array.unsafe_set stamp id t.clock;
           t.hist.(counts + m) <- t.hist.(counts + m) + 1

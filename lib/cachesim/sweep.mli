@@ -25,16 +25,14 @@ val create : Config.t list -> t
 
 val access_batch :
   t ->
-  addrs:int array ->
-  metas:int array ->
+  events:int array ->
   pos:int ->
   len:int ->
   shards:int ->
   shard:int ->
   unit
-(** Walk [addrs.(pos .. pos+len-1)] (with {!Cache.pack_access} metadata
-    in [metas]) into every geometry at once, as {!Cache.access_batch}
-    would into each of them.  The batch is checked exactly as there
+(** Walk the packed events [events.(pos .. pos+len-1)] into every
+    geometry at once, as {!Cache.access_batch} would into each of them.  The batch is checked exactly as there
     ({!Cache.check_shards}, {!Cache.validate_batch}); a rejected batch
     leaves the walker untouched.
 

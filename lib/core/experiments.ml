@@ -174,9 +174,9 @@ let simulate_totals ~jobs ~telemetry ~caches (cap : Verify.capture) =
   let walk shard =
     let sweep = Cachesim.Sweep.create caches in
     Memtrace.Tape.fold_chunks cap.Verify.tape ~init:()
-      ~f:(fun () ~addrs ~metas ~len ->
-        Cachesim.Sweep.access_batch sweep ~addrs ~metas ~pos:0 ~len
-          ~shards:width ~shard);
+      ~f:(fun () ~events ~len ->
+        Cachesim.Sweep.access_batch sweep ~events ~pos:0 ~len ~shards:width
+          ~shard);
     Cachesim.Sweep.flush sweep;
     Cachesim.Sweep.stats sweep
   in

@@ -1,19 +1,15 @@
-(* A captured trace lives in chunks of two parallel unboxed [int] arrays:
-   byte address, and the packed metadata word defined by
-   [Cachesim.Cache.pack_access].  Chunks are fixed-size (default 65536
-   events = two 512 KiB arrays, far past the minor-heap threshold, so
-   capture never churns the minor collector) and are only ever appended
-   to.  Kernels write into the head chunk directly through [append] —
-   no per-event record, no intermediate buffer — which keeps capture at
-   two stores and an increment per event.  Captured and loaded tapes
+(* A captured trace lives in chunks of one unboxed [int] array: one
+   packed event word ([Cachesim.Cache.pack]) per event.  Chunks are
+   fixed-size (default 65536 events = one 512 KiB array, far past the
+   minor-heap threshold, so capture never churns the minor collector)
+   and are only ever appended to.  Kernels write into the head chunk
+   directly through [append] — no per-event record, no intermediate
+   buffer — which keeps capture at one store and an increment per
+   event.  Captured and loaded tapes
    hold the same chunks: [Tape_io] decodes a file straight into them
    ([append_chunk]). *)
 
-type chunk = {
-  addrs : int array;
-  metas : int array;
-  mutable len : int;
-}
+type chunk = { events : int array; mutable len : int }
 
 type t = {
   chunk_capacity : int;
@@ -24,10 +20,8 @@ type t = {
 }
 
 let default_chunk_events = 65536
-let bytes_per_event = 2 * (Sys.word_size / 8)
-
-let fresh_chunk capacity =
-  { addrs = Array.make capacity 0; metas = Array.make capacity 0; len = 0 }
+let bytes_per_event = Sys.word_size / 8
+let fresh_chunk capacity = { events = Array.make capacity 0; len = 0 }
 
 let create ?(chunk_events = default_chunk_events) () =
   if chunk_events <= 0 then
@@ -58,31 +52,26 @@ let retire_head t =
 
 (* Validate before touching any state, so a rejected event leaves the
    tape exactly as it was (a full head is not retired for it).  The
-   unchecked stores are in bounds: every chunk's arrays hold exactly
+   unchecked store is in bounds: every chunk's array holds exactly
    [chunk_capacity] words ([append_chunk] enforces it for adopted ones)
    and [len < chunk_capacity] once a full head is retired. *)
 let append t ~owner ~write ~addr ~size =
   if addr < 0 then invalid_arg "Tape.append: negative address";
-  let meta = Cachesim.Cache.pack_access ~owner ~write ~size in
+  let w = Cachesim.Cache.pack ~owner ~write ~addr ~size in
   if t.head.len = t.chunk_capacity then retire_head t;
   let c = t.head in
-  Array.unsafe_set c.addrs c.len addr;
-  Array.unsafe_set c.metas c.len meta;
+  Array.unsafe_set c.events c.len w;
   c.len <- c.len + 1;
   t.total <- t.total + 1
 
 (* Chunk adoption (the [Tape_io] load path): the arrays become the
    tape's own storage, full chunks retired as captured ones are and a
    partial one becoming the appendable head. *)
-let append_chunk t ~addrs ~metas ~len =
-  if
-    Array.length addrs <> t.chunk_capacity
-    || Array.length metas <> t.chunk_capacity
-  then
+let append_chunk t ~events ~len =
+  if Array.length events <> t.chunk_capacity then
     invalid_arg
-      (Printf.sprintf
-         "Tape.append_chunk: %d/%d-word arrays (chunk capacity %d)"
-         (Array.length addrs) (Array.length metas) t.chunk_capacity);
+      (Printf.sprintf "Tape.append_chunk: %d-word array (chunk capacity %d)"
+         (Array.length events) t.chunk_capacity);
   if len < 0 || len > t.chunk_capacity then
     invalid_arg
       (Printf.sprintf "Tape.append_chunk: bad length %d (capacity %d)" len
@@ -91,7 +80,7 @@ let append_chunk t ~addrs ~metas ~len =
     invalid_arg
       "Tape.append_chunk: tape ends in a partial chunk; adopted chunks can \
        only follow full ones";
-  let c = { addrs; metas; len } in
+  let c = { events; len } in
   if len = t.chunk_capacity then begin
     t.filled <- c :: t.filled;
     t.filled_count <- t.filled_count + 1
@@ -108,7 +97,7 @@ let chunks t = List.rev (if t.head.len > 0 then t.head :: t.filled else t.filled
 
 let fold_chunks t ~init ~f =
   List.fold_left
-    (fun acc c -> f acc ~addrs:c.addrs ~metas:c.metas ~len:c.len)
+    (fun acc c -> f acc ~events:c.events ~len:c.len)
     init (chunks t)
 
 (* {2 Views and replay}
@@ -134,8 +123,8 @@ let replay_view v caches =
     (fun c ->
       Array.iter
         (fun cache ->
-          Cachesim.Cache.access_batch cache ~addrs:c.addrs ~metas:c.metas
-            ~pos:0 ~len:c.len ~shards:v.v_shards ~shard:v.v_shard
+          Cachesim.Cache.access_batch cache ~events:c.events ~pos:0
+            ~len:c.len ~shards:v.v_shards ~shard:v.v_shard
             ~fill:Cachesim.Cache.nofeed ~spill:Cachesim.Cache.nofeed)
         caches)
     v.v_chunks
@@ -145,8 +134,8 @@ let replay_view_hierarchies v hierarchies =
     (fun c ->
       Array.iter
         (fun h ->
-          Cachesim.Hierarchy.access_batch h ~addrs:c.addrs ~metas:c.metas
-            ~pos:0 ~len:c.len ~shards:v.v_shards ~shard:v.v_shard)
+          Cachesim.Hierarchy.access_batch h ~events:c.events ~pos:0
+            ~len:c.len ~shards:v.v_shards ~shard:v.v_shard)
         hierarchies)
     v.v_chunks
 
@@ -156,10 +145,13 @@ let replay_fused_sharded t caches ~shards ~shard =
 let replay_fused t caches = replay_fused_sharded t caches ~shards:1 ~shard:0
 
 let iter t f =
-  fold_chunks t ~init:() ~f:(fun () ~addrs ~metas ~len ->
+  fold_chunks t ~init:() ~f:(fun () ~events ~len ->
       for i = 0 to len - 1 do
-        let owner, write, size = Cachesim.Cache.unpack_access metas.(i) in
-        f { Event.owner; write; addr = addrs.(i); size }
+        let w = events.(i) in
+        f
+          Cachesim.Cache.
+            { Event.owner = event_owner w; write = event_write w;
+              addr = event_addr w; size = event_size w }
       done)
 
 let to_list t =

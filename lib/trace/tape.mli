@@ -3,17 +3,17 @@
     The paper's verification methodology collects one memory trace per
     application and feeds it to the cache simulator at many
     configurations (§IV, Fig. 4/6).  A [Tape.t] is that trace: a
-    compact, append-only columnar buffer — per event one byte address
-    and one {!Cachesim.Cache.pack_access} metadata word, stored in
-    chunked unboxed [int] arrays ({!bytes_per_event} = 16 on 64-bit) —
-    captured once, by instrumented kernels writing straight into it
+    compact, append-only buffer — per event one {!Cachesim.Cache.pack}
+    word holding address, owner, size and write flag, stored in chunked
+    unboxed [int] arrays ({!bytes_per_event} = 8 on 64-bit) — captured
+    once, by instrumented kernels writing straight into it
     (see {!Tracked}), and then replayed into any number of caches
     without re-executing the workload kernel.
 
     Chunks are allocated at a fixed capacity (default 65536 events),
     large enough to live on the major heap, so capture is O(1) amortized
     per event and stays off the minor collector.  A chunk is just its
-    two arrays and a length, whether it was captured or loaded by
+    array and a length, whether it was captured or loaded by
     {!Tape_io}.  Replay streams whole chunks through
     {!Cachesim.Cache.access_batch}, driving several caches from a single
     chunk walk so each chunk is read once while it is hot.
@@ -33,19 +33,19 @@ val create : ?chunk_events:int -> unit -> t
 val append : t -> owner:int -> write:bool -> addr:int -> size:int -> unit
 (** Record one reference: the capture entry point every traced kernel
     writes through.  The event is validated first — raising
-    [Invalid_argument] on a negative address or on an owner/size outside
-    the packed-word range (see {!Cachesim.Cache.pack_access}), the same
-    events a direct {!Cachesim.Cache.access} would reject — so a
-    rejected event leaves the tape unchanged.  It is then packed and
-    stored straight into the head chunk. *)
+    [Invalid_argument] on a negative address or on any event
+    {!Cachesim.Cache.pack} rejects (an owner, size or address outside
+    the packed word's ranges) — so a rejected event leaves the tape
+    unchanged.  It is then stored, one word, straight into the head
+    chunk. *)
 
-val append_chunk : t -> addrs:int array -> metas:int array -> len:int -> unit
-(** Adopt one already-packed chunk — the {!Tape_io} load path.  [addrs]
-    and [metas] must be exactly [chunk_events t] long; their first [len]
-    words are the chunk's events and they become the tape's own storage
-    (the caller must not touch them again).  A partial chunk
+val append_chunk : t -> events:int array -> len:int -> unit
+(** Adopt one already-packed chunk — the {!Tape_io} load path.
+    [events] must be exactly [chunk_events t] long; its first [len]
+    words are the chunk's events and it becomes the tape's own storage
+    (the caller must not touch it again).  A partial chunk
     ([len < chunk_events t]) becomes the appendable head.  Raises
-    [Invalid_argument] on arrays of the wrong size, a length outside
+    [Invalid_argument] on an array of the wrong size, a length outside
     [0 .. chunk_events t], or a tape that already ends in a partial
     chunk. *)
 
@@ -107,7 +107,7 @@ val chunk_count : t -> int
 (** Non-empty chunks currently held. *)
 
 val bytes_per_event : int
-(** Storage cost of one event: two machine words. *)
+(** Storage cost of one event: one machine word. *)
 
 val allocated_bytes : t -> int
 (** Total bytes of chunk storage allocated (counts the partial head
@@ -117,11 +117,11 @@ val allocated_bytes : t -> int
 val fold_chunks :
   t ->
   init:'a ->
-  f:('a -> addrs:int array -> metas:int array -> len:int -> 'a) ->
+  f:('a -> events:int array -> len:int -> 'a) ->
   'a
-(** Fold over the raw columnar chunks in capture order, without decoding
-    or copying — indices [0 .. len-1] of [addrs]/[metas] are live.  The
-    arrays are the tape's own storage: callers must not mutate them.
+(** Fold over the raw chunks in capture order, without decoding or
+    copying — indices [0 .. len-1] of [events] are live.  The arrays
+    are the tape's own storage: callers must not mutate them.
     {!iter} and {!Tape_io.save} are built on this fold; replays walk
     views instead. *)
 

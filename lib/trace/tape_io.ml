@@ -1,9 +1,9 @@
 (* Binary on-disk tape format.  All multi-byte fields are little-endian
-   and fixed-width.  Version 3 (written by [save]):
+   and fixed-width.  Version 4 (written by [save]):
 
      offset  size  field
      0       8     magic "dvftape\n"
-     8       4     u32 format version (= 3)
+     8       4     u32 format version (= 4)
      12      4     u32 chunk capacity in events
      16      8     i64 total event count
      24      8     i64 checksum (see below)
@@ -12,18 +12,17 @@
                    then per region: u32 id, str name, i64 base,
                    i64 bytes, u32 elem_size
      ...     ...   payload, chunks in capture order:
-                   len x i64 addrs, len x i64 metas
+                   len x i64 event words ([Cachesim.Cache.pack])
 
    where [str] is a u32 byte length followed by the raw bytes.  Every
    chunk is full except possibly the last (the tape invariant), so the
    chunk lengths follow from the event count and the chunk capacity, and
-   the file is exactly header + 16 bytes per event long.
+   the file is exactly header + 8 bytes per event long.
 
    The checksum is an FNV-1a-shaped mix over every header byte but its
-   own eight, then over the event words in capture order (addr then
-   meta per event), computed with native 63-bit integer arithmetic —
-   deterministic on any 64-bit platform, which the 16 B/event format
-   already assumes.  Covering the header means a flipped chunk capacity,
+   own eight, then over the event words in capture order, computed with
+   native 63-bit integer arithmetic — deterministic on any 64-bit
+   platform, which the 8 B/event format already assumes.  Covering the header means a flipped chunk capacity,
    event count, provenance or region field is refused, not trusted.
 
    [load] streams the payload one chunk at a time: one read of the
@@ -32,12 +31,11 @@
    only after the whole checksum matches, so a corrupt file never
    yields a partial tape.
 
-   Versions 1 and 2 are refused with [Version_mismatch]; the tape store
+   Versions 1 to 3 are refused with [Version_mismatch]; the tape store
    treats them as stale entries and recaptures. *)
 
 let magic = "dvftape\n"
-let format_version = 3
-let oldest_readable_version = 3
+let format_version = 4
 
 type meta = { workload : string; size : string; seed : int }
 
@@ -50,8 +48,8 @@ type error =
 let error_to_string = function
   | Bad_magic -> "not a dvf tape file (bad magic)"
   | Version_mismatch v ->
-      Printf.sprintf "tape format version %d (this build reads versions %d..%d)"
-        v oldest_readable_version format_version
+      Printf.sprintf "tape format version %d (this build reads version %d)" v
+        format_version
   | Corrupt msg -> "corrupt tape file: " ^ msg
   | Io_error msg -> "tape i/o error: " ^ msg
 
@@ -122,23 +120,19 @@ let write_tape oc ~meta ~registry ~tape =
   let checksum =
     Tape.fold_chunks tape
       ~init:(header_hash (Bytes.to_string header))
-      ~f:(fun h ~addrs ~metas ~len ->
+      ~f:(fun h ~events ~len ->
         let h = ref h in
         for i = 0 to len - 1 do
-          h := hash_mix (hash_mix !h addrs.(i)) metas.(i)
+          h := hash_mix !h events.(i)
         done;
         !h)
   in
   Bytes.set_int64_le header checksum_pos (Int64.of_int checksum);
   output_bytes oc header;
   let scratch = Bytes.create (8 * Tape.chunk_events tape) in
-  Tape.fold_chunks tape ~init:() ~f:(fun () ~addrs ~metas ~len ->
+  Tape.fold_chunks tape ~init:() ~f:(fun () ~events ~len ->
       for i = 0 to len - 1 do
-        Bytes.set_int64_le scratch (8 * i) (Int64.of_int addrs.(i))
-      done;
-      output oc scratch 0 (8 * len);
-      for i = 0 to len - 1 do
-        Bytes.set_int64_le scratch (8 * i) (Int64.of_int metas.(i))
+        Bytes.set_int64_le scratch (8 * i) (Int64.of_int events.(i))
       done;
       output oc scratch 0 (8 * len))
 
@@ -205,7 +199,7 @@ let read_raw_version r =
 
 let read_header r =
   let version = read_raw_version r in
-  if version < oldest_readable_version || version > format_version then
+  if version <> format_version then
     raise (Bad_file (Version_mismatch version));
   let chunk_events = read_u32 r in
   if chunk_events <= 0 || chunk_events > max_chunk_events then
@@ -242,36 +236,31 @@ let read_regions r =
 let read_payload r ~chunk_events ~total ~stored_checksum =
   let payload_offset = pos_in r.ic in
   let payload_bytes = in_channel_length r.ic - payload_offset in
-  if payload_bytes / 16 < total then corrupt "truncated file";
-  if payload_bytes <> 16 * total then corrupt "trailing garbage after last chunk";
+  if payload_bytes / 8 < total then corrupt "truncated file";
+  if payload_bytes <> 8 * total then corrupt "trailing garbage after last chunk";
   seek_in r.ic 0;
   let hash = ref (header_hash (really_input_string r.ic payload_offset)) in
-  let buf = Bytes.create (16 * min chunk_events total) in
+  let buf = Bytes.create (8 * min chunk_events total) in
   let rec chunks acc remaining =
     if remaining = 0 then List.rev acc
     else begin
       let len = min chunk_events remaining in
-      read_exact r.ic buf 0 (16 * len);
-      let addrs = Array.make chunk_events 0 in
-      let metas = Array.make chunk_events 0 in
+      read_exact r.ic buf 0 (8 * len);
+      let events = Array.make chunk_events 0 in
       let h = ref !hash in
       for i = 0 to len - 1 do
-        let a = Int64.to_int (Bytes.get_int64_le buf (8 * i)) in
-        let m = Int64.to_int (Bytes.get_int64_le buf (8 * (len + i))) in
-        Array.unsafe_set addrs i a;
-        Array.unsafe_set metas i m;
-        h := hash_mix (hash_mix !h a) m
+        let w = Int64.to_int (Bytes.get_int64_le buf (8 * i)) in
+        Array.unsafe_set events i w;
+        h := hash_mix !h w
       done;
       hash := !h;
-      chunks ((addrs, metas, len) :: acc) (remaining - len)
+      chunks ((events, len) :: acc) (remaining - len)
     end
   in
   let chunks = chunks [] total in
   if !hash <> stored_checksum then corrupt "checksum mismatch";
   let tape = Tape.create ~chunk_events () in
-  List.iter
-    (fun (addrs, metas, len) -> Tape.append_chunk tape ~addrs ~metas ~len)
-    chunks;
+  List.iter (fun (events, len) -> Tape.append_chunk tape ~events ~len) chunks;
   tape
 
 let with_file path f =

@@ -2,33 +2,32 @@
 
     A saved tape is the whole capture artifact: provenance (workload,
     size label, seed), the simulated address-space layout
-    ({!Region.export}) and the raw 16 B/event columnar chunks, behind a
-    magic/versioned header and one checksum over everything else.
+    ({!Region.export}) and the raw 8 B/event chunks of packed event
+    words, behind a magic/versioned header and one checksum over
+    everything else.
     {!save} then {!load} round-trips bit-identically — the loaded tape
     replays (fused and sharded, at any job count) to exactly the
     statistics of the in-memory original.
 
-    {!save} writes format version 3: the header, then the addr/meta
-    words of each chunk in capture order.  Chunk lengths follow from the
-    event count and the chunk capacity.  {!load} streams the payload,
-    decoding and hashing each chunk in one pass, and adopts the chunks
-    (via {!Tape.append_chunk}) only once the checksum matches.  Version
-    1 and 2 files are refused with {!Version_mismatch}.
+    {!save} writes format version 4: the header, then the
+    {!Cachesim.Cache.pack} words of each chunk in capture order, so the
+    file is the header plus 8 bytes per event.  Chunk lengths follow
+    from the event count and the chunk capacity.  {!load} streams the
+    payload, decoding and hashing each chunk in one pass, and adopts the
+    chunks (via {!Tape.append_chunk}) only once the checksum matches.
+    Version 1 to 3 files are refused.
 
     All multi-byte fields are little-endian and fixed-width; the format
     assumes a 64-bit platform (as does the in-memory layout).  The
     layout is documented at the top of [tape_io.ml] and in DESIGN.md.
-    A layout change bumps {!format_version}; readers accept versions
-    [oldest_readable_version ..  format_version] and reject anything
-    else with {!Version_mismatch} rather than guessing ([Tape_store]
-    keys entries on {!format_version}, so a bump retires stale entries
-    by plain cache miss and {!Tape_store.gc} reaps the files). *)
+    A layout change bumps {!format_version}; readers accept that version
+    only and reject any other with {!Version_mismatch} rather than
+    guessing ([Tape_store] keys entries on {!format_version}, so a bump
+    retires stale entries by plain cache miss and {!Tape_store.gc} reaps
+    the files). *)
 
 val format_version : int
-(** Version written by {!save}. *)
-
-val oldest_readable_version : int
-(** Oldest version {!load} still reads: {!format_version} itself. *)
+(** The one version {!save} writes and {!load} reads. *)
 
 type meta = {
   workload : string;  (** registry name of the traced workload *)

@@ -438,11 +438,9 @@ let prop_walk_matches_references =
     (fun (assoc, sets, line, shards, mode, events, cuts) ->
       let cfg = C.Config.make ~name:"walk" ~associativity:assoc ~sets ~line in
       let n = Array.length events in
-      let addrs = Array.map (fun (a, _, _, _) -> a) events in
-      let metas =
+      let packed =
         Array.map
-          (fun (_, size, owner, write) ->
-            C.Cache.pack_access ~owner ~write ~size)
+          (fun (addr, size, owner, write) -> C.Cache.pack ~owner ~write ~addr ~size)
           events
       in
       let bounds = List.sort_uniq compare ((0 :: cuts) @ [ n ]) in
@@ -457,12 +455,12 @@ let prop_walk_matches_references =
           | a :: (b :: _ as rest) ->
               (match mode with
               | `Timed ->
-                  C.Cache.access_batch_timed cache ~addrs ~metas
+                  C.Cache.access_batch_timed cache ~events:packed
                     ~times:(Array.init n (fun i -> i))
                     ~pos:a ~len:(b - a) ~fill ~spill
               | `Plain | `Residency ->
-                  C.Cache.access_batch cache ~addrs ~metas ~pos:a ~len:(b - a)
-                    ~shards ~shard ~fill ~spill);
+                  C.Cache.access_batch cache ~events:packed ~pos:a
+                    ~len:(b - a) ~shards ~shard ~fill ~spill);
               chunks rest
           | _ -> ()
         in

@@ -303,11 +303,9 @@ let prop_hierarchy_matches_chained_lru =
           levels
       in
       let n = Array.length events in
-      let addrs = Array.map (fun (a, _, _, _) -> a) events in
-      let metas =
+      let packed =
         Array.map
-          (fun (_, size, owner, write) ->
-            C.Cache.pack_access ~owner ~write ~size)
+          (fun (addr, size, owner, write) -> C.Cache.pack ~owner ~write ~addr ~size)
           events
       in
       let bounds = List.sort_uniq compare ((0 :: cuts) @ [ n ]) in
@@ -316,8 +314,8 @@ let prop_hierarchy_matches_chained_lru =
             let h = C.Hierarchy.create ~funnel_events:funnel configs in
             let rec batches = function
               | a :: (b :: _ as rest) ->
-                  C.Hierarchy.access_batch h ~addrs ~metas ~pos:a ~len:(b - a)
-                    ~shards ~shard;
+                  C.Hierarchy.access_batch h ~events:packed ~pos:a
+                    ~len:(b - a) ~shards ~shard;
                   batches rest
               | _ -> ()
             in
@@ -411,16 +409,15 @@ let test_failed_batch_leaves_cache_untouched () =
   ignore (C.Cache.touch_line cache ~owner:1 ~write:true ~line_addr:0);
   ignore (C.Cache.touch_line cache ~owner:2 ~write:false ~line_addr:48);
   let before = snap cache in
-  let meta = C.Cache.pack_access ~owner:1 ~write:true ~size:4 in
-  let addrs = [| 0; 64; -8; 128 |] in
-  let metas = [| meta; meta; meta; meta |] in
-  Alcotest.check_raises "negative address rejected"
-    (Invalid_argument "Cache.access_batch: negative address at index 2")
+  let write addr = C.Cache.pack ~owner:1 ~write:true ~addr ~size:4 in
+  let events = [| write 0; write 64; -8; write 128 |] in
+  Alcotest.check_raises "negative event word rejected"
+    (Invalid_argument "Cache.access_batch: invalid event word at index 2")
     (fun () ->
-      C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:4 ~shards:1 ~shard:0
+      C.Cache.access_batch cache ~events ~pos:0 ~len:4 ~shards:1 ~shard:0
         ~fill:nofeed ~spill:nofeed);
   expect_invalid "sharded walk rejects it too" (fun () ->
-      C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:4 ~shards:2 ~shard:0
+      C.Cache.access_batch cache ~events ~pos:0 ~len:4 ~shards:2 ~shard:0
         ~fill:nofeed ~spill:nofeed);
   check_snapshots "stats untouched" before (snap cache);
   (* The valid prefix (indices 0..1) was not installed either. *)
@@ -429,10 +426,9 @@ let test_failed_batch_leaves_cache_untouched () =
 
 let test_sharded_argument_validation () =
   let cache = C.Cache.create tiny in
-  let addrs = [| 0 |] in
-  let metas = [| C.Cache.pack_access ~owner:1 ~write:false ~size:4 |] in
+  let events = [| C.Cache.pack ~owner:1 ~write:false ~addr:0 ~size:4 |] in
   let walk ~shards ~shard =
-    C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:1 ~shards ~shard
+    C.Cache.access_batch cache ~events ~pos:0 ~len:1 ~shards ~shard
       ~fill:nofeed ~spill:nofeed
   in
   expect_invalid "shards not a power of two" (fun () -> walk ~shards:3 ~shard:0);

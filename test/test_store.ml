@@ -142,6 +142,31 @@ let test_stale_version_evicted () =
         (Mt.Tape_store.find store key = None);
       Alcotest.(check bool) "stale entry removed" false (Sys.file_exists path))
 
+(* A v3 entry (two words per event, retired by v4) filed where this
+   build looks is evicted on lookup and recaptured in the current
+   format. *)
+let test_v3_entry_evicted_and_recaptured () =
+  let telemetry = T.create () in
+  with_store ~telemetry (fun store ->
+      let registry, tape = make_capture 200 () in
+      Mt.Tape_store.save store key ~registry ~tape;
+      let path = Mt.Tape_store.path store key in
+      patch_file path (fun b -> Bytes.set_int32_le b 8 3l);
+      let _, recaptured, hit =
+        Mt.Tape_store.find_or_capture store key ~capture:(make_capture 200)
+      in
+      Alcotest.(check bool) "v3 entry not served" false hit;
+      Alcotest.(check int) "store/evictions" 1
+        (T.counter_value telemetry "store/evictions");
+      check_same_tape "recaptured tape" tape recaptured;
+      (match Mt.Tape_io.read_version path with
+      | Ok v ->
+          Alcotest.(check int) "entry rewritten in the current format"
+            Mt.Tape_io.format_version v
+      | Error e -> Alcotest.failf "read_version: %s" (Mt.Tape_io.error_to_string e));
+      Alcotest.(check bool) "current entry served" true
+        (Mt.Tape_store.find store key <> None))
+
 let test_meta_mismatch_evicted () =
   with_store (fun store ->
       (* A structurally valid tape whose provenance disagrees with the
@@ -399,6 +424,10 @@ let suite =
       (format_bump_retires 1);
     Alcotest.test_case "format bump retires v2 entries" `Quick
       (format_bump_retires 2);
+    Alcotest.test_case "format bump retires v3 entries" `Quick
+      (format_bump_retires 3);
+    Alcotest.test_case "v3 entry evicted and recaptured" `Quick
+      test_v3_entry_evicted_and_recaptured;
     Alcotest.test_case "list and gc" `Quick test_list_and_gc;
     Alcotest.test_case "gc removes orphaned temporaries" `Quick
       test_gc_orphaned_temps;

@@ -4,23 +4,22 @@
 module C = Cachesim
 
 let pack events =
-  ( Array.map (fun (a, _, _, _) -> a) events,
-    Array.map
-      (fun (_, size, owner, write) -> C.Cache.pack_access ~owner ~write ~size)
-      events )
+  Array.map
+    (fun (addr, size, owner, write) -> C.Cache.pack ~owner ~write ~addr ~size)
+    events
 
 (* Walk [events] as the batches cut at [bounds] (ascending, from 0 to the
    length), one walker per shard; returns the walkers and their summed
    statistics, one record per config. *)
 let sweep_walk configs ~shards ~bounds events =
-  let addrs, metas = pack events in
+  let packed = pack events in
   let walkers =
     List.init shards (fun shard ->
         let s = C.Sweep.create configs in
         let rec batches = function
           | a :: (b :: _ as rest) ->
-              C.Sweep.access_batch s ~addrs ~metas ~pos:a ~len:(b - a) ~shards
-                ~shard;
+              C.Sweep.access_batch s ~events:packed ~pos:a ~len:(b - a)
+                ~shards ~shard;
               batches rest
           | _ -> ()
         in
@@ -35,10 +34,10 @@ let sweep_walk configs ~shards ~bounds events =
       configs )
 
 let cache_walk cfg events =
-  let addrs, metas = pack events in
   let cache = C.Cache.create cfg in
-  C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:(Array.length events)
-    ~shards:1 ~shard:0 ~fill:C.Cache.nofeed ~spill:C.Cache.nofeed;
+  C.Cache.access_batch cache ~events:(pack events) ~pos:0
+    ~len:(Array.length events) ~shards:1 ~shard:0 ~fill:C.Cache.nofeed
+    ~spill:C.Cache.nofeed;
   C.Cache.flush cache;
   C.Cache.stats cache
 
@@ -48,6 +47,13 @@ let configs_of ~line ~assoc sets =
       C.Config.make ~name:(Printf.sprintf "g%d" i) ~associativity:assoc ~sets
         ~line)
     sets
+
+(* Far addresses: a scaled address of at least 2^26 puts its line number
+   (line 64 B at most, divided by 4 shards at most) at 2^18 or more, past
+   the dense bound of 2^16 and twice the at most 300 x 13 line references
+   of a case; the largest, (4095 lsl 26) + 99 bytes, stays below
+   [Cache.max_addr]. *)
+let far_shift = 26
 
 let gen_case =
   let open QCheck.Gen in
@@ -63,7 +69,7 @@ let gen_case =
        let* owner = 0 -- 5 in
        let* write = bool in
        let* scaled = if far then bool else return false in
-       return ((if scaled then addr lsl 40 else addr), size, owner, write))
+       return ((if scaled then addr lsl far_shift else addr), size, owner, write))
   in
   let* cuts = list_size (0 -- 6) (0 -- Array.length events) in
   return (line, assoc, sets, shards, events, cuts)
@@ -84,7 +90,7 @@ let prop_sweep_matches_caches =
       let n = Array.length events in
       let bounds = List.sort_uniq compare ((0 :: cuts) @ [ n ]) in
       let walkers, swept = sweep_walk configs ~shards ~bounds events in
-      let far = Array.exists (fun (a, _, _, _) -> a >= 1 lsl 40) events in
+      let far = Array.exists (fun (a, _, _, _) -> a >= 1 lsl far_shift) events in
       List.for_all2
         (fun cfg stats ->
           let snap = C.Stats.snapshot stats in
@@ -93,7 +99,7 @@ let prop_sweep_matches_caches =
           let _, _, reference = Test_cachesim.reference_lru cfg events in
           snap = C.Stats.snapshot reference)
         configs swept
-      (* addresses past 2^40 force renumbering; small ones never do *)
+      (* addresses past 2^26 force renumbering; small ones never do *)
       && List.exists C.Sweep.renumbered walkers = far)
 
 let expect_invalid name f =
@@ -139,30 +145,26 @@ let test_rejected_batch_leaves_state () =
   let events =
     Array.init 200 (fun i -> ((i * 53) mod 900, 1 + (i mod 30), i mod 2, i mod 3 = 0))
   in
-  let addrs, metas = pack events in
-  let bad_addrs = Array.copy addrs in
-  bad_addrs.(150) <- -16;
+  let events = pack events in
+  let bad = Array.copy events in
+  bad.(150) <- -16;
   let run ~rejects =
     let s = C.Sweep.create configs in
-    C.Sweep.access_batch s ~addrs ~metas ~pos:0 ~len:100 ~shards:2 ~shard:1;
+    C.Sweep.access_batch s ~events ~pos:0 ~len:100 ~shards:2 ~shard:1;
     if rejects then begin
-      expect_invalid "range past the arrays" (fun () ->
-          C.Sweep.access_batch s ~addrs ~metas ~pos:100 ~len:101 ~shards:2
-            ~shard:1);
+      expect_invalid "range past the array" (fun () ->
+          C.Sweep.access_batch s ~events ~pos:100 ~len:101 ~shards:2 ~shard:1);
       expect_invalid "negative length" (fun () ->
-          C.Sweep.access_batch s ~addrs ~metas ~pos:100 ~len:(-1) ~shards:2
+          C.Sweep.access_batch s ~events ~pos:100 ~len:(-1) ~shards:2 ~shard:1);
+      expect_invalid "negative event word" (fun () ->
+          C.Sweep.access_batch s ~events:bad ~pos:100 ~len:100 ~shards:2
             ~shard:1);
-      expect_invalid "negative address" (fun () ->
-          C.Sweep.access_batch s ~addrs:bad_addrs ~metas ~pos:100 ~len:100
-            ~shards:2 ~shard:1);
       expect_invalid "shards not a power of two" (fun () ->
-          C.Sweep.access_batch s ~addrs ~metas ~pos:100 ~len:100 ~shards:3
-            ~shard:1);
+          C.Sweep.access_batch s ~events ~pos:100 ~len:100 ~shards:3 ~shard:1);
       expect_invalid "another shard selector" (fun () ->
-          C.Sweep.access_batch s ~addrs ~metas ~pos:100 ~len:100 ~shards:2
-            ~shard:0)
+          C.Sweep.access_batch s ~events ~pos:100 ~len:100 ~shards:2 ~shard:0)
     end;
-    C.Sweep.access_batch s ~addrs ~metas ~pos:100 ~len:100 ~shards:2 ~shard:1;
+    C.Sweep.access_batch s ~events ~pos:100 ~len:100 ~shards:2 ~shard:1;
     C.Sweep.flush s;
     List.map C.Stats.snapshot (C.Sweep.stats s)
   in

@@ -45,16 +45,25 @@ let drive_tape ?chunk_events cfg events =
 
 let test_pack_roundtrip () =
   List.iter
-    (fun (owner, write, size) ->
-      let meta = C.Cache.pack_access ~owner ~write ~size in
-      Alcotest.(check (triple int bool int))
-        (Printf.sprintf "owner=%d write=%b size=%d" owner write size)
-        (owner, write, size)
-        (C.Cache.unpack_access meta))
-    [
-      (0, false, 1); (0, true, 1); (1, false, 64); (7, true, 4096);
-      (0, false, (1 lsl 30) - 1); (max_int lsr 31, true, 17);
-    ]
+    (fun (owner, write, addr, size) ->
+      let w = C.Cache.pack ~owner ~write ~addr ~size in
+      let name =
+        Printf.sprintf "owner=%d write=%b addr=%d size=%d" owner write addr
+          size
+      in
+      Alcotest.(check bool) (name ^ ": non-negative") true (w >= 0);
+      Alcotest.(check (pair (pair int bool) (pair int int)))
+        name
+        ((owner, write), (addr, size))
+        ( (C.Cache.event_owner w, C.Cache.event_write w),
+          (C.Cache.event_addr w, C.Cache.event_size w) ))
+    C.Cache.
+      [
+        (0, false, 0, 1); (0, true, 0, 1); (1, false, 4096, 64);
+        (7, true, 1 lsl 30, 4096); (0, false, 0, max_size);
+        (max_owner, true, max_addr - 16, 17); (3, false, max_addr, 1);
+        (max_owner, true, max_addr - max_size + 1, max_size);
+      ]
 
 let test_pack_validation () =
   let expect_invalid name f =
@@ -62,14 +71,16 @@ let test_pack_validation () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
-  expect_invalid "size 0" (fun () ->
-      C.Cache.pack_access ~owner:0 ~write:false ~size:0);
-  expect_invalid "size too big" (fun () ->
-      C.Cache.pack_access ~owner:0 ~write:false ~size:(1 lsl 30));
-  expect_invalid "negative owner" (fun () ->
-      C.Cache.pack_access ~owner:(-1) ~write:false ~size:1);
-  expect_invalid "owner too big" (fun () ->
-      C.Cache.pack_access ~owner:((max_int lsr 31) + 1) ~write:false ~size:1)
+  let pack ?(owner = 0) ?(addr = 0) size () =
+    ignore (C.Cache.pack ~owner ~write:false ~addr ~size)
+  in
+  expect_invalid "size 0" (pack 0);
+  expect_invalid "size max_size + 1" (pack (C.Cache.max_size + 1));
+  expect_invalid "negative owner" (pack ~owner:(-1) 1);
+  expect_invalid "owner max_owner + 1" (pack ~owner:(C.Cache.max_owner + 1) 1);
+  expect_invalid "negative address" (pack ~addr:(-1) 1);
+  expect_invalid "address max_addr + 1" (pack ~addr:(C.Cache.max_addr + 1) 1);
+  expect_invalid "last byte past max_addr" (pack ~addr:C.Cache.max_addr 2)
 
 (* --- Cache.access_batch equals per-event Cache.access --- *)
 
@@ -78,17 +89,17 @@ let test_access_batch_equivalence () =
   let cfg = C.Config.small_verification in
   let direct = drive_direct cfg events in
   let n = List.length events in
-  let addrs = Array.make n 0 and metas = Array.make n 0 in
-  List.iteri
-    (fun i (e : Mt.Event.t) ->
-      addrs.(i) <- e.Mt.Event.addr;
-      metas.(i) <-
-        C.Cache.pack_access ~owner:e.Mt.Event.owner ~write:e.Mt.Event.write
-          ~size:e.Mt.Event.size)
-    events;
+  let packed =
+    Array.of_list
+      (List.map
+         (fun (e : Mt.Event.t) ->
+           C.Cache.pack ~owner:e.Mt.Event.owner ~write:e.Mt.Event.write
+             ~addr:e.Mt.Event.addr ~size:e.Mt.Event.size)
+         events)
+  in
   let batched = C.Cache.create cfg in
   let walk ~pos ~len =
-    C.Cache.access_batch batched ~addrs ~metas ~pos ~len ~shards:1 ~shard:0
+    C.Cache.access_batch batched ~events:packed ~pos ~len ~shards:1 ~shard:0
       ~fill:C.Cache.nofeed ~spill:C.Cache.nofeed
   in
   (* Split the stream at an arbitrary boundary: two batch calls must
@@ -100,9 +111,9 @@ let test_access_batch_equivalence () =
 
 let test_access_batch_bad_range () =
   let cache = C.Cache.create C.Config.small_verification in
-  let addrs = Array.make 4 0 and metas = Array.make 4 0 in
-  let walk ?(metas = metas) ~pos ~len () =
-    C.Cache.access_batch cache ~addrs ~metas ~pos ~len ~shards:1 ~shard:0
+  let word = C.Cache.pack ~owner:1 ~write:false ~addr:64 ~size:4 in
+  let walk ?(events = Array.make 4 word) ~pos ~len () =
+    C.Cache.access_batch cache ~events ~pos ~len ~shards:1 ~shard:0
       ~fill:C.Cache.nofeed ~spill:C.Cache.nofeed
   in
   let expect_invalid name f =
@@ -113,7 +124,19 @@ let test_access_batch_bad_range () =
   expect_invalid "len past end" (walk ~pos:2 ~len:3);
   expect_invalid "negative pos" (walk ~pos:(-1) ~len:1);
   expect_invalid "negative len" (walk ~pos:0 ~len:(-1));
-  expect_invalid "mismatched metas" (walk ~metas:(Array.make 2 0) ~pos:0 ~len:3)
+  (* Words no [pack] call returns: negative, size 0, and the last byte
+     past [max_addr] (the fields of two valid words or-ed together). *)
+  let past_end =
+    C.Cache.pack ~owner:0 ~write:false ~addr:C.Cache.max_addr ~size:1
+    lor C.Cache.pack ~owner:0 ~write:false ~addr:0 ~size:2
+  in
+  List.iter
+    (fun (name, bad) ->
+      expect_invalid name (walk ~events:[| word; bad |] ~pos:0 ~len:2))
+    [ ("negative word", -1); ("size 0", 0); ("bytes past max_addr", past_end) ];
+  walk ~pos:0 ~len:4 ();
+  Alcotest.(check int) "no rejected batch was walked" 4
+    (C.Stats.Snapshot.accesses (C.Stats.Snapshot.totals (snap cache)))
 
 (* --- chunk-boundary edge cases --- *)
 
@@ -170,9 +193,12 @@ let test_append_validation () =
    allocated) for an event that is then refused. *)
 let test_rejected_append_leaves_tape_unchanged () =
   let bad =
-    [
-      ("size 0", (1, 0, 0)); ("owner -1", (-1, 0, 4)); ("addr -1", (1, -1, 4));
-    ]
+    C.Cache.
+      [
+        ("size 0", (1, 0, 0)); ("size max_size + 1", (1, 0, max_size + 1));
+        ("owner -1", (-1, 0, 4)); ("owner max_owner + 1", (max_owner + 1, 0, 4));
+        ("addr -1", (1, -1, 4)); ("addr max_addr + 1", (1, max_addr + 1, 4));
+      ]
   in
   List.iter
     (fun (head, good) ->
@@ -278,12 +304,20 @@ let test_workload_bit_identity () =
 (* --- capture output pinned to committed digests ---
 
    golden/tape_digests.txt holds, per verification workload, the event
-   count and a digest of the captured payload words — every event's
-   address and packed meta word as little-endian int64s, digested in
-   blocks of 4096 events and then digested again over the block
-   digests.  That depends only on the event stream, not on chunking or
-   on the .dvftape format, so any change in what capture records fails
-   here. *)
+   count and a digest of the captured events — every event's address
+   and its metadata word in the two-word layout the tapes used to store
+   ([meta_word] below), as little-endian int64s, digested in blocks of
+   4096 events and then digested again over the block digests.  That
+   depends only on the event stream, not on chunking, on the in-memory
+   word or on the .dvftape format, so any change in what capture
+   records fails here. *)
+
+(* The digests' metadata word, re-derived from the decoded fields:
+   bit 0 the write flag, bits 1..30 the size, the owner above. *)
+let meta_word w =
+  (C.Cache.event_owner w lsl 31)
+  lor (C.Cache.event_size w lsl 1)
+  lor Bool.to_int (C.Cache.event_write w)
 
 let payload_digest tape =
   let block = Bytes.create (16 * 4096) and fill = ref 0 in
@@ -292,10 +326,11 @@ let payload_digest tape =
     Buffer.add_string digests (Digest.subbytes block 0 !fill);
     fill := 0
   in
-  Mt.Tape.fold_chunks tape ~init:() ~f:(fun () ~addrs ~metas ~len ->
+  Mt.Tape.fold_chunks tape ~init:() ~f:(fun () ~events ~len ->
       for i = 0 to len - 1 do
-        Bytes.set_int64_le block !fill (Int64.of_int addrs.(i));
-        Bytes.set_int64_le block (!fill + 8) (Int64.of_int metas.(i));
+        Bytes.set_int64_le block !fill
+          (Int64.of_int (C.Cache.event_addr events.(i)));
+        Bytes.set_int64_le block (!fill + 8) (Int64.of_int (meta_word events.(i)));
         fill := !fill + 16;
         if !fill = Bytes.length block then flush ()
       done);

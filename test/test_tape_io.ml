@@ -90,6 +90,23 @@ let test_roundtrip_exact_chunks () =
   (* Ends exactly on a chunk boundary: no partial head to restore. *)
   check_roundtrip 128
 
+(* A v4 file is its header plus one 8-byte word per event. *)
+let test_file_is_header_plus_words () =
+  with_tape_file (fun path ->
+      let size n =
+        Mt.Tape_io.save ~path ~meta ~registry:(make_registry ())
+          ~tape:(make_tape n);
+        Int64.to_int (In_channel.with_open_bin path In_channel.length)
+      in
+      let header = size 0 in
+      List.iter
+        (fun n ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d events" n)
+            (header + (8 * n))
+            (size n))
+        [ 1; 64; 200 ])
+
 let test_loaded_tape_replays_identically () =
   with_tape_file (fun path ->
       let registry = make_registry () in
@@ -190,6 +207,18 @@ let test_v2_version_mismatch () =
       write_file path (Bytes.to_string b);
       expect_error "v2 load" path (function
         | Mt.Tape_io.Version_mismatch 2 -> true
+        | _ -> false))
+
+(* The same for v3 (address and metadata word per event), retired by
+   v4's one word per event. *)
+let test_v3_version_mismatch () =
+  with_tape_file (fun path ->
+      save_good path;
+      let b = Bytes.of_string (read_file path) in
+      Bytes.set_int32_le b 8 3l;
+      write_file path (Bytes.to_string b);
+      expect_error "v3 load" path (function
+        | Mt.Tape_io.Version_mismatch 3 -> true
         | _ -> false))
 
 let test_read_version () =
@@ -360,17 +389,24 @@ let test_save_is_atomic () =
 let test_fold_chunks_equivalence () =
   let tape = make_tape ~chunk_events:16 100 in
   let total =
-    Mt.Tape.fold_chunks tape ~init:0 ~f:(fun acc ~addrs:_ ~metas:_ ~len ->
+    Mt.Tape.fold_chunks tape ~init:0 ~f:(fun acc ~events:_ ~len ->
         acc + len)
   in
   Alcotest.(check int) "fold covers every event" (Mt.Tape.length tape) total;
   (* Decoding through the fold agrees with Tape.to_list. *)
   let decoded =
-    Mt.Tape.fold_chunks tape ~init:[] ~f:(fun acc ~addrs ~metas ~len ->
+    Mt.Tape.fold_chunks tape ~init:[] ~f:(fun acc ~events ~len ->
         let here = ref [] in
         for i = len - 1 downto 0 do
-          let owner, write, size = C.Cache.unpack_access metas.(i) in
-          here := { Mt.Event.owner; write; addr = addrs.(i); size } :: !here
+          let w = events.(i) in
+          here :=
+            {
+              Mt.Event.owner = C.Cache.event_owner w;
+              write = C.Cache.event_write w;
+              addr = C.Cache.event_addr w;
+              size = C.Cache.event_size w;
+            }
+            :: !here
         done;
         acc @ !here)
   in
@@ -394,6 +430,8 @@ let suite =
       test_roundtrip_multi_chunk;
     Alcotest.test_case "roundtrip: exact chunk boundary" `Quick
       test_roundtrip_exact_chunks;
+    Alcotest.test_case "file is header + 8 B/event" `Quick
+      test_file_is_header_plus_words;
     Alcotest.test_case "loaded tape replays identically (fused + sharded)"
       `Quick test_loaded_tape_replays_identically;
     Alcotest.test_case "read_meta" `Quick test_read_meta;
@@ -401,6 +439,7 @@ let suite =
       test_v1_version_mismatch;
     Alcotest.test_case "v2 file is Version_mismatch" `Quick
       test_v2_version_mismatch;
+    Alcotest.test_case "v3 version mismatch" `Quick test_v3_version_mismatch;
     Alcotest.test_case "read_version probes without loading" `Quick
       test_read_version;
     Alcotest.test_case "missing file is Io_error" `Quick test_missing_file;
