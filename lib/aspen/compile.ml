@@ -216,6 +216,11 @@ let inferred_size env (p : Ast.pattern) =
 
 (* --- app compilation --- *)
 
+(* A pattern constructor's own check (a non-positive element size, a
+   negative count, ...) becomes a compile error naming the structure. *)
+let in_structure name lower pattern =
+  try lower pattern with Invalid_argument m -> fail (name ^ ": " ^ m)
+
 let eval_params ?(overrides = []) decls =
   List.fold_left
     (fun env (name, e) ->
@@ -243,7 +248,7 @@ let compile_app ?overrides (a : Ast.app) =
         in
         let pattern =
           match d.Ast.data_pattern with
-          | Some p -> lower_standalone_pattern env p
+          | Some p -> in_structure d.Ast.data_name (lower_standalone_pattern env) p
           | None -> None
         in
         { Ap.App_spec.name = d.Ast.data_name; bytes; pattern })
@@ -273,7 +278,9 @@ let compile_app ?overrides (a : Ast.app) =
                     | None -> 1
                   in
                   Ap.Compose.occ ~times occ.Ast.occ_structure
-                    (lower_occurrence_pattern env occ.Ast.occ_pattern))
+                    (in_structure occ.Ast.occ_structure
+                       (lower_occurrence_pattern env)
+                       occ.Ast.occ_pattern))
                 phase)
             phases
         in

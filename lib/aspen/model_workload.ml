@@ -40,6 +40,8 @@ let describe_params (app : Compile.app) =
         (List.rev_map (fun (name, v) -> Printf.sprintf "%s=%g" name v) env)
 
 let of_app ?source (app : Compile.app) =
+  (try Core.Replay.check app.Compile.spec
+   with Invalid_argument message -> Errors.fail ~line:0 ~col:0 message);
   let instance =
     {
       Core.Workload.workload = app.Compile.app_name;

@@ -10,7 +10,8 @@
 val of_app : ?source:string -> Compile.app -> Core.Workload.t
 (** [of_app ~source app] wraps a compiled app; [source] (e.g. the .aspen
     path) is recorded as provenance.  Both instance modes return the
-    model's single problem scale. *)
+    model's single problem scale.  Raises {!Errors.Error} when the app
+    cannot be traced ({!Core.Replay.check}). *)
 
 val register : ?source:string -> Compile.app -> Core.Workload.t
 (** {!of_app} followed by {!Core.Workload.register}; returns the

@@ -55,6 +55,36 @@ let structure_elem_size (spec : Ap.App_spec.t) (s : Ap.App_spec.structure) =
   | Some p -> ( match of_pattern p with Some e -> e | None -> 8)
   | None -> ( match from_composition () with Some e -> e | None -> 8)
 
+(* One region per structure, laid out as the trace lays them out, each
+   checked to fit a packed event ([Cachesim.Cache.pack]).  Clamping the
+   byte count keeps the layout arithmetic from overflowing; a clamped
+   structure ends past [max_addr] and is refused. *)
+let register_regions (spec : Ap.App_spec.t) registry =
+  let module C = Cachesim.Cache in
+  let fail name fmt =
+    Printf.ksprintf (fun m -> invalid_arg (name ^ ": " ^ m)) fmt
+  in
+  List.map
+    (fun (s : Ap.App_spec.structure) ->
+      let name = s.Ap.App_spec.name and bytes = s.Ap.App_spec.bytes in
+      let elem_size = structure_elem_size spec s in
+      if elem_size < 1 || elem_size > C.max_size then
+        fail name "element size %d outside the traceable 1..%d" elem_size
+          C.max_size;
+      let elements =
+        max 1 ((min bytes (C.max_addr + 1) + elem_size - 1) / elem_size)
+      in
+      let r = Memtrace.Region.register registry ~name ~elements ~elem_size in
+      if r.Memtrace.Region.id > C.max_owner then
+        fail name "owner id %d past the traceable %d" r.id C.max_owner;
+      if r.base + r.bytes - 1 > C.max_addr then
+        fail name "%d bytes at address %d end past the traceable address %d"
+          bytes r.base C.max_addr;
+      (name, r))
+    spec.Ap.App_spec.structures
+
+let check spec = ignore (register_regions spec (Memtrace.Region.create ()))
+
 let emit tape (region : Memtrace.Region.region) stream =
   let elements = max 1 (region.Memtrace.Region.bytes / region.elem_size) in
   let size = region.Memtrace.Region.elem_size in
@@ -131,16 +161,7 @@ let trace ?(telemetry = Dvf_util.Telemetry.null) (spec : Ap.App_spec.t)
     registry tape =
   Dvf_util.Telemetry.span telemetry "replay" @@ fun () ->
   let events_before = Memtrace.Tape.length tape in
-  let regions =
-    List.map
-      (fun (s : Ap.App_spec.structure) ->
-        let elem_size = structure_elem_size spec s in
-        let elements = max 1 ((s.Ap.App_spec.bytes + elem_size - 1) / elem_size) in
-        ( s.Ap.App_spec.name,
-          Memtrace.Region.register registry ~name:s.Ap.App_spec.name ~elements
-            ~elem_size ))
-      spec.Ap.App_spec.structures
-  in
+  let regions = register_regions spec registry in
   let lookup name = List.assoc name regions in
   (* Standalone patterns, in declaration order. *)
   List.iter

@@ -22,6 +22,12 @@
     a consistency check of model vs simulator (the spirit of Fig. 4), not
     an independent measurement of a real implementation. *)
 
+val check : Access_patterns.App_spec.t -> unit
+(** Raises [Invalid_argument "<structure>: ..."] unless every structure,
+    laid out as {!trace} lays it out in a fresh registry, fits a
+    {!Cachesim.Cache.pack}ed event: element size, every byte's address
+    and owner id in range.  Captures nothing. *)
+
 val trace :
   ?telemetry:Dvf_util.Telemetry.t ->
   Access_patterns.App_spec.t ->
@@ -29,7 +35,8 @@ val trace :
   Memtrace.Tape.t ->
   unit
 (** Registers one region per spec structure, then appends the patterns'
-    references to the tape.  Deterministic: equal specs yield equal
-    traces.  [telemetry] (default {!Dvf_util.Telemetry.null}) gets a
+    references to the tape.  Raises [Invalid_argument], before appending
+    anything, when a region does not fit a packed event (as {!check}).
+    Deterministic: equal specs yield equal traces.  [telemetry] (default {!Dvf_util.Telemetry.null}) gets a
     ["replay"] span (nested under any open span) and a ["replay/events"]
     counter of references appended. *)

@@ -302,28 +302,103 @@ let test_error_rendering () =
   Alcotest.(check (option string)) "other exceptions" None
     (A.Errors.to_string Not_found)
 
-(* The CLI's report of a bad template index names no "line 0". *)
-let test_cli_semantic_error () =
+(* [dvf --model] on a model source: exit status, stdout and stderr;
+   [None] when the binary is not built. *)
+let run_model_cli src =
   let exe = "../bin/dvf_cli.exe" in
-  if not (Sys.file_exists exe) then Alcotest.skip ()
+  if not (Sys.file_exists exe) then None
   else begin
-    let path = Filename.temp_file "dvf_neg_index" ".aspen" in
+    let path = Filename.temp_file "dvf_model" ".aspen" in
     Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (template_app "X(0), X(0 - 5)"));
+    Out_channel.with_open_text path (fun oc -> output_string oc src);
     let out, inp, err =
       Unix.open_process_args_full exe [| exe; "--model"; path |]
         (Unix.environment ())
     in
     close_out inp;
-    ignore (In_channel.input_all out);
+    let stdout = In_channel.input_all out in
     let stderr = In_channel.input_all err in
-    (match Unix.close_process_full (out, inp, err) with
-    | Unix.WEXITED 1 -> ()
-    | _ -> Alcotest.fail "expected exit status 1");
-    Alcotest.(check string) "stderr"
-      "error: Template.make: negative element index\n" stderr
+    let status =
+      match Unix.close_process_full (out, inp, err) with
+      | Unix.WEXITED n -> n
+      | _ -> -1
+    in
+    Some (status, stdout, stderr)
   end
+
+(* The CLI's report of a bad template index names no "line 0". *)
+let test_cli_semantic_error () =
+  match run_model_cli (template_app "X(0), X(0 - 5)") with
+  | None -> Alcotest.skip ()
+  | Some (status, _, stderr) ->
+      Alcotest.(check int) "exit status" 1 status;
+      Alcotest.(check string) "stderr"
+        "error: Template.make: negative element index\n" stderr
+
+(* A model the trace cannot record fails like any other model error:
+   "error: <structure>: ...", exit 1, never an uncaught exception.  A
+   non-positive element size is a compile error; an element size or an
+   address span a packed trace event cannot carry is refused before the
+   capture, after the analytic report. *)
+let stream_app data =
+  Printf.sprintf "app t {\n  data X { %s }\n  flops 1\n}\n" data
+
+let test_cli_untraceable_models () =
+  let max_addr = Cachesim.Cache.max_addr in
+  List.iter
+    (fun (name, data, analytic, expected) ->
+      match run_model_cli (stream_app data) with
+      | None -> Alcotest.skip ()
+      | Some (status, stdout, stderr) ->
+          Alcotest.(check int) (name ^ ": exit status") 1 status;
+          Alcotest.(check string) (name ^ ": stderr") expected stderr;
+          Alcotest.(check bool) (name ^ ": analytic report") analytic
+            (String.length stdout > 0))
+    [
+      ( "negative element size",
+        "pattern stream(elem = 0 - 5, count = 10)",
+        false,
+        "error: X: Streaming.make: elem_size <= 0\n" );
+      ( "element size past max_size",
+        "pattern stream(elem = 2147483648, count = 10)",
+        true,
+        "error: X: element size 2147483648 outside the traceable 1..8191\n" );
+      ( "8 TB structure",
+        "size = 8 * 1024 * 1024 * 1024 * 1024 pattern stream(elem = 8, count = 10)",
+        true,
+        Printf.sprintf
+          "error: X: 8796093022208 bytes at address 4928 end past the \
+           traceable address %d\n"
+          max_addr );
+      ( "span ending past max_addr",
+        Printf.sprintf "size = %d pattern stream(elem = 8, count = 10)"
+          (max_addr - 4095),
+        true,
+        Printf.sprintf
+          "error: X: %d bytes at address 4928 end past the traceable address \
+           %d\n"
+          (max_addr - 4095) max_addr );
+    ]
+
+(* A 2 KiB element is well inside the packed range: the model verifies. *)
+let test_cli_large_element_verifies () =
+  match run_model_cli (stream_app "pattern stream(elem = 2048, count = 100)") with
+  | None -> Alcotest.skip ()
+  | Some (status, stdout, stderr) ->
+      Alcotest.(check int) "exit status" 0 status;
+      Alcotest.(check string) "stderr" "" stderr;
+      Alcotest.(check bool) "verification rows" true
+        (List.length
+           (List.filter
+              (fun l -> String.starts_with ~prefix:"| t " l)
+              (String.split_on_char '\n' stdout))
+        = 2)
+
+(* Every in-repo model fits the packed trace event. *)
+let test_builtin_models_traceable () =
+  List.iter
+    (fun (app : A.Compile.app) -> Core.Replay.check app.A.Compile.spec)
+    (A.Compile.apps (A.Builtin_models.load ()))
 
 let test_sparse_template_index () =
   let src = template_app "X(0), X(10^15), X(0)" in
@@ -428,6 +503,12 @@ let suite =
     Alcotest.test_case "error rendering" `Quick test_error_rendering;
     Alcotest.test_case "CLI semantic error has no position" `Quick
       test_cli_semantic_error;
+    Alcotest.test_case "CLI refuses untraceable models" `Quick
+      test_cli_untraceable_models;
+    Alcotest.test_case "CLI verifies a 2 KiB element" `Quick
+      test_cli_large_element_verifies;
+    Alcotest.test_case "builtin models are traceable" `Quick
+      test_builtin_models_traceable;
     Alcotest.test_case "round trip builtin models" `Quick
       test_roundtrip_builtin_models;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
