@@ -192,7 +192,7 @@ let pack ~owner ~write ~addr ~size =
   (addr lsl addr_shift)
   lor (owner lsl owner_shift)
   lor (size lsl 1)
-  lor if write then 1 else 0
+  lor Bool.to_int write
 
 let event_addr w = w lsr addr_shift
 let event_owner w = (w lsr owner_shift) land max_owner

@@ -5,9 +5,8 @@
    and are only ever appended to.  Kernels write into the head chunk
    directly through [append] — no per-event record, no intermediate
    buffer — which keeps capture at one store and an increment per
-   event.  Captured and loaded tapes
-   hold the same chunks: [Tape_io] decodes a file straight into them
-   ([append_chunk]). *)
+   event.  Captured and loaded tapes hold the same chunks: [Tape_io]
+   decodes a file straight into them ([append_chunk]). *)
 
 type chunk = { events : int array; mutable len : int }
 

@@ -75,6 +75,10 @@ let test_create_validation () =
         [ tiny; C.Config.make ~name:"wide" ~associativity:2 ~sets:4 ~line:32 ]);
   expect_invalid "bad funnel" (fun () ->
       C.Hierarchy.create ~funnel_events:0 [ tiny ]);
+  (* A forwarded line must fit one packed event. *)
+  expect_invalid "line above max_size" (fun () ->
+      C.Hierarchy.create
+        [ C.Config.make ~name:"huge" ~associativity:1 ~sets:1 ~line:16384 ]);
   let h = C.Hierarchy.create (C.Config.hierarchy_of ~levels:2 tiny) in
   Alcotest.(check int) "depth" 2 (C.Hierarchy.depth h);
   (* max_shards is the smallest set count over the levels — L1's here. *)
