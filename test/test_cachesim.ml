@@ -357,30 +357,68 @@ let prop_matches_reference_lru =
 
 type feed_event = Fill of int * int | Spill of int * int (* owner, line *)
 
-(* Per set, resident (line, owner, dirty, way) most recent first.  A hit
-   keeps the filling owner; a miss in a full set evicts the last entry,
-   spilling it when dirty, before the new line's fill.  A set's k-th fill
-   takes way k and a later fill its victim's way, which is all the ways
-   are used for: the end-of-run flush spills the dirty lines in slot
-   order (set by set, way by way), the order [Cache.flush_feed] reports
-   them in.  Returns the walk's feed, the flush's spills and the run's
-   statistics, end-of-run flush included. *)
-let reference_lru (cfg : C.Config.t) events =
+(* A closed residency phase: a line filled by [owner] sat entirely clean
+   or entirely dirty over [t0, t1), and the phase ended with the line's
+   first dirtying write, its eviction or the end-of-run flush. *)
+type phase = {
+  owner : int;
+  dirty : bool;
+  t0 : int;
+  t1 : int;
+  ended : [ `Write | `Evict | `Flush ];
+}
+
+type reference = {
+  feed : (feed_event * int) list;
+      (* the walk's fills and spills in order, each with the time of the
+         event that caused it *)
+  flush : feed_event list;  (* the end-of-run flush's spills *)
+  stats : C.Stats.t;  (* end-of-run flush included *)
+  phases : phase list;
+}
+
+(* Per set, resident (line, owner, dirty, way, phase start) most recent
+   first.  A hit keeps the filling owner; a miss in a full set evicts the
+   last entry, spilling it when dirty, before the new line's fill.  A
+   set's k-th fill takes way k and a later fill its victim's way, which
+   is all the ways are used for: the end-of-run flush spills the dirty
+   lines in slot order (set by set, way by way), the order
+   [Cache.flush_feed] reports them in.
+
+   Event [i] happens at time [times.(i)] (default [i]).  A line's phase
+   opens at its fill, clean or dirty by the write bit; a clean phase
+   closes at the first write hit, which opens a dirty one; the open
+   phase closes at the line's eviction, or at [horizon] (default: the
+   number of events) when the final flush finds the line resident. *)
+let reference_lru ?times ?horizon (cfg : C.Config.t) events =
+  let time i = match times with Some ts -> ts.(i) | None -> i in
+  let horizon = Option.value horizon ~default:(Array.length events) in
   let sets = Array.make cfg.C.Config.sets [] in
-  let feed = ref [] in
+  let feed = ref [] and phases = ref [] in
+  let close (owner, dirty, t0) t1 ended =
+    phases := { owner; dirty; t0; t1; ended } :: !phases
+  in
   let stats = C.Stats.create () in
-  Array.iter
-    (fun (addr, size, owner, write) ->
+  Array.iteri
+    (fun i (addr, size, owner, write) ->
+      let now = time i in
       let line_of a = a / cfg.C.Config.line in
       for line = line_of addr to line_of (addr + size - 1) do
         let set = line land (cfg.C.Config.sets - 1) in
         let resident = sets.(set) in
-        match List.find_opt (fun (l, _, _, _) -> l = line) resident with
-        | Some (_, o, d, way) ->
+        match List.find_opt (fun (l, _, _, _, _) -> l = line) resident with
+        | Some (_, o, d, way, start) ->
             C.Stats.record_access stats ~owner ~write ~hit:true;
+            let start =
+              if write && not d then begin
+                close (o, false, start) now `Write;
+                now
+              end
+              else start
+            in
             sets.(set) <-
-              (line, o, d || write, way)
-              :: List.filter (fun (l, _, _, _) -> l <> line) resident
+              (line, o, d || write, way, start)
+              :: List.filter (fun (l, _, _, _, _) -> l <> line) resident
         | None ->
             C.Stats.record_access stats ~owner ~write ~hit:false;
             let kept, way =
@@ -388,23 +426,25 @@ let reference_lru (cfg : C.Config.t) events =
                 (resident, List.length resident)
               else begin
                 let rev = List.rev resident in
-                let l, o, d, way = List.hd rev in
+                let l, o, d, way, start = List.hd rev in
                 if d then begin
                   C.Stats.record_writeback stats ~owner:o;
-                  feed := Spill (o, l) :: !feed
+                  feed := (Spill (o, l), now) :: !feed
                 end;
+                close (o, d, start) now `Evict;
                 (List.rev (List.tl rev), way)
               end
             in
-            sets.(set) <- (line, owner, write, way) :: kept;
-            feed := Fill (owner, line) :: !feed
+            sets.(set) <- (line, owner, write, way, now) :: kept;
+            feed := (Fill (owner, line), now) :: !feed
       done)
     events;
   let flush =
     List.concat_map
       (fun resident ->
-        List.sort (fun (_, _, _, a) (_, _, _, b) -> compare a b) resident
-        |> List.filter_map (fun (l, o, d, _) ->
+        List.sort (fun (_, _, _, a, _) (_, _, _, b, _) -> compare a b) resident
+        |> List.filter_map (fun (l, o, d, _, start) ->
+               close (o, d, start) horizon `Flush;
                if d then begin
                  C.Stats.record_writeback stats ~owner:o;
                  Some (Spill (o, l))
@@ -412,11 +452,9 @@ let reference_lru (cfg : C.Config.t) events =
                else None))
       (Array.to_list sets)
   in
-  (List.rev !feed, flush, stats)
+  { feed = List.rev !feed; flush; stats; phases = List.rev !phases }
 
-let reference_feed cfg events =
-  let feed, _, _ = reference_lru cfg events in
-  feed
+let reference_feed cfg events = List.map fst (reference_lru cfg events).feed
 
 let gen_walk_case =
   let open QCheck.Gen in

@@ -13,7 +13,9 @@
    half of the sweep is pinned too, not only its rounded table cells.
    golden/verify_levels.txt holds the stdout of "dvf verify --levels 2"
    and "dvf verify --time-weighted --levels 2": per-level hierarchy
-   traffic and per-level residency line-events of every workload. *)
+   traffic and per-level residency line-events of every workload, and
+   golden/verify_levels3.txt the stdout of "dvf verify --time-weighted
+   --levels 3", the only pin on the three-level timed walk. *)
 
 let commands =
   [
@@ -172,6 +174,22 @@ let test_verify_levels_golden () =
           "levels tables from a warm store" golden
           (levels_output [ "--tape-store"; store ]))
 
+let test_verify_levels3_golden () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    let golden =
+      In_channel.with_open_text "golden/verify_levels3.txt" In_channel.input_all
+    in
+    let args = [ "verify"; "--time-weighted"; "--levels"; "3" ] in
+    List.iter
+      (fun jobs ->
+        Alcotest.(check string)
+          (Printf.sprintf "three-level timed table, -j %s" jobs)
+          golden
+          (Printf.sprintf "$ dvf %s\n%s" (String.concat " " args)
+             (run_cli (args @ [ "-j"; jobs ]))))
+      [ "1"; "2" ]
+
 let suite =
   [
     Alcotest.test_case "analytic outputs match golden" `Quick test_analytic_golden;
@@ -180,4 +198,6 @@ let suite =
       test_sweep_sim_golden;
     Alcotest.test_case "verify levels match golden" `Quick
       test_verify_levels_golden;
+    Alcotest.test_case "three-level timed verify matches golden" `Quick
+      test_verify_levels3_golden;
   ]

@@ -256,22 +256,33 @@ let test_funnel_capacity_invariance () =
    Chaining test_cachesim's naive list LRU that way gives every level's
    statistics with no queue, drain or shard in sight, so the property
    checks Hierarchy's funnel (forwarding order, drains mid-walk, the
-   flush cascade, set sharding) against a model that has none of it. *)
+   flush cascade, set sharding) against a model that has none of it.
+
+   Every level runs on the program's clock: a fill or spill is stamped
+   with the time of the level-k event that caused it, which is itself
+   the ordinal of the originating L1 event, and the flush's spills with
+   the horizon (the number of L1 events).  Returns each level's
+   reference run, L1 first. *)
 
 let chained_reference configs events =
-  let rec walk input = function
+  let horizon = Array.length events in
+  let rec walk input times = function
     | [] -> []
     | (cfg : C.Config.t) :: deeper ->
-        let feed, flush, stats = Test_cachesim.reference_lru cfg input in
+        let r = Test_cachesim.reference_lru ~times ~horizon cfg input in
         let line = cfg.C.Config.line in
         let forward = function
           | Test_cachesim.Fill (owner, l) -> (l * line, line, owner, false)
           | Test_cachesim.Spill (owner, l) -> (l * line, line, owner, true)
         in
-        C.Stats.snapshot stats
-        :: walk (Array.of_list (List.map forward (feed @ flush))) deeper
+        let traffic = List.map fst r.feed @ r.flush in
+        let stamps = List.map snd r.feed @ List.map (fun _ -> horizon) r.flush in
+        r
+        :: walk
+             (Array.of_list (List.map forward traffic))
+             (Array.of_list stamps) deeper
   in
-  walk events configs
+  walk events (Array.init horizon Fun.id) configs
 
 let gen_chain_case =
   let open QCheck.Gen in
@@ -335,7 +346,10 @@ let prop_hierarchy_matches_chained_lru =
                     (fun h -> C.Cache.stats (C.Hierarchy.level_cache h level))
                     replicas)))
       in
-      summed = chained_reference configs events)
+      summed
+      = List.map
+          (fun (r : Test_cachesim.reference) -> C.Stats.snapshot r.stats)
+          (chained_reference configs events))
 
 (* --- sharded walks are bit-identical --- *)
 

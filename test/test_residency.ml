@@ -259,6 +259,135 @@ let test_stats_unchanged_by_residency () =
     (C.Stats.snapshot (C.Cache.stats plain)
     = C.Stats.snapshot (C.Cache.stats timed))
 
+(* --- the residency oracle ---
+
+   test_hierarchy's chained naive LRU records every line's phases from
+   the definition alone: a phase opens at a fill, clean or dirty by the
+   write bit; a clean phase closes at the first write hit; a phase
+   closes at the line's eviction or, at the horizon, in the final flush
+   cascade; and every level runs on the L1 event ordinal.  Each level's
+   per-owner counters follow by counting: every event ordinal [u] a
+   phase covers adds one line-event to the phase's integral and to bin
+   [u / width], with [width = max 1 (ceil (horizon / bins))].  The
+   property compares those counters, and every level's statistics, with
+   [Hierarchy.access_batch] run with accumulators attached: 1-3 levels,
+   random batch cuts and funnel sizes, shard replicas merged with
+   [Residency.sum]. *)
+
+let expected_counters ~bins ~horizon (r : Test_cachesim.reference) owner =
+  let width = max 1 ((horizon + bins - 1) / bins) in
+  let clean_bins = Array.make bins 0 and dirty_bins = Array.make bins 0 in
+  let clean = ref 0 and dirty = ref 0 in
+  let evictions = ref 0 and flushes = ref 0 in
+  List.iter
+    (fun (p : Test_cachesim.phase) ->
+      if p.owner = owner then begin
+        for u = p.t0 to p.t1 - 1 do
+          let time, hist = if p.dirty then (dirty, dirty_bins) else (clean, clean_bins) in
+          incr time;
+          hist.(u / width) <- hist.(u / width) + 1
+        done;
+        match p.ended with
+        | `Evict -> incr evictions
+        | `Flush -> incr flushes
+        | `Write -> ()
+      end)
+    r.phases;
+  let fills =
+    List.length
+      (List.filter
+         (function Test_cachesim.Fill (o, _), _ -> o = owner | _ -> false)
+         r.feed)
+  in
+  {
+    R.clean_time = !clean;
+    dirty_time = !dirty;
+    fills;
+    evictions = !evictions;
+    flushes = !flushes;
+    clean_bins;
+    dirty_bins;
+  }
+
+let max_owner = 5
+
+let gen_oracle_case =
+  let open QCheck.Gen in
+  let* line = oneofl [ 8; 16; 32 ] in
+  let* levels =
+    list_size (1 -- 3) (pair (oneofl [ 1; 2; 4; 8; 16 ]) (1 -- 4))
+  in
+  let* shards = oneofl [ 1; 2; 4 ] in
+  let* funnel = 1 -- 8 in
+  let* bins = 1 -- 17 in
+  let* events =
+    array_size (1 -- 300)
+      (quad (0 -- 2047) (1 -- 100) (0 -- max_owner) bool)
+  in
+  let* cuts = list_size (0 -- 6) (0 -- Array.length events) in
+  return (line, levels, shards, funnel, bins, events, cuts)
+
+let print_oracle_case (line, levels, shards, funnel, bins, events, cuts) =
+  Printf.sprintf "%s, %d bins"
+    (Test_hierarchy.print_chain_case (line, levels, shards, funnel, events, cuts))
+    bins
+
+let prop_residency_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"hierarchy residency = chained oracle"
+    (QCheck.make ~print:print_oracle_case gen_oracle_case)
+    (fun (line, levels, shards, funnel, bins, events, cuts) ->
+      let configs =
+        List.mapi
+          (fun i (sets, associativity) ->
+            C.Config.make ~name:(Printf.sprintf "L%d" (i + 1)) ~associativity
+              ~sets ~line)
+          levels
+      in
+      let depth = List.length configs in
+      let n = Array.length events in
+      let packed =
+        Array.map
+          (fun (addr, size, owner, write) -> C.Cache.pack ~owner ~write ~addr ~size)
+          events
+      in
+      let bounds = List.sort_uniq compare ((0 :: cuts) @ [ n ]) in
+      let replicas =
+        List.init shards (fun shard ->
+            let h = C.Hierarchy.create ~funnel_events:funnel configs in
+            let res = Array.init depth (fun _ -> R.create ~bins ~horizon:n ()) in
+            C.Hierarchy.attach_residency h res;
+            let rec batches = function
+              | a :: (b :: _ as rest) ->
+                  C.Hierarchy.access_batch h ~events:packed ~pos:a
+                    ~len:(b - a) ~shards ~shard;
+                  batches rest
+              | _ -> ()
+            in
+            batches bounds;
+            C.Hierarchy.flush h;
+            (h, res))
+      in
+      let reference = Test_hierarchy.chained_reference configs events in
+      List.for_all2
+        (fun level (r : Test_cachesim.reference) ->
+          let snap =
+            R.snapshot (R.sum (List.map (fun (_, res) -> res.(level)) replicas))
+          in
+          let stats =
+            C.Stats.sum
+              (List.map
+                 (fun (h, _) -> C.Cache.stats (C.Hierarchy.level_cache h level))
+                 replicas)
+          in
+          C.Stats.snapshot stats = C.Stats.snapshot r.stats
+          && List.for_all (fun o -> o <= max_owner) (R.Snapshot.owners snap)
+          && List.for_all
+               (fun owner ->
+                 R.Snapshot.owner snap owner
+                 = expected_counters ~bins ~horizon:n r owner)
+               (List.init (max_owner + 1) Fun.id))
+        (List.init depth Fun.id) reference)
+
 (* --- merge / sum --- *)
 
 let test_merge_and_sum () =
@@ -340,6 +469,7 @@ let suite =
       test_sharded_merge_identity;
     Alcotest.test_case "stats unchanged by residency" `Quick
       test_stats_unchanged_by_residency;
+    QCheck_alcotest.to_alcotest prop_residency_matches_oracle;
     Alcotest.test_case "merge and sum" `Quick test_merge_and_sum;
     Alcotest.test_case "timed verify rows invariant" `Quick
       test_timed_verify_widths;

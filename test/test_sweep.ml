@@ -96,8 +96,8 @@ let prop_sweep_matches_caches =
           let snap = C.Stats.snapshot stats in
           snap = C.Stats.snapshot (cache_walk cfg events)
           &&
-          let _, _, reference = Test_cachesim.reference_lru cfg events in
-          snap = C.Stats.snapshot reference)
+          snap
+          = C.Stats.snapshot (Test_cachesim.reference_lru cfg events).stats)
         configs swept
       (* addresses past 2^26 force renumbering; small ones never do *)
       && List.exists C.Sweep.renumbered walkers = far)
