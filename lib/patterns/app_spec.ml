@@ -20,6 +20,10 @@ let make ~app_name ~structures ?composition () =
   in
   List.iter
     (fun s ->
+      if s.bytes < 0 then
+        invalid_arg
+          (Printf.sprintf "App_spec.make: structure %s has negative size %d"
+             s.name s.bytes);
       match s.pattern with
       | Some _ -> ()
       | None ->

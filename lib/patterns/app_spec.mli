@@ -25,8 +25,9 @@ type t = {
 val make :
   app_name:string -> structures:structure list ->
   ?composition:Compose.t -> unit -> t
-(** Checks that every pattern-less structure is covered by the
-    composition; raises [Invalid_argument] otherwise. *)
+(** Checks that no structure has a negative size and that every
+    pattern-less structure is covered by the composition; raises
+    [Invalid_argument] otherwise. *)
 
 val main_memory_accesses :
   cache:Cachesim.Config.t -> t -> (string * float) list

@@ -380,6 +380,17 @@ let test_cli_untraceable_models () =
           (max_addr - 4095) max_addr );
     ]
 
+(* A negative declared size is a compile error naming the structure, not
+   an uncaught exception from the analytic report. *)
+let test_cli_negative_size () =
+  match run_model_cli (stream_app "size = 0 - 800 pattern stream(elem = 8, count = 10)") with
+  | None -> Alcotest.skip ()
+  | Some (status, stdout, stderr) ->
+      Alcotest.(check int) "exit status" 1 status;
+      Alcotest.(check string) "stderr"
+        "error: App_spec.make: structure X has negative size -800\n" stderr;
+      Alcotest.(check string) "no report" "" stdout
+
 (* A 2 KiB element is well inside the packed range: the model verifies. *)
 let test_cli_large_element_verifies () =
   match run_model_cli (stream_app "pattern stream(elem = 2048, count = 100)") with
@@ -505,6 +516,8 @@ let suite =
       test_cli_semantic_error;
     Alcotest.test_case "CLI refuses untraceable models" `Quick
       test_cli_untraceable_models;
+    Alcotest.test_case "CLI rejects a negative size" `Quick
+      test_cli_negative_size;
     Alcotest.test_case "CLI verifies a 2 KiB element" `Quick
       test_cli_large_element_verifies;
     Alcotest.test_case "builtin models are traceable" `Quick
