@@ -4,14 +4,12 @@
    any realistic simulation.
 
    Alongside the LRU clock the cache keeps a *logical event clock*
-   [now]: the ordinal of the reference event being processed (batch
-   entry points advance it by the batch length; the residency-enabled
-   walks set it per event).  With a [Residency.t] attached, every
-   line additionally carries the start time of its current clean or
-   dirty phase in [res_start], and phase transitions — fill, first
-   dirtying write, eviction, flush — close the open phase into the
-   accumulator.  With no residency attached the specialized walks are
-   untouched and [now] costs one addition per batch. *)
+   [now]: the ordinal of the reference event being processed, set per
+   event by the packed walk.  With a [Residency.t] attached, every line
+   additionally carries the start time of its current clean or dirty
+   phase in [res_start], and phase transitions — fill, first dirtying
+   write, eviction, flush — close the open phase into the accumulator.
+   A hit that changes no phase does no residency work. *)
 
 type t = {
   config : Config.t;
@@ -77,16 +75,14 @@ let attach_residency t res =
   else Array.fill t.res_start 0 (Array.length t.res_start) 0;
   t.res <- Some res
 
-(* Core lookup on a line *number* (byte address already shifted).  Every
-   entry point funnels here, so [access]/[access_batch] split a request
-   with one shift per boundary instead of the two integer divisions the
-   byte-address API used to pay per line.  [fill]/[spill] report the
-   next-level traffic of a miss ([nofeed] for callers that don't care);
-   the hit/miss/writeback decisions are the contract every specialized
-   walk below must reproduce exactly. *)
+(* The per-event oracle behind [access] and [touch_line]: one lookup on a
+   line *number* (byte address already shifted), written for clarity —
+   it tracks the LRU victim on every lookup.  Its hit/miss/writeback
+   decisions and residency phases are the contract the packed walk
+   below must reproduce exactly. *)
 let nofeed ~owner:_ ~line:_ = ()
 
-let touch_feed t ~owner ~write ~line ~fill ~spill =
+let touch t ~owner ~write ~line =
   let set = line land t.set_mask in
   let ca = t.config.Config.associativity in
   let base = set * ca in
@@ -121,10 +117,7 @@ let touch_feed t ~owner ~write ~line ~fill ~spill =
   else begin
     let w = !victim in
     if t.tags.(w) >= 0 then begin
-      if t.dirty.(w) then begin
-        Stats.record_writeback t.stats ~owner:t.owners.(w);
-        spill ~owner:t.owners.(w) ~line:t.tags.(w)
-      end;
+      if t.dirty.(w) then Stats.record_writeback t.stats ~owner:t.owners.(w);
       match t.res with
       | Some res ->
           Residency.record_interval res ~owner:t.owners.(w) ~dirty:t.dirty.(w)
@@ -136,17 +129,13 @@ let touch_feed t ~owner ~write ~line ~fill ~spill =
     t.owners.(w) <- owner;
     t.dirty.(w) <- write;
     t.stamps.(w) <- t.clock;
-    (match t.res with
+    match t.res with
     | Some res ->
         t.res_start.(w) <- t.now;
         Residency.record_fill res ~owner
-    | None -> ());
-    fill ~owner ~line
+    | None -> ()
   end;
   hit
-
-let touch t ~owner ~write ~line =
-  touch_feed t ~owner ~write ~line ~fill:nofeed ~spill:nofeed
 
 let touch_line t ~owner ~write ~line_addr =
   if line_addr < 0 then invalid_arg "Cache.touch_line: negative address";
@@ -202,7 +191,7 @@ let event_write w = w land 1 = 1
 (* Whole-range validation before any state change: a bad event mid-batch
    used to abort the walk half-applied, leaving tags and statistics torn.
    Validating up front means a failed batch leaves the cache untouched —
-   and lets the walks below index with [Array.unsafe_get]. *)
+   and lets the walk below index with [Array.unsafe_get]. *)
 let validate_batch ~events ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length events then
     invalid_arg
@@ -229,19 +218,18 @@ let validate_batch ~events ~pos ~len =
    [Stats.merge] over the shard caches reproduces the serial statistics
    bit for bit.  [~shards:1 ~shard:0] is the full walk.
 
-   This is the throughput path, so the walk is specialized: addresses
-   were validated up front (unsafe indexing is safe), and the way scan
-   exits on the first tag match instead of tracking the LRU victim on
-   hits — the victim scan runs only on a miss.  Decisions are identical
-   to [touch_feed]'s, and so is the feed: the victim's [spill] fires
-   before the missing line's [fill].
-
-   With a residency accumulator attached the walk drops to the generic
-   [touch_feed] path with the event clock set per event — every shard
-   sees every event ordinal, so per-line phase timestamps are identical
-   to the serial walk's and the merged accumulators are bit-identical.
-   The same generic walk serves [access_batch_timed], whose clock comes
-   from a caller-supplied [times] column instead. *)
+   One loop serves both batch entry points.  The event clock is set
+   before an event's lines are walked — the implicit [now0 + (i - pos)],
+   or [times.(i)] for the timed walk — so a fill or spill carries the
+   time of the event that caused it ([Hierarchy] stamps its queues with
+   [now]), and every shard sees every event ordinal.  Events were
+   validated up front (unsafe indexing is safe); the way scan exits on
+   the first tag match and the victim scan runs only on a miss.
+   Residency work runs only at phase transitions — a fill, a valid
+   victim's eviction, the first dirtying write on a clean line — so a
+   hit that changes no phase costs what it costs with no accumulator.
+   Decisions and phases are identical to [touch]'s; the victim's
+   [spill] fires before the missing line's [fill]. *)
 
 let check_shards ~shards ~shard =
   if shards <= 0 || shards land (shards - 1) <> 0 then
@@ -258,16 +246,20 @@ let effective_shards t ~shards =
   check_shards ~shards ~shard:0;
   min shards t.config.Config.sets
 
-(* [touch_feed] per line of the shard; the clock is [times.(i)] when
-   given, the implicit [now0 + (i - pos)] otherwise. *)
-let generic_walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
+let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
   let shift = t.line_shift in
+  let set_mask = t.set_mask in
+  let ca = t.config.Config.associativity in
+  let tags = t.tags and owners = t.owners and dirty = t.dirty
+  and stamps = t.stamps and res = t.res and res_start = t.res_start in
   let now0 = t.now in
   for i = pos to pos + len - 1 do
-    t.now <-
-      (match times with
+    let now =
+      match times with
       | Some times -> Array.unsafe_get times i
-      | None -> now0 + (i - pos));
+      | None -> now0 + (i - pos)
+    in
+    t.now <- now;
     let w = Array.unsafe_get events i in
     let owner = event_owner w in
     let write = event_write w in
@@ -275,8 +267,66 @@ let generic_walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
     let first = addr lsr shift in
     let last = (addr + event_size w - 1) lsr shift in
     for line = first to last do
-      if line land mask = shard then
-        ignore (touch_feed t ~owner ~write ~line ~fill ~spill)
+      if line land mask = shard then begin
+        let base = (line land set_mask) * ca in
+        let limit = base + ca in
+        t.clock <- t.clock + 1;
+        let w = ref base in
+        while !w < limit && Array.unsafe_get tags !w <> line do
+          incr w
+        done;
+        if !w < limit then begin
+          let w = !w in
+          Stats.record_access t.stats ~owner ~write ~hit:true;
+          Array.unsafe_set stamps w t.clock;
+          if write && not (Array.unsafe_get dirty w) then begin
+            (match res with
+            | Some r ->
+                (* first dirtying write: the clean phase ends here *)
+                Residency.record_interval r ~owner:(Array.unsafe_get owners w)
+                  ~dirty:false ~t0:(Array.unsafe_get res_start w) ~t1:now;
+                Array.unsafe_set res_start w now
+            | None -> ());
+            Array.unsafe_set dirty w true
+          end
+        end
+        else begin
+          Stats.record_access t.stats ~owner ~write ~hit:false;
+          let victim = ref base and victim_stamp = ref max_int in
+          for w = base to limit - 1 do
+            if Array.unsafe_get stamps w < !victim_stamp then begin
+              victim_stamp := Array.unsafe_get stamps w;
+              victim := w
+            end
+          done;
+          let w = !victim in
+          let vline = Array.unsafe_get tags w in
+          if vline >= 0 then begin
+            let vowner = Array.unsafe_get owners w in
+            let vdirty = Array.unsafe_get dirty w in
+            if vdirty then begin
+              Stats.record_writeback t.stats ~owner:vowner;
+              spill ~owner:vowner ~line:vline
+            end;
+            match res with
+            | Some r ->
+                Residency.record_interval r ~owner:vowner ~dirty:vdirty
+                  ~t0:(Array.unsafe_get res_start w) ~t1:now;
+                Residency.record_eviction r ~owner:vowner
+            | None -> ()
+          end;
+          Array.unsafe_set tags w line;
+          Array.unsafe_set owners w owner;
+          Array.unsafe_set dirty w write;
+          Array.unsafe_set stamps w t.clock;
+          (match res with
+          | Some r ->
+              Array.unsafe_set res_start w now;
+              Residency.record_fill r ~owner
+          | None -> ());
+          fill ~owner ~line
+        end
+      end
     done
   done
 
@@ -288,85 +338,33 @@ let access_batch t ~events ~pos ~len ~shards ~shard ~fill ~spill =
   (* With fewer usable shards than requested (tiny cache), shards
      [eff..shards-1] own no sets of this cache: lines are partitioned by
      [line land (eff - 1)], which only shards [0..eff-1] can match. *)
-  (if shard < eff then
-     match t.res with
-     | Some _ ->
-         generic_walk t ~events ~times:None ~pos ~len ~mask:(eff - 1) ~shard
-           ~fill ~spill
-     | None ->
-         let mask = eff - 1 in
-         let shift = t.line_shift in
-         let set_mask = t.set_mask in
-         let ca = t.config.Config.associativity in
-         let tags = t.tags
-         and owners = t.owners
-         and dirty = t.dirty
-         and stamps = t.stamps in
-         for i = pos to pos + len - 1 do
-           let w = Array.unsafe_get events i in
-           let owner = event_owner w in
-           let write = event_write w in
-           let addr = event_addr w in
-           let first = addr lsr shift in
-           let last = (addr + event_size w - 1) lsr shift in
-           for line = first to last do
-             if line land mask = shard then begin
-               let base = (line land set_mask) * ca in
-               let limit = base + ca in
-               t.clock <- t.clock + 1;
-               let w = ref base in
-               while !w < limit && Array.unsafe_get tags !w <> line do
-                 incr w
-               done;
-               if !w < limit then begin
-                 let w = !w in
-                 Stats.record_access t.stats ~owner ~write ~hit:true;
-                 Array.unsafe_set stamps w t.clock;
-                 if write then Array.unsafe_set dirty w true
-               end
-               else begin
-                 Stats.record_access t.stats ~owner ~write ~hit:false;
-                 let victim = ref base and victim_stamp = ref max_int in
-                 for w = base to limit - 1 do
-                   if Array.unsafe_get stamps w < !victim_stamp then begin
-                     victim_stamp := Array.unsafe_get stamps w;
-                     victim := w
-                   end
-                 done;
-                 let w = !victim in
-                 if Array.unsafe_get tags w >= 0 && Array.unsafe_get dirty w
-                 then begin
-                   Stats.record_writeback t.stats
-                     ~owner:(Array.unsafe_get owners w);
-                   spill
-                     ~owner:(Array.unsafe_get owners w)
-                     ~line:(Array.unsafe_get tags w)
-                 end;
-                 Array.unsafe_set tags w line;
-                 Array.unsafe_set owners w owner;
-                 Array.unsafe_set dirty w write;
-                 Array.unsafe_set stamps w t.clock;
-                 fill ~owner ~line
-               end
-             end
-           done
-         done);
+  if shard < eff then
+    walk t ~events ~times:None ~pos ~len ~mask:(eff - 1) ~shard ~fill ~spill;
   t.now <- now0 + len
 
 (* A deeper hierarchy level's input events are fills and spills, whose
    logical times are the *originating* program-event ordinals, not this
    cache's own event count — so the caller supplies a parallel [times]
-   array (non-decreasing) instead of the implicit [now0 + i] clock.
-   Used only by [Hierarchy] in timed mode; the final [now] is the last
-   event's time. *)
+   column instead of the implicit [now0 + i] clock.  Like the events, the
+   column is checked before any state changes: a negative or decreasing
+   stamp would close a phase with [t1 < t0] mid-walk, or record a wrong
+   interval.  Used only by [Hierarchy] in timed mode; the final [now] is
+   the last event's time. *)
 let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
   validate_batch ~events ~pos ~len;
   if pos + len > Array.length times then
     invalid_arg
       (Printf.sprintf "Cache: bad times range pos=%d len=%d (times %d)" pos len
          (Array.length times));
-  generic_walk t ~events ~times:(Some times) ~pos ~len ~mask:0 ~shard:0 ~fill
-    ~spill
+  for i = pos to pos + len - 1 do
+    if times.(i) < 0 || (i > pos && times.(i) < times.(i - 1)) then
+      invalid_arg
+        (Printf.sprintf
+           "Cache.access_batch_timed: stamp %d at index %d is negative or \
+            decreasing"
+           times.(i) i)
+  done;
+  walk t ~events ~times:(Some times) ~pos ~len ~mask:0 ~shard:0 ~fill ~spill
 
 (* End-of-run eviction of everything resident; every dirty line's
    write-back is also handed to [spill] (slot order, i.e. set-major) so a

@@ -388,6 +388,57 @@ let prop_residency_matches_oracle =
                (List.init (max_owner + 1) Fun.id))
         (List.init depth Fun.id) reference)
 
+(* --- atomic timed batches ---
+
+   [access_batch_timed] checks its [times] column before any state
+   changes, as it checks the events: a negative or decreasing stamp in
+   [pos, pos + len) rejects the whole batch.  Before the check, such a
+   column raised from [Residency.record_interval] halfway through the
+   walk, or recorded wrong intervals.  The rejected cache must stay
+   indistinguishable from a twin that never saw the batch. *)
+
+let test_failed_timed_batch_leaves_cache_untouched () =
+  let write addr = C.Cache.pack ~owner:1 ~write:true ~addr ~size:4 in
+  let read addr = C.Cache.pack ~owner:2 ~write:false ~addr ~size:4 in
+  let events = [| write 0; read 64; write 128; read 0; write 64 |] in
+  let cache, res = timed_cache ~horizon:10 tiny in
+  let twin, twin_res = timed_cache ~horizon:10 tiny in
+  let walk c ~times ~pos ~len =
+    C.Cache.access_batch_timed c ~events ~times ~pos ~len ~fill:C.Cache.nofeed
+      ~spill:C.Cache.nofeed
+  in
+  List.iter (fun c -> walk c ~times:[| 0; 1; 2 |] ~pos:0 ~len:3) [ cache; twin ];
+  Alcotest.check_raises "decreasing stamp rejected"
+    (Invalid_argument
+       "Cache.access_batch_timed: stamp 3 at index 4 is negative or decreasing")
+    (fun () -> walk cache ~times:[| 0; 0; 0; 4; 3 |] ~pos:3 ~len:2);
+  expect_invalid "negative stamp rejected" (fun () ->
+      walk cache ~times:[| 0; 0; 0; -1; 5 |] ~pos:3 ~len:2);
+  expect_invalid "short times column rejected" (fun () ->
+      walk cache ~times:[| 0; 0; 0; 4 |] ~pos:3 ~len:2);
+  let same what =
+    Alcotest.(check bool) what true
+      (C.Stats.snapshot (C.Cache.stats cache)
+       = C.Stats.snapshot (C.Cache.stats twin)
+      && R.snapshot res = R.snapshot twin_res
+      && C.Cache.now cache = C.Cache.now twin
+      && List.for_all
+           (fun owner ->
+             C.Cache.resident_lines cache ~owner
+             = C.Cache.resident_lines twin ~owner)
+           [ 1; 2 ])
+  in
+  same "rejected batches change nothing";
+  (* Stamps outside [pos, pos + len) are not the batch's business. *)
+  List.iter (fun c -> walk c ~times:[| 9; 9; 9; 4; 5 |] ~pos:3 ~len:2) [ cache; twin ];
+  List.iter
+    (fun c ->
+      C.Cache.set_now c 10;
+      C.Cache.flush c)
+    [ cache; twin ];
+  (* Equal flushes mean equal tags, dirty bits and phase starts. *)
+  same "then the same walk and flush as the twin"
+
 (* --- merge / sum --- *)
 
 let test_merge_and_sum () =
@@ -470,6 +521,8 @@ let suite =
     Alcotest.test_case "stats unchanged by residency" `Quick
       test_stats_unchanged_by_residency;
     QCheck_alcotest.to_alcotest prop_residency_matches_oracle;
+    Alcotest.test_case "failed timed batch leaves cache untouched" `Quick
+      test_failed_timed_batch_leaves_cache_untouched;
     Alcotest.test_case "merge and sum" `Quick test_merge_and_sum;
     Alcotest.test_case "timed verify rows invariant" `Quick
       test_timed_verify_widths;
