@@ -218,18 +218,19 @@ let validate_batch ~events ~pos ~len =
    [Stats.merge] over the shard caches reproduces the serial statistics
    bit for bit.  [~shards:1 ~shard:0] is the full walk.
 
-   One loop serves both batch entry points.  The event clock is set
-   before an event's lines are walked — the implicit [now0 + (i - pos)],
-   or [times.(i)] for the timed walk — so a fill or spill carries the
-   time of the event that caused it ([Hierarchy] stamps its queues with
-   [now]), and every shard sees every event ordinal.  Events were
-   validated up front (unsafe indexing is safe); the way scan exits on
-   the first tag match and the victim scan runs only on a miss.
-   Residency work runs only at phase transitions — a fill, a valid
-   victim's eviction, the first dirtying write on a clean line — so a
-   hit that changes no phase costs what it costs with no accumulator.
-   Decisions and phases are identical to [touch]'s; the victim's
-   [spill] fires before the missing line's [fill]. *)
+   One loop serves both batch entry points.  An event's time is the
+   implicit [now0 + (i - pos)] or the timed walk's [times.(i)], so every
+   shard sees every event ordinal.  A miss stores it in [t.now] before
+   the victim's [spill] and the [fill], so that traffic carries the time
+   of the event that caused it ([Hierarchy] stamps its queues with
+   [now]); nothing else reads [now] mid-walk, and a store per event
+   measurably slowed the untimed walk.  Events were validated up front
+   (unsafe indexing is safe); the way scan exits on the first tag match
+   and the victim scan runs only on a miss.  Residency work runs only at
+   phase transitions — a fill, a valid victim's eviction, the first
+   dirtying write on a clean line — so a hit that changes no phase costs
+   what it costs with no accumulator.  Decisions and phases are
+   identical to [touch]'s; the victim's [spill] fires before the fill. *)
 
 let check_shards ~shards ~shard =
   if shards <= 0 || shards land (shards - 1) <> 0 then
@@ -259,7 +260,6 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
       | Some times -> Array.unsafe_get times i
       | None -> now0 + (i - pos)
     in
-    t.now <- now;
     let w = Array.unsafe_get events i in
     let owner = event_owner w in
     let write = event_write w in
@@ -291,6 +291,7 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
           end
         end
         else begin
+          t.now <- now;
           Stats.record_access t.stats ~owner ~write ~hit:false;
           let victim = ref base and victim_stamp = ref max_int in
           for w = base to limit - 1 do
@@ -364,7 +365,8 @@ let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
             decreasing"
            times.(i) i)
   done;
-  walk t ~events ~times:(Some times) ~pos ~len ~mask:0 ~shard:0 ~fill ~spill
+  walk t ~events ~times:(Some times) ~pos ~len ~mask:0 ~shard:0 ~fill ~spill;
+  if len > 0 then t.now <- times.(pos + len - 1)
 
 (* End-of-run eviction of everything resident; every dirty line's
    write-back is also handed to [spill] (slot order, i.e. set-major) so a
