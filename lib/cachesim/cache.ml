@@ -4,12 +4,13 @@
    any realistic simulation.
 
    Alongside the LRU clock the cache keeps a *logical event clock*
-   [now]: the ordinal of the reference event being processed, set per
-   event by the packed walk.  With a [Residency.t] attached, every line
-   additionally carries the start time of its current clean or dirty
-   phase in [res_start], and phase transitions — fill, first dirtying
-   write, eviction, flush — close the open phase into the accumulator.
-   A hit that changes no phase does no residency work. *)
+   [now]: the ordinal of the reference event being processed (the
+   packed walk publishes it on each miss).  With a [Residency.t]
+   attached, every line additionally carries the start time of its
+   current clean or dirty phase in [res_start], and phase transitions —
+   fill, first dirtying write, eviction, flush — close the open phase
+   into the accumulator.  A hit that changes no phase does no residency
+   work. *)
 
 type t = {
   config : Config.t;
@@ -223,14 +224,14 @@ let validate_batch ~events ~pos ~len =
    shard sees every event ordinal.  A miss stores it in [t.now] before
    the victim's [spill] and the [fill], so that traffic carries the time
    of the event that caused it ([Hierarchy] stamps its queues with
-   [now]); nothing else reads [now] mid-walk, and a store per event
+   [now]); nothing else reads [now] mid-walk, and keeping it per event
    measurably slowed the untimed walk.  Events were validated up front
    (unsafe indexing is safe); the way scan exits on the first tag match
    and the victim scan runs only on a miss.  Residency work runs only at
    phase transitions — a fill, a valid victim's eviction, the first
-   dirtying write on a clean line — so a hit that changes no phase costs
-   what it costs with no accumulator.  Decisions and phases are
-   identical to [touch]'s; the victim's [spill] fires before the fill. *)
+   dirtying write on a clean line — never on a hit that changes no
+   phase.  Decisions and phases are identical to [touch]'s; the victim's
+   [spill] fires before the missing line's [fill]. *)
 
 let check_shards ~shards ~shard =
   if shards <= 0 || shards land (shards - 1) <> 0 then
@@ -254,12 +255,12 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
   let tags = t.tags and owners = t.owners and dirty = t.dirty
   and stamps = t.stamps and res = t.res and res_start = t.res_start in
   let now0 = t.now in
+  let time i =
+    match times with
+    | Some times -> Array.unsafe_get times i
+    | None -> now0 + (i - pos)
+  in
   for i = pos to pos + len - 1 do
-    let now =
-      match times with
-      | Some times -> Array.unsafe_get times i
-      | None -> now0 + (i - pos)
-    in
     let w = Array.unsafe_get events i in
     let owner = event_owner w in
     let write = event_write w in
@@ -279,19 +280,20 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
           let w = !w in
           Stats.record_access t.stats ~owner ~write ~hit:true;
           Array.unsafe_set stamps w t.clock;
-          if write && not (Array.unsafe_get dirty w) then begin
+          if write then begin
             (match res with
-            | Some r ->
+            | Some r when not (Array.unsafe_get dirty w) ->
                 (* first dirtying write: the clean phase ends here *)
+                let now = time i in
                 Residency.record_interval r ~owner:(Array.unsafe_get owners w)
                   ~dirty:false ~t0:(Array.unsafe_get res_start w) ~t1:now;
                 Array.unsafe_set res_start w now
-            | None -> ());
+            | _ -> ());
             Array.unsafe_set dirty w true
           end
         end
         else begin
-          t.now <- now;
+          t.now <- time i;
           Stats.record_access t.stats ~owner ~write ~hit:false;
           let victim = ref base and victim_stamp = ref max_int in
           for w = base to limit - 1 do
@@ -312,7 +314,7 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
             match res with
             | Some r ->
                 Residency.record_interval r ~owner:vowner ~dirty:vdirty
-                  ~t0:(Array.unsafe_get res_start w) ~t1:now;
+                  ~t0:(Array.unsafe_get res_start w) ~t1:t.now;
                 Residency.record_eviction r ~owner:vowner
             | None -> ()
           end;
@@ -322,7 +324,7 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
           Array.unsafe_set stamps w t.clock;
           (match res with
           | Some r ->
-              Array.unsafe_set res_start w now;
+              Array.unsafe_set res_start w t.now;
               Residency.record_fill r ~owner
           | None -> ());
           fill ~owner ~line
@@ -343,14 +345,12 @@ let access_batch t ~events ~pos ~len ~shards ~shard ~fill ~spill =
     walk t ~events ~times:None ~pos ~len ~mask:(eff - 1) ~shard ~fill ~spill;
   t.now <- now0 + len
 
-(* A deeper hierarchy level's input events are fills and spills, whose
-   logical times are the *originating* program-event ordinals, not this
-   cache's own event count — so the caller supplies a parallel [times]
-   column instead of the implicit [now0 + i] clock.  Like the events, the
-   column is checked before any state changes: a negative or decreasing
-   stamp would close a phase with [t1 < t0] mid-walk, or record a wrong
-   interval.  Used only by [Hierarchy] in timed mode; the final [now] is
-   the last event's time. *)
+(* A deeper hierarchy level's input events are fills and spills, timed by
+   the *originating* program-event ordinals, not this cache's own event
+   count, so [Hierarchy] supplies them as a [times] column.  Like the
+   events, it is checked before any state changes: a negative or
+   decreasing stamp would close a phase with [t1 < t0] mid-walk, or
+   record a wrong interval.  The final [now] is the last event's time. *)
 let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
   validate_batch ~events ~pos ~len;
   if pos + len > Array.length times then
