@@ -248,6 +248,11 @@ let effective_shards t ~shards =
   check_shards ~shards ~shard:0;
   min shards t.config.Config.sets
 
+let[@inline] event_time times ~now0 ~pos i =
+  match times with
+  | Some times -> Array.unsafe_get times i
+  | None -> now0 + (i - pos)
+
 let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
   let shift = t.line_shift in
   let set_mask = t.set_mask in
@@ -255,11 +260,6 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
   let tags = t.tags and owners = t.owners and dirty = t.dirty
   and stamps = t.stamps and res = t.res and res_start = t.res_start in
   let now0 = t.now in
-  let time i =
-    match times with
-    | Some times -> Array.unsafe_get times i
-    | None -> now0 + (i - pos)
-  in
   for i = pos to pos + len - 1 do
     let w = Array.unsafe_get events i in
     let owner = event_owner w in
@@ -284,7 +284,7 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
             (match res with
             | Some r when not (Array.unsafe_get dirty w) ->
                 (* first dirtying write: the clean phase ends here *)
-                let now = time i in
+                let now = event_time times ~now0 ~pos i in
                 Residency.record_interval r ~owner:(Array.unsafe_get owners w)
                   ~dirty:false ~t0:(Array.unsafe_get res_start w) ~t1:now;
                 Array.unsafe_set res_start w now
@@ -293,7 +293,7 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
           end
         end
         else begin
-          t.now <- time i;
+          t.now <- event_time times ~now0 ~pos i;
           Stats.record_access t.stats ~owner ~write ~hit:false;
           let victim = ref base and victim_stamp = ref max_int in
           for w = base to limit - 1 do

@@ -516,8 +516,6 @@ let suite =
       test_cli_semantic_error;
     Alcotest.test_case "CLI refuses untraceable models" `Quick
       test_cli_untraceable_models;
-    Alcotest.test_case "CLI rejects a negative size" `Quick
-      test_cli_negative_size;
     Alcotest.test_case "CLI verifies a 2 KiB element" `Quick
       test_cli_large_element_verifies;
     Alcotest.test_case "builtin models are traceable" `Quick
@@ -525,4 +523,6 @@ let suite =
     Alcotest.test_case "round trip builtin models" `Quick
       test_roundtrip_builtin_models;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
+    Alcotest.test_case "CLI rejects a negative size" `Quick
+      test_cli_negative_size;
   ]

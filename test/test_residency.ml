@@ -520,10 +520,10 @@ let suite =
       test_sharded_merge_identity;
     Alcotest.test_case "stats unchanged by residency" `Quick
       test_stats_unchanged_by_residency;
-    QCheck_alcotest.to_alcotest prop_residency_matches_oracle;
-    Alcotest.test_case "failed timed batch leaves cache untouched" `Quick
-      test_failed_timed_batch_leaves_cache_untouched;
     Alcotest.test_case "merge and sum" `Quick test_merge_and_sum;
     Alcotest.test_case "timed verify rows invariant" `Quick
       test_timed_verify_widths;
+    QCheck_alcotest.to_alcotest prop_residency_matches_oracle;
+    Alcotest.test_case "failed timed batch leaves cache untouched" `Quick
+      test_failed_timed_batch_leaves_cache_untouched;
   ]
