@@ -348,9 +348,9 @@ let access_batch t ~events ~pos ~len ~shards ~shard ~fill ~spill =
 (* A deeper hierarchy level's input events are fills and spills, timed by
    the *originating* program-event ordinals, not this cache's own event
    count, so [Hierarchy] supplies them as a [times] column.  Like the
-   events, it is checked before any state changes: a negative or
-   decreasing stamp would close a phase with [t1 < t0] mid-walk, or
-   record a wrong interval.  The final [now] is the last event's time. *)
+   events, it is checked before any state changes: a stamp below the one
+   before it (the cache's clock, for the first) would close a phase with
+   [t1 < t0] mid-walk.  The final [now] is the last event's time. *)
 let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
   validate_batch ~events ~pos ~len;
   if pos + len > Array.length times then
@@ -358,12 +358,12 @@ let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
       (Printf.sprintf "Cache: bad times range pos=%d len=%d (times %d)" pos len
          (Array.length times));
   for i = pos to pos + len - 1 do
-    if times.(i) < 0 || (i > pos && times.(i) < times.(i - 1)) then
+    let prev = if i > pos then times.(i - 1) else t.now in
+    if times.(i) < prev then
       invalid_arg
         (Printf.sprintf
-           "Cache.access_batch_timed: stamp %d at index %d is negative or \
-            decreasing"
-           times.(i) i)
+           "Cache.access_batch_timed: stamp %d at index %d is below %d" times.(i)
+           i prev)
   done;
   walk t ~events ~times:(Some times) ~pos ~len ~mask:0 ~shard:0 ~fill ~spill;
   if len > 0 then t.now <- times.(pos + len - 1)

@@ -26,10 +26,11 @@ val stats : t -> Stats.t
     {!Residency.t} turns on per-line phase accounting on that clock:
     every resident line carries the start time of its current clean or
     dirty phase, and fills, first dirtying writes, evictions and
-    flushes close the open phase into the accumulator.  With no
-    residency attached {!access_batch} runs its specialized kernel; with
-    one attached it falls back to the generic per-line path (slower,
-    still exact). *)
+    flushes close the open phase into the accumulator.  {!access_batch}
+    and {!access_batch_timed} run one walk either way.  During its
+    [fill] and [spill] callbacks {!now} is the time of the event that
+    caused the traffic, and it does residency work only at those phase
+    transitions, never on a hit that changes no phase. *)
 
 val now : t -> int
 
@@ -162,8 +163,10 @@ val access_batch_timed :
   spill:(owner:int -> line:int -> unit) ->
   unit
 (** Unsharded {!access_batch} with the clock set to [times.(i)] before
-    event [i].  Raises [Invalid_argument] on a bad range in either array
-    or an invalid event word. *)
+    event [i].  Raises [Invalid_argument] on a bad range in either array,
+    an invalid event word, or a stamp in [times.(pos .. pos+len-1)]
+    below the one before it ({!now}, for the first); a rejected batch
+    leaves the cache untouched. *)
 
 val flush : t -> unit
 (** Evict everything, recording writebacks for dirty lines.  Called at the

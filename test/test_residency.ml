@@ -391,11 +391,12 @@ let prop_residency_matches_oracle =
 (* --- atomic timed batches ---
 
    [access_batch_timed] checks its [times] column before any state
-   changes, as it checks the events: a negative or decreasing stamp in
-   [pos, pos + len) rejects the whole batch.  Before the check, such a
-   column raised from [Residency.record_interval] halfway through the
-   walk, or recorded wrong intervals.  The rejected cache must stay
-   indistinguishable from a twin that never saw the batch. *)
+   changes, as it checks the events: a stamp in [pos, pos + len) below
+   the one before it (the cache's clock, for the first) rejects the
+   whole batch.  Before the check, such a column raised from
+   [Residency.record_interval] halfway through the walk, or recorded
+   wrong intervals.  The rejected cache must stay indistinguishable from
+   a twin that never saw the batch. *)
 
 let test_failed_timed_batch_leaves_cache_untouched () =
   let write addr = C.Cache.pack ~owner:1 ~write:true ~addr ~size:4 in
@@ -409,9 +410,11 @@ let test_failed_timed_batch_leaves_cache_untouched () =
   in
   List.iter (fun c -> walk c ~times:[| 0; 1; 2 |] ~pos:0 ~len:3) [ cache; twin ];
   Alcotest.check_raises "decreasing stamp rejected"
-    (Invalid_argument
-       "Cache.access_batch_timed: stamp 3 at index 4 is negative or decreasing")
+    (Invalid_argument "Cache.access_batch_timed: stamp 3 at index 4 is below 4")
     (fun () -> walk cache ~times:[| 0; 0; 0; 4; 3 |] ~pos:3 ~len:2);
+  Alcotest.check_raises "stamp below the previous batch's rejected"
+    (Invalid_argument "Cache.access_batch_timed: stamp 1 at index 3 is below 2")
+    (fun () -> walk cache ~times:[| 0; 0; 0; 1; 5 |] ~pos:3 ~len:2);
   expect_invalid "negative stamp rejected" (fun () ->
       walk cache ~times:[| 0; 0; 0; -1; 5 |] ~pos:3 ~len:2);
   expect_invalid "short times column rejected" (fun () ->
