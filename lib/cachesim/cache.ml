@@ -76,13 +76,13 @@ let attach_residency t res =
   else Array.fill t.res_start 0 (Array.length t.res_start) 0;
   t.res <- Some res
 
+let nofeed ~owner:_ ~line:_ = ()
+
 (* The per-event oracle behind [access] and [touch_line]: one lookup on a
    line *number* (byte address already shifted), written for clarity —
    it tracks the LRU victim on every lookup.  Its hit/miss/writeback
    decisions and residency phases are the contract the packed walk
    below must reproduce exactly. *)
-let nofeed ~owner:_ ~line:_ = ()
-
 let touch t ~owner ~write ~line =
   let set = line land t.set_mask in
   let ca = t.config.Config.associativity in

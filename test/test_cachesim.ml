@@ -346,8 +346,8 @@ let prop_matches_reference_lru =
 (* --- the packed walk against per-event references ---
 
    One differential property for every [Cache.access_batch] /
-   [Cache.access_batch_timed] path: the specialised kernel, the generic
-   residency-clocked walk, and the explicitly timed walk.  Random packed
+   [Cache.access_batch_timed] path: the packed walk with no accumulator,
+   with one attached, and with an explicit times column.  Random packed
    traces (multi-line events, many owners) are cut at random chunk
    boundaries and walked per shard into private replicas of a tiny cache
    (shard counts above the set count included).  The merged per-owner
