@@ -13,17 +13,22 @@ type fig6_row = {
 module Telemetry = Dvf_util.Telemetry
 
 (* Sweep points are independent (each builds its own solvers and specs),
-   so both fig6 and cache_sweep fan out over a domain pool.  [jobs = 1]
-   (or an empty pool budget) degrades to List.map in the calling domain;
-   Parallel.map_list preserves order either way.  Each point is timed
-   under ["<label>/point"] and counted under ["<label>/points"]; the whole
-   sweep's wall-clock lands in ["<label>/total"]. *)
-let sweep_map ?jobs ?(telemetry = Telemetry.null) ~label f xs =
+   so both fig6 and cache_sweep fan out over one domain pool per call,
+   [jobs] wide.  [jobs = 1] (or less) makes a one-worker pool, which
+   maps in the calling domain; [Pool.map_list] preserves order either
+   way. *)
+let with_sweep_pool ?jobs ~telemetry f =
   let jobs =
     match jobs with
-    | Some j -> j
+    | Some j -> max 1 j
     | None -> Dvf_util.Parallel.recommended_jobs ()
   in
+  Dvf_util.Parallel.with_pool ~telemetry ~jobs f
+
+(* Each point is timed under ["<label>/point"] and counted under
+   ["<label>/points"]; the whole sweep's wall-clock lands in
+   ["<label>/total"]. *)
+let sweep_map ~telemetry ~label pool f xs =
   let f =
     if not (Telemetry.enabled telemetry) then f
     else fun x ->
@@ -31,20 +36,18 @@ let sweep_map ?jobs ?(telemetry = Telemetry.null) ~label f xs =
       Telemetry.span telemetry (label ^ "/point") (fun () -> f x)
   in
   let t0 = Telemetry.now_ns telemetry in
-  let rows =
-    if jobs <= 1 then List.map f xs
-    else Dvf_util.Parallel.map_list ~telemetry ~jobs f xs
-  in
+  let rows = Dvf_util.Parallel.Pool.map_list pool f xs in
   if Telemetry.enabled telemetry then
     Telemetry.time_ns telemetry (label ^ "/total")
       (Int64.sub (Telemetry.now_ns telemetry) t0);
   rows
 
-let fig6 ?jobs ?telemetry ?(machine = Perf.default_machine)
+let fig6 ?jobs ?(telemetry = Telemetry.null) ?(machine = Perf.default_machine)
     ?(fit = Ecc.fit Ecc.No_ecc)
     ?(cache = Cachesim.Config.profiling_4mb)
     ?(sizes = [ 100; 200; 300; 400; 500; 600; 700; 800 ]) () =
-  sweep_map ?jobs ?telemetry ~label:"fig6"
+  with_sweep_pool ?jobs ~telemetry @@ fun pool ->
+  sweep_map ~telemetry ~label:"fig6" pool
     (fun n ->
       let cg_params = Kernels.Cg.make_params ~max_iterations:5000 ~tolerance:1e-8 n in
       let pcg_params =
@@ -165,12 +168,14 @@ type sweep_row = {
    totals are bit-identical at any [jobs].  Returns each cache's
    simulated total main-memory accesses (misses + writebacks), in
    [caches] order. *)
-let simulate_totals ~jobs ~telemetry ~caches (cap : Verify.capture) =
+let simulate_totals ~pool ~telemetry ~caches (cap : Verify.capture) =
   Telemetry.span telemetry
     (Printf.sprintf "cache_sweep/%s/replay"
        cap.Verify.instance.Workload.workload)
   @@ fun () ->
-  let width = Verify.shard_width ~jobs caches in
+  let width =
+    Verify.shard_width ~jobs:(Dvf_util.Parallel.Pool.size pool) caches
+  in
   let walk shard =
     let sweep = Cachesim.Sweep.create caches in
     Memtrace.Tape.fold_chunks cap.Verify.tape ~init:()
@@ -181,8 +186,7 @@ let simulate_totals ~jobs ~telemetry ~caches (cap : Verify.capture) =
     Cachesim.Sweep.stats sweep
   in
   let per_shard =
-    Dvf_util.Parallel.map_list ~telemetry ~jobs:(min jobs width) walk
-      (List.init width Fun.id)
+    Dvf_util.Parallel.Pool.map_list pool walk (List.init width Fun.id)
   in
   if Telemetry.enabled telemetry then begin
     Telemetry.add telemetry
@@ -222,11 +226,7 @@ let cache_sweep ?jobs ?(telemetry = Telemetry.null)
           ~associativity ~sets ~line)
       capacities
   in
-  let effective_jobs =
-    match jobs with
-    | Some j -> j
-    | None -> Dvf_util.Parallel.recommended_jobs ()
-  in
+  with_sweep_pool ?jobs ~telemetry @@ fun pool ->
   let sim_totals =
     if not simulate then List.map (fun _ -> None) caches
     else
@@ -237,10 +237,10 @@ let cache_sweep ?jobs ?(telemetry = Telemetry.null)
       in
       List.map
         (fun v -> Some v)
-        (simulate_totals ~jobs:effective_jobs ~telemetry ~caches cap)
+        (simulate_totals ~pool ~telemetry ~caches cap)
   in
   let points = List.combine (List.combine capacities caches) sim_totals in
-  sweep_map ?jobs ~telemetry ~label:"cache_sweep"
+  sweep_map ~telemetry ~label:"cache_sweep" pool
     (fun ((capacity, cache), sim_n_ha) ->
       let app =
         Dvf.of_spec ~machine ~cache ~fit ~flops:instance.Workload.flops

@@ -88,8 +88,10 @@ val cache_sweep :
     Telemetry adds one ["cache_sweep/<workload>/replay"] span per call,
     the ["tape/replay_events"] counter (tape events x geometries), the
     ["shard/tasks"] counter and the ["shard/count"] gauge (both the
-    width), plus ["pool/*"] when the width exceeds 1 and the capture
+    width), plus ["pool/*"] when [jobs] exceeds 1 and the capture
     telemetry of {!Verify.capture} when the trace is captured here.
+    One domain pool, [jobs] wide, serves both the shard walks and the
+    per-geometry model evaluations of a call.
 
     [store] (only meaningful with [simulate]) routes the capture through
     a persistent tape store — a warm store skips kernel tracing

@@ -16,6 +16,10 @@ type t = {
   telemetry : Telemetry.t;
   store : Memtrace.Tape_store.t option;
   pool : Dvf_util.Parallel.Pool.t;
+  (* One flushed cache replica per geometry, reused by every request:
+     building and flushing a large 2-level hierarchy is most of a small
+     request's time. *)
+  replicas : Verify.replica_store;
   workloads : Workload.t list;
   (* Both caches are keyed by lowercase registry name and guarded by
      [mutex]; request handlers run on pool domains. *)
@@ -33,6 +37,7 @@ let create ?(telemetry = Telemetry.null) ?store ?jobs ?workloads () =
     telemetry;
     store;
     pool = Dvf_util.Parallel.Pool.create ~telemetry ?jobs ();
+    replicas = Verify.replica_store ~keep:1 ();
     workloads;
     captures = Hashtbl.create 16;
     profiling = Hashtbl.create 16;
@@ -56,10 +61,6 @@ let find_workload t name =
         (Printf.sprintf "unknown workload %S (serving: %s)" name
            (String.concat ", " (workload_names t)))
 
-(* Request handlers run with [jobs = 1] — a handler must never fan work
-   back onto [t.pool] (the pool's own domains would deadlock waiting on
-   themselves); concurrency comes from [handle_batch] spreading whole
-   requests across the pool instead. *)
 let capture_for t (w : Workload.t) =
   let key = String.lowercase_ascii w.Workload.name in
   match
@@ -470,10 +471,17 @@ let at_most what max n =
   if n > max then failwith (Printf.sprintf "%S must be at most %d" what max);
   n
 
+(* Handlers run on a pool domain ([handle_batch]) or in the caller's
+   ([handle_line]); either way the replay ops below fan their walks and
+   row builds out over [t.pool] (a nested map when the handler runs on
+   one of its workers).  With [jobs = 1] all of it runs in the calling
+   domain. *)
 let op_verify t req =
   rows_result verify_row_to_json
     (List.concat_map
-       (fun w -> Verify.capture_rows ~telemetry:t.telemetry (capture_for t w))
+       (fun w ->
+         Verify.capture_rows ~telemetry:t.telemetry ~pool:t.pool
+           ~replicas:t.replicas (capture_for t w))
        (requested_workloads t req))
 
 let op_levels t req =
@@ -486,8 +494,8 @@ let op_levels t req =
   rows_result level_row_to_json
     (List.concat_map
        (fun w ->
-         Verify.capture_level_rows ~telemetry:t.telemetry ~levels
-           (capture_for t w))
+         Verify.capture_level_rows ~telemetry:t.telemetry ~pool:t.pool
+           ~replicas:t.replicas ~levels (capture_for t w))
        (requested_workloads t req))
 
 let op_timed t req =
@@ -506,8 +514,8 @@ let op_timed t req =
   rows_result time_row_to_json
     (List.concat_map
        (fun w ->
-         Verify.capture_time_rows ~telemetry:t.telemetry ~levels ~bins
-           (capture_for t w))
+         Verify.capture_time_rows ~telemetry:t.telemetry ~pool:t.pool
+           ~replicas:t.replicas ~levels ~bins (capture_for t w))
        (requested_workloads t req))
 
 let op_dvf t req =
@@ -672,8 +680,8 @@ let handle_line t line =
   | Error msg -> Some (error_response ~id:Json.Null msg)
 
 (* Order-preserving: response [i] answers request line [i] (blank lines
-   produce no response).  Requests run concurrently on the pool — each
-   handler is internally serial, so no handler re-enters the pool. *)
+   produce no response).  Requests run concurrently on the pool, and a
+   replay op's own tasks go onto the same pool as nested maps. *)
 let handle_batch t lines =
   List.filter_map Fun.id
     (Dvf_util.Parallel.Pool.map_list t.pool (handle_line t) lines)

@@ -72,9 +72,13 @@ val create :
   t
 (** A serving context over [workloads] (default: all registered).  Owns
     a domain pool of [jobs] workers (default
-    {!Dvf_util.Parallel.recommended_jobs}) used to warm captures and to
-    run concurrent requests; individual request handlers are internally
-    serial.  [store] routes capture through a persistent tape store. *)
+    {!Dvf_util.Parallel.recommended_jobs}) used to warm captures, to
+    run concurrent requests, and inside the [verify], [levels] and
+    [timed] handlers, whose replay tasks fan out over the same pool;
+    with [jobs = 1] every handler runs in the calling domain.  Also owns
+    a {!Verify.replica_store} that keeps one flushed cache replica per
+    geometry between requests (its worst-case size is documented
+    there).  [store] routes capture through a persistent tape store. *)
 
 val warm : t -> unit
 (** Capture (or load from the store) every served workload's

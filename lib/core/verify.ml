@@ -107,29 +107,33 @@ let capture ?(telemetry = Telemetry.null) ?store
    Every tape reaches a cache through [engine].  Consumers are hierarchy
    geometries (a plain verification cache is a depth-1 hierarchy), the
    same list for every capture.  The schedule has two phases, each one
-   [Pool.map_list]:
+   map over the pool (or, without a pool, in the calling domain):
 
-   1. Walk: one task per (capture x shard), all captures in one map with
-      no per-capture barrier.  Tasks are listed shard-major, so tasks
-      running at the same time mostly walk different captures.  A task
-      takes a private replica of every consumer (with one residency
+   1. Walk: one task per (capture x consumer x shard), all captures in
+      one map with no per-capture barrier.  Tasks are listed
+      shard-major, then capture, then consumer, so tasks running at the
+      same time mostly walk different tapes or different consumers.  A
+      task takes a replica of its consumer (with one residency
       accumulator per level when [bins] is given), walks its shard's
-      [Tape.view], pins the clock to the horizon
-      (the tape length) and flushes.  Replicas share nothing, so tasks
-      need no locking; each cache's statistics (and residency) are
-      merged per capture in shard order ([Stats.sum], [Residency.sum]:
-      commutative additions), which reproduces the serial walk bit for
-      bit.
+      [Tape.view], pins the clock to the horizon (the tape length) and
+      flushes.  Replicas share nothing, so tasks need no locking; each
+      cache's statistics (and residency) are merged per capture in shard
+      order ([Stats.sum], [Residency.sum]: commutative additions), which
+      reproduces the serial walk bit for bit.
    2. Rows: one task per (capture x consumer), running [rows] — for the
       Fig. 4 rows that includes the CGPMAC model, so the model never runs
       serially on the orchestrating domain.
 
-   The width is the largest power of two <= the pool size (the set
-   partition needs a power of two so the shard bits nest inside the set
-   index bits), clamped to the smallest consumer level's set count: a
-   wider width would spawn tasks that own no line of that consumer.  Set
-   counts are powers of two, so the clamped width still is; rows never
-   depend on it. *)
+   A walk decodes every event of its tape whatever its shard, so a task
+   per consumer costs each event one decode per consumer, while a shard
+   costs one more decode of every event for every consumer.  The pool's
+   domains therefore go to consumers first: the width is the largest
+   power of two <= pool size / consumers (at least 1), clamped to the
+   smallest consumer level's set count, since a wider width would spawn
+   tasks that own no line of that consumer.  The set partition needs a
+   power of two so the shard bits nest inside the set index bits; set
+   counts are powers of two, so the clamped width still is.  Rows never
+   depend on the width. *)
 
 let pow2_floor n =
   let p = ref 1 in
@@ -141,73 +145,102 @@ let shard_width ~jobs configs =
     (fun acc (c : Cachesim.Config.t) -> min acc c.Cachesim.Config.sets)
     (pow2_floor jobs) configs
 
-let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
+(* Flushed replicas waiting for reuse, keyed by consumer geometry and
+   whether residency is attached (an attached hierarchy stays timed).
+   A flushed hierarchy is empty, so resetting its statistics, clock and
+   residency makes it as good as new: recycling means only about one
+   replica per concurrently running task is ever built, instead of one
+   per task, which would pile large hierarchies up as garbage and raise
+   the peak heap. *)
+type replica_store = {
+  keep : int;  (* spares kept per key *)
+  lock : Mutex.t;
+  spares : (Cachesim.Config.t list * bool, Cachesim.Hierarchy.t list) Hashtbl.t;
+}
+
+let replica_store ?(keep = max_int) () =
+  { keep; lock = Mutex.create (); spares = Hashtbl.create 8 }
+
+let borrow store key =
+  Mutex.protect store.lock (fun () ->
+      match Hashtbl.find_opt store.spares key with
+      | Some (h :: rest) ->
+          Hashtbl.replace store.spares key rest;
+          Some h
+      | Some [] | None -> None)
+
+(* Only a walk that flushed gives its replica back; one that raised
+   drops it, so a store never holds a replica with lines in it. *)
+let give_back store key h =
+  Mutex.protect store.lock (fun () ->
+      let spares =
+        Option.value ~default:[] (Hashtbl.find_opt store.spares key)
+      in
+      if List.length spares < store.keep then
+        Hashtbl.replace store.spares key (h :: spares))
+
+let engine ~telemetry ?pool ?(replicas = replica_store ()) ?bins ~consumers
+    ~rows captures =
   if Option.fold ~none:false ~some:(fun b -> b <= 0) bins then
     invalid_arg "Verify: bins must be positive";
-  let width = shard_width ~jobs:(Pool.size pool) (List.concat consumers) in
-  (* Replica sets are recycled across tasks, so only about one per
-     concurrently running task is ever built, not one per (capture x
-     shard): large hierarchies would otherwise pile up as garbage and
-     raise the peak heap.  A flushed hierarchy is empty, so resetting
-     its statistics, clock and residency makes it as good as new. *)
-  let spare = ref [] and lock = Mutex.create () in
-  let replicas cap =
-    let hs =
-      match
-        Mutex.protect lock (fun () ->
-            match !spare with
-            | hs :: rest ->
-                spare := rest;
-                Some hs
-            | [] -> None)
-      with
-      | Some hs -> hs
-      | None -> Array.of_list (List.map Cachesim.Hierarchy.create consumers)
-    in
-    let horizon = Memtrace.Tape.length cap.tape in
-    Array.iter
-      (fun h ->
-        let depth = Cachesim.Hierarchy.depth h in
-        for li = 0 to depth - 1 do
-          Cachesim.Stats.reset
-            (Cachesim.Cache.stats (Cachesim.Hierarchy.level_cache h li))
-        done;
-        Cachesim.Hierarchy.set_now h 0;
-        Option.iter
-          (fun bins ->
-            Cachesim.Hierarchy.attach_residency h
-              (Array.init depth (fun _ ->
-                   Cachesim.Residency.create ~bins ~horizon ())))
-          bins)
-      hs;
-    hs
+  let map f xs =
+    match pool with Some p -> Pool.map_list p f xs | None -> List.map f xs
   in
-  let walk (cap, shard) =
-    let hs = replicas cap in
+  let n_consumers = List.length consumers in
+  let width =
+    shard_width
+      ~jobs:(max 1 (Option.fold ~none:1 ~some:Pool.size pool / n_consumers))
+      (List.concat consumers)
+  in
+  let replica cap configs =
+    let key = (configs, bins <> None) in
+    let h =
+      match borrow replicas key with
+      | Some h -> h
+      | None -> Cachesim.Hierarchy.create configs
+    in
+    let depth = Cachesim.Hierarchy.depth h in
+    for li = 0 to depth - 1 do
+      Cachesim.Stats.reset
+        (Cachesim.Cache.stats (Cachesim.Hierarchy.level_cache h li))
+    done;
+    Cachesim.Hierarchy.set_now h 0;
+    Option.iter
+      (fun bins ->
+        let horizon = Memtrace.Tape.length cap.tape in
+        Cachesim.Hierarchy.attach_residency h
+          (Array.init depth (fun _ ->
+               Cachesim.Residency.create ~bins ~horizon ())))
+      bins;
+    (key, h)
+  in
+  let walk (cap, configs, shard) =
+    let key, h = replica cap configs in
     Memtrace.Tape.replay_view_hierarchies
       (Memtrace.Tape.view cap.tape ~shards:width ~shard)
-      hs;
-    let levels h =
-      Cachesim.Hierarchy.set_now h (Memtrace.Tape.length cap.tape);
-      Cachesim.Hierarchy.flush h;
+      [| h |];
+    Cachesim.Hierarchy.set_now h (Memtrace.Tape.length cap.tape);
+    Cachesim.Hierarchy.flush h;
+    let levels =
       Array.init (Cachesim.Hierarchy.depth h) (fun li ->
           let c = Cachesim.Hierarchy.level_cache h li in
           ( Cachesim.Stats.sum [ Cachesim.Cache.stats c ],
             Cachesim.Cache.residency c ))
     in
-    let result = Array.map levels hs in
-    Mutex.protect lock (fun () -> spare := hs :: !spare);
-    result
+    give_back replicas key h;
+    levels
   in
   let t0 = Telemetry.now_ns telemetry in
   let walked =
-    Pool.map_list pool walk
+    map walk
       (List.concat
-         (List.init width (fun s -> List.map (fun cap -> (cap, s)) captures)))
+         (List.init width (fun s ->
+              List.concat_map
+                (fun cap ->
+                  List.map (fun configs -> (cap, configs, s)) consumers)
+                captures)))
   in
   let walk_ns = Int64.sub (Telemetry.now_ns telemetry) t0 in
-  spare := [];
-  let n_consumers = List.length consumers in
   if Telemetry.enabled telemetry then begin
     let events =
       n_consumers
@@ -229,9 +262,9 @@ let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
     Telemetry.add telemetry ~n:(width * events) "shard/walked_events";
     Telemetry.set_gauge telemetry "shard/count" (float_of_int width)
   end;
-  (* Task [s * n_captures + i] walked shard [s] of capture [i]; merge
-     each consumer's levels across the capture's shards, in shard
-     order. *)
+  (* Task [(s * n_captures + i) * n_consumers + ci] walked shard [s] of
+     capture [i] into consumer [ci]; merge each consumer's levels across
+     the capture's shards, in shard order. *)
   let walked = Array.of_list walked in
   let n_captures = List.length captures in
   let merged =
@@ -241,7 +274,8 @@ let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
            List.mapi
              (fun ci configs ->
                let per_shard =
-                 List.init width (fun s -> walked.((s * n_captures) + i).(ci))
+                 List.init width (fun s ->
+                     walked.((((s * n_captures) + i) * n_consumers) + ci))
                in
                let levels =
                  List.mapi
@@ -260,13 +294,7 @@ let engine ~telemetry ~pool ?bins ~consumers ~rows captures =
          captures)
   in
   List.concat
-    (Pool.map_list pool
-       (fun (cap, configs, levels) -> rows cap configs levels)
-       merged)
-
-(* Serve handlers and single-capture callers run with [jobs = 1]: a
-   one-worker pool runs every task serially in the calling domain. *)
-let serially f = Dvf_util.Parallel.with_pool ~jobs:1 f
+    (map (fun (cap, configs, levels) -> rows cap configs levels) merged)
 
 (* Fig. 4 rows of one single-level consumer. *)
 let cache_rows ~telemetry cap configs levels =
@@ -285,11 +313,10 @@ let cache_rows ~telemetry cap configs levels =
 
 let single_level caches = List.map (fun c -> [ c ]) caches
 
-let capture_rows ?(telemetry = Telemetry.null) cap =
-  serially (fun pool ->
-      engine ~telemetry ~pool
-        ~consumers:(single_level Cachesim.Config.verification_set)
-        ~rows:(cache_rows ~telemetry) [ cap ])
+let capture_rows ?(telemetry = Telemetry.null) ?pool ?replicas cap =
+  engine ~telemetry ?pool ?replicas
+    ~consumers:(single_level Cachesim.Config.verification_set)
+    ~rows:(cache_rows ~telemetry) [ cap ]
 
 let finalize_metrics telemetry =
   if Telemetry.enabled telemetry then begin
@@ -416,10 +443,10 @@ let level_rows ~telemetry cap configs levels =
   level_rows_of_stats ~registry:cap.registry cap.instance
     ~base:(List.hd configs) ~configs stats_list
 
-let capture_level_rows ?(telemetry = Telemetry.null) ~levels cap =
-  serially (fun pool ->
-      engine ~telemetry ~pool ~consumers:(hierarchies ~levels)
-        ~rows:(level_rows ~telemetry) [ cap ])
+let capture_level_rows ?(telemetry = Telemetry.null) ?pool ?replicas ~levels
+    cap =
+  engine ~telemetry ?pool ?replicas ~consumers:(hierarchies ~levels)
+    ~rows:(level_rows ~telemetry) [ cap ]
 
 let run_all_levels ?jobs ?(telemetry = Telemetry.null) ?store ?workloads
     ~levels () =
@@ -558,16 +585,14 @@ let time_rows ~telemetry cap configs levels =
 
 let timed_level_snapshots ?(telemetry = Telemetry.null)
     ?(bins = Cachesim.Residency.default_bins) ~configs cap =
-  serially (fun pool ->
-      engine ~telemetry ~pool ~bins ~consumers:[ configs ]
-        ~rows:(fun _ _ levels -> residency_snapshots ~telemetry levels)
-        [ cap ])
+  engine ~telemetry ~bins ~consumers:[ configs ]
+    ~rows:(fun _ _ levels -> residency_snapshots ~telemetry levels)
+    [ cap ]
 
-let capture_time_rows ?(telemetry = Telemetry.null)
+let capture_time_rows ?(telemetry = Telemetry.null) ?pool ?replicas
     ?(bins = Cachesim.Residency.default_bins) ~levels cap =
-  serially (fun pool ->
-      engine ~telemetry ~pool ~bins ~consumers:(hierarchies ~levels)
-        ~rows:(time_rows ~telemetry) [ cap ])
+  engine ~telemetry ?pool ?replicas ~bins ~consumers:(hierarchies ~levels)
+    ~rows:(time_rows ~telemetry) [ cap ]
 
 let run_all_timed ?jobs ?(telemetry = Telemetry.null) ?store ?workloads
     ?(levels = 1) ?(bins = Cachesim.Residency.default_bins) () =

@@ -65,10 +65,39 @@ val capture :
     advance — while the ["store/*"] counters do), a cold store captures
     as usual and persists the tape for the next process. *)
 
-val capture_rows : ?telemetry:Dvf_util.Telemetry.t -> capture -> row list
-(** One capture's Fig. 4 rows over both verification caches, serially —
+type replica_store
+(** Flushed cache-hierarchy replicas kept for reuse, keyed by consumer
+    geometry and by whether residency is attached.  A reused replica has
+    its statistics, clock and residency reset, so it gives exactly the
+    rows of a fresh one.  Safe to share between domains and between
+    concurrent calls. *)
+
+val replica_store : ?keep:int -> unit -> replica_store
+(** An empty store that keeps at most [keep] spare replicas per key
+    (default: unbounded).  Each call without [?replicas] uses a fresh
+    unbounded store of its own, which then retains about one replica per
+    concurrently running walk task until the call returns.  A
+    long-lived store (what [dvf serve] keeps, with [keep = 1]) retains
+    one flushed replica per geometry between calls: about 2 MB for the
+    large verification cache alone, about 19 MB for its 2-level
+    hierarchy (524,288 L2 slots at 32 B each), about 23 MB for that
+    hierarchy timed (8 B more per slot), and more than 128 MB for a
+    3-level one (4,194,304 L3 slots: about 153 MB, 191 MB timed).  Every
+    small verification geometry stays under 1 MB. *)
+
+val capture_rows :
+  ?telemetry:Dvf_util.Telemetry.t ->
+  ?pool:Dvf_util.Parallel.Pool.t ->
+  ?replicas:replica_store ->
+  capture -> row list
+(** One capture's Fig. 4 rows over both verification caches —
     bit-identical to the corresponding slice of {!run_all}, and what a
-    [dvf serve] verify request runs against its warm capture. *)
+    [dvf serve] verify request runs against its warm capture.  Without
+    [pool] every walk runs in the calling domain; with one, the walks
+    and row builds are tasks on it, scheduled as in {!run_all} (the
+    caller may itself be one of the pool's workers).  [replicas]
+    (default: a fresh store for this call) supplies the cache replicas
+    the walks reuse. *)
 
 val shard_width : jobs:int -> Cachesim.Config.t list -> int
 (** The replay engine's shard count for a [jobs]-wide pool: the largest
@@ -88,10 +117,12 @@ val run_all :
 
     [jobs] (default [Domain.recommended_domain_count ()]) sizes the
     domain pool.  Captures run one task per workload; then every
-    (capture x shard) walk is one task, and every (capture x cache) row
-    build — including the CGPMAC model — is one task.  The shard width
-    is the largest power of two <= [jobs], clamped to the smallest
-    cache's set count.  Each task owns its private mutable state, so the
+    (capture x cache x shard) walk is one task, and every
+    (capture x cache) row build — including the CGPMAC model — is one
+    task.  The shard width is the largest power of two <= [jobs] / the
+    number of caches (at least 1), clamped to the smallest cache's set
+    count: [-j 2] walks each cache unsharded on its own domain, [-j 8]
+    in 4 shards.  Each task owns its private mutable state, so the
     rows are identical to the serial run in value and order — at any job
     count, with or without telemetry.
 
@@ -128,11 +159,14 @@ type level_row = {
 }
 
 val capture_level_rows :
-  ?telemetry:Dvf_util.Telemetry.t -> levels:int -> capture -> level_row list
-(** One capture's per-level rows over every verification base geometry,
-    serially (what a [dvf serve] levels request runs against its warm
-    capture).  Rows are bit-identical to the corresponding slice of
-    {!run_all_levels}. *)
+  ?telemetry:Dvf_util.Telemetry.t ->
+  ?pool:Dvf_util.Parallel.Pool.t ->
+  ?replicas:replica_store ->
+  levels:int -> capture -> level_row list
+(** One capture's per-level rows over every verification base geometry
+    (what a [dvf serve] levels request runs against its warm capture);
+    [pool] and [replicas] as in {!capture_rows}.  Rows are bit-identical
+    to the corresponding slice of {!run_all_levels}. *)
 
 val run_all_levels :
   ?jobs:int ->
@@ -191,21 +225,23 @@ val timed_level_snapshots :
   ?bins:int ->
   configs:Cachesim.Config.t list ->
   capture -> Cachesim.Residency.snapshot list
-(** Replay one capture, serially, through one hierarchy geometry with a
-    residency accumulator attached per level; returns one snapshot per
-    level.  The horizon is the tape length.  Raises [Invalid_argument]
-    on [bins <= 0].  Telemetry: ["tape/timed_replay_events"],
+(** Replay one capture, in the calling domain, through one hierarchy
+    geometry with a residency accumulator attached per level; returns
+    one snapshot per level.  The horizon is the tape length.  Raises
+    [Invalid_argument] on [bins <= 0].  Telemetry: ["tape/timed_replay_events"],
     ["residency/clean_line_events"|"dirty_line_events"|"fills"|
     "evictions"] counters and the ["verify/timed_total"] accumulator. *)
 
 val capture_time_rows :
   ?telemetry:Dvf_util.Telemetry.t ->
+  ?pool:Dvf_util.Parallel.Pool.t ->
+  ?replicas:replica_store ->
   ?bins:int ->
   levels:int -> capture -> time_row list
 (** One capture's time-weighted rows over every verification base
-    geometry, serially (what a [dvf serve] timed request runs against
-    its warm capture); bit-identical to the corresponding slice of
-    {!run_all_timed}. *)
+    geometry (what a [dvf serve] timed request runs against its warm
+    capture); [pool] and [replicas] as in {!capture_rows}.  Rows are
+    bit-identical to the corresponding slice of {!run_all_timed}. *)
 
 val run_all_timed :
   ?jobs:int ->

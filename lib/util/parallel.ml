@@ -7,12 +7,14 @@
    Jobs must be independent: they may freely allocate and mutate their
    own state but must not share mutable structures.  [map] preserves
    input order in its output, so a parallel sweep returns exactly the
-   rows a serial sweep would. *)
+   rows a serial sweep would.  A job may itself call [map] on the pool
+   that runs it: see [map] for why that cannot deadlock. *)
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
 module Pool = struct
   type t = {
+    id : int;
     mutex : Mutex.t;
     work_available : Condition.t;
     queue : (unit -> unit) Queue.t;
@@ -23,6 +25,11 @@ module Pool = struct
   }
 
   let size t = t.size
+  let next_id = Atomic.make 0
+
+  (* The [id] of the pool whose worker this domain is; -1 in any domain
+     no pool spawned. *)
+  let worker_of = Domain.DLS.new_key (fun () -> -1)
 
   (* Workers drain the queue even while stopping, so a [shutdown] racing
      with in-flight [map] calls never strands a job. *)
@@ -54,6 +61,7 @@ module Pool = struct
            jobs);
     let t =
       {
+        id = Atomic.fetch_and_add next_id 1;
         mutex = Mutex.create ();
         work_available = Condition.create ();
         queue = Queue.create ();
@@ -63,12 +71,15 @@ module Pool = struct
         telemetry;
       }
     in
-    (* The caller's domain only enqueues and waits, so all [jobs] workers
-       are spawned domains; [jobs = 1] spawns none and [map] degrades to
-       the serial path in the calling domain. *)
+    (* A caller from outside the pool only enqueues and waits, so all
+       [jobs] workers are spawned domains; [jobs = 1] spawns none and
+       [map] degrades to the serial path in the calling domain. *)
     if jobs > 1 then
       t.workers <-
-        Array.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
+        Array.init jobs (fun _ ->
+            Domain.spawn (fun () ->
+                Domain.DLS.set worker_of t.id;
+                worker_loop t));
     t
 
   type 'b outcome =
@@ -76,6 +87,14 @@ module Pool = struct
     | Done of 'b
     | Failed of exn * Printexc.raw_backtrace
 
+  (* Elements are claimed by index from an atomic counter, so each runs
+     exactly once whoever claims it.  The queue holds up to one claiming
+     loop per worker that can help.  A caller that is itself a worker of
+     [t] (a nested [map]) claims its own elements until none is left,
+     then waits only for elements other workers have already claimed.
+     It never takes another map's task while it waits, so every wait is
+     on a task created after the waiting one started: the waits form no
+     cycle, and the nesting depth bounds them. *)
   let map t f xs =
     let n = Array.length xs in
     if n = 0 then [||]
@@ -85,6 +104,7 @@ module Pool = struct
     else begin
       let results = Array.make n Pending in
       let remaining = ref n in
+      let next = Atomic.make 0 in
       let all_done = Condition.create () in
       let record i outcome =
         Mutex.lock t.mutex;
@@ -93,42 +113,55 @@ module Pool = struct
         if !remaining = 0 then Condition.broadcast all_done;
         Mutex.unlock t.mutex
       in
+      let run i =
+        match f xs.(i) with
+        | v -> record i (Done v)
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            record i (Failed (e, bt))
+      in
+      let run =
+        if not (Telemetry.enabled t.telemetry) then run
+        else begin
+          (* Queue-wait vs compute accounting: the time from [map] being
+             called to an element being claimed is wait; the element's
+             body is compute.  Aggregated per pool, not per task, so the
+             counters stay deterministic — only the times vary with
+             scheduling. *)
+          let enqueued = Telemetry.now_ns t.telemetry in
+          fun i ->
+            let started = Telemetry.now_ns t.telemetry in
+            Telemetry.time_ns t.telemetry "pool/queue_wait"
+              (Int64.sub started enqueued);
+            Telemetry.add t.telemetry "pool/tasks";
+            run i;
+            Telemetry.time_ns t.telemetry "pool/compute"
+              (Int64.sub (Telemetry.now_ns t.telemetry) started)
+        end
+      in
+      let rec claim_all () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          run i;
+          claim_all ()
+        end
+      in
+      let nested = Domain.DLS.get worker_of = t.id in
       Mutex.lock t.mutex;
       if t.stopping then begin
         Mutex.unlock t.mutex;
         invalid_arg "Parallel.Pool.map: pool already shut down"
       end;
-      let instrumented = Telemetry.enabled t.telemetry in
-      for i = 0 to n - 1 do
-        let x = xs.(i) in
-        let run () =
-          match f x with
-          | v -> record i (Done v)
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              record i (Failed (e, bt))
-        in
-        let task =
-          if not instrumented then run
-          else begin
-            (* Queue-wait vs compute accounting: the time from enqueue to a
-               worker picking the task up is wait; the task body is
-               compute.  Aggregated per pool, not per task, so the counters
-               stay deterministic — only the times vary with scheduling. *)
-            let enqueued = Telemetry.now_ns t.telemetry in
-            fun () ->
-              let started = Telemetry.now_ns t.telemetry in
-              Telemetry.time_ns t.telemetry "pool/queue_wait"
-                (Int64.sub started enqueued);
-              Telemetry.add t.telemetry "pool/tasks";
-              run ();
-              Telemetry.time_ns t.telemetry "pool/compute"
-                (Int64.sub (Telemetry.now_ns t.telemetry) started)
-          end
-        in
-        Queue.add task t.queue
+      let helpers = if nested then min (n - 1) (t.size - 1) else min n t.size in
+      for _ = 1 to helpers do
+        Queue.add claim_all t.queue
       done;
-      Condition.broadcast t.work_available;
+      if helpers > 0 then Condition.broadcast t.work_available;
+      if nested then begin
+        Mutex.unlock t.mutex;
+        claim_all ();
+        Mutex.lock t.mutex
+      end;
       while !remaining > 0 do
         Condition.wait all_done t.mutex
       done;

@@ -7,9 +7,10 @@
     [Cache], so jobs share nothing mutable and the parallel result is
     bit-identical to the serial one.
 
-    Restrictions: jobs must not themselves call back into the same pool
-    (a worker blocking on a nested [map] can starve the queue), and the
-    mapped function must not rely on ambient mutable globals. *)
+    A job may itself call {!Pool.map} on the pool that runs it (a nested
+    map): the calling worker then runs the nested elements itself while
+    the other workers help.  The mapped function must not rely on
+    ambient mutable globals. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the default worker count. *)
@@ -24,8 +25,8 @@ module Pool : sig
       path.  Raises [Invalid_argument] when [jobs <= 0].
 
       [telemetry] (default {!Telemetry.null}) receives, for every task run
-      on a spawned worker, the queue-wait time (enqueue to pickup) and the
-      compute time under span paths ["pool/queue_wait"] and
+      on a spawned worker, the queue-wait time ([map] call to pickup) and
+      the compute time under span paths ["pool/queue_wait"] and
       ["pool/compute"], plus a ["pool/tasks"] counter.  The serial
       [jobs = 1] path records nothing, keeping it exactly the historical
       code. *)
@@ -38,7 +39,14 @@ module Pool : sig
       element and places results at the input's index.  All jobs run to
       completion even if some raise; afterwards the first failure in
       input order is re-raised with its original backtrace.  Raises
-      [Invalid_argument] if the pool has been shut down. *)
+      [Invalid_argument] if the pool has been shut down.
+
+      A caller from outside the pool only enqueues and waits, so at most
+      [size t] domains compute at once.  A worker of [t] that calls
+      [map t] (from inside a job) runs the new elements itself, in input
+      order, while idle workers help; it waits only for elements another
+      worker has already started, and never takes an unrelated job
+      while it waits, so nested maps cannot deadlock. *)
 
   val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
   (** [map] over lists. *)

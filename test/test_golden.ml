@@ -15,7 +15,10 @@
    and "dvf verify --time-weighted --levels 2": per-level hierarchy
    traffic and per-level residency line-events of every workload, and
    golden/verify_levels3.txt the stdout of "dvf verify --time-weighted
-   --levels 3", the only pin on the three-level timed walk. *)
+   --levels 3", the only pin on the three-level timed walk.  Both are
+   checked at -j 1, 2 and 8: with two caches the engine gives -j 2 one
+   unsharded walk per cache, so -j 8 (4 shards) is what pins the
+   sharded hierarchy walk and its residency merge end to end. *)
 
 let commands =
   [
@@ -157,7 +160,7 @@ let test_verify_levels_golden () =
           (Printf.sprintf "levels tables, -j %s" jobs)
           golden
           (levels_output [ "-j"; jobs ]))
-      [ "1"; "2" ];
+      [ "1"; "2"; "8" ];
     let store = Filename.temp_dir "dvf_golden_store" "" in
     Fun.protect
       ~finally:(fun () ->
@@ -188,7 +191,7 @@ let test_verify_levels3_golden () =
           golden
           (Printf.sprintf "$ dvf %s\n%s" (String.concat " " args)
              (run_cli (args @ [ "-j"; jobs ]))))
-      [ "1"; "2" ]
+      [ "1"; "2"; "8" ]
 
 let suite =
   [

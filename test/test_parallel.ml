@@ -83,6 +83,75 @@ let test_with_pool_shuts_down_on_exception () =
   | exception Failure m -> Alcotest.(check string) "escaped" "escape" m);
   Alcotest.(check pass) "pool cleaned up" () ()
 
+(* A job may call [Pool.map] on the pool that runs it.  Two levels
+   deep, with more outer jobs than workers, every nested map finishes
+   and keeps input order, and an inner map re-raises its first failure
+   in input order to the job that called it. *)
+let test_nested_map () =
+  List.iter
+    (fun jobs ->
+      P.with_pool ~jobs (fun pool ->
+          let map f xs = P.Pool.map_list pool f xs in
+          let outer = List.init (3 * jobs) Fun.id in
+          let out =
+            map
+              (fun x ->
+                map
+                  (fun y -> map (fun z -> (100 * x) + (10 * y) + z) [ 0; 1; 2 ])
+                  [ 0; 1; 2; 3 ])
+              outer
+          in
+          Alcotest.(check (list (list (list int))))
+            (Printf.sprintf "two levels deep, jobs %d" jobs)
+            (List.map
+               (fun x ->
+                 List.map
+                   (fun y -> List.map (fun z -> (100 * x) + (10 * y) + z) [ 0; 1; 2 ])
+                   [ 0; 1; 2; 3 ])
+               outer)
+            out;
+          let caught =
+            map
+              (fun x ->
+                match
+                  map
+                    (fun y ->
+                      if y = 2 || y = 4 then
+                        failwith (Printf.sprintf "inner %d.%d" x y)
+                      else y)
+                    [ 0; 1; 2; 3; 4 ]
+                with
+                | _ -> "no failure"
+                | exception Failure m -> m)
+              outer
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "first inner failure, jobs %d" jobs)
+            (List.map (Printf.sprintf "inner %d.2") outer)
+            caught))
+    [ 2; 3 ]
+
+(* A one-worker pool stays [Array.map] in the calling domain, nested
+   maps included. *)
+let test_nested_map_jobs_one () =
+  let self = Domain.self () in
+  let trace = ref [] in
+  P.with_pool ~jobs:1 (fun pool ->
+      let visit x =
+        Alcotest.(check bool) "same domain" true (Domain.self () = self);
+        trace := x :: !trace;
+        x
+      in
+      let out =
+        P.Pool.map pool
+          (fun x -> P.Pool.map pool (fun y -> visit ((10 * x) + y)) [| 0; 1 |])
+          [| 1; 2 |]
+      in
+      Alcotest.(check (array (array int))) "results"
+        [| [| 10; 11 |]; [| 20; 21 |] |] out);
+  Alcotest.(check (list int)) "in-order effects" [ 10; 11; 20; 21 ]
+    (List.rev !trace)
+
 (* The headline contract: a parallel verification sweep returns exactly
    the serial sweep's rows — same values (floats compared exactly), same
    order.  VM and MC are the two cheapest kernels. *)
@@ -126,4 +195,7 @@ let suite =
       test_verify_run_all_deterministic;
     Alcotest.test_case "experiment sweeps deterministic" `Slow
       test_experiments_sweeps_deterministic;
+    Alcotest.test_case "nested map on the same pool" `Quick test_nested_map;
+    Alcotest.test_case "nested map at jobs=1 is serial" `Quick
+      test_nested_map_jobs_one;
   ]

@@ -191,6 +191,57 @@ let test_batch_order_and_equivalence () =
       let serial = List.filter_map (Core.Serve.handle_line srv) requests in
       Alcotest.(check (list string)) "batch = serial" serial batched)
 
+(* The replay ops fan their walks out over the server's pool, also when
+   the request itself already runs on that pool: a batch of more heavy
+   lines than domains answers exactly what one-at-a-time requests on a
+   one-domain server answer. *)
+let test_heavy_batch_on_pool () =
+  let lines =
+    List.concat_map
+      (fun w ->
+        List.map
+          (fun op ->
+            Printf.sprintf {|{"id":"%s %s","op":"%s","workload":"%s"}|} op w op
+              w)
+          [ "verify"; "levels"; "timed" ])
+      [ "VM"; "MC" ]
+    @ [ {|{"id":"levels 3","op":"levels","levels":3}|} ]
+  in
+  let one_at_a_time =
+    with_server ~jobs:1 (fun srv ->
+        List.filter_map (Core.Serve.handle_line srv) lines)
+  in
+  with_server ~jobs:2 (fun srv ->
+      Alcotest.(check (list string))
+        "jobs:2 batch = jobs:1 lines" one_at_a_time
+        (Core.Serve.handle_batch srv lines))
+
+(* A server keeps one flushed cache replica per geometry between
+   requests; a reused replica must carry nothing over.  Each request of
+   the sequence answers the same twice, and the default 2-level request
+   answers like an explicit [levels: 2]. *)
+let test_reused_replicas_carry_no_state () =
+  with_server (fun srv ->
+      let ask fields =
+        J.to_string
+          (expect_ok (respond srv (Printf.sprintf {|{"id":1,%s}|} fields)))
+      in
+      let round () =
+        List.map ask
+          [
+            {|"op":"levels"|}; {|"op":"timed"|}; {|"op":"levels"|};
+            {|"op":"levels","levels":3|}; {|"op":"levels","levels":2|};
+          ]
+      in
+      let first = round () in
+      Alcotest.(check (list string)) "second round = first" first (round ());
+      List.iter
+        (fun i ->
+          Alcotest.(check string)
+            (Printf.sprintf "request %d = request 0" i)
+            (List.nth first 0) (List.nth first i))
+        [ 2; 4 ])
+
 (* --- row codecs round-trip --- *)
 
 let test_row_codecs_roundtrip () =
@@ -618,4 +669,8 @@ let suite =
       test_end_to_end_binary;
     Alcotest.test_case "socket client hanging up early" `Quick
       test_socket_client_hangs_up;
+    Alcotest.test_case "heavy batch fans out on the pool" `Quick
+      test_heavy_batch_on_pool;
+    Alcotest.test_case "reused replicas carry no state" `Quick
+      test_reused_replicas_carry_no_state;
   ]
