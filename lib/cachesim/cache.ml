@@ -193,19 +193,54 @@ let event_write w = w land 1 = 1
    used to abort the walk half-applied, leaving tags and statistics torn.
    Validating up front means a failed batch leaves the cache untouched —
    and lets the walk below index with [Array.unsafe_get]. *)
-let validate_batch ~events ~pos ~len =
+let check_words ~fn ~events ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length events then
     invalid_arg
-      (Printf.sprintf "Cache.access_batch: bad range pos=%d len=%d (events %d)"
-         pos len (Array.length events));
+      (Printf.sprintf "%s: bad range pos=%d len=%d (events %d)" fn pos len
+         (Array.length events));
   (* A non-negative word's address is below 2^39 by construction. *)
   for i = pos to pos + len - 1 do
     let w = events.(i) in
     if w < 0 || event_size w = 0 || event_addr w + event_size w - 1 > max_addr
-    then
-      invalid_arg
-        (Printf.sprintf "Cache.access_batch: invalid event word at index %d" i)
+    then invalid_arg (Printf.sprintf "%s: invalid event word at index %d" fn i)
   done
+
+let validate_batch ~events ~pos ~len =
+  check_words ~fn:"Cache.access_batch" ~events ~pos ~len
+
+(* --- validated words ---
+
+   A buffer whose live words [0 .. len-1] are all valid, by
+   construction: [add] writes only what [pack] returns and [adopt]
+   checks an array before taking it, so the walks of a [Words.t]
+   ([access_words], [access_words_timed], [Sweep.access_words]) skip
+   [validate_batch].  A tape's chunks and a hierarchy's funnel are
+   such buffers; a word is checked once, where it enters one. *)
+module Words = struct
+  type t = { events : int array; mutable len : int }
+
+  let create capacity =
+    if capacity <= 0 then
+      invalid_arg
+        (Printf.sprintf "Cache.Words.create: capacity %d" capacity);
+    { events = Array.make capacity 0; len = 0 }
+
+  let adopt events ~len =
+    check_words ~fn:"Cache.Words.adopt" ~events ~pos:0 ~len;
+    { events; len }
+
+  let length w = w.len
+  let clear w = w.len <- 0
+
+  let add w ~owner ~write ~addr ~size =
+    let word = pack ~owner ~write ~addr ~size in
+    if w.len = Array.length w.events then invalid_arg "Cache.Words.add: full";
+    Array.unsafe_set w.events w.len word;
+    w.len <- w.len + 1
+
+  let blit w dst = Array.blit w.events 0 dst 0 w.len
+  let unsafe_events w = w.events
+end
 
 (* --- the packed walk ---
 
@@ -219,15 +254,20 @@ let validate_batch ~events ~pos ~len =
    [Stats.merge] over the shard caches reproduces the serial statistics
    bit for bit.  [~shards:1 ~shard:0] is the full walk.
 
-   One loop serves both batch entry points.  An event's time is the
+   One loop serves every batch entry point.  An event's time is the
    implicit [now0 + (i - pos)] or the timed walk's [times.(i)], so every
    shard sees every event ordinal.  A miss stores it in [t.now] before
    the victim's [spill] and the [fill], so that traffic carries the time
    of the event that caused it ([Hierarchy] stamps its queues with
    [now]); nothing else reads [now] mid-walk, and keeping it per event
-   measurably slowed the untimed walk.  Events were validated up front
-   (unsafe indexing is safe); the way scan exits on the first tag match
-   and the victim scan runs only on a miss.  Residency work runs only at
+   measurably slowed the untimed walk.  Every word is valid — checked
+   by the [int array] entries, or by construction in a [Words.t] — so
+   unsafe indexing is safe.  The LRU clock lives in a local and is
+   stored once per batch (no callback reads it), and the statistics are
+   bumped in place in [Stats]' flat counter array: one capacity check
+   per event, a call only for an owner the record has not seen.  The
+   way scan exits on the first tag match and the victim scan runs only
+   on a miss.  Residency work runs only at
    phase transitions — a fill, a valid victim's eviction, the first
    dirtying write on a clean line — never on a hit that changes no
    phase.  Decisions and phases are identical to [touch]'s; the victim's
@@ -253,33 +293,45 @@ let[@inline] event_time times ~now0 ~pos i =
   | Some times -> Array.unsafe_get times i
   | None -> now0 + (i - pos)
 
+(* Slots past [Stats.reserve]'s bound are never indexed: the walk checks
+   each event's owner slot against the array it then bumps. *)
+let[@inline] bump counts i =
+  Array.unsafe_set counts i (Array.unsafe_get counts i + 1)
+
 let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
   let shift = t.line_shift in
   let set_mask = t.set_mask in
   let ca = t.config.Config.associativity in
   let tags = t.tags and owners = t.owners and dirty = t.dirty
   and stamps = t.stamps and res = t.res and res_start = t.res_start in
+  let stats = t.stats and stride = Stats.stride in
+  let counts = ref (Stats.counts stats) in
+  let clock = ref t.clock in
   let now0 = t.now in
   for i = pos to pos + len - 1 do
     let w = Array.unsafe_get events i in
     let owner = event_owner w in
     let write = event_write w in
     let addr = event_addr w in
+    let slot = owner * stride in
+    if slot >= Array.length !counts then counts := Stats.reserve stats ~owner;
+    let counts = !counts in
     let first = addr lsr shift in
     let last = (addr + event_size w - 1) lsr shift in
     for line = first to last do
       if line land mask = shard then begin
         let base = (line land set_mask) * ca in
         let limit = base + ca in
-        t.clock <- t.clock + 1;
+        incr clock;
+        bump counts (slot + Bool.to_int write);
         let w = ref base in
         while !w < limit && Array.unsafe_get tags !w <> line do
           incr w
         done;
         if !w < limit then begin
           let w = !w in
-          Stats.record_access t.stats ~owner ~write ~hit:true;
-          Array.unsafe_set stamps w t.clock;
+          bump counts (slot + 2);
+          Array.unsafe_set stamps w !clock;
           if write then begin
             (match res with
             | Some r when not (Array.unsafe_get dirty w) ->
@@ -294,7 +346,7 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
         end
         else begin
           t.now <- event_time times ~now0 ~pos i;
-          Stats.record_access t.stats ~owner ~write ~hit:false;
+          bump counts (slot + 3);
           let victim = ref base and victim_stamp = ref max_int in
           for w = base to limit - 1 do
             if Array.unsafe_get stamps w < !victim_stamp then begin
@@ -308,7 +360,10 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
             let vowner = Array.unsafe_get owners w in
             let vdirty = Array.unsafe_get dirty w in
             if vdirty then begin
-              Stats.record_writeback t.stats ~owner:vowner;
+              (* checked: a resident line's owner has a slot, since only
+                 this walk and [touch] fill lines and both reserve it *)
+              let c = (vowner * stride) + 4 in
+              counts.(c) <- counts.(c) + 1;
               spill ~owner:vowner ~line:vline
             end;
             match res with
@@ -321,7 +376,7 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
           Array.unsafe_set tags w line;
           Array.unsafe_set owners w owner;
           Array.unsafe_set dirty w write;
-          Array.unsafe_set stamps w t.clock;
+          Array.unsafe_set stamps w !clock;
           (match res with
           | Some r ->
               Array.unsafe_set res_start w t.now;
@@ -331,11 +386,12 @@ let walk t ~events ~times ~pos ~len ~mask ~shard ~fill ~spill =
         end
       end
     done
-  done
+  done;
+  t.clock <- !clock
 
-let access_batch t ~events ~pos ~len ~shards ~shard ~fill ~spill =
-  check_shards ~shards ~shard;
-  validate_batch ~events ~pos ~len;
+(* The set-sharded walk of a checked range: the shared tail of
+   [access_batch] and [access_words]. *)
+let walk_shard t ~events ~pos ~len ~shards ~shard ~fill ~spill =
   let eff = min shards t.config.Config.sets in
   let now0 = t.now in
   (* With fewer usable shards than requested (tiny cache), shards
@@ -345,14 +401,22 @@ let access_batch t ~events ~pos ~len ~shards ~shard ~fill ~spill =
     walk t ~events ~times:None ~pos ~len ~mask:(eff - 1) ~shard ~fill ~spill;
   t.now <- now0 + len
 
+let access_batch t ~events ~pos ~len ~shards ~shard ~fill ~spill =
+  check_shards ~shards ~shard;
+  validate_batch ~events ~pos ~len;
+  walk_shard t ~events ~pos ~len ~shards ~shard ~fill ~spill
+
+let access_words t (w : Words.t) ~shards ~shard ~fill ~spill =
+  check_shards ~shards ~shard;
+  walk_shard t ~events:w.events ~pos:0 ~len:w.len ~shards ~shard ~fill ~spill
+
 (* A deeper hierarchy level's input events are fills and spills, timed by
    the *originating* program-event ordinals, not this cache's own event
    count, so [Hierarchy] supplies them as a [times] column.  Like the
    events, it is checked before any state changes: a stamp below the one
    before it (the cache's clock, for the first) would close a phase with
    [t1 < t0] mid-walk.  The final [now] is the last event's time. *)
-let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
-  validate_batch ~events ~pos ~len;
+let walk_timed t ~events ~times ~pos ~len ~fill ~spill =
   if pos + len > Array.length times then
     invalid_arg
       (Printf.sprintf "Cache: bad times range pos=%d len=%d (times %d)" pos len
@@ -368,6 +432,13 @@ let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
   walk t ~events ~times:(Some times) ~pos ~len ~mask:0 ~shard:0 ~fill ~spill;
   if len > 0 then t.now <- times.(pos + len - 1)
 
+let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
+  validate_batch ~events ~pos ~len;
+  walk_timed t ~events ~times ~pos ~len ~fill ~spill
+
+let access_words_timed t (w : Words.t) ~times ~fill ~spill =
+  walk_timed t ~events:w.events ~times ~pos:0 ~len:w.len ~fill ~spill
+
 (* End-of-run eviction of everything resident; every dirty line's
    write-back is also handed to [spill] (slot order, i.e. set-major) so a
    next cache level can absorb it.  With residency attached, every
@@ -375,11 +446,13 @@ let access_batch_timed t ~events ~times ~pos ~len ~fill ~spill =
    the caller sets [now] to the run horizon first ([set_now]) so
    end-of-run exposure is counted up to the horizon and no further. *)
 let flush_feed t ~spill =
+  let counts = Stats.counts t.stats in
   Array.iteri
     (fun w tag ->
       if tag >= 0 then begin
         if t.dirty.(w) then begin
-          Stats.record_writeback t.stats ~owner:t.owners.(w);
+          let c = (t.owners.(w) * Stats.stride) + 4 in
+          counts.(c) <- counts.(c) + 1;
           spill ~owner:t.owners.(w) ~line:tag
         end;
         (match t.res with

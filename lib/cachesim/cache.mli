@@ -86,9 +86,54 @@ val event_write : int -> bool
 (** The fields of a {!pack}ed word. *)
 
 val validate_batch : events:int array -> pos:int -> len:int -> unit
-(** The batch check every packed walk runs before it changes any state:
-    raises [Invalid_argument] on a range outside [events] or on a word
-    no {!pack} call returns. *)
+(** The batch check every entry that takes a caller's [int array] runs
+    before it changes any state: raises [Invalid_argument] on a range
+    outside [events] or on a word no {!pack} call returns. *)
+
+(** {2 Validated words}
+
+    Where a word is checked follows from where it came from.  A
+    {!Words.t} is a buffer whose live words are valid by construction:
+    its only writes are {!Words.add}, which stores what {!pack} returns,
+    and {!Words.adopt}, which runs the {!validate_batch} check on the
+    array it takes.  So its walks ({!access_words},
+    {!access_words_timed}, {!Sweep.access_words},
+    {!Hierarchy.access_words}) skip that scan: a tape's chunks and a
+    hierarchy's funnel are [Words.t], and each word is checked once, as
+    it enters one, however many caches and shards walk it afterwards.
+    The entries that take an [int array] ({!access_batch},
+    {!access_batch_timed}) check it first and then run the same walk. *)
+
+module Words : sig
+  type t
+
+  val create : int -> t
+  (** An empty buffer of the given capacity.  Raises [Invalid_argument]
+      unless the capacity is positive. *)
+
+  val adopt : int array -> len:int -> t
+  (** The array as a buffer of capacity [Array.length] holding its first
+      [len] words, after checking them as {!validate_batch} does (which
+      raises [Invalid_argument] naming the first bad index).  The array
+      becomes the buffer's storage: the caller must not touch it again. *)
+
+  val length : t -> int
+
+  val add : t -> owner:int -> write:bool -> addr:int -> size:int -> unit
+  (** Append [pack ~owner ~write ~addr ~size].  Raises [Invalid_argument]
+      when {!pack} does or the buffer is full, leaving it unchanged. *)
+
+  val clear : t -> unit
+  (** Empty the buffer, keeping its storage. *)
+
+  val blit : t -> int array -> unit
+  (** Copy the live words into [dst.(0 .. length - 1)]. *)
+
+  val unsafe_events : t -> int array
+  (** The storage itself, live words at [0 .. length - 1].  For the walks
+      of this library ({!Sweep}), which only read it: a write through it
+      voids the guarantee every walk of the buffer relies on. *)
+end
 
 (** {2 The packed walk}
 
@@ -144,6 +189,18 @@ val access_batch :
     [shard] outside [0 .. shards-1]; a rejected batch leaves the cache
     untouched. *)
 
+val access_words :
+  t ->
+  Words.t ->
+  shards:int ->
+  shard:int ->
+  fill:(owner:int -> line:int -> unit) ->
+  spill:(owner:int -> line:int -> unit) ->
+  unit
+(** {!access_batch} over every live word of the buffer, with no word
+    check: the words were checked when they entered it.  Raises
+    [Invalid_argument] only on a bad shard selector. *)
+
 (** {2 Explicitly timed walk}
 
     A deeper hierarchy level's input events (fills and spills) carry the
@@ -167,6 +224,16 @@ val access_batch_timed :
     an invalid event word, or a stamp in [times.(pos .. pos+len-1)]
     below the one before it ({!now}, for the first); a rejected batch
     leaves the cache untouched. *)
+
+val access_words_timed :
+  t ->
+  Words.t ->
+  times:int array ->
+  fill:(owner:int -> line:int -> unit) ->
+  spill:(owner:int -> line:int -> unit) ->
+  unit
+(** {!access_batch_timed} over every live word of the buffer, with no
+    word check; the [times] column is still checked. *)
 
 val flush : t -> unit
 (** Evict everything, recording writebacks for dirty lines.  Called at the

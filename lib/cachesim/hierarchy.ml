@@ -3,7 +3,8 @@
    emits — a read fill of the full line on each miss (write-allocate)
    and a write spill on each dirty eviction.  That traffic travels
    through the same packed-event funnel the single-cache path uses
-   ([Cache.pack] words in one buffer), so a level's input is
+   ([Cache.pack] words in one [Cache.Words.t], valid by construction and
+   so walked with no word check), so a level's input is
    indistinguishable from a program trace and each level keeps its own
    [Stats].
 
@@ -18,11 +19,11 @@
    L2's own (much sparser) traffic count. *)
 
 type queue = {
-  q_events : int array;
+  q_words : Cache.Words.t;
   (* Event-time stamps of the queued fills/spills (the emitting cache's
-     clock at push time); only consulted when [timed]. *)
+     clock at push time), index for index with [q_words]; only consulted
+     when [timed]. *)
   q_times : int array;
-  mutable q_len : int;
 }
 
 type t = {
@@ -32,8 +33,8 @@ type t = {
   queues : queue array;
   line : int;
   funnel_events : int;
-  (* 1-element scratch for the single-event entry point. *)
-  scratch : int array;
+  (* 1-event buffer for the single-event entry point. *)
+  scratch : Cache.Words.t;
   mutable timed : bool;
 }
 
@@ -62,9 +63,8 @@ let create ?(funnel_events = 4096) configs =
       (Array.length caches - 1)
       (fun _ ->
         {
-          q_events = Array.make funnel_events 0;
+          q_words = Cache.Words.create funnel_events;
           q_times = Array.make funnel_events 0;
-          q_len = 0;
         })
   in
   {
@@ -72,7 +72,7 @@ let create ?(funnel_events = 4096) configs =
     queues;
     line;
     funnel_events;
-    scratch = [| 0 |];
+    scratch = Cache.Words.create 1;
     timed = false;
   }
 
@@ -108,16 +108,18 @@ let max_shards t =
     (fun acc c -> min acc (Cache.config c).Config.sets)
     max_int t.caches
 
-(* [feed] drives one level over a packed batch; misses and dirty
-   evictions are pushed (as full-line read fills / write spills) into the
-   queue toward the next level, which is drained whenever it fills and
-   recursively fed onward.  Only level 1 is sharded: its filter already
-   restricted the stream to one shard's lines, and fills/spills stay on
-   those same lines, so re-filtering would be redundant — and wrong if a
-   deeper level had fewer sets than the effective shard count.  In timed
-   mode the inner levels take the queue's stamp column ([times]) so they
+(* [feed] drives one level over a packed batch ([walk] runs the level's
+   cache with the feed callbacks); misses and dirty evictions are pushed
+   (as full-line read fills / write spills) into the queue toward the
+   next level, which is drained whenever it fills and recursively fed
+   onward.  Only level 1 is sharded: its filter already restricted the
+   stream to one shard's lines, and fills/spills stay on those same
+   lines, so re-filtering would be redundant — and wrong if a deeper
+   level had fewer sets than the effective shard count.  The queues are
+   [Cache.Words] built by [pack], so the inner levels walk them with no
+   word check; in timed mode they take the queue's stamp column so they
    advance on the program's event axis. *)
-let rec feed t ~level ~events ~times ~pos ~len ~shards ~shard =
+let rec feed t ~level ~walk =
   let cache = t.caches.(level) in
   let last = level = Array.length t.caches - 1 in
   let fill, spill =
@@ -126,43 +128,55 @@ let rec feed t ~level ~events ~times ~pos ~len ~shards ~shard =
       ( (fun ~owner ~line -> push t ~level ~owner ~line ~write:false),
         fun ~owner ~line -> push t ~level ~owner ~line ~write:true )
   in
-  (match times with
-  | Some times ->
-      Cache.access_batch_timed cache ~events ~times ~pos ~len ~fill ~spill
-  | None ->
-      Cache.access_batch cache ~events ~pos ~len ~shards ~shard ~fill ~spill);
+  walk cache ~fill ~spill;
   if not last then flush_queue t ~level
 
 and push t ~level ~owner ~line ~write =
   let q = t.queues.(level) in
-  if q.q_len = t.funnel_events then flush_queue t ~level;
-  q.q_events.(q.q_len) <-
-    Cache.pack ~owner ~write ~addr:(line * t.line) ~size:t.line;
-  q.q_times.(q.q_len) <- Cache.now t.caches.(level);
-  q.q_len <- q.q_len + 1
+  let n = Cache.Words.length q.q_words in
+  let n =
+    if n = t.funnel_events then begin
+      flush_queue t ~level;
+      0
+    end
+    else n
+  in
+  q.q_times.(n) <- Cache.now t.caches.(level);
+  Cache.Words.add q.q_words ~owner ~write ~addr:(line * t.line) ~size:t.line
 
+(* Feeding level [level + 1] pushes only into the queue below it, never
+   into this one, so the queue is emptied once its walk is done. *)
 and flush_queue t ~level =
   let q = t.queues.(level) in
-  let len = q.q_len in
-  if len > 0 then begin
-    (* Reset before feeding: the next level's own spills may re-enter
-       [push] for this queue while we are still walking it. *)
-    q.q_len <- 0;
-    feed t ~level:(level + 1) ~events:q.q_events
-      ~times:(if t.timed then Some q.q_times else None)
-      ~pos:0 ~len ~shards:1 ~shard:0
+  if Cache.Words.length q.q_words > 0 then begin
+    feed t ~level:(level + 1) ~walk:(fun cache ~fill ~spill ->
+        if t.timed then
+          Cache.access_words_timed cache q.q_words ~times:q.q_times ~fill
+            ~spill
+        else Cache.access_words cache q.q_words ~shards:1 ~shard:0 ~fill ~spill);
+    Cache.Words.clear q.q_words
   end
 
-let access_batch t ~events ~pos ~len ~shards ~shard =
+(* Level 1 of either entry point.  Shards beyond the effective count own
+   no sets at any level. *)
+let feed_first t ~shards ~shard walk =
   Cache.check_shards ~shards ~shard;
   let eff = min shards (max_shards t) in
-  (* Shards beyond the effective count own no sets at any level. *)
   if shard < eff then
-    feed t ~level:0 ~events ~times:None ~pos ~len ~shards:eff ~shard
+    feed t ~level:0 ~walk:(fun cache ~fill ~spill ->
+        walk cache ~shards:eff ~shard ~fill ~spill)
+
+let access_batch t ~events ~pos ~len ~shards ~shard =
+  feed_first t ~shards ~shard (fun cache ->
+      Cache.access_batch cache ~events ~pos ~len)
+
+let access_words t words ~shards ~shard =
+  feed_first t ~shards ~shard (fun cache -> Cache.access_words cache words)
 
 let access t ~owner ~write ~addr ~size =
-  t.scratch.(0) <- Cache.pack ~owner ~write ~addr ~size;
-  access_batch t ~events:t.scratch ~pos:0 ~len:1 ~shards:1 ~shard:0
+  Cache.Words.clear t.scratch;
+  Cache.Words.add t.scratch ~owner ~write ~addr ~size;
+  access_words t t.scratch ~shards:1 ~shard:0
 
 (* Drain level by level: level i's flush spills feed level i+1 before
    level i+1 itself flushes, so end-of-run dirty lines cascade down the
@@ -190,4 +204,4 @@ let flush t =
 
 let invalidate t =
   Array.iter Cache.invalidate t.caches;
-  Array.iter (fun q -> q.q_len <- 0) t.queues
+  Array.iter (fun q -> Cache.Words.clear q.q_words) t.queues

@@ -7,8 +7,9 @@
     emits — a read fill of the full line on every miss (write-allocate)
     and a write spill on every dirty eviction (write-back).  Inter-level
     traffic travels through the same packed-event funnel ({!Cache.pack}
-    words in one buffer) the single-cache replay path uses, and every
-    level keeps its own {!Stats}, so DVF can be evaluated per level.
+    words in one {!Cache.Words.t}, so the inner levels walk it with no
+    word check) the single-cache replay path uses, and every level keeps
+    its own {!Stats}, so DVF can be evaluated per level.
 
     Invariant (after {!flush}): a level's accesses equal the previous
     level's misses plus its writebacks.
@@ -74,6 +75,11 @@ val access_batch :
     [shards] is clamped to {!max_shards}; shards beyond the clamp are
     no-ops.  The filter applies at level 1 only: deeper levels see only
     fills/spills of already-filtered lines. *)
+
+val access_words : t -> Cache.Words.t -> shards:int -> shard:int -> unit
+(** {!access_batch} over every live word of the buffer, with no word
+    check at any level ({!Cache.access_words}): the tape replays' entry
+    point. *)
 
 val flush : t -> unit
 (** Drain the hierarchy top-down: level [i]'s flush spills feed level

@@ -8,72 +8,80 @@ type counters = {
 
 let zero = { reads = 0; writes = 0; hits = 0; misses = 0; writebacks = 0 }
 
-type cell = {
-  mutable reads : int;
-  mutable writes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable writebacks : int;
-}
+(* Every counter lives in one flat array, [stride] words per owner in
+   the order reads, writes, hits, misses, writebacks, so [Cache]'s walk
+   bumps them in place without a call per line.  The array only grows:
+   an owner's slot, once reserved, stays valid for the record's life. *)
+let stride = 5
 
-type t = { mutable cells : cell array }
+type t = { mutable counts : int array }
 
-let fresh_cell () =
-  { reads = 0; writes = 0; hits = 0; misses = 0; writebacks = 0 }
+let create () = { counts = Array.make (8 * stride) 0 }
+let counts t = t.counts
 
-let create () = { cells = Array.init 8 (fun _ -> fresh_cell ()) }
-
-let ensure t owner =
+let reserve t ~owner =
   if owner < 0 then invalid_arg "Stats: negative owner";
-  let n = Array.length t.cells in
+  let n = Array.length t.counts / stride in
   if owner >= n then begin
-    let n' = max (owner + 1) (2 * n) in
-    let cells = Array.init n' (fun i -> if i < n then t.cells.(i) else fresh_cell ()) in
-    t.cells <- cells
+    let counts = Array.make (max (owner + 1) (2 * n) * stride) 0 in
+    Array.blit t.counts 0 counts 0 (n * stride);
+    t.counts <- counts
   end;
-  t.cells.(owner)
+  t.counts
+
+let bump a i = Array.unsafe_set a i (Array.unsafe_get a i + 1)
 
 let record_access t ~owner ~write ~hit =
-  let c = ensure t owner in
-  if write then c.writes <- c.writes + 1 else c.reads <- c.reads + 1;
-  if hit then c.hits <- c.hits + 1 else c.misses <- c.misses + 1
+  let a = reserve t ~owner in
+  let base = owner * stride in
+  bump a (base + Bool.to_int write);
+  bump a (base + if hit then 2 else 3)
 
 let record_writeback t ~owner =
-  let c = ensure t owner in
-  c.writebacks <- c.writebacks + 1
+  let a = reserve t ~owner in
+  bump a ((owner * stride) + 4)
 
 let add t ~owner (n : counters) =
-  let c = ensure t owner in
-  c.reads <- c.reads + n.reads;
-  c.writes <- c.writes + n.writes;
-  c.hits <- c.hits + n.hits;
-  c.misses <- c.misses + n.misses;
-  c.writebacks <- c.writebacks + n.writebacks
+  let a = reserve t ~owner in
+  let base = owner * stride in
+  a.(base) <- a.(base) + n.reads;
+  a.(base + 1) <- a.(base + 1) + n.writes;
+  a.(base + 2) <- a.(base + 2) + n.hits;
+  a.(base + 3) <- a.(base + 3) + n.misses;
+  a.(base + 4) <- a.(base + 4) + n.writebacks
 
-let counters_of_cell (c : cell) : counters =
+let slot_counters a owner : counters =
+  let base = owner * stride in
   {
-    reads = c.reads;
-    writes = c.writes;
-    hits = c.hits;
-    misses = c.misses;
-    writebacks = c.writebacks;
+    reads = a.(base);
+    writes = a.(base + 1);
+    hits = a.(base + 2);
+    misses = a.(base + 3);
+    writebacks = a.(base + 4);
   }
 
 let owner_counters t owner =
-  if owner < 0 || owner >= Array.length t.cells then zero
-  else counters_of_cell t.cells.(owner)
+  if owner < 0 || owner * stride >= Array.length t.counts then zero
+  else slot_counters t.counts owner
 
 let totals t =
-  Array.fold_left
-    (fun (acc : counters) (c : cell) ->
-      {
-        reads = acc.reads + c.reads;
-        writes = acc.writes + c.writes;
-        hits = acc.hits + c.hits;
-        misses = acc.misses + c.misses;
-        writebacks = acc.writebacks + c.writebacks;
-      })
-    zero t.cells
+  let a = t.counts in
+  let sum k =
+    let s = ref 0 in
+    let i = ref k in
+    while !i < Array.length a do
+      s := !s + a.(!i);
+      i := !i + stride
+    done;
+    !s
+  in
+  {
+    reads = sum 0;
+    writes = sum 1;
+    hits = sum 2;
+    misses = sum 3;
+    writebacks = sum 4;
+  }
 
 let main_memory_accesses t owner =
   let c = owner_counters t owner in
@@ -83,13 +91,17 @@ let total_main_memory_accesses t =
   let c = totals t in
   c.misses + c.writebacks
 
-let is_empty (c : cell) =
-  c.reads = 0 && c.writes = 0 && c.hits = 0 && c.misses = 0 && c.writebacks = 0
+let is_active a owner =
+  let base = owner * stride in
+  let rec any k = k < stride && (a.(base + k) <> 0 || any (k + 1)) in
+  any 0
 
 let owners t =
   let acc = ref [] in
-  Array.iteri (fun i c -> if not (is_empty c) then acc := i :: !acc) t.cells;
-  List.rev !acc
+  for owner = (Array.length t.counts / stride) - 1 downto 0 do
+    if is_active t.counts owner then acc := owner :: !acc
+  done;
+  !acc
 
 (* --- immutable snapshots: what consumers outside the simulation loop
    read.  One coherent record per capture instead of piecemeal
@@ -100,7 +112,7 @@ type snapshot = { per_owner : (int * counters) array; totals : counters }
 let snapshot t =
   let per_owner =
     Array.of_list
-      (List.map (fun o -> (o, counters_of_cell t.cells.(o))) (owners t))
+      (List.map (fun o -> (o, slot_counters t.counts o)) (owners t))
   in
   let totals =
     Array.fold_left
@@ -154,29 +166,15 @@ end
    accumulator after the domains join.  Addition is commutative, so the
    merged totals are independent of worker scheduling. *)
 let merge ~into src =
-  Array.iteri
-    (fun owner (s : cell) ->
-      if not (is_empty s) then begin
-        let c = ensure into owner in
-        c.reads <- c.reads + s.reads;
-        c.writes <- c.writes + s.writes;
-        c.hits <- c.hits + s.hits;
-        c.misses <- c.misses + s.misses;
-        c.writebacks <- c.writebacks + s.writebacks
-      end)
-    src.cells
+  let n = Array.length src.counts in
+  let a = reserve into ~owner:((n / stride) - 1) in
+  for i = 0 to n - 1 do
+    a.(i) <- a.(i) + src.counts.(i)
+  done
 
 let sum stats =
   let acc = create () in
   List.iter (fun s -> merge ~into:acc s) stats;
   acc
 
-let reset t =
-  Array.iter
-    (fun (c : cell) ->
-      c.reads <- 0;
-      c.writes <- 0;
-      c.hits <- 0;
-      c.misses <- 0;
-      c.writebacks <- 0)
-    t.cells
+let reset t = Array.fill t.counts 0 (Array.length t.counts) 0

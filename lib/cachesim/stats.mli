@@ -80,3 +80,22 @@ val sum : t list -> t
 (** Fresh statistics holding the element-wise sum of the inputs. *)
 
 val reset : t -> unit
+
+(** {2 The counter layout}
+
+    Private to this module and {!Cache}: the packed walk bumps counters
+    in place rather than calling {!record_access} per line.  Everything
+    else reads through the functions above. *)
+
+val stride : int
+(** Words per owner in {!counts}: reads, writes, hits, misses and
+    writebacks at offsets 0 to 4 of the slot [owner * stride]. *)
+
+val counts : t -> int array
+(** The current storage.  It is replaced, never shrunk, when an owner
+    past its end is reserved, so a caller holding it re-reads it after
+    {!reserve}. *)
+
+val reserve : t -> owner:int -> int array
+(** Grow the storage to hold [owner]'s slot (keeping every count) and
+    return it.  Raises [Invalid_argument] on a negative owner. *)

@@ -163,9 +163,9 @@ let grow_owners t owner =
   t.wb <- grow t.wb t.nlevels;
   t.owner_cap <- n'
 
-let access_batch t ~events ~pos ~len ~shards ~shard =
-  Cache.check_shards ~shards ~shard;
-  Cache.validate_batch ~events ~pos ~len;
+(* The walk of a checked range: [access_batch] validated the words,
+   [access_words] got them valid by construction. *)
+let walk t ~events ~pos ~len ~shards ~shard =
   let eff = min shards t.sets.(0) in
   (match t.pinned with
   | Some (e, s) when e = eff && s = shard -> ()
@@ -257,6 +257,16 @@ let access_batch t ~events ~pos ~len ~shards ~shard =
       done
     done
   end
+
+let access_batch t ~events ~pos ~len ~shards ~shard =
+  Cache.check_shards ~shards ~shard;
+  Cache.validate_batch ~events ~pos ~len;
+  walk t ~events ~pos ~len ~shards ~shard
+
+let access_words t words ~shards ~shard =
+  Cache.check_shards ~shards ~shard;
+  walk t ~events:(Cache.Words.unsafe_events words) ~pos:0
+    ~len:(Cache.Words.length words) ~shards ~shard
 
 let flush t =
   let nl = t.nlevels in

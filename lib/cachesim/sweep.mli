@@ -50,6 +50,10 @@ val access_batch :
     walker to renumbering lines in first-touch order, so no table grows
     with the magnitude of the addresses. *)
 
+val access_words : t -> Cache.Words.t -> shards:int -> shard:int -> unit
+(** {!access_batch} over every live word of the buffer, with no word
+    check (see {!Cache.Words}). *)
+
 val flush : t -> unit
 (** End of run: write back every dirty line of every geometry (counted
     for the owner that filled it) and empty every geometry. *)

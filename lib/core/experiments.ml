@@ -178,10 +178,9 @@ let simulate_totals ~pool ~telemetry ~caches (cap : Verify.capture) =
   in
   let walk shard =
     let sweep = Cachesim.Sweep.create caches in
-    Memtrace.Tape.fold_chunks cap.Verify.tape ~init:()
-      ~f:(fun () ~events ~len ->
-        Cachesim.Sweep.access_batch sweep ~events ~pos:0 ~len ~shards:width
-          ~shard);
+    Memtrace.Tape.replay_view_sweep
+      (Memtrace.Tape.view cap.Verify.tape ~shards:width ~shard)
+      sweep;
     Cachesim.Sweep.flush sweep;
     Cachesim.Sweep.stats sweep
   in

@@ -190,31 +190,18 @@ let naive_dft re im =
 
 (* Template input: the same pass structure with phantom values. *)
 let reference_stream p =
-  (* Stores are encoded as (lnot idx) and decoded into (refs, writes). *)
-  let refs = ref [] and count = ref 0 in
+  let stream = Ref_stream.create () in
   let ops =
     (module struct
-      let get i = refs := i :: !refs; incr count; Complex.zero
-      let set i _ = refs := lnot i :: !refs; incr count
+      let get i = Ref_stream.read stream i; Complex.zero
+      let set i _ = Ref_stream.write stream i
     end : Ops)
   in
   let no_flops _ = () in
   for _ = 1 to p.repeats do
     transform ops ~n:p.n ~sign:(-1.0) ~flops:no_flops
   done;
-  let arr = Array.make !count 0 and writes = Array.make !count false in
-  let rec fill i = function
-    | [] -> ()
-    | x :: rest ->
-        if x < 0 then begin
-          arr.(i) <- lnot x;
-          writes.(i) <- true
-        end
-        else arr.(i) <- x;
-        fill (i - 1) rest
-  in
-  fill (!count - 1) !refs;
-  (arr, writes)
+  Ref_stream.to_arrays stream
 
 let spec p =
   let refs, writes = reference_stream p in

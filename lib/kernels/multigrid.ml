@@ -299,39 +299,22 @@ let run_injected p ~structure ~flip_at ~pick ~flip =
    the CGPMAC template input — derived from the pseudocode (the loop nest
    above), not from a memory trace. *)
 let reference_streams p =
-  (* Encode a store as (lnot idx) in the accumulating list, decoded into
-     the (refs, writes) pair the template model consumes. *)
-  let r_refs = ref [] and u_refs = ref [] and v_refs = ref [] in
-  let nr = ref 0 and nu = ref 0 and nv = ref 0 in
+  let r = Ref_stream.create () and u = Ref_stream.create ()
+  and v = Ref_stream.create () in
   let ops =
     (module struct
-      let get_r i = r_refs := i :: !r_refs; incr nr; 0.0
-      let set_r i _ = r_refs := lnot i :: !r_refs; incr nr
-      let get_u i = u_refs := i :: !u_refs; incr nu; 0.0
-      let set_u i _ = u_refs := lnot i :: !u_refs; incr nu
-      let get_v i = v_refs := i :: !v_refs; incr nv; 0.0
+      let get_r i = Ref_stream.read r i; 0.0
+      let set_r i _ = Ref_stream.write r i
+      let get_u i = Ref_stream.read u i; 0.0
+      let set_u i _ = Ref_stream.write u i
+      let get_v i = Ref_stream.read v i; 0.0
     end : Ops)
   in
   let flops _ = () in
   for _ = 1 to p.v_cycles do
     v_cycle ops p ~flops
   done;
-  let to_arrays n lst =
-    let refs = Array.make n 0 and writes = Array.make n false in
-    let rec fill i = function
-      | [] -> ()
-      | x :: rest ->
-          if x < 0 then begin
-            refs.(i) <- lnot x;
-            writes.(i) <- true
-          end
-          else refs.(i) <- x;
-          fill (i - 1) rest
-    in
-    fill (n - 1) lst;
-    (refs, writes)
-  in
-  (to_arrays !nr !r_refs, to_arrays !nu !u_refs, to_arrays !nv !v_refs)
+  (Ref_stream.to_arrays r, Ref_stream.to_arrays u, Ref_stream.to_arrays v)
 
 let spec p =
   let total_bytes = 8 * hierarchy_elements p in

@@ -6,9 +6,16 @@
    directly through [append] — no per-event record, no intermediate
    buffer — which keeps capture at one store and an increment per
    event.  Captured and loaded tapes hold the same chunks: [Tape_io]
-   decodes a file straight into them ([append_chunk]). *)
+   decodes a file straight into them ([append_chunk]).
 
-type chunk = { events : int array; mutable len : int }
+   A chunk is a [Cachesim.Cache.Words.t]: [append] fills it through
+   [pack] and [append_chunk] checks the array it adopts, so every word
+   of a tape is valid from the moment it enters it, and the replays
+   below walk chunks with no per-walk word check. *)
+
+module Words = Cachesim.Cache.Words
+
+type chunk = Words.t
 
 type t = {
   chunk_capacity : int;
@@ -20,7 +27,6 @@ type t = {
 
 let default_chunk_events = 65536
 let bytes_per_event = Sys.word_size / 8
-let fresh_chunk capacity = { events = Array.make capacity 0; len = 0 }
 
 let create ?(chunk_events = default_chunk_events) () =
   if chunk_events <= 0 then
@@ -31,7 +37,7 @@ let create ?(chunk_events = default_chunk_events) () =
     chunk_capacity = chunk_events;
     filled = [];
     filled_count = 0;
-    head = fresh_chunk chunk_events;
+    head = Words.create chunk_events;
     total = 0;
   }
 
@@ -41,31 +47,30 @@ let chunk_events t = t.chunk_capacity
 (* [filled_count] is maintained on every chunk retirement; telemetry
    gauges sample these per chunk, so recomputing [List.length t.filled]
    here used to make capture quadratic in tape length. *)
-let chunk_count t = t.filled_count + if t.head.len > 0 then 1 else 0
+let chunk_count t = t.filled_count + if Words.length t.head > 0 then 1 else 0
 let allocated_bytes t = (t.filled_count + 1) * t.chunk_capacity * bytes_per_event
 
 let retire_head t =
   t.filled <- t.head :: t.filled;
   t.filled_count <- t.filled_count + 1;
-  t.head <- fresh_chunk t.chunk_capacity
+  t.head <- Words.create t.chunk_capacity
 
 (* Validate before touching any state, so a rejected event leaves the
-   tape exactly as it was (a full head is not retired for it).  The
-   unchecked store is in bounds: every chunk's array holds exactly
-   [chunk_capacity] words ([append_chunk] enforces it for adopted ones)
-   and [len < chunk_capacity] once a full head is retired. *)
+   tape exactly as it was (a full head is not retired for it).  Every
+   retired chunk is full, so the head holds the events past the last
+   full chunk and its length needs no call. *)
 let append t ~owner ~write ~addr ~size =
   if addr < 0 then invalid_arg "Tape.append: negative address";
-  let w = Cachesim.Cache.pack ~owner ~write ~addr ~size in
-  if t.head.len = t.chunk_capacity then retire_head t;
-  let c = t.head in
-  Array.unsafe_set c.events c.len w;
-  c.len <- c.len + 1;
+  if t.total - (t.filled_count * t.chunk_capacity) = t.chunk_capacity then begin
+    ignore (Cachesim.Cache.pack ~owner ~write ~addr ~size : int);
+    retire_head t
+  end;
+  Words.add t.head ~owner ~write ~addr ~size;
   t.total <- t.total + 1
 
-(* Chunk adoption (the [Tape_io] load path): the arrays become the
-   tape's own storage, full chunks retired as captured ones are and a
-   partial one becoming the appendable head. *)
+(* Chunk adoption (the [Tape_io] load path): the arrays are checked and
+   become the tape's own storage, full chunks retired as captured ones
+   are and a partial one becoming the appendable head. *)
 let append_chunk t ~events ~len =
   if Array.length events <> t.chunk_capacity then
     invalid_arg
@@ -75,11 +80,11 @@ let append_chunk t ~events ~len =
     invalid_arg
       (Printf.sprintf "Tape.append_chunk: bad length %d (capacity %d)" len
          t.chunk_capacity);
-  if t.head.len > 0 then
+  if Words.length t.head > 0 then
     invalid_arg
       "Tape.append_chunk: tape ends in a partial chunk; adopted chunks can \
        only follow full ones";
-  let c = { events; len } in
+  let c = Words.adopt events ~len in
   if len = t.chunk_capacity then begin
     t.filled <- c :: t.filled;
     t.filled_count <- t.filled_count + 1
@@ -92,11 +97,16 @@ let materialize (_ : t) = ()
 (* Chunks in capture order: [filled] is most-recent-first, then the
    partial head (skipped when empty, so no walk dispatches an empty
    batch). *)
-let chunks t = List.rev (if t.head.len > 0 then t.head :: t.filled else t.filled)
+let chunks t =
+  List.rev (if Words.length t.head > 0 then t.head :: t.filled else t.filled)
 
+(* Readers get a copy, so no caller can write a word the walks trust. *)
 let fold_chunks t ~init ~f =
+  let events = Array.make t.chunk_capacity 0 in
   List.fold_left
-    (fun acc c -> f acc ~events:c.events ~len:c.len)
+    (fun acc c ->
+      Words.blit c events;
+      f acc ~events ~len:(Words.length c))
     init (chunks t)
 
 (* {2 Views and replay}
@@ -122,9 +132,9 @@ let replay_view v caches =
     (fun c ->
       Array.iter
         (fun cache ->
-          Cachesim.Cache.access_batch cache ~events:c.events ~pos:0
-            ~len:c.len ~shards:v.v_shards ~shard:v.v_shard
-            ~fill:Cachesim.Cache.nofeed ~spill:Cachesim.Cache.nofeed)
+          Cachesim.Cache.access_words cache c ~shards:v.v_shards
+            ~shard:v.v_shard ~fill:Cachesim.Cache.nofeed
+            ~spill:Cachesim.Cache.nofeed)
         caches)
     v.v_chunks
 
@@ -133,9 +143,15 @@ let replay_view_hierarchies v hierarchies =
     (fun c ->
       Array.iter
         (fun h ->
-          Cachesim.Hierarchy.access_batch h ~events:c.events ~pos:0
-            ~len:c.len ~shards:v.v_shards ~shard:v.v_shard)
+          Cachesim.Hierarchy.access_words h c ~shards:v.v_shards
+            ~shard:v.v_shard)
         hierarchies)
+    v.v_chunks
+
+let replay_view_sweep v sweep =
+  List.iter
+    (fun c ->
+      Cachesim.Sweep.access_words sweep c ~shards:v.v_shards ~shard:v.v_shard)
     v.v_chunks
 
 let replay_fused_sharded t caches ~shards ~shard =

@@ -15,8 +15,14 @@
     per event and stays off the minor collector.  A chunk is just its
     array and a length, whether it was captured or loaded by
     {!Tape_io}.  Replay streams whole chunks through
-    {!Cachesim.Cache.access_batch}, driving several caches from a single
+    {!Cachesim.Cache.access_words}, driving several caches from a single
     chunk walk so each chunk is read once while it is hot.
+
+    Invariant: every word of a tape is a valid packed event.  A chunk is
+    a {!Cachesim.Cache.Words.t}; {!append} writes it through
+    {!Cachesim.Cache.pack} and {!append_chunk} checks what it adopts, so
+    a word is checked once, as it enters the tape, and the replays walk
+    chunks with no word check however many caches and shards they feed.
 
     Tapes are single-domain values: capture on one domain, then hand the
     (immutable-from-then-on) tape to replay jobs freely — concurrent
@@ -46,8 +52,9 @@ val append_chunk : t -> events:int array -> len:int -> unit
     (the caller must not touch it again).  A partial chunk
     ([len < chunk_events t]) becomes the appendable head.  Raises
     [Invalid_argument] on an array of the wrong size, a length outside
-    [0 .. chunk_events t], or a tape that already ends in a partial
-    chunk. *)
+    [0 .. chunk_events t], a word no {!Cachesim.Cache.pack} call returns
+    ({!Cachesim.Cache.Words.adopt}), or a tape that already ends in a
+    partial chunk; the tape is unchanged then. *)
 
 (** {2 Views and replay}
 
@@ -69,11 +76,15 @@ val view : t -> shards:int -> shard:int -> view
 
 val replay_view : view -> Cachesim.Cache.t array -> unit
 (** Walk the view's chunks into [caches] via
-    {!Cachesim.Cache.access_batch}, restricted to the view's shard.
+    {!Cachesim.Cache.access_words}, restricted to the view's shard.
     {!replay_fused} is built on it; otherwise kept for perfbench. *)
 
 val replay_view_hierarchies : view -> Cachesim.Hierarchy.t array -> unit
-(** {!replay_view} over hierarchies. *)
+(** {!replay_view} over hierarchies ({!Cachesim.Hierarchy.access_words}). *)
+
+val replay_view_sweep : view -> Cachesim.Sweep.t -> unit
+(** {!replay_view} into one all-geometry walker
+    ({!Cachesim.Sweep.access_words}). *)
 
 val replay_fused : t -> Cachesim.Cache.t array -> unit
 (** One pass over the tape driving every cache, each chunk replayed into
@@ -119,11 +130,12 @@ val fold_chunks :
   init:'a ->
   f:('a -> events:int array -> len:int -> 'a) ->
   'a
-(** Fold over the raw chunks in capture order, without decoding or
-    copying — indices [0 .. len-1] of [events] are live.  The arrays
-    are the tape's own storage: callers must not mutate them.
-    {!iter} and {!Tape_io.save} are built on this fold; replays walk
-    views instead. *)
+(** Fold over the chunks' words in capture order, without decoding —
+    indices [0 .. len-1] of [events] are live.  [events] is a copy (one
+    array, refilled for each chunk), so no caller can change a word the
+    replays trust; read it before [f] returns.  {!iter} and
+    {!Tape_io.save} are built on this fold; replays walk views
+    instead. *)
 
 val materialize : t -> unit
 (** A no-op: every chunk is already decoded.  Kept for perfbench. *)

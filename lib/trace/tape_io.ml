@@ -27,8 +27,9 @@
 
    [load] streams the payload one chunk at a time: one read of the
    chunk's bytes, then a single loop that decodes each word, stores it
-   and folds it into the checksum.  Chunks are adopted into the tape
-   only after the whole checksum matches, so a corrupt file never
+   and folds it into the checksum, then the chunk's adoption, which
+   checks every word.  The tape is handed out only after the whole
+   checksum matches and every word is valid, so a corrupt file never
    yields a partial tape.
 
    Versions 1 to 3 are refused with [Version_mismatch]; the tape store
@@ -115,26 +116,27 @@ let header_bytes ~meta ~registry ~tape =
     entries;
   Buffer.to_bytes header
 
+(* One pass over the chunks encodes and hashes each word; the checksum
+   covers the whole payload, so it is patched into the header last. *)
 let write_tape oc ~meta ~registry ~tape =
   let header = header_bytes ~meta ~registry ~tape in
+  output_bytes oc header;
+  let scratch = Bytes.create (8 * Tape.chunk_events tape) in
   let checksum =
     Tape.fold_chunks tape
       ~init:(header_hash (Bytes.to_string header))
       ~f:(fun h ~events ~len ->
         let h = ref h in
         for i = 0 to len - 1 do
-          h := hash_mix !h events.(i)
+          h := hash_mix !h events.(i);
+          Bytes.set_int64_le scratch (8 * i) (Int64.of_int events.(i))
         done;
+        output oc scratch 0 (8 * len);
         !h)
   in
-  Bytes.set_int64_le header checksum_pos (Int64.of_int checksum);
-  output_bytes oc header;
-  let scratch = Bytes.create (8 * Tape.chunk_events tape) in
-  Tape.fold_chunks tape ~init:() ~f:(fun () ~events ~len ->
-      for i = 0 to len - 1 do
-        Bytes.set_int64_le scratch (8 * i) (Int64.of_int events.(i))
-      done;
-      output oc scratch 0 (8 * len))
+  Bytes.set_int64_le scratch 0 (Int64.of_int checksum);
+  seek_out oc checksum_pos;
+  output oc scratch 0 8
 
 (* Each save writes its own temporary, named after the process and a
    per-process counter, so concurrent writers of one path (processes or
@@ -231,8 +233,13 @@ let read_regions r =
 
 (* The payload starts where the header ends.  The file size is checked
    against the event count before anything is allocated for it; then
-   every chunk is read, decoded and hashed in one pass, and the chunks
-   are adopted only once the checksum matches. *)
+   every chunk is read, decoded and hashed in one pass, and adopted into
+   a tape of this call's own while it is still in cache
+   ([Tape.append_chunk] checks every word).  The tape is returned only
+   once the checksum matches and every word is valid, so a corrupt file
+   never yields a partial tape; a damaged file reports its checksum
+   mismatch, and an invalid word under a matching checksum (a forged
+   file) is [Corrupt] too. *)
 let read_payload r ~chunk_events ~total ~stored_checksum =
   let payload_offset = pos_in r.ic in
   let payload_bytes = in_channel_length r.ic - payload_offset in
@@ -241,9 +248,10 @@ let read_payload r ~chunk_events ~total ~stored_checksum =
   seek_in r.ic 0;
   let hash = ref (header_hash (really_input_string r.ic payload_offset)) in
   let buf = Bytes.create (8 * min chunk_events total) in
-  let rec chunks acc remaining =
-    if remaining = 0 then List.rev acc
-    else begin
+  let tape = Tape.create ~chunk_events () in
+  let invalid = ref None in
+  let rec chunks k remaining =
+    if remaining > 0 then begin
       let len = min chunk_events remaining in
       read_exact r.ic buf 0 (8 * len);
       let events = Array.make chunk_events 0 in
@@ -254,13 +262,15 @@ let read_payload r ~chunk_events ~total ~stored_checksum =
         h := hash_mix !h w
       done;
       hash := !h;
-      chunks ((events, len) :: acc) (remaining - len)
+      (if !invalid = None then
+         try Tape.append_chunk tape ~events ~len
+         with Invalid_argument _ -> invalid := Some k);
+      chunks (k + 1) (remaining - len)
     end
   in
-  let chunks = chunks [] total in
+  chunks 0 total;
   if !hash <> stored_checksum then corrupt "checksum mismatch";
-  let tape = Tape.create ~chunk_events () in
-  List.iter (fun (events, len) -> Tape.append_chunk tape ~events ~len) chunks;
+  Option.iter (corrupt "invalid event word in chunk %d") !invalid;
   tape
 
 let with_file path f =

@@ -13,8 +13,10 @@
     {!Cachesim.Cache.pack} words of each chunk in capture order, so the
     file is the header plus 8 bytes per event.  Chunk lengths follow
     from the event count and the chunk capacity.  {!load} streams the
-    payload, decoding and hashing each chunk in one pass, and adopts the
-    chunks (via {!Tape.append_chunk}) only once the checksum matches.
+    payload, decoding and hashing each chunk in one pass and adopting it
+    (via {!Tape.append_chunk}, which checks every word) while it is
+    still in cache; the tape is returned only once the checksum matches
+    and every word is valid.
     Version 1 to 3 files are refused.
 
     All multi-byte fields are little-endian and fixed-width; the format
@@ -38,7 +40,8 @@ type meta = {
 type error =
   | Bad_magic  (** not a tape file at all *)
   | Version_mismatch of int  (** a tape, but written by another version *)
-  | Corrupt of string  (** truncated, checksum mismatch, bad field... *)
+  | Corrupt of string
+      (** truncated, checksum mismatch, bad field, invalid event word... *)
   | Io_error of string  (** could not open/read the file *)
 
 val error_to_string : error -> string
@@ -54,9 +57,13 @@ val save :
 
 val load : string -> (meta * Region.t * Tape.t, error) result
 (** Read a tape file back.  Verifies magic, version, the header fields,
-    the file size against the event count, and the checksum, which
-    covers every header field and every event; any failure is a
-    structured [Error], never a partial tape or an exception. *)
+    the file size against the event count, the checksum, which covers
+    every header field and every event, and every event word: a word no
+    {!Cachesim.Cache.pack} call returns is [Corrupt] even under a
+    matching checksum (the checksum is not a signature, and the tape
+    invariant is that every word is valid).  A file failing both checks
+    reports the checksum mismatch.  Any failure is a structured [Error],
+    never a partial tape or an exception. *)
 
 val read_meta : string -> (meta, error) result
 (** Provenance only — reads just the fixed header, not the region table

@@ -18,3 +18,23 @@ let simulate cfg tape =
   Mt.Tape.replay_fused tape [| cache |];
   Cachesim.Cache.flush cache;
   cache
+
+(* Rewrite event word [index] of a saved tape file's bytes to [word] and
+   re-seal its checksum as [Tape_io] documents it: the FNV-1a-shaped
+   [hash_mix h w = (h lxor w) * 0x100000001b3] from 0x3243f6a8885a308,
+   over every header byte but the checksum's own eight (offset 24), then
+   over the event words.  The result is a forged file, not a damaged
+   one: only the word check can refuse it. *)
+let forge_event_word b ~index ~word =
+  let total = Int64.to_int (Bytes.get_int64_le b 16) in
+  let payload = Bytes.length b - (8 * total) in
+  Bytes.set_int64_le b (payload + (8 * index)) (Int64.of_int word);
+  let mix h w = (h lxor w) * 0x100000001b3 in
+  let h = ref 0x3243f6a8885a308 in
+  for i = 0 to payload - 1 do
+    if i < 24 || i >= 32 then h := mix !h (Char.code (Bytes.get b i))
+  done;
+  for i = 0 to total - 1 do
+    h := mix !h (Int64.to_int (Bytes.get_int64_le b (payload + (8 * i))))
+  done;
+  Bytes.set_int64_le b 24 (Int64.of_int !h)

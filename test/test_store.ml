@@ -131,6 +131,26 @@ let test_corrupt_entry_evicted () =
       Alcotest.(check bool) "fresh entry back on disk" true
         (Sys.file_exists path))
 
+(* A forged entry — an invalid event word under a re-sealed checksum —
+   is [Corrupt] to the loader, so the store evicts and recaptures it
+   like any damaged file instead of serving a tape no walk accepts. *)
+let test_forged_word_recaptured () =
+  let telemetry = T.create () in
+  with_store ~telemetry (fun store ->
+      let registry, tape = make_capture 200 () in
+      Mt.Tape_store.save store key ~registry ~tape;
+      let path = Mt.Tape_store.path store key in
+      patch_file path (Fixtures.forge_event_word ~index:0 ~word:(-1));
+      let _, recaptured, hit =
+        Mt.Tape_store.find_or_capture store key ~capture:(make_capture 200)
+      in
+      Alcotest.(check bool) "forged entry not served" false hit;
+      Alcotest.(check int) "store/evictions" 1
+        (T.counter_value telemetry "store/evictions");
+      check_same_tape "recaptured tape" tape recaptured;
+      Alcotest.(check bool) "recaptured entry served" true
+        (Mt.Tape_store.find store key <> None))
+
 let test_stale_version_evicted () =
   with_store (fun store ->
       let registry, tape = make_capture 64 () in
@@ -439,4 +459,6 @@ let suite =
       test_create_on_file_rejected;
     Alcotest.test_case "Verify.capture through the store" `Quick
       test_verify_capture_through_store;
+    Alcotest.test_case "forged word is recaptured" `Quick
+      test_forged_word_recaptured;
   ]

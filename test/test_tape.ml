@@ -475,6 +475,128 @@ let test_sweep_simulate () =
          r.Core.Experiments.sim_n_ha = None)
        plain)
 
+(* --- one walk behind two entries ---
+
+   A tape's words are checked once, as they enter it, and its chunks are
+   walked with no further check ([Cache.access_words] and the hierarchy
+   and sweep entries built on it); a caller's [int array] is checked by
+   [access_batch] first.  Both must then be the same walk.  Random valid
+   words, walked shard by shard through a tape view and through the
+   checked entries, must leave identical per-owner statistics at every
+   level and, for timed hierarchies, identical residency.  One event
+   carries owner 511, first seen mid-batch and far above a fresh
+   statistics record's initial capacity, so the in-place counters must
+   grow mid-walk; the level-1 totals over all shards must also equal a
+   per-event [Cache.access] loop, whose counters grow on their own
+   path. *)
+
+type two_walks = Plain | Levels of int | Timed of int | Sweep
+
+let gen_two_walks =
+  let open QCheck.Gen in
+  let* kind =
+    oneofl [ Plain; Levels 2; Levels 3; Timed 1; Timed 2; Timed 3; Sweep ]
+  in
+  let* assoc = oneofl [ 1; 2; 4 ] in
+  let* sets = oneofl [ 1; 2; 4; 8 ] in
+  let* line = oneofl [ 8; 16; 32 ] in
+  let* shards = oneofl [ 1; 2; 4 ] in
+  let* chunk_events = 1 -- 64 in
+  let* events =
+    array_size (2 -- 300) (quad (0 -- 4095) (1 -- 100) (0 -- 40) bool)
+  in
+  let* at = 1 -- (Array.length events - 1) in
+  return (kind, assoc, sets, line, shards, chunk_events, events, at)
+
+let prop_tape_walk_matches_checked_walk =
+  QCheck.Test.make ~count:300 ~name:"tape walk = checked int-array walk"
+    (QCheck.make gen_two_walks)
+    (fun (kind, assoc, sets, line, shards, chunk_events, events, at) ->
+      let n = Array.length events in
+      let events =
+        Array.mapi
+          (fun i (addr, size, owner, write) ->
+            (addr, size, (if i = at then C.Cache.max_owner else owner), write))
+          events
+      in
+      let packed =
+        Array.map
+          (fun (addr, size, owner, write) -> C.Cache.pack ~owner ~write ~addr ~size)
+          events
+      in
+      let tape = Mt.Tape.create ~chunk_events () in
+      Array.iter
+        (fun (addr, size, owner, write) ->
+          Mt.Tape.append tape ~owner ~write ~addr ~size)
+        events;
+      let depth = match kind with Levels k | Timed k -> k | Plain -> 1 | Sweep -> 3 in
+      let configs =
+        List.init depth (fun i ->
+            C.Config.make ~name:"walk" ~associativity:assoc ~sets:(sets lsl i)
+              ~line)
+      in
+      let nofeed = C.Cache.nofeed in
+      (* One shard's observable state after each entry: per-level
+         statistics (and residency), the level-1 statistics first. *)
+      let observe shard =
+        let view = Mt.Tape.view tape ~shards ~shard in
+        match kind with
+        | Plain ->
+            let walk f =
+              let c = C.Cache.create (List.hd configs) in
+              f c;
+              C.Cache.flush c;
+              [ (C.Cache.stats c, None) ]
+            in
+            ( walk (fun c -> Mt.Tape.replay_view view [| c |]),
+              walk (fun c ->
+                  C.Cache.access_batch c ~events:packed ~pos:0 ~len:n ~shards
+                    ~shard ~fill:nofeed ~spill:nofeed) )
+        | Levels _ | Timed _ ->
+            let walk f =
+              let h = C.Hierarchy.create ~funnel_events:8 configs in
+              (match kind with
+              | Timed _ ->
+                  C.Hierarchy.attach_residency h
+                    (Array.init depth (fun _ -> C.Residency.create ~horizon:n ()))
+              | _ -> ());
+              f h;
+              C.Hierarchy.set_now h n;
+              C.Hierarchy.flush h;
+              List.init depth (fun i ->
+                  let c = C.Hierarchy.level_cache h i in
+                  ( C.Cache.stats c,
+                    Option.map C.Residency.snapshot (C.Cache.residency c) ))
+            in
+            ( walk (fun h -> Mt.Tape.replay_view_hierarchies view [| h |]),
+              walk (fun h ->
+                  C.Hierarchy.access_batch h ~events:packed ~pos:0 ~len:n
+                    ~shards ~shard) )
+        | Sweep ->
+            let walk f =
+              let s = C.Sweep.create configs in
+              f s;
+              C.Sweep.flush s;
+              List.map (fun st -> (st, None)) (C.Sweep.stats s)
+            in
+            ( walk (fun s -> Mt.Tape.replay_view_sweep view s),
+              walk (fun s ->
+                  C.Sweep.access_batch s ~events:packed ~pos:0 ~len:n ~shards
+                    ~shard) )
+      in
+      let observed = List.init shards observe in
+      let snaps = List.map (fun (st, res) -> (C.Stats.snapshot st, res)) in
+      let direct = C.Cache.create (List.hd configs) in
+      Array.iter
+        (fun (addr, size, owner, write) ->
+          C.Cache.access direct ~owner ~write ~addr ~size)
+        events;
+      C.Cache.flush direct;
+      List.for_all (fun (tape, checked) -> snaps tape = snaps checked) observed
+      && C.Stats.snapshot
+           (C.Stats.sum (List.map (fun (tape, _) -> fst (List.hd tape)) observed))
+         = snap direct)
+
 let suite =
   [
     Alcotest.test_case "pack/unpack roundtrip" `Quick test_pack_roundtrip;
@@ -503,4 +625,5 @@ let suite =
     Alcotest.test_case "verify widths = verify_instance" `Quick
       test_verify_widths_match_oracle;
     Alcotest.test_case "simulated sweep" `Quick test_sweep_simulate;
+    QCheck_alcotest.to_alcotest prop_tape_walk_matches_checked_walk;
   ]

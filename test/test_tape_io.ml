@@ -278,6 +278,43 @@ let test_corrupt_payload () =
         | Mt.Tape_io.Corrupt _ -> true
         | _ -> false))
 
+(* The checksum is not a signature: a file whose words were rewritten
+   and re-sealed passes it, so [load] checks every word as the tape
+   adopts it.  Re-sealing an unchanged word must load (the forging
+   helper computes the real checksum); a word no [pack] returns — in the
+   first chunk or the partial last one — is [Corrupt], never a tape
+   whose replay raises. *)
+let test_forged_word_corrupt () =
+  with_tape_file (fun path ->
+      save_good path;
+      let good = read_file path in
+      let forge ~index ~word =
+        let b = Bytes.of_string good in
+        Fixtures.forge_event_word b ~index ~word;
+        write_file path (Bytes.to_string b)
+      in
+      let original = Mt.Tape.to_list (make_tape 200) in
+      let w0 =
+        let e = List.hd original in
+        C.Cache.pack ~owner:e.Mt.Event.owner ~write:e.write ~addr:e.addr
+          ~size:e.size
+      in
+      forge ~index:0 ~word:w0;
+      let _, _, tape = load_exn path in
+      Alcotest.(check bool) "re-sealed unchanged file loads" true
+        (List.equal Mt.Event.equal original (Mt.Tape.to_list tape));
+      List.iter
+        (fun (index, word) ->
+          forge ~index ~word;
+          expect_error
+            (Printf.sprintf "word %d forged to %d" index word)
+            path
+            (function
+              | Mt.Tape_io.Corrupt msg ->
+                  String.starts_with ~prefix:"invalid event word" msg
+              | _ -> false))
+        [ (0, -1); (0, 1 lsl 23); (199, 1 lsl 23); (150, -1) ])
+
 (* The chunk capacity sizes the loader's allocations, so the checksum
    must vouch for it: a tape whose one partial chunk would load under
    any capacity >= its length, patched to claim a bigger capacity, is
@@ -458,4 +495,6 @@ let suite =
     Alcotest.test_case "fold_chunks equivalence" `Quick
       test_fold_chunks_equivalence;
     Alcotest.test_case "hash_string stable" `Quick test_hash_string_stable;
+    Alcotest.test_case "invalid word with a valid checksum is Corrupt" `Quick
+      test_forged_word_corrupt;
   ]
