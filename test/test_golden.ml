@@ -18,7 +18,11 @@
    --levels 3", the only pin on the three-level timed walk.  Both are
    checked at -j 1, 2 and 8: with two caches the engine gives -j 2 one
    unsharded walk per cache, so -j 8 (4 shards) is what pins the
-   sharded hierarchy walk and its residency merge end to end. *)
+   sharded hierarchy walk and its residency merge end to end.
+   golden/windows.txt holds the stdout of "dvf windows --trials 200":
+   the windowed residency of every verification capture next to the
+   flip-time SDC rates of the injection campaign, and the Spearman rows
+   between them.  It is checked at -j 1 and -j 2. *)
 
 let commands =
   [
@@ -193,6 +197,20 @@ let test_verify_levels3_golden () =
              (run_cli (args @ [ "-j"; jobs ]))))
       [ "1"; "2"; "8" ]
 
+let test_windows_golden () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    let golden =
+      In_channel.with_open_text "golden/windows.txt" In_channel.input_all
+    in
+    List.iter
+      (fun jobs ->
+        Alcotest.(check string)
+          (Printf.sprintf "windows, -j %s" jobs)
+          golden
+          (run_cli [ "windows"; "--trials"; "200"; "-j"; jobs ]))
+      [ "1"; "2" ]
+
 let suite =
   [
     Alcotest.test_case "analytic outputs match golden" `Quick test_analytic_golden;
@@ -203,4 +221,5 @@ let suite =
       test_verify_levels_golden;
     Alcotest.test_case "three-level timed verify matches golden" `Quick
       test_verify_levels3_golden;
+    Alcotest.test_case "windows matches golden" `Quick test_windows_golden;
   ]
