@@ -166,7 +166,11 @@ let feed_first t ~shards ~shard walk =
     feed t ~level:0 ~walk:(fun cache ~fill ~spill ->
         walk cache ~shards:eff ~shard ~fill ~spill)
 
+(* The batch is checked before the shard test: a shard that owns no
+   set walks nothing, but a bad batch is rejected on every shard, as
+   [Cache.access_batch] rejects it. *)
 let access_batch t ~events ~pos ~len ~shards ~shard =
+  Cache.validate_batch ~events ~pos ~len;
   feed_first t ~shards ~shard (fun cache ->
       Cache.access_batch cache ~events ~pos ~len)
 

@@ -74,7 +74,10 @@ val access_batch :
     statistics at every level bit for bit.
     [shards] is clamped to {!max_shards}; shards beyond the clamp are
     no-ops.  The filter applies at level 1 only: deeper levels see only
-    fills/spills of already-filtered lines. *)
+    fills/spills of already-filtered lines.  Raises [Invalid_argument],
+    leaving the hierarchy untouched, on a range outside [events] or an
+    invalid event word — on every shard, those past the clamp included —
+    or on a bad shard selector ({!Cache.check_shards}). *)
 
 val access_words : t -> Cache.Words.t -> shards:int -> shard:int -> unit
 (** {!access_batch} over every live word of the buffer, with no word

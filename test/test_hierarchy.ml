@@ -442,6 +442,34 @@ let test_failed_batch_leaves_cache_untouched () =
   Alcotest.(check int) "no new resident lines" 0
     (C.Cache.resident_lines cache ~owner:1 - 1)
 
+(* A shard past the hierarchy's clamp walks nothing, but its batch is
+   still checked: the same bad word [Cache.access_batch] rejects is
+   rejected here on every shard, and nothing changes. *)
+let test_failed_batch_leaves_hierarchy_untouched () =
+  let one_set = C.Config.make ~name:"one-set" ~associativity:2 ~sets:1 ~line:16 in
+  let h = C.Hierarchy.create [ one_set ] in
+  let cache = C.Hierarchy.level_cache h 0 in
+  ignore (C.Cache.touch_line cache ~owner:1 ~write:true ~line_addr:0);
+  let before = snap cache in
+  List.iter
+    (fun (shards, shard) ->
+      expect_invalid
+        (Printf.sprintf "invalid word, shard %d of %d" shard shards)
+        (fun () ->
+          C.Hierarchy.access_batch h ~events:[| -1 |] ~pos:0 ~len:1 ~shards
+            ~shard);
+      expect_invalid
+        (Printf.sprintf "bad range, shard %d of %d" shard shards)
+        (fun () ->
+          C.Hierarchy.access_batch h ~events:[||] ~pos:0 ~len:1 ~shards ~shard))
+    [ (1, 0); (2, 0); (2, 1); (8, 7) ];
+  expect_invalid "Cache.access_batch agrees" (fun () ->
+      C.Cache.access_batch (C.Cache.create one_set) ~events:[| -1 |] ~pos:0
+        ~len:1 ~shards:2 ~shard:1 ~fill:nofeed ~spill:nofeed);
+  check_snapshots "stats untouched" before (snap cache);
+  Alcotest.(check int) "line still resident" 1
+    (C.Cache.resident_lines cache ~owner:1)
+
 let test_sharded_argument_validation () =
   let cache = C.Cache.create tiny in
   let events = [| C.Cache.pack ~owner:1 ~write:false ~addr:0 ~size:4 |] in
@@ -576,6 +604,8 @@ let suite =
       test_hierarchy_sharded_identity;
     Alcotest.test_case "failed batch leaves cache untouched" `Quick
       test_failed_batch_leaves_cache_untouched;
+    Alcotest.test_case "failed batch leaves hierarchy untouched" `Quick
+      test_failed_batch_leaves_hierarchy_untouched;
     Alcotest.test_case "sharded argument validation" `Quick
       test_sharded_argument_validation;
     Alcotest.test_case "snapshot owner lookup" `Quick
