@@ -211,13 +211,15 @@ let validate_batch ~events ~pos ~len =
 (* --- validated words ---
 
    A buffer whose live words [0 .. len-1] are all valid, by
-   construction: [add] writes only what [pack] returns and [adopt]
-   checks an array before taking it, so the walks of a [Words.t]
-   ([access_words], [access_words_timed], [Sweep.access_words]) skip
-   [validate_batch].  A tape's chunks and a hierarchy's funnel are
-   such buffers; a word is checked once, where it enters one. *)
+   construction: [add] writes only what [pack] returns, [adopt] checks
+   an array before taking it, and [add_elem] writes an element of a
+   range whose first and last words were packed when it was made, so
+   the walks of a [Words.t] ([access_words], [access_words_timed],
+   [Sweep.access_words]) skip [validate_batch].  A tape's chunks and a
+   hierarchy's funnel are such buffers; a word is checked once, where
+   it enters one.  [swap] only moves valid words between buffers. *)
 module Words = struct
-  type t = { events : int array; mutable len : int }
+  type t = { mutable events : int array; mutable len : int }
 
   let create capacity =
     if capacity <= 0 then
@@ -236,6 +238,59 @@ module Words = struct
     let word = pack ~owner ~write ~addr ~size in
     if w.len = Array.length w.events then invalid_arg "Cache.Words.add: full";
     Array.unsafe_set w.events w.len word;
+    w.len <- w.len + 1
+
+  let swap a b =
+    if Array.length a.events <> Array.length b.events then
+      invalid_arg "Cache.Words.swap: capacities differ";
+    let events = a.events and len = a.len in
+    a.events <- b.events;
+    a.len <- b.len;
+    b.events <- events;
+    b.len <- len
+
+  (* Element [i] of a range is [first + i * step], plus the write bit:
+     the address field is the top one, so stepping it by [size] bytes
+     leaves owner and size alone.  Packing the first and the last
+     element checks every one in between, whose addresses lie between
+     theirs. *)
+  type elems = {
+    dst : t;
+    first : int;
+    step : int;
+    count : int;
+    on_full : unit -> unit;
+  }
+
+  let elems dst ~owner ~addr ~size ~count ~on_full =
+    if count < 0 then
+      invalid_arg (Printf.sprintf "Cache.Words.elems: count %d" count);
+    let first =
+      if count = 0 then 0
+      else begin
+        if size > 0 && count - 1 > max_addr / size then
+          invalid_arg
+            (Printf.sprintf "Cache.Words.elems: %d elements of %d bytes" count
+               size);
+        ignore (pack ~owner ~write:false ~addr:(addr + ((count - 1) * size))
+                  ~size : int);
+        pack ~owner ~write:false ~addr ~size
+      end
+    in
+    { dst; first; step = size lsl addr_shift; count; on_full }
+
+  let add_elem e i ~write =
+    if i < 0 || i >= e.count then
+      invalid_arg
+        (Printf.sprintf "Cache.Words.add_elem: index %d outside 0..%d" i
+           (e.count - 1));
+    let w = e.dst in
+    if w.len = Array.length w.events then begin
+      e.on_full ();
+      if w.len = Array.length w.events then
+        invalid_arg "Cache.Words.add_elem: full"
+    end;
+    Array.unsafe_set w.events w.len (e.first + (i * e.step) + Bool.to_int write);
     w.len <- w.len + 1
 
   let blit w dst = Array.blit w.events 0 dst 0 w.len

@@ -95,8 +95,11 @@ val validate_batch : events:int array -> pos:int -> len:int -> unit
     Where a word is checked follows from where it came from.  A
     {!Words.t} is a buffer whose live words are valid by construction:
     its only writes are {!Words.add}, which stores what {!pack} returns,
-    and {!Words.adopt}, which runs the {!validate_batch} check on the
-    array it takes.  So its walks ({!access_words},
+    {!Words.adopt}, which runs the {!validate_batch} check on the array
+    it takes, and {!Words.add_elem}, which writes an element of a
+    {!Words.elems} range, whose first and last words {!pack} checked
+    when the range was made ({!Words.swap} only moves valid words
+    between buffers).  So its walks ({!access_words},
     {!access_words_timed}, {!Sweep.access_words},
     {!Hierarchy.access_words}) skip that scan: a tape's chunks and a
     hierarchy's funnel are [Words.t], and each word is checked once, as
@@ -125,6 +128,34 @@ module Words : sig
 
   val clear : t -> unit
   (** Empty the buffer, keeping its storage. *)
+
+  val swap : t -> t -> unit
+  (** Exchange the storage and live words of two buffers of the same
+      capacity.  Raises [Invalid_argument] when the capacities differ. *)
+
+  type elems
+  (** A checked element range: the words of [count] consecutive
+      elements of [size] bytes from [addr] on, all of one owner, each a
+      read or a write, appended to one buffer.  Element [i]'s word is
+      computed, not packed: the range's first word plus [i] steps of
+      [size] bytes. *)
+
+  val elems :
+    t -> owner:int -> addr:int -> size:int -> count:int ->
+    on_full:(unit -> unit) -> elems
+  (** The range's elements, appended to the buffer.  Its first and last
+      elements are {!pack}ed here, which checks every element in between;
+      raises [Invalid_argument] when {!pack} rejects either, or on a
+      negative [count].  An empty range ([count = 0]) checks nothing and
+      takes no element.  [on_full] is called when an element finds the
+      buffer full, to make room: a tape retires its head chunk
+      ({!Memtrace.Tape.elems}). *)
+
+  val add_elem : elems -> int -> write:bool -> unit
+  (** Append element [i]'s word, with the write flag set for a write.
+      Raises [Invalid_argument], leaving the buffer unchanged, when [i] is
+      outside [0 .. count - 1] or the buffer is still full after
+      [on_full]. *)
 
   val blit : t -> int array -> unit
   (** Copy the live words into [dst.(0 .. length - 1)]. *)

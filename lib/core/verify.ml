@@ -104,25 +104,29 @@ let capture ?(telemetry = Telemetry.null) ?store
 
 (* --- the replay engine ---
 
-   Every tape reaches a cache through [engine].  Consumers are hierarchy
-   geometries (a plain verification cache is a depth-1 hierarchy), the
-   same list for every capture.  The schedule has two phases, each one
-   map over the pool (or, without a pool, in the calling domain):
+   Every tape reaches a cache through [engine], one capture per call.
+   Consumers are hierarchy geometries (a plain verification cache is a
+   depth-1 hierarchy).  The call has two phases, each one map over the
+   pool (or, without a pool, in the calling domain):
 
-   1. Walk: one task per (capture x consumer x shard), all captures in
-      one map with no per-capture barrier.  Tasks are listed
-      shard-major, then capture, then consumer, so tasks running at the
-      same time mostly walk different tapes or different consumers.  A
-      task takes a replica of its consumer (with one residency
+   1. Walk: one task per (consumer x shard), listed shard-major, so
+      tasks running at the same time mostly walk different consumers.
+      A task takes a replica of its consumer (with one residency
       accumulator per level when [bins] is given), walks its shard's
       [Tape.view], pins the clock to the horizon (the tape length) and
       flushes.  Replicas share nothing, so tasks need no locking; each
-      cache's statistics (and residency) are merged per capture in shard
-      order ([Stats.sum], [Residency.sum]: commutative additions), which
+      consumer's statistics (and residency) are merged in shard order
+      ([Stats.sum], [Residency.sum]: commutative additions), which
       reproduces the serial walk bit for bit.
-   2. Rows: one task per (capture x consumer), running [rows] — for the
-      Fig. 4 rows that includes the CGPMAC model, so the model never runs
-      serially on the orchestrating domain.
+   2. Rows: one task per consumer, running [rows] — for the Fig. 4 rows
+      that includes the CGPMAC model, so the model never runs serially
+      on the orchestrating domain.
+
+   A sweep over several workloads ([run_sweep]) runs one pool task per
+   workload, which captures its tape and calls [engine] from inside the
+   task: the walks are a nested map on the same pool, so no capture
+   waits for another and a domain that finishes its captures helps walk
+   the others'.  One [replica_store] serves the whole sweep.
 
    A walk decodes every event of its tape whatever its shard, so a task
    per consumer costs each event one decode per consumer, while a shard
@@ -180,7 +184,7 @@ let give_back store key h =
         Hashtbl.replace store.spares key (h :: spares))
 
 let engine ~telemetry ?pool ?(replicas = replica_store ()) ?bins ~consumers
-    ~rows captures =
+    ~rows cap =
   if Option.fold ~none:false ~some:(fun b -> b <= 0) bins then
     invalid_arg "Verify: bins must be positive";
   let map f xs =
@@ -192,7 +196,8 @@ let engine ~telemetry ?pool ?(replicas = replica_store ()) ?bins ~consumers
       ~jobs:(max 1 (Option.fold ~none:1 ~some:Pool.size pool / n_consumers))
       (List.concat consumers)
   in
-  let replica cap configs =
+  let horizon = Memtrace.Tape.length cap.tape in
+  let replica configs =
     let key = (configs, bins <> None) in
     let h =
       match borrow replicas key with
@@ -207,19 +212,18 @@ let engine ~telemetry ?pool ?(replicas = replica_store ()) ?bins ~consumers
     Cachesim.Hierarchy.set_now h 0;
     Option.iter
       (fun bins ->
-        let horizon = Memtrace.Tape.length cap.tape in
         Cachesim.Hierarchy.attach_residency h
           (Array.init depth (fun _ ->
                Cachesim.Residency.create ~bins ~horizon ())))
       bins;
     (key, h)
   in
-  let walk (cap, configs, shard) =
-    let key, h = replica cap configs in
+  let walk (configs, shard) =
+    let key, h = replica configs in
     Memtrace.Tape.replay_view_hierarchies
       (Memtrace.Tape.view cap.tape ~shards:width ~shard)
       [| h |];
-    Cachesim.Hierarchy.set_now h (Memtrace.Tape.length cap.tape);
+    Cachesim.Hierarchy.set_now h horizon;
     Cachesim.Hierarchy.flush h;
     let levels =
       Array.init (Cachesim.Hierarchy.depth h) (fun li ->
@@ -235,19 +239,11 @@ let engine ~telemetry ?pool ?(replicas = replica_store ()) ?bins ~consumers
     map walk
       (List.concat
          (List.init width (fun s ->
-              List.concat_map
-                (fun cap ->
-                  List.map (fun configs -> (cap, configs, s)) consumers)
-                captures)))
+              List.map (fun configs -> (configs, s)) consumers)))
   in
   let walk_ns = Int64.sub (Telemetry.now_ns telemetry) t0 in
   if Telemetry.enabled telemetry then begin
-    let events =
-      n_consumers
-      * List.fold_left
-          (fun acc c -> acc + Memtrace.Tape.length c.tape)
-          0 captures
-    in
+    let events = n_consumers * horizon in
     (if bins = None then begin
        Telemetry.add telemetry ~n:events "tape/replay_events";
        Telemetry.time_ns telemetry "verify/replay_total" walk_ns
@@ -262,39 +258,31 @@ let engine ~telemetry ?pool ?(replicas = replica_store ()) ?bins ~consumers
     Telemetry.add telemetry ~n:(width * events) "shard/walked_events";
     Telemetry.set_gauge telemetry "shard/count" (float_of_int width)
   end;
-  (* Task [(s * n_captures + i) * n_consumers + ci] walked shard [s] of
-     capture [i] into consumer [ci]; merge each consumer's levels across
-     the capture's shards, in shard order. *)
+  (* Task [s * n_consumers + ci] walked shard [s] into consumer [ci];
+     merge each consumer's levels across shards, in shard order. *)
   let walked = Array.of_list walked in
-  let n_captures = List.length captures in
   let merged =
-    List.concat
-      (List.mapi
-         (fun i cap ->
-           List.mapi
-             (fun ci configs ->
-               let per_shard =
-                 List.init width (fun s ->
-                     walked.((((s * n_captures) + i) * n_consumers) + ci))
-               in
-               let levels =
-                 List.mapi
-                   (fun li _ ->
-                     let at_level = List.map (fun ls -> ls.(li)) per_shard in
-                     ( Cachesim.Stats.sum (List.map fst at_level),
-                       Option.map
-                         (fun _ ->
-                           Cachesim.Residency.sum
-                             (List.map (fun (_, r) -> Option.get r) at_level))
-                         bins ))
-                   configs
-               in
-               (cap, configs, levels))
-             consumers)
-         captures)
+    List.mapi
+      (fun ci configs ->
+        let per_shard =
+          List.init width (fun s -> walked.((s * n_consumers) + ci))
+        in
+        let levels =
+          List.mapi
+            (fun li _ ->
+              let at_level = List.map (fun ls -> ls.(li)) per_shard in
+              ( Cachesim.Stats.sum (List.map fst at_level),
+                Option.map
+                  (fun _ ->
+                    Cachesim.Residency.sum
+                      (List.map (fun (_, r) -> Option.get r) at_level))
+                  bins ))
+            configs
+        in
+        (configs, levels))
+      consumers
   in
-  List.concat
-    (map (fun (cap, configs, levels) -> rows cap configs levels) merged)
+  List.concat (map (fun (configs, levels) -> rows cap configs levels) merged)
 
 (* Fig. 4 rows of one single-level consumer. *)
 let cache_rows ~telemetry cap configs levels =
@@ -316,7 +304,7 @@ let single_level caches = List.map (fun c -> [ c ]) caches
 let capture_rows ?(telemetry = Telemetry.null) ?pool ?replicas cap =
   engine ~telemetry ?pool ?replicas
     ~consumers:(single_level Cachesim.Config.verification_set)
-    ~rows:(cache_rows ~telemetry) [ cap ]
+    ~rows:(cache_rows ~telemetry) cap
 
 let finalize_metrics telemetry =
   if Telemetry.enabled telemetry then begin
@@ -335,13 +323,15 @@ let finalize_metrics telemetry =
         /. float_of_int captured)
   end
 
-(* The shared driver of the [run_all*] sweeps: capture every workload's
-   tape on the pool (a warm [store] skips the kernel), run the engine
-   over all captures, and record the sweep-wide wall clock and gauges.
-   An absolute timer rather than an enclosing [span]: tasks run in worker
-   domains (fresh span stacks) under [-j N], so an enclosing span would
-   prefix their paths only in the serial case and the two metrics
-   documents would disagree on structure. *)
+(* The shared driver of the [run_all*] sweeps: one pool task per
+   workload captures its tape (a warm [store] skips the kernel) and runs
+   the engine over it at once, its walks and rows a nested map on the
+   same pool; rows come back in workload order.  The sweep records its
+   wall clock and gauges.  An absolute timer rather than an enclosing
+   [span]: tasks run in worker domains (fresh span stacks) under
+   [-j N], so an enclosing span would prefix their paths only in the
+   serial case and the two metrics documents would disagree on
+   structure. *)
 let run_sweep ?jobs ~telemetry ?store ?workloads ?bins ~consumers ~rows () =
   let workloads =
     match workloads with Some ws -> ws | None -> Workloads.all ()
@@ -351,16 +341,17 @@ let run_sweep ?jobs ~telemetry ?store ?workloads ?bins ~consumers ~rows () =
     | Some j -> j
     | None -> Dvf_util.Parallel.recommended_jobs ()
   in
+  let replicas = replica_store () in
   let t0 = Telemetry.now_ns telemetry in
   let rows =
     Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
-        let captures =
-          Pool.map_list pool
-            (fun w ->
-              capture ~telemetry ?store (Workloads.verification_instance w))
-            workloads
-        in
-        engine ~telemetry ~pool ?bins ~consumers ~rows captures)
+        List.concat
+          (Pool.map_list pool
+             (fun w ->
+               engine ~telemetry ~pool ~replicas ?bins ~consumers ~rows
+                 (capture ~telemetry ?store
+                    (Workloads.verification_instance w)))
+             workloads))
   in
   if Telemetry.enabled telemetry then
     Telemetry.time_ns telemetry "verify/total"
@@ -446,7 +437,7 @@ let level_rows ~telemetry cap configs levels =
 let capture_level_rows ?(telemetry = Telemetry.null) ?pool ?replicas ~levels
     cap =
   engine ~telemetry ?pool ?replicas ~consumers:(hierarchies ~levels)
-    ~rows:(level_rows ~telemetry) [ cap ]
+    ~rows:(level_rows ~telemetry) cap
 
 let run_all_levels ?jobs ?(telemetry = Telemetry.null) ?store ?workloads
     ~levels () =
@@ -587,12 +578,12 @@ let timed_level_snapshots ?(telemetry = Telemetry.null)
     ?(bins = Cachesim.Residency.default_bins) ~configs cap =
   engine ~telemetry ~bins ~consumers:[ configs ]
     ~rows:(fun _ _ levels -> residency_snapshots ~telemetry levels)
-    [ cap ]
+    cap
 
 let capture_time_rows ?(telemetry = Telemetry.null) ?pool ?replicas
     ?(bins = Cachesim.Residency.default_bins) ~levels cap =
   engine ~telemetry ?pool ?replicas ~bins ~consumers:(hierarchies ~levels)
-    ~rows:(time_rows ~telemetry) [ cap ]
+    ~rows:(time_rows ~telemetry) cap
 
 let run_all_timed ?jobs ?(telemetry = Telemetry.null) ?store ?workloads
     ?(levels = 1) ?(bins = Cachesim.Residency.default_bins) () =

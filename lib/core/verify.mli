@@ -10,9 +10,11 @@
     for every cache configuration), each workload's trace is captured
     {e once} into a {!Memtrace.Tape} and replayed into every verification
     cache, instead of re-executing the kernel per geometry.  Every replay
-    goes through one engine: set-sharded walks of per-shard tape views
-    on private cache replicas, merged in shard order, so rows are
-    bit-identical at any job count.  {!verify_instance}, which feeds a
+    goes through one engine, one capture per call: set-sharded walks of
+    per-shard tape views on private cache replicas, merged in shard
+    order, so rows are bit-identical at any job count.  A sweep replays
+    each capture as soon as it exists, with no barrier between
+    captures.  {!verify_instance}, which feeds a
     fresh capture event by event through {!Cachesim.Cache.access}, is
     the independent reference the tests compare the engine against. *)
 
@@ -76,7 +78,8 @@ val replica_store : ?keep:int -> unit -> replica_store
 (** An empty store that keeps at most [keep] spare replicas per key
     (default: unbounded).  Each call without [?replicas] uses a fresh
     unbounded store of its own, which then retains about one replica per
-    concurrently running walk task until the call returns.  A
+    concurrently running walk task until the call returns; a
+    [run_all*] sweep shares one such store among all its captures.  A
     long-lived store (what [dvf serve] keeps, with [keep = 1]) retains
     one flushed replica per geometry between calls: about 2 MB for the
     large verification cache alone, about 19 MB for its 2-level
@@ -94,8 +97,9 @@ val capture_rows :
     bit-identical to the corresponding slice of {!run_all}, and what a
     [dvf serve] verify request runs against its warm capture.  Without
     [pool] every walk runs in the calling domain; with one, the walks
-    and row builds are tasks on it, scheduled as in {!run_all} (the
-    caller may itself be one of the pool's workers).  [replicas]
+    and row builds are tasks on it, scheduled as each capture of
+    {!run_all} is (the caller may itself be one of the pool's workers,
+    as {!run_all}'s per-workload tasks are).  [replicas]
     (default: a fresh store for this call) supplies the cache replicas
     the walks reuse. *)
 
@@ -116,26 +120,31 @@ val run_all :
     {!capture}); rows are bit-identical with or without it.
 
     [jobs] (default [Domain.recommended_domain_count ()]) sizes the
-    domain pool.  Captures run one task per workload; then every
-    (capture x cache x shard) walk is one task, and every
-    (capture x cache) row build — including the CGPMAC model — is one
-    task.  The shard width is the largest power of two <= [jobs] / the
-    number of caches (at least 1), clamped to the smallest cache's set
-    count: [-j 2] walks each cache unsharded on its own domain, [-j 8]
-    in 4 shards.  Each task owns its private mutable state, so the
-    rows are identical to the serial run in value and order — at any job
-    count, with or without telemetry.
+    domain pool.  Each workload is one task, which captures its tape and
+    at once replays it: every (cache x shard) walk of that capture, and
+    then every cache's row build — including the CGPMAC model — is a
+    task of a nested map on the same pool, so there is no barrier
+    between captures and a domain that runs out of captures helps walk
+    the others'.  The shard width is the largest power of two <= [jobs]
+    / the number of caches (at least 1), clamped to the smallest cache's
+    set count: [-j 2] walks each cache unsharded, [-j 8] in 4 shards.
+    Each task owns its private mutable state, so the rows are identical
+    to the serial run in value and order — at any job count, with or
+    without telemetry.
 
     With an enabled [telemetry], captures report as described at
     {!capture}; rows record a ["verify/<workload>/<cache>"] span with a
     nested ["model"] span and the ["cache/accesses"] counter; the walk
     records ["tape/replay_events"] (events x caches), ["shard/tasks"],
     ["shard/walked_events"], the ["shard/count"]
-    gauge and the ["verify/replay_total"] accumulator; the sweep records
+    gauge and the ["verify/replay_total"] accumulator, which sums every
+    capture's walk phase (phases of different captures may overlap, so
+    it can exceed the wall clock); the sweep records
     ["verify/total"] wall-clock and, at the end, the throughput gauges
     ["tape/capture_events_per_sec"] (over capture time),
     ["tape/replay_events_per_sec"] and ["cache/accesses_per_sec"] (over
-    replay time), and ["tape/bytes_per_event"].  Counters
+    that summed replay time: a rate per walk phase, not per second of
+    the sweep), and ["tape/bytes_per_event"].  Counters
     other than the shard ones are identical at every job count; only
     the time fields differ. *)
 

@@ -111,13 +111,21 @@ let run registry tape p =
   let x = Tracked.make registry tape ~name:"x" ~elem_size:8 n 0.0 in
   let pvec = Tracked.init registry tape ~name:"p" ~elem_size:8 n (fun i -> b.(i)) in
   let r = Tracked.init registry tape ~name:"r" ~elem_size:8 n (fun i -> b.(i)) in
+  let a_store = Tracked.unsafe_storage a
+  and p_store = Tracked.unsafe_storage pvec in
   let module O = struct
     let n = n
 
+    (* The matvec is almost every event: each element is touched, then
+       read unboxed from its storage.  p[j] is recorded before
+       A[i*n+j], the order the traced reads have always had. *)
     let a_row_dot_p i =
       let acc = ref 0.0 in
+      let base = i * n in
       for j = 0 to n - 1 do
-        acc := !acc +. (Tracked.get a ((i * n) + j) *. Tracked.get pvec j)
+        Tracked.touch pvec j;
+        Tracked.touch a (base + j);
+        acc := !acc +. (a_store.(base + j) *. p_store.(j))
       done;
       !acc
 

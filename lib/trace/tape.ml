@@ -3,15 +3,22 @@
    fixed-size (default 65536 events = one 512 KiB array, far past the
    minor-heap threshold, so capture never churns the minor collector)
    and are only ever appended to.  Kernels write into the head chunk
-   directly through [append] — no per-event record, no intermediate
-   buffer — which keeps capture at one store and an increment per
-   event.  Captured and loaded tapes hold the same chunks: [Tape_io]
+   directly — through [append], or through a tracked array's element
+   range ([elems]) — with no per-event record and no intermediate
+   buffer.  Captured and loaded tapes hold the same chunks: [Tape_io]
    decodes a file straight into them ([append_chunk]).
 
    A chunk is a [Cachesim.Cache.Words.t]: [append] fills it through
-   [pack] and [append_chunk] checks the array it adopts, so every word
-   of a tape is valid from the moment it enters it, and the replays
-   below walk chunks with no per-walk word check. *)
+   [pack], an element range writes words checked when it was made, and
+   [append_chunk] checks the array it adopts, so every word of a tape is
+   valid from the moment it enters it, and the replays below walk
+   chunks with no per-walk word check.
+
+   The head buffer is the same for the tape's whole life: retiring a
+   full head moves its words into a new chunk ([Words.swap]) rather
+   than replacing it, so an element range made once writes into the
+   head forever.  The tape's length is therefore read off its chunks,
+   not kept beside them. *)
 
 module Words = Cachesim.Cache.Words
 
@@ -21,8 +28,7 @@ type t = {
   chunk_capacity : int;
   mutable filled : chunk list; (* full chunks, most recent first *)
   mutable filled_count : int; (* List.length filled, tracked incrementally *)
-  mutable head : chunk; (* current partially filled chunk *)
-  mutable total : int;
+  head : chunk; (* current partially filled chunk *)
 }
 
 let default_chunk_events = 65536
@@ -38,10 +44,9 @@ let create ?(chunk_events = default_chunk_events) () =
     filled = [];
     filled_count = 0;
     head = Words.create chunk_events;
-    total = 0;
   }
 
-let length t = t.total
+let length t = (t.filled_count * t.chunk_capacity) + Words.length t.head
 let chunk_events t = t.chunk_capacity
 
 (* [filled_count] is maintained on every chunk retirement; telemetry
@@ -51,22 +56,24 @@ let chunk_count t = t.filled_count + if Words.length t.head > 0 then 1 else 0
 let allocated_bytes t = (t.filled_count + 1) * t.chunk_capacity * bytes_per_event
 
 let retire_head t =
-  t.filled <- t.head :: t.filled;
-  t.filled_count <- t.filled_count + 1;
-  t.head <- Words.create t.chunk_capacity
+  let c = Words.create t.chunk_capacity in
+  Words.swap c t.head;
+  t.filled <- c :: t.filled;
+  t.filled_count <- t.filled_count + 1
 
 (* Validate before touching any state, so a rejected event leaves the
-   tape exactly as it was (a full head is not retired for it).  Every
-   retired chunk is full, so the head holds the events past the last
-   full chunk and its length needs no call. *)
+   tape exactly as it was (a full head is not retired for it). *)
 let append t ~owner ~write ~addr ~size =
   if addr < 0 then invalid_arg "Tape.append: negative address";
-  if t.total - (t.filled_count * t.chunk_capacity) = t.chunk_capacity then begin
+  if Words.length t.head = t.chunk_capacity then begin
     ignore (Cachesim.Cache.pack ~owner ~write ~addr ~size : int);
     retire_head t
   end;
-  Words.add t.head ~owner ~write ~addr ~size;
-  t.total <- t.total + 1
+  Words.add t.head ~owner ~write ~addr ~size
+
+let elems t ~owner ~addr ~size ~count =
+  Words.elems t.head ~owner ~addr ~size ~count ~on_full:(fun () ->
+      retire_head t)
 
 (* Chunk adoption (the [Tape_io] load path): the arrays are checked and
    become the tape's own storage, full chunks retired as captured ones
@@ -89,8 +96,7 @@ let append_chunk t ~events ~len =
     t.filled <- c :: t.filled;
     t.filled_count <- t.filled_count + 1
   end
-  else if len > 0 then t.head <- c;
-  t.total <- t.total + len
+  else if len > 0 then Words.swap c t.head
 
 let materialize (_ : t) = ()
 

@@ -20,9 +20,11 @@
 
     Invariant: every word of a tape is a valid packed event.  A chunk is
     a {!Cachesim.Cache.Words.t}; {!append} writes it through
-    {!Cachesim.Cache.pack} and {!append_chunk} checks what it adopts, so
-    a word is checked once, as it enters the tape, and the replays walk
-    chunks with no word check however many caches and shards they feed.
+    {!Cachesim.Cache.pack}, an {!elems} range writes words whose range
+    was checked when it was made, and {!append_chunk} checks what it
+    adopts, so a word is checked once, as it enters the tape, and the
+    replays walk chunks with no word check however many caches and
+    shards they feed.
 
     Tapes are single-domain values: capture on one domain, then hand the
     (immutable-from-then-on) tape to replay jobs freely — concurrent
@@ -44,6 +46,17 @@ val append : t -> owner:int -> write:bool -> addr:int -> size:int -> unit
     the packed word's ranges) — so a rejected event leaves the tape
     unchanged.  It is then stored, one word, straight into the head
     chunk. *)
+
+val elems :
+  t -> owner:int -> addr:int -> size:int -> count:int ->
+  Cachesim.Cache.Words.elems
+(** The capture entry of a tracked array ({!Tracked}): the checked range
+    of [count] elements of [size] bytes from [addr] on, appended to this
+    tape by {!Cachesim.Cache.Words.add_elem}.  Its first and last
+    elements are checked here, raising [Invalid_argument] as {!append}
+    would on either; element [i] then costs one index check and one
+    store.  A full head chunk is retired when an element needs room, so
+    ranges and {!append} interleave in one event order. *)
 
 val append_chunk : t -> events:int array -> len:int -> unit
 (** Adopt one already-packed chunk — the {!Tape_io} load path.

@@ -10,14 +10,26 @@
     The [elem_size] of the region may differ from OCaml's in-memory
     representation (e.g. a "4-byte integer array" is stored in an OCaml
     [int array] but traced with [elem_size = 4]); the trace reflects the
-    modeled layout, not OCaml's. *)
+    modeled layout, not OCaml's.
+
+    Each array checks its whole element range once, when it is created
+    ({!Tape.elems}), so a traced access is an index check and one store
+    into the tape: it packs nothing and allocates nothing.  A traced
+    {!get} of a [float] array still returns a boxed float (the accessor
+    is polymorphic and out of line); hot loops over floats {!touch} the
+    element and read {!unsafe_storage} instead. *)
 
 type 'a t
 
 val create :
   Region.t -> Tape.t -> name:string -> elem_size:int -> 'a array -> 'a t
 (** Wrap [storage]; registers a region of [Array.length storage] elements.
-    The array is owned by the tracked wrapper afterwards. *)
+    The array is owned by the tracked wrapper afterwards.  Raises
+    [Invalid_argument] when the region's first or last element is not a
+    traceable event ({!Cachesim.Cache.pack}: an owner id past
+    {!Cachesim.Cache.max_owner}, an [elem_size] past
+    {!Cachesim.Cache.max_size}, or a byte past
+    {!Cachesim.Cache.max_addr}). *)
 
 val make :
   Region.t -> Tape.t -> name:string -> elem_size:int -> int -> 'a -> 'a t
@@ -34,7 +46,8 @@ val length : 'a t -> int
 val region : 'a t -> Region.region
 
 val get : 'a t -> int -> 'a
-(** Traced element read. *)
+(** Traced element read.  Raises [Invalid_argument] on an index outside
+    the array, recording nothing. *)
 
 val set : 'a t -> int -> 'a -> unit
 (** Traced element write. *)
@@ -59,5 +72,8 @@ val to_array : 'a t -> 'a array
 (** Untraced snapshot copy. *)
 
 val unsafe_storage : 'a t -> 'a array
-(** The live backing store, for kernels' untraced fast paths; mutating it
-    bypasses tracing by design. *)
+(** The live backing store.  A kernel's hot loop reads it right after a
+    traced {!touch} of the same element — for a [float] array that read
+    is unboxed, where {!get} would box — so the trace and the value stay
+    in step.  A read or write through it without a {!touch} or
+    {!touch_write} is untraced by design. *)

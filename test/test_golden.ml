@@ -16,9 +16,11 @@
    traffic and per-level residency line-events of every workload, and
    golden/verify_levels3.txt the stdout of "dvf verify --time-weighted
    --levels 3", the only pin on the three-level timed walk.  Both are
-   checked at -j 1, 2 and 8: with two caches the engine gives -j 2 one
-   unsharded walk per cache, so -j 8 (4 shards) is what pins the
-   sharded hierarchy walk and its residency merge end to end.
+   checked at -j 1, 2, 3 and 8: with two caches the engine gives -j 2
+   one unsharded walk per cache, so -j 8 (4 shards) is what pins the
+   sharded hierarchy walk and its residency merge end to end, and -j 3,
+   an odd pool, splits each workload's nested walks unevenly between
+   its domains.
    golden/windows.txt holds the stdout of "dvf windows --trials 200":
    the windowed residency of every verification capture next to the
    flip-time SDC rates of the injection campaign, and the Spearman rows
@@ -164,7 +166,7 @@ let test_verify_levels_golden () =
           (Printf.sprintf "levels tables, -j %s" jobs)
           golden
           (levels_output [ "-j"; jobs ]))
-      [ "1"; "2"; "8" ];
+      [ "1"; "2"; "3"; "8" ];
     let store = Filename.temp_dir "dvf_golden_store" "" in
     Fun.protect
       ~finally:(fun () ->
@@ -195,7 +197,7 @@ let test_verify_levels3_golden () =
           golden
           (Printf.sprintf "$ dvf %s\n%s" (String.concat " " args)
              (run_cli (args @ [ "-j"; jobs ]))))
-      [ "1"; "2"; "8" ]
+      [ "1"; "2"; "3"; "8" ]
 
 let test_windows_golden () =
   if not (Sys.file_exists exe) then Alcotest.skip ()

@@ -155,7 +155,25 @@ let test_verify_rows_identical_with_metrics () =
         (counter ^ " schedule-independent")
         (T.counter_value serial_t counter)
         (T.counter_value parallel_t counter))
-    [ "tape/capture_events"; "tape/allocated_bytes"; "cache/accesses" ];
+    [
+      "tape/capture_events"; "tape/allocated_bytes"; "cache/accesses";
+      "tape/replay_events";
+    ];
+  (* Each workload's walks run nested in its own pool task; the shard
+     counters still add up to one walk per (workload x cache x shard),
+     the shard width being 1 at jobs 1 and 2 at jobs 4 (two caches). *)
+  let replayed = T.counter_value serial_t "tape/replay_events" in
+  List.iter
+    (fun (jobs, t, width) ->
+      Alcotest.(check int)
+        (Printf.sprintf "shard/tasks, jobs %d" jobs)
+        (width * 2 * List.length workloads)
+        (T.counter_value t "shard/tasks");
+      Alcotest.(check int)
+        (Printf.sprintf "shard/walked_events, jobs %d" jobs)
+        (width * replayed)
+        (T.counter_value t "shard/walked_events"))
+    [ (1, serial_t, 1); (4, parallel_t, 2) ];
   (* And both documents validate. *)
   List.iter
     (fun t ->

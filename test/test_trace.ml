@@ -104,6 +104,61 @@ let test_to_array_snapshot () =
   Mt.Tracked.set_silent arr 0 99;
   Alcotest.(check int) "snapshot unaffected" 0 snap.(0)
 
+(* A tracked array writes the words of its checked element range: the
+   events [Region.elem_addr] describes, across chunk boundaries and
+   interleaved with [Tape.append] in program order.  A bad index records
+   nothing, and a range [pack] rejects fails when the array is made. *)
+let test_tracked_element_range () =
+  let reg = Mt.Region.create () in
+  let tape = Mt.Tape.create ~chunk_events:4 () in
+  let a = Mt.Tracked.make reg tape ~name:"A" ~elem_size:8 10 0.0 in
+  let b = Mt.Tracked.make reg tape ~name:"B" ~elem_size:4 7 0 in
+  let expected = ref [] in
+  let record (r : Mt.Region.region) i ~write =
+    expected :=
+      { Mt.Event.owner = r.Mt.Region.id; write;
+        addr = Mt.Region.elem_addr r i; size = r.Mt.Region.elem_size }
+      :: !expected
+  in
+  for k = 0 to 24 do
+    let i = k mod 10 and j = k * 3 mod 7 in
+    Mt.Tracked.set a i (float_of_int k);
+    record (Mt.Tracked.region a) i ~write:true;
+    ignore (Mt.Tracked.get b j);
+    record (Mt.Tracked.region b) j ~write:false;
+    if k mod 5 = 0 then begin
+      Mt.Tape.append tape ~owner:9 ~write:true ~addr:64 ~size:2;
+      expected := Mt.Event.write ~owner:9 ~addr:64 ~size:2 :: !expected
+    end
+  done;
+  Alcotest.(check int) "length" 55 (Mt.Tape.length tape);
+  Alcotest.(check int) "chunks" 14 (Mt.Tape.chunk_count tape);
+  Alcotest.(check bool) "events in program order" true
+    (List.equal Mt.Event.equal (List.rev !expected) (Mt.Tape.to_list tape));
+  Alcotest.(check (float 0.0)) "value stored" 24.0 (Mt.Tracked.get_silent a 4);
+  let expect_invalid name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  expect_invalid "index past the end" (fun () -> Mt.Tracked.touch a 10);
+  expect_invalid "negative index" (fun () -> Mt.Tracked.touch_write b (-1));
+  expect_invalid "get past the end" (fun () -> ignore (Mt.Tracked.get b 7));
+  Alcotest.(check int) "rejected accesses record nothing" 55
+    (Mt.Tape.length tape);
+  expect_invalid "element too large" (fun () ->
+      Mt.Tracked.make reg tape ~name:"Big" ~elem_size:(Cachesim.Cache.max_size + 1)
+        1 0);
+  for k = 1 to Cachesim.Cache.max_owner do
+    ignore
+      (Mt.Region.register reg ~name:(Printf.sprintf "pad%d" k) ~elements:0
+         ~elem_size:1)
+  done;
+  expect_invalid "owner id past max_owner" (fun () ->
+      Mt.Tracked.make reg tape ~name:"Late" ~elem_size:8 1 0);
+  Alcotest.(check int) "no event from a rejected array" 55
+    (Mt.Tape.length tape)
+
 let suite =
   [
     Alcotest.test_case "region layout disjoint" `Quick
@@ -120,4 +175,6 @@ let suite =
     Alcotest.test_case "cache sink integration" `Quick
       test_tracked_cache_integration;
     Alcotest.test_case "to_array snapshot" `Quick test_to_array_snapshot;
+    Alcotest.test_case "tracked element range" `Quick
+      test_tracked_element_range;
   ]
