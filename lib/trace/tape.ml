@@ -28,7 +28,7 @@ type t = {
   chunk_capacity : int;
   mutable filled : chunk list; (* full chunks, most recent first *)
   mutable filled_count : int; (* List.length filled, tracked incrementally *)
-  head : chunk; (* current partially filled chunk *)
+  head : chunk; (* the partially filled chunk every write goes to *)
 }
 
 let default_chunk_events = 65536
