@@ -39,8 +39,9 @@ val create : ?chunk_events:int -> unit -> t
 (** {2 Capture} *)
 
 val append : t -> owner:int -> write:bool -> addr:int -> size:int -> unit
-(** Record one reference: the capture entry point every traced kernel
-    writes through.  The event is validated first — raising
+(** Record one reference: the capture entry point of references that
+    are not elements of a tracked array (Aspen replays, service graphs;
+    {!Tracked} writes through {!elems}).  The event is validated first — raising
     [Invalid_argument] on a negative address or on any event
     {!Cachesim.Cache.pack} rejects (an owner, size or address outside
     the packed word's ranges) — so a rejected event leaves the tape
