@@ -5,6 +5,9 @@
      verify      Fig. 4 model-vs-simulation verification
      tables      print the paper's static tables
      fig5/6/7    reproduce the evaluation figures
+     ablation    ablations (a)-(d) of the model's design choices
+     sparse      sparse (CSR) CG verification, dense vs CSR DVF
+     sweep       simulated capacity sweeps of VM, FT and MC
      parse       syntax-check and pretty-print a model file
      models      list the builtin models and machines
      components  memory-DVF vs cache-DVF per structure
@@ -173,6 +176,30 @@ let fig7_cmd =
       Printf.printf "optimum degradation: SECDED %.0f%%, chipkill %.0f%%\n"
         (100.0 *. s) (100.0 *. c))
 
+let print_report (table, lines) =
+  Dvf_util.Table.print table;
+  List.iter print_endline lines
+
+let ablation_cmd =
+  simple_cmd "ablation" "Ablations (a)-(d) of the model's design choices"
+    (fun () -> print_report (Core.Experiments.ablation ()))
+
+let sparse_cmd =
+  simple_cmd "sparse" "Sparse (CSR) CG verification and dense-vs-CSR DVF"
+    (fun () -> print_report (Core.Experiments.sparse_cg ()))
+
+let sweep_cmd =
+  let run jobs =
+    let jobs = Cli_common.check_jobs jobs in
+    List.iter Dvf_util.Table.print (Core.Experiments.simulated_sweeps ~jobs ())
+  in
+  Cmd.v
+    (Cmd.info "sweep"
+       ~doc:
+         "Capacity sweeps of the VM, FT and MC profiling runs, 4KB..16MB, \
+          simulated next to the model")
+    Term.(const run $ Cli_common.jobs)
+
 (* --- parse --- *)
 
 let parse_cmd =
@@ -225,6 +252,11 @@ let protect_cmd =
     Arg.(value & opt float 0.10 & info [ "t"; "target" ] ~docv:"FRACTION" ~doc)
   in
   let run target workloads =
+    if not (target > 0.0 && target <= 1.0) then begin
+      Printf.eprintf "error: --target expects a value in (0, 1] (got %g)\n"
+        target;
+      exit 1
+    end;
     List.iter
       (fun workload ->
         let instance = Core.Workloads.profiling_instance workload in
@@ -923,8 +955,9 @@ let main_cmd =
     (Cmd.info "dvf" ~version:"1.0.0" ~doc)
     [
       profile_cmd; verify_cmd; tables_cmd; fig5_cmd; fig6_cmd; fig7_cmd;
-      parse_cmd; models_cmd; components_cmd; protect_cmd; inject_cmd;
-      chaos_cmd; windows_cmd; serve_cmd; query_cmd; tape_cmd;
+      ablation_cmd; sparse_cmd; sweep_cmd; parse_cmd; models_cmd;
+      components_cmd; protect_cmd; inject_cmd; chaos_cmd; windows_cmd;
+      serve_cmd; query_cmd; tape_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -43,7 +43,7 @@ type snapshot = {
 }
 (** An immutable capture of a whole statistics record: per-owner counters
     and their totals in one coherent value.  This is the API consumers
-    outside the simulation loop ({!Core.Verify}, the bench harness,
+    outside the simulation loop ({!Core.Verify}, {!Core.Experiments},
     telemetry) read; the mutable {!t} stays private to the cache being
     driven. *)
 

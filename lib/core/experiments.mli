@@ -22,13 +22,15 @@ type fig6_row = {
 
 val fig6 :
   ?jobs:int -> ?telemetry:Dvf_util.Telemetry.t -> ?machine:Perf.machine ->
-  ?fit:float -> ?cache:Cachesim.Config.t -> ?sizes:int list -> unit ->
-  fig6_row list
+  ?fit:float -> ?cache:Cachesim.Config.t -> ?sizes:int list ->
+  ?preconditioner:Kernels.Pcg.preconditioner -> unit -> fig6_row list
 (** Sweep problem sizes (default 100..800 in steps of 100, the paper's
-    x-axis) solving the same SPD system with CG and Jacobi-PCG (dense
-    auxiliary M, per Algorithm 5); iteration counts are measured on the
-    real solvers, times come from the roofline model, cache defaults to
-    the largest Table IV configuration (as in §V).  [jobs] (default
+    x-axis) solving the same SPD system with CG and Jacobi-PCG;
+    iteration counts are measured on the real solvers, times come from
+    the roofline model, cache defaults to the largest Table IV
+    configuration (as in §V).  [preconditioner] (default [`Vector], the
+    diagonal kept as a vector) picks how PCG stores M; [`Dense_matrix]
+    is Algorithm 5's literal dense auxiliary matrix.  [jobs] (default
     [Domain.recommended_domain_count ()]) runs the independent sweep
     points on that many domains; output order is unchanged.
 
@@ -101,6 +103,29 @@ val cache_sweep :
     same instance, and when given, [store] is not consulted. *)
 
 val cache_sweep_table : label:string -> sweep_row list -> Dvf_util.Table.t
+
+val simulated_sweeps : ?jobs:int -> unit -> Dvf_util.Table.t list
+(** The simulated capacity sweeps of the VM, FT and MC profiling
+    instances ({!cache_sweep} with [simulate], default capacities), one
+    table each.  Tables are identical at any [jobs]. *)
+
+(** {2 Ablations and extensions}
+
+    Each returns a table and the report lines printed after it. *)
+
+val ablation : unit -> Dvf_util.Table.t * string list
+(** The model's design choices on the small verification cache:
+    (a) Eq. 8's Bernoulli allocation vs a uniform one against a
+    two-structure LRU run; (b) FT's template under stack vs raw reuse
+    distance; (c) the MC simulation against the random model with runs
+    of one element (the paper's bound) and with its run length;
+    (d) Fig. 6 at n = 800 with a vector vs a dense-matrix
+    preconditioner. *)
+
+val sparse_cg : unit -> Dvf_util.Table.t * string list
+(** Fig. 4's verification of the sparse (CSR) CG kernel, on a 64 x 64
+    Laplacian for 8 iterations, over both verification caches; then the
+    DVF_a of one tridiagonal system stored dense vs CSR. *)
 
 (** Static table renderers. *)
 

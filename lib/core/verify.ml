@@ -629,15 +629,19 @@ let to_time_table rows =
     rows;
   t
 
-let workload_error ~rows workload cache =
+let workload_totals ~rows workload cache =
   let relevant =
     List.filter
       (fun r -> r.workload = workload && r.cache.Cachesim.Config.name = cache.Cachesim.Config.name)
       rows
   in
-  if relevant = [] then invalid_arg "Verify.workload_error: no rows";
+  if relevant = [] then invalid_arg "Verify.workload_totals: no rows";
   let total_sim = List.fold_left (fun acc r -> acc +. r.simulated) 0.0 relevant in
   let total_model = List.fold_left (fun acc r -> acc +. r.modeled) 0.0 relevant in
+  (total_sim, total_model)
+
+let workload_error ~rows workload cache =
+  let total_sim, total_model = workload_totals ~rows workload cache in
   Dvf_util.Maths.rel_error ~expected:total_sim ~actual:total_model
 
 let to_table rows =

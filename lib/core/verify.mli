@@ -274,8 +274,14 @@ val to_time_table : time_row list -> Dvf_util.Table.t
 (** Per-structure clean/dirty line-event integrals, average resident
     lines, dirty share, and the time-weighted DVF. *)
 
+val workload_totals :
+  rows:row list -> string -> Cachesim.Config.t -> float * float
+(** [(simulated, modeled)] main-memory accesses of one workload/cache
+    pair, summed over its structures in row order.  The workload is
+    named as in its rows.  Raises [Invalid_argument] when no row
+    matches. *)
+
 val workload_error : rows:row list -> string -> Cachesim.Config.t -> float
-(** Aggregate (total-traffic) error for one workload/cache pair, by
-    registry name. *)
+(** Aggregate (total-traffic) error of {!workload_totals}. *)
 
 val to_table : row list -> Dvf_util.Table.t

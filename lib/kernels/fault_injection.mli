@@ -7,8 +7,8 @@
     bit in one random element of one data structure at a uniformly random
     point of the execution, run to completion, and classify the outcome.
     Across many trials this estimates each structure's empirical
-    vulnerability, which can be checked against the DVF ranking (the
-    bench's [inject] section does exactly that).
+    vulnerability, which can be checked against the DVF ranking ([dvf
+    inject] does exactly that).
 
     Outcome classes, following the soft-error literature:
     - [Benign]   — the final output matches the clean run (the flipped

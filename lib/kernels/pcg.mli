@@ -12,7 +12,7 @@
     - [`Dense_matrix]: M stored as an explicit dense n x n matrix applied
       by a full matrix–vector product.  Its O(n^2) footprint and traffic
       grow faster than the O(sqrt n) iteration gain, so PCG then {e never}
-      wins — the ablation bench uses this mode to show how storage choices
+      wins — [dvf ablation] uses this mode to show how storage choices
       for the same algorithm invert the resilience conclusion. *)
 
 type preconditioner = [ `Dense_matrix | `Vector ]

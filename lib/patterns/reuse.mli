@@ -31,7 +31,7 @@ type allocation = [ `Bernoulli | `Uniform ]
     [floor(F/NA)] or [ceil(F/NA)] rather than binomial.  Contiguous arrays
     are the common case in the six kernels, and the Bernoulli variance
     otherwise manufactures phantom conflict misses for working sets that
-    actually fit (see the ablation bench); [`Uniform] is therefore the
+    actually fit (see [dvf ablation]); [`Uniform] is therefore the
     default throughout. *)
 
 val occupancy_dist :

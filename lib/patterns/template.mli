@@ -22,7 +22,7 @@
     element stream; any other template, and any explicit block trace,
     is first renumbered in first-touch order.  A [`Raw] distance variant
     (plain count of intervening references, the literal reading of the
-    paper's "distance") is kept for the ablation bench. *)
+    paper's "distance") is kept for [dvf ablation]. *)
 
 type distance_kind = [ `Stack | `Raw ]
 

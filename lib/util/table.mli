@@ -1,7 +1,7 @@
-(** Plain-text table rendering for the experiment harness.
+(** Plain-text table rendering for the experiment reports.
 
-    Every figure/table reproduction prints through this module so the bench
-    output has a uniform look and can be diffed between runs; [to_csv] gives
+    Every figure/table reproduction prints through this module so the
+    [dvf] output has a uniform look and can be diffed between runs; [to_csv] gives
     a machine-readable export of the same rows. *)
 
 type align = Left | Right

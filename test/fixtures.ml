@@ -38,3 +38,25 @@ let forge_event_word b ~index ~word =
     h := mix !h (Int64.to_int (Bytes.get_int64_le b (payload + (8 * i))))
   done;
   Bytes.set_int64_le b 24 (Int64.of_int !h)
+
+(* Run the dvf binary on [args]: exit status, stdout and stderr; [None]
+   when the binary is not built.  The suite runs one directory below the
+   repository root, next to the built [bin/]. *)
+let run_dvf args =
+  let exe = "../bin/dvf_cli.exe" in
+  if not (Sys.file_exists exe) then None
+  else begin
+    let out, inp, err =
+      Unix.open_process_args_full exe (Array.of_list (exe :: args))
+        (Unix.environment ())
+    in
+    close_out inp;
+    let stdout = In_channel.input_all out in
+    let stderr = In_channel.input_all err in
+    let status =
+      match Unix.close_process_full (out, inp, err) with
+      | Unix.WEXITED n -> n
+      | _ -> -1
+    in
+    Some (status, stdout, stderr)
+  end

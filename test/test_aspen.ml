@@ -305,26 +305,10 @@ let test_error_rendering () =
 (* [dvf --model] on a model source: exit status, stdout and stderr;
    [None] when the binary is not built. *)
 let run_model_cli src =
-  let exe = "../bin/dvf_cli.exe" in
-  if not (Sys.file_exists exe) then None
-  else begin
-    let path = Filename.temp_file "dvf_model" ".aspen" in
-    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-    Out_channel.with_open_text path (fun oc -> output_string oc src);
-    let out, inp, err =
-      Unix.open_process_args_full exe [| exe; "--model"; path |]
-        (Unix.environment ())
-    in
-    close_out inp;
-    let stdout = In_channel.input_all out in
-    let stderr = In_channel.input_all err in
-    let status =
-      match Unix.close_process_full (out, inp, err) with
-      | Unix.WEXITED n -> n
-      | _ -> -1
-    in
-    Some (status, stdout, stderr)
-  end
+  let path = Filename.temp_file "dvf_model" ".aspen" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_text path (fun oc -> output_string oc src);
+  Fixtures.run_dvf [ "--model"; path ]
 
 (* The CLI's report of a bad template index names no "line 0". *)
 let test_cli_semantic_error () =

@@ -72,11 +72,13 @@ let test_instances_consistent () =
 (* --- Verify --- *)
 
 let test_verify_vm () =
-  let rows =
-    Core.Verify.run_all ~workloads:[ Core.Workloads.vm ] ()
+  let workloads = Core.Workloads.[ vm; cg; nb; mg; ft; mc ] in
+  let rows = Core.Verify.run_all ~workloads () in
+  let vm_rows =
+    List.filter (fun (r : Core.Verify.row) -> r.Core.Verify.workload = "VM") rows
   in
   (* 3 structures x 2 caches. *)
-  Alcotest.(check int) "row count" 6 (List.length rows);
+  Alcotest.(check int) "row count" 6 (List.length vm_rows);
   List.iter
     (fun (r : Core.Verify.row) ->
       Alcotest.(check bool)
@@ -84,12 +86,20 @@ let test_verify_vm () =
            r.Core.Verify.cache.Cachesim.Config.name)
         true
         (Core.Verify.error r <= 0.15))
-    rows;
+    vm_rows;
+  (* Fig. 4's headline: every kernel's aggregate traffic within 15 % on
+     both verification caches. *)
   List.iter
-    (fun cache ->
-      Alcotest.(check bool) "aggregate within 15%" true
-        (Core.Verify.workload_error ~rows "VM" cache <= 0.15))
-    Cachesim.Config.verification_set
+    (fun (w : Core.Workload.t) ->
+      List.iter
+        (fun cache ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s aggregate within 15%%" w.Core.Workload.name
+               cache.Cachesim.Config.name)
+            true
+            (Core.Verify.workload_error ~rows w.Core.Workload.name cache <= 0.15))
+        Cachesim.Config.verification_set)
+    workloads
 
 (* --- Profile --- *)
 
@@ -117,20 +127,32 @@ let test_profile_vm_shapes () =
     (dvf "VM" "4MB")
 
 let test_profile_ft_cliff () =
-  let rows = Core.Profile.run_all ~workloads:[ Core.Workloads.ft ] () in
-  let dvf cache =
+  let rows =
+    Core.Profile.run_all ~workloads:Core.Workloads.[ ft; cg; nb; mc ] ()
+  in
+  (* A workload's aggregate DVF_a on one cache. *)
+  let dvf workload cache =
     (List.find
        (fun (r : Core.Profile.row) ->
-         r.Core.Profile.structure = "FT"
+         r.Core.Profile.workload = workload
+         && r.Core.Profile.structure = workload
          && r.Core.Profile.cache.Cachesim.Config.name = cache)
        rows)
       .Core.Profile.dvf
   in
   (* Fig. 5(e): sudden jump once the cache is smaller than the working
      set (32 KB signal vs 16 KB cache), flat-ish among the larger caches. *)
-  Alcotest.(check bool) "cliff at 16KB" true (dvf "16KB" > 20.0 *. dvf "128KB");
+  Alcotest.(check bool) "cliff at 16KB" true
+    (dvf "FT" "16KB" > 20.0 *. dvf "FT" "128KB");
   Alcotest.(check bool) "no cliff between 128KB and 768KB" true
-    (dvf "128KB" < 20.0 *. dvf "768KB")
+    (dvf "FT" "128KB" < 20.0 *. dvf "FT" "768KB");
+  (* Fig. 5's cross-kernel observations: CG's large working set and long
+     run put it orders of magnitude above FT; MC's many lookups put it
+     far above NB on the smallest cache. *)
+  Alcotest.(check bool) "CG >> FT at 4MB" true
+    (dvf "CG" "4MB" > 100.0 *. dvf "FT" "4MB");
+  Alcotest.(check bool) "MC >> NB at 16KB" true
+    (dvf "MC" "16KB" > 100.0 *. dvf "NB" "16KB")
 
 (* --- Experiments --- *)
 

@@ -7,10 +7,13 @@
    and the roofline time, so any change in how N_ha, T or the DVF is
    computed shows up here.  golden/fig5.txt holds the stdout of
    "dvf fig5", every workload's profile on the four Table IV caches,
-   including the template models of MG and FT.  golden/sweep_sim.txt
-   holds the exact simulated totals (misses + writebacks, every
-   geometry) of the VM, FT and MC profiling sweeps, so the trace-driven
-   half of the sweep is pinned too, not only its rounded table cells.
+   including the template models of MG and FT.  golden/reproduce.txt
+   holds the stdout of "dvf ablation", "dvf sparse" and "dvf sweep":
+   the model ablations, the sparse-CG verification and the simulated
+   capacity sweeps.  golden/sweep_sim.txt holds the exact simulated
+   totals (misses + writebacks, every geometry) of the VM, FT and MC
+   profiling sweeps, so the trace-driven half of the sweep is pinned
+   too, not only its rounded table cells.
    golden/verify_levels.txt holds the stdout of "dvf verify --levels 2"
    and "dvf verify --time-weighted --levels 2": per-level hierarchy
    traffic and per-level residency line-events of every workload, and
@@ -67,6 +70,20 @@ let sweep_tables () =
               ~label:instance.Core.Workload.label rows)))
     Core.Workloads.[ vm; ft; mc ]
 
+(* Split "$ <command>" sections out of a golden, so a failure names the
+   command. *)
+let sections s =
+  String.split_on_char '\n' s
+  |> List.fold_left
+       (fun acc line ->
+         match acc with
+         | _ when String.starts_with ~prefix:"$ " line -> (line, [ line ]) :: acc
+         | (head, lines) :: rest -> (head, line :: lines) :: rest
+         | [] -> [ ("(preamble)", [ line ]) ])
+       []
+  |> List.rev_map (fun (head, lines) ->
+         (head, String.concat "\n" (List.rev lines)))
+
 let test_analytic_golden () =
   if not (Sys.file_exists exe) then Alcotest.skip ()
   else
@@ -82,19 +99,6 @@ let test_analytic_golden () =
            commands
         @ sweep_tables ())
     in
-    (* Compare section by section so a failure names the command. *)
-    let sections s =
-      String.split_on_char '\n' s
-      |> List.fold_left
-           (fun acc line ->
-             match acc with
-             | _ when String.starts_with ~prefix:"$ " line -> (line, [ line ]) :: acc
-             | (head, lines) :: rest -> (head, line :: lines) :: rest
-             | [] -> [ ("(preamble)", [ line ]) ])
-           []
-      |> List.rev_map (fun (head, lines) ->
-             (head, String.concat "\n" (List.rev lines)))
-    in
     Alcotest.(check (list (pair string string)))
       "analytic outputs" (sections golden) (sections produced)
 
@@ -105,6 +109,27 @@ let test_fig5_golden () =
       "dvf fig5"
       (In_channel.with_open_text "golden/fig5.txt" In_channel.input_all)
       (run_cli [ "fig5" ])
+
+(* golden/reproduce.txt: "dvf ablation", "dvf sparse" and "dvf sweep",
+   the last at -j 1 and -j 2. *)
+let test_reproduce_golden () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    let golden =
+      In_channel.with_open_text "golden/reproduce.txt" In_channel.input_all
+    in
+    let section args extra =
+      Printf.sprintf "$ dvf %s\n%s" (String.concat " " args)
+        (run_cli (args @ extra))
+    in
+    let fixed = section [ "ablation" ] [] ^ section [ "sparse" ] [] in
+    List.iter
+      (fun jobs ->
+        Alcotest.(check (list (pair string string)))
+          (Printf.sprintf "reproduction outputs, sweep -j %s" jobs)
+          (sections golden)
+          (sections (fixed ^ section [ "sweep" ] [ "-j"; jobs ])))
+      [ "1"; "2" ]
 
 let sweep_sim ~jobs captures =
   String.concat ""
@@ -217,6 +242,8 @@ let suite =
   [
     Alcotest.test_case "analytic outputs match golden" `Quick test_analytic_golden;
     Alcotest.test_case "fig5 matches golden" `Quick test_fig5_golden;
+    Alcotest.test_case "ablation, sparse and sweep match golden" `Quick
+      test_reproduce_golden;
     Alcotest.test_case "simulated sweep matches golden" `Quick
       test_sweep_sim_golden;
     Alcotest.test_case "verify levels match golden" `Quick

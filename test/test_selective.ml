@@ -93,6 +93,21 @@ let test_on_real_kernel () =
   Alcotest.(check bool) "table renders" true
     (String.length (Dvf_util.Table.render (S.to_table curve)) > 100)
 
+(* A target outside (0, 1] is refused before any table is printed. *)
+let test_cli_rejects_bad_target () =
+  List.iter
+    (fun target ->
+      match Fixtures.run_dvf [ "protect"; "-t"; target; "VM"; "CG" ] with
+      | None -> Alcotest.skip ()
+      | Some (status, stdout, stderr) ->
+          Alcotest.(check int) ("exit status, -t " ^ target) 1 status;
+          Alcotest.(check string) ("stdout, -t " ^ target) "" stdout;
+          Alcotest.(check string) ("stderr, -t " ^ target)
+            (Printf.sprintf
+               "error: --target expects a value in (0, 1] (got %s)\n" target)
+            stderr)
+    [ "0"; "1.5"; "nan" ]
+
 let suite =
   [
     Alcotest.test_case "rank descending" `Quick test_rank_descending;
@@ -104,4 +119,6 @@ let suite =
       test_coverage_curve_monotone;
     Alcotest.test_case "structures for target" `Quick test_structures_for_target;
     Alcotest.test_case "on a real kernel" `Quick test_on_real_kernel;
+    Alcotest.test_case "CLI rejects a target outside (0,1]" `Quick
+      test_cli_rejects_bad_target;
   ]
