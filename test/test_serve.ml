@@ -159,6 +159,42 @@ let test_sweep_rows_bit_identical () =
       in
       Alcotest.(check bool) "rows = cache_sweep" true (served = direct))
 
+let test_timed_rows_bit_identical () =
+  with_server (fun srv ->
+      let result =
+        expect_ok
+          (respond srv
+             {|{"id":1,"op":"timed","workload":"VM","levels":2,"bins":8}|})
+      in
+      let served = Core.Serve.timed_rows_of_result result in
+      let direct =
+        Core.Verify.run_all_timed ~jobs:1 ~levels:2 ~bins:8
+          ~workloads:[ Core.Workloads.vm ] ()
+      in
+      Alcotest.(check bool) "rows = run_all_timed" true (served = direct))
+
+(* [simulate: false] is the sweep's analytic-only path: every row's
+   [sim_n_ha] travels as [null]. *)
+let test_sweep_without_simulation () =
+  with_server (fun srv ->
+      let result =
+        expect_ok
+          (respond srv
+             {|{"id":1,"op":"sweep","workload":"VM","capacities":[8192,65536],"simulate":false}|})
+      in
+      let served = Core.Serve.sweep_rows_of_result result in
+      let direct =
+        Core.Experiments.cache_sweep ~jobs:1 ~capacities:[ 8192; 65536 ]
+          ~simulate:false
+          (Core.Workloads.verification_instance Core.Workloads.vm)
+      in
+      Alcotest.(check int) "two rows" 2 (List.length served);
+      Alcotest.(check bool) "no simulated totals" true
+        (List.for_all
+           (fun r -> r.Core.Experiments.sim_n_ha = None)
+           served);
+      Alcotest.(check bool) "rows = cache_sweep" true (served = direct))
+
 let test_sweep_requires_workload () =
   with_server (fun srv ->
       let msg = expect_error (respond srv {|{"id":1,"op":"sweep"}|}) in
@@ -261,6 +297,198 @@ let test_row_codecs_roundtrip () =
       in
       Alcotest.(check bool) "profile row (exact floats)" true (row = back))
     profile
+
+(* --- the wire format, pinned literally ---
+
+   One hand-built value of each served type, with floats that print
+   exactly: its compact encoding must equal the literal (key names, key
+   order, [null] for [None], floats as [%.17g] with a ".0" marker), and
+   decoding the literal must give the value back.  A renamed or
+   reordered key would still round-trip and still render; only these
+   literals catch it. *)
+
+let wire_cache =
+  Cachesim.Config.make ~name:"Small" ~associativity:4 ~sets:64 ~line:64
+
+let wire_l2 =
+  Cachesim.Config.make ~name:"L2" ~associativity:8 ~sets:512 ~line:64
+
+let small_json = {|{"name":"Small","associativity":4,"sets":64,"line":64}|}
+let l2_json = {|{"name":"L2","associativity":8,"sets":512,"line":64}|}
+
+let check_wire name ~encode ~decode value literal =
+  Alcotest.(check string)
+    (name ^ ": encoding") literal
+    (J.to_string ~indent:false (encode value));
+  Alcotest.(check bool)
+    (name ^ ": decode (encode x) = x") true
+    (decode (encode value) = value);
+  match J.of_string literal with
+  | Ok j -> Alcotest.(check bool) (name ^ ": decode literal") true (decode j = value)
+  | Error e -> Alcotest.failf "%s: literal does not parse: %s" name e
+
+(* The row types the protocol only decodes as a response's ["rows"]. *)
+let one_row name of_result j =
+  match of_result (J.Obj [ ("rows", J.List [ j ]) ]) with
+  | [ r ] -> r
+  | rows -> Alcotest.failf "%s: %d rows decoded" name (List.length rows)
+
+let parse_literal s =
+  match J.of_string s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "literal does not parse: %s" e
+
+let fails_with msg f =
+  match f () with
+  | _ -> Alcotest.failf "expected failure %S" msg
+  | exception Failure m -> Alcotest.(check string) "error message" msg m
+
+let test_wire_literals () =
+  let open Core in
+  check_wire "verify row" ~encode:Serve.verify_row_to_json
+    ~decode:Serve.verify_row_of_json
+    {
+      Verify.workload = "VM";
+      cache = wire_cache;
+      structure = "A";
+      simulated = 1.5;
+      modeled = 50000.;
+    }
+    ({|{"workload":"VM","cache":|} ^ small_json
+   ^ {|,"structure":"A","simulated":1.5,"modeled":50000.0}|});
+  check_wire "level row" ~encode:Serve.level_row_to_json
+    ~decode:(one_row "level row" Serve.level_rows_of_result)
+    {
+      Verify.l_workload = "MC";
+      base_cache = wire_cache;
+      level = 2;
+      level_cache = wire_l2;
+      l_structure = "B";
+      accesses = 1000.;
+      misses = 0.25;
+      l_writebacks = 3.;
+    }
+    ({|{"workload":"MC","base_cache":|} ^ small_json ^ {|,"level":2,"level_cache":|}
+   ^ l2_json
+   ^ {|,"structure":"B","accesses":1000.0,"misses":0.25,"writebacks":3.0}|});
+  check_wire "time row" ~encode:Serve.time_row_to_json
+    ~decode:(one_row "time row" Serve.timed_rows_of_result)
+    {
+      Verify.t_workload = "VM";
+      t_base = wire_cache;
+      t_level = 1;
+      t_cache = wire_cache;
+      t_structure = "C";
+      t_horizon = 400;
+      t_bins = 2;
+      clean_time = 1.5;
+      dirty_time = 0.5;
+      t_fills = 7.;
+      t_evictions = 6.;
+      t_flushes = 1.;
+      window = [| 1.5; 50000. |];
+      window_dirty = [||];
+    }
+    ({|{"workload":"VM","base_cache":|} ^ small_json ^ {|,"level":1,"level_cache":|}
+   ^ small_json
+   ^ {|,"structure":"C","horizon":400,"bins":2,"clean_time":1.5,"dirty_time":0.5,"fills":7.0,"evictions":6.0,"flushes":1.0,"window":[1.5,50000.0],"window_dirty":[]}|}
+    );
+  check_wire "profile row" ~encode:Serve.profile_row_to_json
+    ~decode:Serve.profile_row_of_json
+    {
+      Profile.workload = "FT";
+      cache = wire_l2;
+      structure = "FT";
+      dvf = 0.125;
+      n_ha = 50000.;
+      bytes = 4096;
+      time = 2.5;
+    }
+    ({|{"workload":"FT","cache":|} ^ l2_json
+   ^ {|,"structure":"FT","dvf":0.125,"n_ha":50000.0,"bytes":4096,"time":2.5}|});
+  let sweep sim_n_ha =
+    {
+      Experiments.capacity = 16384;
+      sweep_cache = wire_cache;
+      dvf_a = 1.5;
+      n_ha = 50000.;
+      sim_n_ha;
+    }
+  in
+  let sweep_json sim =
+    {|{"capacity":16384,"cache":|} ^ small_json
+    ^ {|,"dvf_a":1.5,"n_ha":50000.0,"sim_n_ha":|} ^ sim ^ "}"
+  in
+  let decode_sweep = one_row "sweep row" Serve.sweep_rows_of_result in
+  check_wire "sweep row, simulated" ~encode:Serve.sweep_row_to_json
+    ~decode:decode_sweep (sweep (Some 0.75)) (sweep_json "0.75");
+  check_wire "sweep row, analytic only" ~encode:Serve.sweep_row_to_json
+    ~decode:decode_sweep (sweep None) (sweep_json "null");
+  let report rho =
+    {
+      Chaos.workload = "service_graph";
+      label = "kill 1";
+      kill_fraction = 0.25;
+      killed_per_trial = 1;
+      components = 4;
+      seed = 42;
+      rows =
+        [
+          {
+            Chaos.endpoint = "GET /a";
+            weight = 0.5;
+            trials = 50;
+            lost = 5;
+            availability = 0.875;
+            ci = (0.75, 0.9375);
+            dvf = 1.5;
+          };
+        ];
+      requests_lost = 0.0625;
+      rho;
+    }
+  in
+  let report_json rho =
+    {|{"workload":"service_graph","label":"kill 1","kill_fraction":0.25,"killed_per_trial":1,"components":4,"seed":42,"requests_lost":0.0625,"rho":|}
+    ^ rho
+    ^ {|,"rows":[{"endpoint":"GET /a","weight":0.5,"trials":50,"lost":5,"availability":0.875,"ci_lo":0.75,"ci_hi":0.9375,"dvf":1.5}]}|}
+  in
+  check_wire "chaos report, rho" ~encode:Serve.chaos_report_to_json
+    ~decode:Serve.chaos_report_of_result (report (Some (-0.5)))
+    (report_json "-0.5");
+  check_wire "chaos report, no rho" ~encode:Serve.chaos_report_to_json
+    ~decode:Serve.chaos_report_of_result (report None) (report_json "null");
+  check_wire "tape info" ~encode:Serve.tape_info_to_json
+    ~decode:Serve.tape_info_of_json
+    {
+      Serve.ti_version = 4;
+      ti_workload = "VM";
+      ti_size = "n=64";
+      ti_seed = 3;
+      ti_chunk_events = 64;
+      ti_events = 200;
+      ti_chunks = 4;
+      ti_regions = 2;
+    }
+    {|{"version":4,"workload":"VM","size":"n=64","seed":3,"chunk_events":64,"events":200,"chunks":4,"regions":2}|};
+  (* A float field accepts an integer: another encoder may print a
+     whole float without a fraction. *)
+  Alcotest.(check bool) "integer in a float field" true
+    (decode_sweep
+       (parse_literal
+          ({|{"capacity":16384,"cache":|} ^ small_json
+         ^ {|,"dvf_a":1.5,"n_ha":50000,"sim_n_ha":null}|}))
+    = sweep None);
+  (* Decoders name the row type and the missing key. *)
+  fails_with {|verify row: missing field "modeled"|} (fun () ->
+      Serve.verify_row_of_json
+        (parse_literal
+           ({|{"workload":"VM","cache":|} ^ small_json
+          ^ {|,"structure":"A","simulated":1.5}|})));
+  fails_with {|cache config: missing field "line"|} (fun () ->
+      Serve.verify_row_of_json
+        (parse_literal
+           {|{"workload":"VM","cache":{"name":"Small","associativity":4,"sets":64},"structure":"A","simulated":1.5,"modeled":2.0}|}))
 
 (* --- tape info (the dvf tape info payload) --- *)
 
@@ -655,11 +883,16 @@ let suite =
       test_dvf_rows_bit_identical;
     Alcotest.test_case "sweep rows bit-identical" `Quick
       test_sweep_rows_bit_identical;
+    Alcotest.test_case "timed rows bit-identical" `Quick
+      test_timed_rows_bit_identical;
+    Alcotest.test_case "sweep without simulation" `Quick
+      test_sweep_without_simulation;
     Alcotest.test_case "sweep requires a workload" `Quick
       test_sweep_requires_workload;
     Alcotest.test_case "batch order and equivalence" `Quick
       test_batch_order_and_equivalence;
     Alcotest.test_case "row codecs round-trip" `Quick test_row_codecs_roundtrip;
+    Alcotest.test_case "wire format literals" `Quick test_wire_literals;
     Alcotest.test_case "tape info" `Quick test_tape_info;
     Alcotest.test_case "Json.parse_line" `Quick test_json_parse_line;
     Alcotest.test_case "fuzz: Json.parse_line" `Quick test_fuzz_parse_line;
