@@ -257,6 +257,7 @@ let protect_cmd =
         target;
       exit 1
     end;
+    let unreachable = ref false in
     List.iter
       (fun workload ->
         let instance = Core.Workloads.profiling_instance workload in
@@ -278,8 +279,11 @@ let protect_cmd =
         | names ->
             Printf.printf "protect {%s} to keep <= %.0f%% of the DVF\n"
               (String.concat ", " names) (100.0 *. target)
-        | exception Invalid_argument m -> Printf.printf "%s\n" m)
-      workloads
+        | exception Invalid_argument m ->
+            Printf.eprintf "error: %s: %s\n" workload.Core.Workload.name m;
+            unreachable := true)
+      workloads;
+    if !unreachable then exit 1
   in
   Cmd.v
     (Cmd.info "protect"

@@ -48,13 +48,14 @@ let create ?(telemetry = Telemetry.null) ?store ?jobs ?workloads () =
 let shutdown t = Dvf_util.Parallel.Pool.shutdown t.pool
 let workload_names t = List.map (fun w -> w.Workload.name) t.workloads
 
-let find_workload t name =
+let lookup t name =
   let key = String.lowercase_ascii name in
-  match
-    List.find_opt
-      (fun w -> String.lowercase_ascii w.Workload.name = key)
-      t.workloads
-  with
+  List.find_opt
+    (fun w -> String.lowercase_ascii w.Workload.name = key)
+    t.workloads
+
+let find_workload t name =
+  match lookup t name with
   | Some w -> w
   | None ->
       failwith
@@ -103,259 +104,162 @@ let warm_count t =
 
 (* {2 Row codecs}
 
-   Floats are emitted by [Json.to_string] as [%.17g], which round-trips
-   exactly; so a client that decodes these rows and renders them through
-   [Verify.to_table] (etc.) reproduces the one-shot CLI output byte for
-   byte. *)
+   Each served type is declared once, as a {!Json.Codec}: its encoder
+   and its decoder come from the one declaration.  Floats are emitted by
+   [Json.to_string] as [%.17g], which round-trips exactly; so a client
+   that decodes these rows and renders them through [Verify.to_table]
+   (etc.) reproduces the one-shot CLI output byte for byte. *)
 
-let config_to_json (c : Cachesim.Config.t) =
-  Json.Obj
-    [
-      ("name", Json.Str c.Cachesim.Config.name);
-      ("associativity", Json.Int c.Cachesim.Config.associativity);
-      ("sets", Json.Int c.Cachesim.Config.sets);
-      ("line", Json.Int c.Cachesim.Config.line);
-    ]
+module C = Json.Codec
 
-let get ~what k j =
-  match Json.member k j with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "%s: missing field %S" what k)
+let config =
+  C.(
+    obj "cache config" (fun name associativity sets line ->
+        Cachesim.Config.make ~name ~associativity ~sets ~line)
+    |> field "name" string (fun c -> c.Cachesim.Config.name)
+    |> field "associativity" int (fun c -> c.Cachesim.Config.associativity)
+    |> field "sets" int (fun c -> c.Cachesim.Config.sets)
+    |> field "line" int (fun c -> c.Cachesim.Config.line)
+    |> finish)
 
-let as_str ~what = function
-  | Json.Str s -> s
-  | _ -> failwith (what ^ ": expected a string")
+let verify_row =
+  C.(
+    obj "verify row" (fun workload cache structure simulated modeled ->
+        { Verify.workload; cache; structure; simulated; modeled })
+    |> field "workload" string (fun r -> r.Verify.workload)
+    |> field "cache" config (fun r -> r.Verify.cache)
+    |> field "structure" string (fun r -> r.Verify.structure)
+    |> field "simulated" float (fun r -> r.Verify.simulated)
+    |> field "modeled" float (fun r -> r.Verify.modeled)
+    |> finish)
 
-let as_int ~what = function
-  | Json.Int i -> i
-  | _ -> failwith (what ^ ": expected an integer")
+let level_row =
+  C.(
+    obj "level row"
+      (fun l_workload base_cache level level_cache l_structure accesses
+           misses l_writebacks ->
+        { Verify.l_workload; base_cache; level; level_cache; l_structure;
+          accesses; misses; l_writebacks })
+    |> field "workload" string (fun r -> r.Verify.l_workload)
+    |> field "base_cache" config (fun r -> r.Verify.base_cache)
+    |> field "level" int (fun r -> r.Verify.level)
+    |> field "level_cache" config (fun r -> r.Verify.level_cache)
+    |> field "structure" string (fun r -> r.Verify.l_structure)
+    |> field "accesses" float (fun r -> r.Verify.accesses)
+    |> field "misses" float (fun r -> r.Verify.misses)
+    |> field "writebacks" float (fun r -> r.Verify.l_writebacks)
+    |> finish)
 
-let as_float ~what = function
-  | Json.Int i -> float_of_int i
-  | Json.Float f -> f
-  | _ -> failwith (what ^ ": expected a number")
+let time_row =
+  C.(
+    obj "time row"
+      (fun t_workload t_base t_level t_cache t_structure t_horizon t_bins
+           clean_time dirty_time t_fills t_evictions t_flushes window
+           window_dirty ->
+        { Verify.t_workload; t_base; t_level; t_cache; t_structure;
+          t_horizon; t_bins; clean_time; dirty_time; t_fills; t_evictions;
+          t_flushes; window; window_dirty })
+    |> field "workload" string (fun r -> r.Verify.t_workload)
+    |> field "base_cache" config (fun r -> r.Verify.t_base)
+    |> field "level" int (fun r -> r.Verify.t_level)
+    |> field "level_cache" config (fun r -> r.Verify.t_cache)
+    |> field "structure" string (fun r -> r.Verify.t_structure)
+    |> field "horizon" int (fun r -> r.Verify.t_horizon)
+    |> field "bins" int (fun r -> r.Verify.t_bins)
+    |> field "clean_time" float (fun r -> r.Verify.clean_time)
+    |> field "dirty_time" float (fun r -> r.Verify.dirty_time)
+    |> field "fills" float (fun r -> r.Verify.t_fills)
+    |> field "evictions" float (fun r -> r.Verify.t_evictions)
+    |> field "flushes" float (fun r -> r.Verify.t_flushes)
+    |> field "window" (array float) (fun r -> r.Verify.window)
+    |> field "window_dirty" (array float) (fun r -> r.Verify.window_dirty)
+    |> finish)
 
-let str_field ~what k j = as_str ~what (get ~what k j)
-let int_field ~what k j = as_int ~what (get ~what k j)
-let float_field ~what k j = as_float ~what (get ~what k j)
+let profile_row =
+  C.(
+    obj "profile row" (fun workload cache structure dvf n_ha bytes time ->
+        { Profile.workload; cache; structure; dvf; n_ha; bytes; time })
+    |> field "workload" string (fun r -> r.Profile.workload)
+    |> field "cache" config (fun r -> r.Profile.cache)
+    |> field "structure" string (fun r -> r.Profile.structure)
+    |> field "dvf" float (fun r -> r.Profile.dvf)
+    |> field "n_ha" float (fun r -> r.Profile.n_ha)
+    |> field "bytes" int (fun r -> r.Profile.bytes)
+    |> field "time" float (fun r -> r.Profile.time)
+    |> finish)
 
-let config_of_json j =
-  let what = "cache config" in
-  Cachesim.Config.make
-    ~name:(str_field ~what "name" j)
-    ~associativity:(int_field ~what "associativity" j)
-    ~sets:(int_field ~what "sets" j)
-    ~line:(int_field ~what "line" j)
+let sweep_row =
+  C.(
+    obj "sweep row" (fun capacity sweep_cache dvf_a n_ha sim_n_ha ->
+        { Experiments.capacity; sweep_cache; dvf_a; n_ha; sim_n_ha })
+    |> field "capacity" int (fun r -> r.Experiments.capacity)
+    |> field "cache" config (fun r -> r.Experiments.sweep_cache)
+    |> field "dvf_a" float (fun r -> r.Experiments.dvf_a)
+    |> field "n_ha" float (fun r -> r.Experiments.n_ha)
+    |> field "sim_n_ha" (option float) (fun r -> r.Experiments.sim_n_ha)
+    |> finish)
 
-let verify_row_to_json (r : Verify.row) =
-  Json.Obj
-    [
-      ("workload", Json.Str r.Verify.workload);
-      ("cache", config_to_json r.Verify.cache);
-      ("structure", Json.Str r.Verify.structure);
-      ("simulated", Json.Float r.Verify.simulated);
-      ("modeled", Json.Float r.Verify.modeled);
-    ]
+(* The Wilson interval travels as two members, [ci_lo] and [ci_hi]. *)
+let chaos_row =
+  C.(
+    obj "chaos row"
+      (fun endpoint weight trials lost availability ci_lo ci_hi dvf ->
+        { Chaos.endpoint; weight; trials; lost; availability;
+          ci = (ci_lo, ci_hi); dvf })
+    |> field "endpoint" string (fun r -> r.Chaos.endpoint)
+    |> field "weight" float (fun r -> r.Chaos.weight)
+    |> field "trials" int (fun r -> r.Chaos.trials)
+    |> field "lost" int (fun r -> r.Chaos.lost)
+    |> field "availability" float (fun r -> r.Chaos.availability)
+    |> field "ci_lo" float (fun r -> fst r.Chaos.ci)
+    |> field "ci_hi" float (fun r -> snd r.Chaos.ci)
+    |> field "dvf" float (fun r -> r.Chaos.dvf)
+    |> finish)
 
-let verify_row_of_json j =
-  let what = "verify row" in
-  {
-    Verify.workload = str_field ~what "workload" j;
-    cache = config_of_json (get ~what "cache" j);
-    structure = str_field ~what "structure" j;
-    simulated = float_field ~what "simulated" j;
-    modeled = float_field ~what "modeled" j;
-  }
+let chaos_report =
+  C.(
+    obj "chaos result"
+      (fun workload label kill_fraction killed_per_trial components seed
+           requests_lost rho rows ->
+        { Chaos.workload; label; kill_fraction; killed_per_trial;
+          components; seed; rows; requests_lost; rho })
+    |> field "workload" string (fun r -> r.Chaos.workload)
+    |> field "label" string (fun r -> r.Chaos.label)
+    |> field "kill_fraction" float (fun r -> r.Chaos.kill_fraction)
+    |> field "killed_per_trial" int (fun r -> r.Chaos.killed_per_trial)
+    |> field "components" int (fun r -> r.Chaos.components)
+    |> field "seed" int (fun r -> r.Chaos.seed)
+    |> field "requests_lost" float (fun r -> r.Chaos.requests_lost)
+    |> field "rho" (option float) (fun r -> r.Chaos.rho)
+    |> field "rows" (list chaos_row) (fun r -> r.Chaos.rows)
+    |> finish)
 
-let level_row_to_json (r : Verify.level_row) =
-  Json.Obj
-    [
-      ("workload", Json.Str r.Verify.l_workload);
-      ("base_cache", config_to_json r.Verify.base_cache);
-      ("level", Json.Int r.Verify.level);
-      ("level_cache", config_to_json r.Verify.level_cache);
-      ("structure", Json.Str r.Verify.l_structure);
-      ("accesses", Json.Float r.Verify.accesses);
-      ("misses", Json.Float r.Verify.misses);
-      ("writebacks", Json.Float r.Verify.l_writebacks);
-    ]
+(* A replay op's result: its rows, in order. *)
+let rows row =
+  C.(obj "response result" Fun.id |> field "rows" (list row) Fun.id |> finish)
 
-let level_row_of_json j =
-  let what = "level row" in
-  {
-    Verify.l_workload = str_field ~what "workload" j;
-    base_cache = config_of_json (get ~what "base_cache" j);
-    level = int_field ~what "level" j;
-    level_cache = config_of_json (get ~what "level_cache" j);
-    l_structure = str_field ~what "structure" j;
-    accesses = float_field ~what "accesses" j;
-    misses = float_field ~what "misses" j;
-    l_writebacks = float_field ~what "writebacks" j;
-  }
-
-let floats_to_json a =
-  Json.List (Array.to_list (Array.map (fun v -> Json.Float v) a))
-
-let floats_of_json ~what = function
-  | Json.List vs -> Array.of_list (List.map (as_float ~what) vs)
-  | _ -> failwith (what ^ ": expected a list of numbers")
-
-let time_row_to_json (r : Verify.time_row) =
-  Json.Obj
-    [
-      ("workload", Json.Str r.Verify.t_workload);
-      ("base_cache", config_to_json r.Verify.t_base);
-      ("level", Json.Int r.Verify.t_level);
-      ("level_cache", config_to_json r.Verify.t_cache);
-      ("structure", Json.Str r.Verify.t_structure);
-      ("horizon", Json.Int r.Verify.t_horizon);
-      ("bins", Json.Int r.Verify.t_bins);
-      ("clean_time", Json.Float r.Verify.clean_time);
-      ("dirty_time", Json.Float r.Verify.dirty_time);
-      ("fills", Json.Float r.Verify.t_fills);
-      ("evictions", Json.Float r.Verify.t_evictions);
-      ("flushes", Json.Float r.Verify.t_flushes);
-      ("window", floats_to_json r.Verify.window);
-      ("window_dirty", floats_to_json r.Verify.window_dirty);
-    ]
-
-let time_row_of_json j =
-  let what = "time row" in
-  {
-    Verify.t_workload = str_field ~what "workload" j;
-    t_base = config_of_json (get ~what "base_cache" j);
-    t_level = int_field ~what "level" j;
-    t_cache = config_of_json (get ~what "level_cache" j);
-    t_structure = str_field ~what "structure" j;
-    t_horizon = int_field ~what "horizon" j;
-    t_bins = int_field ~what "bins" j;
-    clean_time = float_field ~what "clean_time" j;
-    dirty_time = float_field ~what "dirty_time" j;
-    t_fills = float_field ~what "fills" j;
-    t_evictions = float_field ~what "evictions" j;
-    t_flushes = float_field ~what "flushes" j;
-    window = floats_of_json ~what (get ~what "window" j);
-    window_dirty = floats_of_json ~what (get ~what "window_dirty" j);
-  }
-
-let profile_row_to_json (r : Profile.row) =
-  Json.Obj
-    [
-      ("workload", Json.Str r.Profile.workload);
-      ("cache", config_to_json r.Profile.cache);
-      ("structure", Json.Str r.Profile.structure);
-      ("dvf", Json.Float r.Profile.dvf);
-      ("n_ha", Json.Float r.Profile.n_ha);
-      ("bytes", Json.Int r.Profile.bytes);
-      ("time", Json.Float r.Profile.time);
-    ]
-
-let profile_row_of_json j =
-  let what = "profile row" in
-  {
-    Profile.workload = str_field ~what "workload" j;
-    cache = config_of_json (get ~what "cache" j);
-    structure = str_field ~what "structure" j;
-    dvf = float_field ~what "dvf" j;
-    n_ha = float_field ~what "n_ha" j;
-    bytes = int_field ~what "bytes" j;
-    time = float_field ~what "time" j;
-  }
-
-let sweep_row_to_json (r : Experiments.sweep_row) =
-  Json.Obj
-    [
-      ("capacity", Json.Int r.Experiments.capacity);
-      ("cache", config_to_json r.Experiments.sweep_cache);
-      ("dvf_a", Json.Float r.Experiments.dvf_a);
-      ("n_ha", Json.Float r.Experiments.n_ha);
-      ( "sim_n_ha",
-        match r.Experiments.sim_n_ha with
-        | Some v -> Json.Float v
-        | None -> Json.Null );
-    ]
-
-let sweep_row_of_json j =
-  let what = "sweep row" in
-  {
-    Experiments.capacity = int_field ~what "capacity" j;
-    sweep_cache = config_of_json (get ~what "cache" j);
-    dvf_a = float_field ~what "dvf_a" j;
-    n_ha = float_field ~what "n_ha" j;
-    sim_n_ha =
-      (match get ~what "sim_n_ha" j with
-      | Json.Null -> None
-      | v -> Some (as_float ~what v));
-  }
-
-let chaos_row_to_json (r : Chaos.row) =
-  let lo, hi = r.Chaos.ci in
-  Json.Obj
-    [
-      ("endpoint", Json.Str r.Chaos.endpoint);
-      ("weight", Json.Float r.Chaos.weight);
-      ("trials", Json.Int r.Chaos.trials);
-      ("lost", Json.Int r.Chaos.lost);
-      ("availability", Json.Float r.Chaos.availability);
-      ("ci_lo", Json.Float lo);
-      ("ci_hi", Json.Float hi);
-      ("dvf", Json.Float r.Chaos.dvf);
-    ]
-
-let chaos_row_of_json j =
-  let what = "chaos row" in
-  {
-    Chaos.endpoint = str_field ~what "endpoint" j;
-    weight = float_field ~what "weight" j;
-    trials = int_field ~what "trials" j;
-    lost = int_field ~what "lost" j;
-    availability = float_field ~what "availability" j;
-    ci = (float_field ~what "ci_lo" j, float_field ~what "ci_hi" j);
-    dvf = float_field ~what "dvf" j;
-  }
-
-let chaos_report_to_json (r : Chaos.report) =
-  Json.Obj
-    [
-      ("workload", Json.Str r.Chaos.workload);
-      ("label", Json.Str r.Chaos.label);
-      ("kill_fraction", Json.Float r.Chaos.kill_fraction);
-      ("killed_per_trial", Json.Int r.Chaos.killed_per_trial);
-      ("components", Json.Int r.Chaos.components);
-      ("seed", Json.Int r.Chaos.seed);
-      ("requests_lost", Json.Float r.Chaos.requests_lost);
-      ( "rho",
-        match r.Chaos.rho with Some rho -> Json.Float rho | None -> Json.Null
-      );
-      ("rows", Json.List (List.map chaos_row_to_json r.Chaos.rows));
-    ]
-
-let chaos_report_of_result result =
-  let what = "chaos result" in
-  {
-    Chaos.workload = str_field ~what "workload" result;
-    label = str_field ~what "label" result;
-    kill_fraction = float_field ~what "kill_fraction" result;
-    killed_per_trial = int_field ~what "killed_per_trial" result;
-    components = int_field ~what "components" result;
-    seed = int_field ~what "seed" result;
-    requests_lost = float_field ~what "requests_lost" result;
-    rho =
-      (match get ~what "rho" result with
-      | Json.Null -> None
-      | v -> Some (as_float ~what v));
-    rows =
-      (match get ~what "rows" result with
-      | Json.List rows -> List.map chaos_row_of_json rows
-      | _ -> failwith (what ^ ": \"rows\" is not a list"));
-  }
+let rows_of_result row = C.decode (rows row)
+let verify_row_to_json = C.encode verify_row
+let verify_row_of_json = C.decode verify_row
+let level_row_to_json = C.encode level_row
+let time_row_to_json = C.encode time_row
+let profile_row_to_json = C.encode profile_row
+let profile_row_of_json = C.decode profile_row
+let sweep_row_to_json = C.encode sweep_row
+let chaos_report_to_json = C.encode chaos_report
+let chaos_report_of_result = C.decode chaos_report
+let verify_rows_of_result = rows_of_result verify_row
+let level_rows_of_result = rows_of_result level_row
+let timed_rows_of_result = rows_of_result time_row
+let profile_rows_of_result = rows_of_result profile_row
+let sweep_rows_of_result = rows_of_result sweep_row
 
 (* {2 Tape file inspection}
 
    The payload behind [dvf tape info]: the on-disk header, provenance
-   and layout summary.  Lives here so it shares the row-codec helpers —
-   the JSON line round-trips exactly, and the rendered table is
-   byte-stable for CI comparison. *)
+   and layout summary.  Lives here so it shares the row-codec
+   conventions — the JSON line round-trips exactly, and the rendered
+   table is byte-stable for CI comparison. *)
 
 type tape_info = {
   ti_version : int;
@@ -387,31 +291,25 @@ let tape_info_of_file path =
               ti_regions = List.length (Memtrace.Region.regions registry);
             })
 
-let tape_info_to_json i =
-  Json.Obj
-    [
-      ("version", Json.Int i.ti_version);
-      ("workload", Json.Str i.ti_workload);
-      ("size", Json.Str i.ti_size);
-      ("seed", Json.Int i.ti_seed);
-      ("chunk_events", Json.Int i.ti_chunk_events);
-      ("events", Json.Int i.ti_events);
-      ("chunks", Json.Int i.ti_chunks);
-      ("regions", Json.Int i.ti_regions);
-    ]
+let tape_info =
+  C.(
+    obj "tape info"
+      (fun ti_version ti_workload ti_size ti_seed ti_chunk_events ti_events
+           ti_chunks ti_regions ->
+        { ti_version; ti_workload; ti_size; ti_seed; ti_chunk_events;
+          ti_events; ti_chunks; ti_regions })
+    |> field "version" int (fun i -> i.ti_version)
+    |> field "workload" string (fun i -> i.ti_workload)
+    |> field "size" string (fun i -> i.ti_size)
+    |> field "seed" int (fun i -> i.ti_seed)
+    |> field "chunk_events" int (fun i -> i.ti_chunk_events)
+    |> field "events" int (fun i -> i.ti_events)
+    |> field "chunks" int (fun i -> i.ti_chunks)
+    |> field "regions" int (fun i -> i.ti_regions)
+    |> finish)
 
-let tape_info_of_json j =
-  let what = "tape info" in
-  {
-    ti_version = int_field ~what "version" j;
-    ti_workload = str_field ~what "workload" j;
-    ti_size = str_field ~what "size" j;
-    ti_seed = int_field ~what "seed" j;
-    ti_chunk_events = int_field ~what "chunk_events" j;
-    ti_events = int_field ~what "events" j;
-    ti_chunks = int_field ~what "chunks" j;
-    ti_regions = int_field ~what "regions" j;
-  }
+let tape_info_to_json = C.encode tape_info
+let tape_info_of_json = C.decode tape_info
 
 let tape_info_table i =
   let t =
@@ -432,38 +330,24 @@ let tape_info_table i =
     ];
   t
 
-let rows_field result = get ~what:"response result" "rows" result
-
-let json_rows ~what of_row result =
-  match rows_field result with
-  | Json.List rows -> List.map of_row rows
-  | _ -> failwith (what ^ ": \"rows\" is not a list")
-
-let verify_rows_of_result = json_rows ~what:"verify result" verify_row_of_json
-let level_rows_of_result = json_rows ~what:"levels result" level_row_of_json
-let timed_rows_of_result = json_rows ~what:"timed result" time_row_of_json
-
-let profile_rows_of_result =
-  json_rows ~what:"dvf result" profile_row_of_json
-
-let sweep_rows_of_result = json_rows ~what:"sweep result" sweep_row_of_json
-
 (* {2 Request dispatch} *)
 
+(* A request parameter, [None] when absent; a present one must decode
+   with [codec] ([null] included).  [optional] reads [null] as absent. *)
+let param req k codec =
+  Option.map (C.decode ~what:(Printf.sprintf "%S" k) codec) (Json.member k req)
+
+let optional req k codec = Option.join (param req k (C.option codec))
+
 let requested_workloads t req =
-  match Json.member "workload" req with
-  | None | Some Json.Null -> t.workloads
-  | Some (Json.Str name) -> [ find_workload t name ]
-  | Some _ -> failwith "\"workload\" must be a string"
+  match optional req "workload" C.string with
+  | None -> t.workloads
+  | Some name -> [ find_workload t name ]
 
 let required_workload t req =
-  match Json.member "workload" req with
-  | Some (Json.Str name) -> find_workload t name
-  | Some _ -> failwith "\"workload\" must be a string"
+  match param req "workload" C.string with
+  | Some name -> find_workload t name
   | None -> failwith "this op requires a \"workload\" field"
-
-let rows_result to_row rows =
-  Json.Obj [ ("rows", Json.List (List.map to_row rows)) ]
 
 (* Size parameters are allocated in full, and [Out_of_memory] would take
    the daemon down: each is capped at about 100x its default. *)
@@ -475,81 +359,50 @@ let at_most what max n =
    ([handle_line]); either way the replay ops below fan their walks and
    row builds out over [t.pool] (a nested map when the handler runs on
    one of its workers).  With [jobs = 1] all of it runs in the calling
-   domain. *)
+   domain.  Each answers [rows_of w] for every requested workload [w]. *)
+let replay_op t req row rows_of =
+  C.encode (rows row) (List.concat_map rows_of (requested_workloads t req))
+
 let op_verify t req =
-  rows_result verify_row_to_json
-    (List.concat_map
-       (fun w ->
-         Verify.capture_rows ~telemetry:t.telemetry ~pool:t.pool
-           ~replicas:t.replicas (capture_for t w))
-       (requested_workloads t req))
+  replay_op t req verify_row (fun w ->
+      Verify.capture_rows ~telemetry:t.telemetry ~pool:t.pool
+        ~replicas:t.replicas (capture_for t w))
 
 let op_levels t req =
-  let levels =
-    match Json.member "levels" req with
-    | Some (Json.Int l) -> l
-    | Some _ -> failwith "\"levels\" must be an integer"
-    | None -> 2
-  in
-  rows_result level_row_to_json
-    (List.concat_map
-       (fun w ->
-         Verify.capture_level_rows ~telemetry:t.telemetry ~pool:t.pool
-           ~replicas:t.replicas ~levels (capture_for t w))
-       (requested_workloads t req))
+  let levels = Option.value (param req "levels" C.int) ~default:2 in
+  replay_op t req level_row (fun w ->
+      Verify.capture_level_rows ~telemetry:t.telemetry ~pool:t.pool
+        ~replicas:t.replicas ~levels (capture_for t w))
 
 let op_timed t req =
-  let levels =
-    match Json.member "levels" req with
-    | Some (Json.Int l) -> l
-    | Some _ -> failwith "\"levels\" must be an integer"
-    | None -> 1
-  in
+  let levels = Option.value (param req "levels" C.int) ~default:1 in
   let bins =
-    match Json.member "bins" req with
-    | Some (Json.Int b) -> at_most "bins" 2000 b
-    | Some _ -> failwith "\"bins\" must be an integer"
-    | None -> Cachesim.Residency.default_bins
+    Option.fold (param req "bins" C.int)
+      ~none:Cachesim.Residency.default_bins ~some:(at_most "bins" 2000)
   in
-  rows_result time_row_to_json
-    (List.concat_map
-       (fun w ->
-         Verify.capture_time_rows ~telemetry:t.telemetry ~pool:t.pool
-           ~replicas:t.replicas ~levels ~bins (capture_for t w))
-       (requested_workloads t req))
+  replay_op t req time_row (fun w ->
+      Verify.capture_time_rows ~telemetry:t.telemetry ~pool:t.pool
+        ~replicas:t.replicas ~levels ~bins (capture_for t w))
 
 let op_dvf t req =
-  let caches = Cachesim.Config.profiling_set in
-  rows_result profile_row_to_json
-    (List.concat_map
-       (fun w ->
-         let instance = profiling_instance_for t w in
-         List.concat_map
-           (fun cache -> Profile.profile_instance ~cache instance)
-           caches)
-       (requested_workloads t req))
+  replay_op t req profile_row (fun w ->
+      let instance = profiling_instance_for t w in
+      List.concat_map
+        (fun cache -> Profile.profile_instance ~cache instance)
+        Cachesim.Config.profiling_set)
 
 let op_sweep t req =
   let w = required_workload t req in
-  let capacities =
-    match Json.member "capacities" req with
-    | None | Some Json.Null -> None
-    | Some (Json.List vs) ->
-        let cs = List.map (as_int ~what:"\"capacities\" entry") vs in
-        (* a simulated sweep builds every cache at once: bound their sum *)
-        let bound = at_most "capacities (each and summed)" (1 lsl 30) in
-        ignore (List.fold_left (fun sum c -> bound (sum + max 0 (bound c))) 0 cs);
-        Some cs
-    | Some _ -> failwith "\"capacities\" must be a list of integers"
-  in
-  let simulate =
-    match Json.member "simulate" req with
-    | None -> true
-    | Some (Json.Bool b) -> b
-    | Some _ -> failwith "\"simulate\" must be a boolean"
-  in
+  let capacities = optional req "capacities" C.(list int) in
+  (* a simulated sweep builds every cache at once: bound their sum *)
+  Option.iter
+    (fun cs ->
+      let bound = at_most "capacities (each and summed)" (1 lsl 30) in
+      ignore (List.fold_left (fun sum c -> bound (sum + max 0 (bound c))) 0 cs))
+    capacities;
+  let simulate = Option.value (param req "simulate" C.bool) ~default:true in
   let capture = capture_for t w in
-  rows_result sweep_row_to_json
+  C.encode (rows sweep_row)
     (Experiments.cache_sweep ~jobs:1 ~telemetry:t.telemetry ?capacities
        ~simulate ~capture capture.Verify.instance)
 
@@ -559,39 +412,21 @@ let op_sweep t req =
    kernels) without changing any other op's workload set. *)
 let op_chaos t req =
   let w =
-    match Json.member "workload" req with
-    | None | Some Json.Null -> Service_workloads.workload ()
-    | Some (Json.Str name) -> (
-        let key = String.lowercase_ascii name in
-        match
-          List.find_opt
-            (fun w -> String.lowercase_ascii w.Workload.name = key)
-            t.workloads
-        with
+    match optional req "workload" C.string with
+    | None -> Service_workloads.workload ()
+    | Some name -> (
+        match lookup t name with
         | Some w -> w
         | None -> (
             match Service_workloads.find name with
             | Some w -> w
             | None -> find_workload t name))
-    | Some _ -> failwith "\"workload\" must be a string"
   in
   let trials =
-    match Json.member "trials" req with
-    | None | Some Json.Null -> None
-    | Some (Json.Int n) -> Some (at_most "trials" 100_000 n)
-    | Some _ -> failwith "\"trials\" must be an integer"
+    Option.map (at_most "trials" 100_000) (optional req "trials" C.int)
   in
-  let kill_fraction =
-    match Json.member "kill_fraction" req with
-    | None | Some Json.Null -> None
-    | Some v -> Some (as_float ~what:"\"kill_fraction\"" v)
-  in
-  let seed =
-    match Json.member "seed" req with
-    | None | Some Json.Null -> None
-    | Some (Json.Int s) -> Some s
-    | Some _ -> failwith "\"seed\" must be an integer"
-  in
+  let kill_fraction = optional req "kill_fraction" C.float in
+  let seed = optional req "seed" C.int in
   match
     Chaos.run ?seed ?trials ?kill_fraction ~telemetry:t.telemetry w
   with
@@ -601,7 +436,7 @@ let op_chaos t req =
         (Printf.sprintf "workload %S has no service-graph topology"
            w.Workload.name)
 
-let op_stats t =
+let op_stats t _ =
   Json.Obj
     [
       ("requests", Json.Int (Mutex.protect t.mutex (fun () -> t.requests)));
@@ -615,30 +450,27 @@ let op_stats t =
 
 let ops =
   [
-    "ping"; "workloads"; "verify"; "levels"; "timed"; "dvf"; "sweep"; "chaos";
-    "stats";
+    ("ping", fun _ _ -> Json.Obj [ ("pong", Json.Bool true) ]);
+    ( "workloads",
+      fun t _ ->
+        Json.Obj [ ("workloads", C.(encode (list string)) (workload_names t)) ]
+    );
+    ("verify", op_verify);
+    ("levels", op_levels);
+    ("timed", op_timed);
+    ("dvf", op_dvf);
+    ("sweep", op_sweep);
+    ("chaos", op_chaos);
+    ("stats", op_stats);
   ]
 
 let dispatch t ~op req =
-  match op with
-  | "ping" -> Json.Obj [ ("pong", Json.Bool true) ]
-  | "workloads" ->
-      Json.Obj
-        [
-          ( "workloads",
-            Json.List (List.map (fun n -> Json.Str n) (workload_names t)) );
-        ]
-  | "verify" -> op_verify t req
-  | "levels" -> op_levels t req
-  | "timed" -> op_timed t req
-  | "dvf" -> op_dvf t req
-  | "sweep" -> op_sweep t req
-  | "chaos" -> op_chaos t req
-  | "stats" -> op_stats t
-  | other ->
+  match List.assoc_opt op ops with
+  | Some handler -> handler t req
+  | None ->
       failwith
-        (Printf.sprintf "unknown op %S (supported: %s)" other
-           (String.concat ", " ops))
+        (Printf.sprintf "unknown op %S (supported: %s)" op
+           (String.concat ", " (List.map fst ops)))
 
 let envelope ~id fields =
   Json.to_string ~indent:false

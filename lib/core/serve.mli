@@ -106,32 +106,30 @@ val handle_batch : t -> string list -> string list
 
 (** {2 Row codecs}
 
-    JSON encodings of the row types served in results.  Floats are
-    emitted as [%.17g] (exact round-trip), so decoding rows and
-    rendering them through [Verify.to_table] / [Verify.to_level_table] /
+    JSON encodings of the types served in results.  Each is declared
+    once, as one {!Dvf_util.Json.Codec}, which gives both the encoder
+    and the decoder: key names, key order and [null] for an absent
+    option cannot differ between the two.  Floats are emitted as
+    [%.17g] (exact round-trip), so decoding rows and rendering them
+    through [Verify.to_table] / [Verify.to_level_table] /
     [Profile.to_table] / [Experiments.cache_sweep_table] reproduces the
     one-shot CLI tables byte for byte — [dvf query]'s default output
-    mode, and what the end-to-end tests assert.  The [*_of_json] and
-    [*_of_result] decoders raise [Failure] on malformed input. *)
+    mode, and what the end-to-end tests assert.  The decoders raise
+    [Failure] on malformed input, naming the row type and the key
+    (["verify row: missing field \"modeled\""]). *)
 
-val config_to_json : Cachesim.Config.t -> Dvf_util.Json.t
-val config_of_json : Dvf_util.Json.t -> Cachesim.Config.t
 val verify_row_to_json : Verify.row -> Dvf_util.Json.t
 val verify_row_of_json : Dvf_util.Json.t -> Verify.row
 val level_row_to_json : Verify.level_row -> Dvf_util.Json.t
-val level_row_of_json : Dvf_util.Json.t -> Verify.level_row
 val time_row_to_json : Verify.time_row -> Dvf_util.Json.t
-val time_row_of_json : Dvf_util.Json.t -> Verify.time_row
 val profile_row_to_json : Profile.row -> Dvf_util.Json.t
 val profile_row_of_json : Dvf_util.Json.t -> Profile.row
 val sweep_row_to_json : Experiments.sweep_row -> Dvf_util.Json.t
-val sweep_row_of_json : Dvf_util.Json.t -> Experiments.sweep_row
-val chaos_row_to_json : Chaos.row -> Dvf_util.Json.t
-val chaos_row_of_json : Dvf_util.Json.t -> Chaos.row
 val chaos_report_to_json : Chaos.report -> Dvf_util.Json.t
 
 val verify_rows_of_result : Dvf_util.Json.t -> Verify.row list
-(** Decode the ["rows"] of a [verify] response's [result]. *)
+(** Decode the ["rows"] of a [verify] response's [result]; the four
+    below decode the other replay ops' results the same way. *)
 
 val level_rows_of_result : Dvf_util.Json.t -> Verify.level_row list
 val timed_rows_of_result : Dvf_util.Json.t -> Verify.time_row list
@@ -144,8 +142,8 @@ val chaos_report_of_result : Dvf_util.Json.t -> Chaos.report
 (** {2 Tape file inspection}
 
     The payload behind [dvf tape info]: a .dvftape file's header,
-    provenance and layout (events, chunks, regions).  Shares the
-    row-codec conventions — the JSON line round-trips exactly and the
+    provenance and layout (events, chunks, regions).  Declared as a
+    codec like the rows — the JSON line round-trips exactly and the
     rendered table is byte-stable, which CI uses to pin the
     subcommand's output. *)
 

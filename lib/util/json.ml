@@ -274,3 +274,93 @@ let member k = function
   | _ -> None
 
 let equal (a : t) (b : t) = a = b
+
+(* --- codecs: one declaration gives the encoder and the decoder --- *)
+
+module Codec = struct
+  type json = t
+
+  (* [dec what j]: [what] names the enclosing object in error messages. *)
+  type 'a t = { enc : 'a -> json; dec : string -> json -> 'a }
+
+  let encode c v = c.enc v
+  let decode ?(what = "JSON value") c j = c.dec what j
+
+  let scalar expected enc dec =
+    {
+      enc;
+      dec =
+        (fun what j ->
+          match dec j with
+          | Some v -> v
+          | None -> failwith (what ^ ": expected " ^ expected));
+    }
+
+  let int =
+    scalar "an integer" (fun i -> Int i) (function Int i -> Some i | _ -> None)
+
+  (* An integer is a number too: other encoders print whole floats
+     without a fraction. *)
+  let float =
+    scalar "a number"
+      (fun f -> Float f)
+      (function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None)
+
+  let string =
+    scalar "a string" (fun s -> Str s) (function Str s -> Some s | _ -> None)
+
+  let bool =
+    scalar "a boolean" (fun b -> Bool b) (function Bool b -> Some b | _ -> None)
+
+  let option c =
+    {
+      enc = (function Some v -> c.enc v | None -> Null);
+      dec = (fun what -> function Null -> None | j -> Some (c.dec what j));
+    }
+
+  let list c =
+    {
+      enc = (fun vs -> List (List.map c.enc vs));
+      dec =
+        (fun what -> function
+          | List js -> List.map (c.dec what) js
+          | _ -> failwith (what ^ ": expected a list"));
+    }
+
+  let array c =
+    let l = list c in
+    {
+      enc = (fun a -> l.enc (Array.to_list a));
+      dec = (fun what j -> Array.of_list (l.dec what j));
+    }
+
+  (* An object under construction: the members declared so far
+     (reversed), and a decoder that applies the constructor to their
+     values in declaration order, leaving ['k] to take the rest. *)
+  type ('o, 'k) obj = {
+    name : string;
+    members : ('o -> string * json) list;
+    build : json -> 'k;
+  }
+
+  let obj name k = { name; members = []; build = (fun _ -> k) }
+
+  let field key c get o =
+    {
+      o with
+      members = (fun v -> (key, c.enc (get v))) :: o.members;
+      build =
+        (fun j ->
+          let k = o.build j in
+          match member key j with
+          | Some v -> k (c.dec o.name v)
+          | None -> failwith (Printf.sprintf "%s: missing field %S" o.name key));
+    }
+
+  let finish o =
+    let members = List.rev o.members in
+    {
+      enc = (fun v -> Obj (List.map (fun m -> m v) members));
+      dec = (fun _ j -> o.build j);
+    }
+end

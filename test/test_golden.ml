@@ -27,7 +27,10 @@
    golden/windows.txt holds the stdout of "dvf windows --trials 200":
    the windowed residency of every verification capture next to the
    flip-time SDC rates of the injection campaign, and the Spearman rows
-   between them.  It is checked at -j 1 and -j 2. *)
+   between them.  It is checked at -j 1 and -j 2.
+   The same goldens pin "dvf query": its verify, levels, timed, dvf and
+   chaos ops, answered in-process, decode the served rows and render
+   them through the one-shot commands' tables, byte for byte. *)
 
 let commands =
   [
@@ -238,6 +241,54 @@ let test_windows_golden () =
           (run_cli [ "windows"; "--trials"; "200"; "-j"; jobs ]))
       [ "1"; "2" ]
 
+(* The body of golden [path]'s "$ <command>" section [head]. *)
+let golden_section path head =
+  let rec after = function
+    | [] -> Alcotest.failf "%s has no section %S" path head
+    | line :: rest -> if line = head then rest else after rest
+  in
+  let rec body = function
+    | [] | [ "" ] -> []
+    | line :: _ when String.starts_with ~prefix:"$ " line -> []
+    | line :: rest -> (line ^ "\n") :: body rest
+  in
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all)
+  in
+  String.concat "" (body (after lines))
+
+let test_query_golden () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    let read path = In_channel.with_open_text path In_channel.input_all in
+    let cases =
+      [
+        ([ "--op"; "verify" ], read "golden/verify_default.txt");
+        ( [ "--op"; "levels" ],
+          golden_section "golden/verify_levels.txt" "$ dvf verify --levels 2" );
+        ( [ "--op"; "timed"; "--levels"; "2" ],
+          golden_section "golden/verify_levels.txt"
+            "$ dvf verify --time-weighted --levels 2" );
+        ([ "--op"; "dvf" ], read "golden/fig5.txt");
+        ( [ "--op"; "chaos"; "--trials"; "50" ],
+          golden_section "golden/analytic.txt" "$ dvf chaos --trials 50" );
+      ]
+    in
+    List.iter
+      (fun jobs ->
+        List.iter
+          (fun (args, expected) ->
+            let args = ("query" :: args) @ [ "-j"; jobs ] in
+            let name = "dvf " ^ String.concat " " args in
+            match Fixtures.run_dvf args with
+            | None -> Alcotest.skip ()
+            | Some (status, stdout, stderr) ->
+                Alcotest.(check (pair int string))
+                  (name ^ ": status, stderr") (0, "") (status, stderr);
+                Alcotest.(check string) name expected stdout)
+          cases)
+      [ "1"; "2" ]
+
 let suite =
   [
     Alcotest.test_case "analytic outputs match golden" `Quick test_analytic_golden;
@@ -251,4 +302,6 @@ let suite =
     Alcotest.test_case "three-level timed verify matches golden" `Quick
       test_verify_levels3_golden;
     Alcotest.test_case "windows matches golden" `Quick test_windows_golden;
+    Alcotest.test_case "dvf query renders the goldens" `Quick
+      test_query_golden;
   ]

@@ -108,6 +108,39 @@ let test_cli_rejects_bad_target () =
             stderr)
     [ "0"; "1.5"; "nan" ]
 
+(* A target in range that no protection set reaches is an error for
+   that workload: its table still prints, the message goes to stderr
+   and the exit status is 1 once every named workload is done. *)
+let test_cli_unreachable_target () =
+  match Fixtures.run_dvf [ "protect"; "-t"; "1e-30"; "VM"; "CG" ] with
+  | None -> Alcotest.skip ()
+  | Some (status, stdout, stderr) ->
+      Alcotest.(check int) "exit status" 1 status;
+      let contains s sub =
+        let n = String.length sub in
+        let rec scan i =
+          i + n <= String.length s && (String.sub s i n = sub || scan (i + 1))
+        in
+        scan 0
+      in
+      List.iter
+        (fun header ->
+          Alcotest.(check bool) ("stdout has " ^ header) true
+            (contains stdout header))
+        [ "=== VM "; "=== CG " ];
+      Alcotest.(check bool) "no error on stdout" false
+        (contains stdout "unreachable");
+      Alcotest.(check string) "stderr"
+        (String.concat ""
+           (List.map
+              (fun w ->
+                Printf.sprintf
+                  "error: %s: Selective.structures_for_target: target \
+                   unreachable with this scheme\n"
+                  w)
+              [ "VM"; "CG" ]))
+        stderr
+
 let suite =
   [
     Alcotest.test_case "rank descending" `Quick test_rank_descending;
@@ -121,4 +154,6 @@ let suite =
     Alcotest.test_case "on a real kernel" `Quick test_on_real_kernel;
     Alcotest.test_case "CLI rejects a target outside (0,1]" `Quick
       test_cli_rejects_bad_target;
+    Alcotest.test_case "CLI reports an unreachable target" `Quick
+      test_cli_unreachable_target;
   ]

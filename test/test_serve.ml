@@ -195,6 +195,24 @@ let test_sweep_without_simulation () =
            served);
       Alcotest.(check bool) "rows = cache_sweep" true (served = direct))
 
+(* [null] is the default for the parameters whose default is "unset"
+   (the wrong-type fuzzing pins that the others reject it). *)
+let test_null_parameters_default () =
+  with_server (fun srv ->
+      let result fields =
+        J.to_string (expect_ok (respond srv (Printf.sprintf {|{"id":1,%s}|} fields)))
+      in
+      List.iter
+        (fun (with_nulls, without) ->
+          Alcotest.(check string) with_nulls (result without) (result with_nulls))
+        [
+          ({|"op":"verify","workload":null|}, {|"op":"verify"|});
+          ( {|"op":"sweep","workload":"MC","capacities":null,"simulate":false|},
+            {|"op":"sweep","workload":"MC","simulate":false|} );
+          ( {|"op":"chaos","workload":null,"trials":null,"kill_fraction":null,"seed":null|},
+            {|"op":"chaos"|} );
+        ])
+
 let test_sweep_requires_workload () =
   with_server (fun srv ->
       let msg = expect_error (respond srv {|{"id":1,"op":"sweep"}|}) in
@@ -887,6 +905,8 @@ let suite =
       test_timed_rows_bit_identical;
     Alcotest.test_case "sweep without simulation" `Quick
       test_sweep_without_simulation;
+    Alcotest.test_case "null parameters take their defaults" `Quick
+      test_null_parameters_default;
     Alcotest.test_case "sweep requires a workload" `Quick
       test_sweep_requires_workload;
     Alcotest.test_case "batch order and equivalence" `Quick
